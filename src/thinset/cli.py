@@ -265,9 +265,13 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    # exact rationals (harmonic sums, deep chains) overflow the default
-    # int-to-string conversion guard
-    if hasattr(sys, "set_int_max_str_digits"):
+    # parsing and printing deep exact inputs (huge numerators, long digit
+    # lists) can exceed the default int-to-string guard; the raised limit
+    # lasts for this call only, so library code run later in the same
+    # process sees the interpreter's setting
+    guarded = hasattr(sys, "set_int_max_str_digits")
+    if guarded:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(2_000_000)
     parser = build_parser()
     try:
@@ -281,6 +285,9 @@ def main(argv=None) -> int:
             ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if guarded:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,9 @@ are produced only from structural certificates:
 * periodic recurrence: for rational x and a multiplicatively generated (a_n),
   the residues a_n*x mod 1 fall into an exact cycle, and a cycle value with
   positive norm recurs along an arithmetic progression;
+* never integral: for rational x = p/d and a periodic multiplier chain, d
+  keeps a prime factor that neither a_1 nor any multiplier supplies, so no
+  a_n*x is an integer and ||a_n x|| >= 1/d for every n;
 * support rule: the nonzero-digit index set of x lies in the ideal and all
   its integer shifts do too.
 
@@ -17,10 +20,14 @@ Everything else is reported as Inconclusive together with the prefix trace.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ._exact_text import exact_str
 from .core import (CircleRational, DigitExpansion, RatInterval, SIN_UPPER,
                    _norm_range, reconstruct, reconstruct_exact, support)
 from .ideals import (IdealDescriptor, Outcome, Progression, SetDescriptor,
@@ -30,7 +37,8 @@ from .sequences import (ArithmeticTerms, TermSequence, multiplier_chain,
 
 DEFAULT_DEPTH = 100_000
 DEFAULT_EPS_GRID = (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 64))
-_CYCLE_STATE_CAP = 400_000
+_CYCLE_STATE_CAP = 400_000     # largest residue cycle walked for diagnostics
+_FACTOR_BOUND = 400_000        # trial-division limit when factoring d for n!
 
 PointLike = Union[CircleRational, DigitExpansion]
 
@@ -45,11 +53,10 @@ def _residues(num: int, den: int, terms: TermSequence, depth: int):
     if chain is not None:
         first, mult = chain
         t = (first % den) * num % den
-        n = 1
-        while n <= depth:
+        for n in range(1, depth + 1):
+            if n > 1:   # a finite chain has no multiplier past its last term
+                t = t * mult(n - 1) % den
             yield n, t
-            t = t * mult(n) % den
-            n += 1
     else:
         for n in range(1, depth + 1):
             yield n, terms.term(n) * num % den
@@ -63,6 +70,9 @@ class _Cycle:
 
 
 def _detect_cycle(num: int, den: int, terms: TermSequence) -> Optional[_Cycle]:
+    """The eventual cycle of (a_n*x mod 1, phase), walked state by state, so
+    only where den*period stays within _CYCLE_STATE_CAP.  It adds
+    diagnostics to a verdict the valuation walk has already decided."""
     period = phase_period(terms)
     if period is None or den * period > _CYCLE_STATE_CAP:
         return None
@@ -87,16 +97,170 @@ def _detect_cycle(num: int, den: int, terms: TermSequence) -> Optional[_Cycle]:
         n += 1
 
 
-def _terminating_index(num: int, den: int, terms: TermSequence,
-                       scan: int) -> Optional[int]:
-    """Least m with a_m*x integral, valid as a certificate for multiplicative
-    chains (later terms are multiples of a_m)."""
-    if multiplier_chain(terms) is None:
+# ---------------------------------------------------------------------------
+# Valuation walk: from which n on is a_n*x an integer?
+# ---------------------------------------------------------------------------
+#
+# For x = p/d in lowest terms, a_n*x is an integer exactly when d | a_n.  On a
+# multiplicative chain a_{n+1} = a_n*m(n) that holds from some n on or never,
+# and valuations of d against the primes, or a coprime basis, of what it
+# shares with the multipliers say which.
+
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(v, n / p**v) with p**v the largest power of p >= 2, prime or not,
+    dividing n > 0.  Divides by p**(2**i) from the top down, so a huge power
+    costs O(log v) divisions."""
+    if p == 2:
+        v = (n & -n).bit_length() - 1
+        return v, n >> v
+    if n % p:
+        return 0, n
+    powers = [p]
+    while n % (square := powers[-1] * powers[-1]) == 0:
+        powers.append(square)
+    v = 0
+    for i in range(len(powers) - 1, -1, -1):
+        q, rem = divmod(n, powers[i])
+        if rem == 0:
+            n = q
+            v += 1 << i
+    return v, n
+
+
+def _trial_factor(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """Prime powers of n > 0 found by trial division with p <= bound, and
+    the cofactor left.  Division stops early once p*p exceeds the cofactor,
+    which is then 1 or prime and goes into the factors; a cofactor above 1
+    is returned only when the bound stopped the search."""
+    factors: dict[int, int] = {}
+    p = 2
+    while p <= bound and p * p <= n:
+        v, n = _strip(n, p)
+        if v:
+            factors[p] = v
+        p += 1 if p == 2 else 2
+    if n > 1 and p * p > n:
+        factors[n] = factors.get(n, 0) + 1
+        n = 1
+    return factors, n
+
+
+def _coprime_basis(nums) -> list[int]:
+    """Pairwise coprime integers > 1 over which each of nums factors, found by
+    splitting any two that share a factor into their gcd and the quotients;
+    no number is factored into primes."""
+    basis: list[int] = []
+    todo = [n for n in nums if n > 1]
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(basis):
+            g = math.gcd(a, b)
+            if g > 1:
+                del basis[i]
+                todo += [c for c in (g, a // g, b // g) if c > 1]
+                break
+        else:
+            basis.append(a)
+    return basis
+
+
+def _periodic_zero_from(r: int, mults: Sequence[int]) -> Optional[int]:
+    """Least n with r | m(1)*...*m(n-1) for multipliers repeating with
+    period len(mults), or None when some prime of r divides none of them.
+
+    Only g = gcd(r, m) matters (r divides a product of the m exactly when it
+    divides the product of their g), and the g are refined into a coprime
+    basis over which r factors too.  Valuations against the basis elements
+    then decide divisibility as prime valuations would, without factoring."""
+    gs = [math.gcd(r, m) for m in mults]
+    basis = _coprime_basis(set(gs))
+    while True:
+        need, rest = {}, r
+        for b in basis:
+            need[b], rest = _strip(rest, b)
+        shared = [g for b in basis if (g := math.gcd(rest, b)) > 1]
+        if not shared:
+            break
+        basis = _coprime_basis(basis + shared)
+    if rest > 1:
         return None
-    for n, t in _residues(num, den, terms, scan):
-        if t == 0:
-            return n
-    return None
+    period = len(mults)
+    steps = 0                       # least k with r | m(1)*...*m(k)
+    for b, e in need.items():       # e >= 1: each b divides some g, so r
+        prefix = list(itertools.accumulate(_strip(g, b)[0] for g in gs))
+        full, left = divmod(e - 1, prefix[-1])
+        steps = max(steps, full * period + bisect.bisect_left(prefix, left + 1) + 1)
+    return steps + 1
+
+
+def _legendre_least(p: int, e: int) -> int:
+    """Least n with p**e | n!, where v_p(n!) = sum_i floor(n/p**i)."""
+    def v(n: int) -> int:
+        total = 0
+        while n:
+            n //= p
+            total += n
+        return total
+    lo, hi = 1, e                   # the answer is k*p for some 1 <= k <= e
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if v(mid * p) >= e:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo * p
+
+
+def _factorial_zero_from(d: int) -> Optional[int]:
+    """Least n with d | n!, or None when trial division up to
+    _FACTOR_BOUND leaves a cofactor it cannot prove prime."""
+    factors, rest = _trial_factor(d, _FACTOR_BOUND)
+    if rest > 1:
+        return None
+    return max((_legendre_least(p, e) for p, e in factors.items()), default=1)
+
+
+def _rational_verdict(x: CircleRational, terms: TermSequence
+                      ) -> tuple[Verdict, Optional[_Cycle]]:
+    """Verdict on ||a_n x|| -> 0 for rational x, with the residue cycle behind
+    a periodic-recurrence verdict."""
+    def undecided(note: str):
+        return Verdict(Outcome.INCONCLUSIVE, None, {"note": note}), None
+
+    if x.num == 0:
+        return Verdict(Outcome.MEMBER, "zero"), None
+    chain = multiplier_chain(terms)
+    if chain is None:
+        return undecided("terms are not a multiplicative chain")
+    first, mult = chain
+    r = x.den // math.gcd(x.den, first)
+    period = phase_period(terms)
+    spec = terms.seq.spec if isinstance(terms, ArithmeticTerms) else None
+    if period is not None:
+        zero_from = _periodic_zero_from(r, [mult(n) for n in range(1, period + 1)])
+    elif spec == ("factorial",):
+        zero_from = _factorial_zero_from(r)
+        if zero_from is None:
+            return undecided(f"n! terms: trial division up to {_FACTOR_BOUND} "
+                             f"leaves a cofactor of the denominator it cannot factor")
+    elif spec is not None and spec[0] == "ratios-finite":
+        # the chain ends with its list, so its first period is all of it
+        zero_from = _periodic_zero_from(r, spec[1][1:])
+        if zero_from is None or zero_from > len(spec[1]):
+            return undecided("finite ratio list ends before d divides a term")
+    else:
+        return undecided("multiplier chain is neither periodic, finite nor n!")
+    if zero_from is not None:
+        return Verdict(Outcome.MEMBER, "terminating", {"zero_from": zero_from}), None
+    # no a_n*x is an integer; the residue cycle, when small enough to walk,
+    # names the recurring norm, and otherwise ||a_n x|| >= 1/d is the certificate
+    cycle = _detect_cycle(x.num, x.den, terms)
+    if cycle is not None:
+        return Verdict(Outcome.NOT_MEMBER, "periodic-recurrence",
+                       {"cycle_start": cycle.mu, "period": cycle.period,
+                        "recurring_norm": max(cycle.norms)}), cycle
+    return Verdict(Outcome.NOT_MEMBER, "never-integral",
+                   {"norm_floor": Fraction(1, x.den)}), None
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +292,9 @@ class ConvergenceReport:
         return {
             "depth": self.depth,
             "stats": [
-                {"eps": str(s.eps), "exceptional_count": s.exceptional_count,
+                {"eps": exact_str(s.eps), "exceptional_count": s.exceptional_count,
                  "last_exceptional": s.last_exceptional,
-                 "prefix_density": str(s.prefix_density),
+                 "prefix_density": exact_str(s.prefix_density),
                  "definite_only": s.definite_only}
                 for s in self.stats
             ],
@@ -207,7 +371,7 @@ def classical_convergence(x: PointLike, terms: TermSequence, depth: int = DEFAUL
     exact = _resolve_exact(x)
     if exact is not None:
         stats = _exact_eps_stats(exact.num, exact.den, terms, depth, eps_grid)
-        verdict = _classical_verdict(exact, terms, depth)
+        verdict = _rational_verdict(exact, terms)[0]
     else:
         assert isinstance(x, DigitExpansion)
         stats = _enclosure_eps_stats(x, terms, depth, eps_grid)
@@ -218,31 +382,11 @@ def classical_convergence(x: PointLike, terms: TermSequence, depth: int = DEFAUL
     return ConvergenceReport(depth, tuple(stats), verdict)
 
 
-def _classical_verdict(x: CircleRational, terms: TermSequence, depth: int) -> Verdict:
-    if x.num == 0:
-        return Verdict(Outcome.MEMBER, "zero")
-    scan = min(max(depth, x.den + 1), _CYCLE_STATE_CAP)
-    cycle = _detect_cycle(x.num, x.den, terms)
-    if cycle is not None:
-        peak = max(cycle.norms)
-        if peak == 0:
-            return Verdict(Outcome.MEMBER, "terminating",
-                           {"zero_from": cycle.mu})
-        return Verdict(Outcome.NOT_MEMBER, "periodic-recurrence",
-                       {"cycle_start": cycle.mu, "period": cycle.period,
-                        "recurring_norm": peak})
-    m = _terminating_index(x.num, x.den, terms, scan)
-    if m is not None:
-        return Verdict(Outcome.MEMBER, "terminating", {"zero_from": m})
-    return Verdict(Outcome.INCONCLUSIVE, None, {"note": "no structural certificate"})
-
-
-def _exceptional_descriptor(cycle: _Cycle, threshold: Fraction) -> Optional[SetDescriptor]:
-    """Progression union covering the cycle positions whose norm >= threshold."""
+def _exceptional_descriptor(cycle: _Cycle, threshold: Fraction) -> SetDescriptor:
+    """Progression union covering the cycle positions whose norm >= threshold,
+    for a threshold at most the cycle's largest norm."""
     parts = [Progression(cycle.mu + j, cycle.period)
              for j, norm in enumerate(cycle.norms) if norm >= threshold]
-    if not parts:
-        return None
     return parts[0] if len(parts) == 1 else UnionSet(parts)
 
 
@@ -287,22 +431,25 @@ def ideal_convergence(x: PointLike, terms: TermSequence, ideal: IdealDescriptor,
             "exceptional_prefix_density": stats.prefix_density,
             "last_exceptional": stats.last_exceptional,
         }
-        classical = _classical_verdict(exact, terms, depth)
+        classical, cycle = _rational_verdict(exact, terms)
         if classical.outcome is Outcome.MEMBER:
             # eventual classical convergence survives any free ideal
             diagnostics.update(classical.diagnostics)
             return Verdict(Outcome.MEMBER, classical.certificate, diagnostics)
-        if classical.certificate == "periodic-recurrence":
-            cycle = _detect_cycle(exact.num, exact.den, terms)
-            peak = max(cycle.norms)
-            descriptor = _exceptional_descriptor(cycle, min(eps, peak))
-            if descriptor is not None:
-                in_ideal = ideal_member(ideal, descriptor, depth)
-                if in_ideal.outcome is Outcome.NOT_MEMBER:
-                    diagnostics["witness_eps"] = min(eps, peak)
-                    diagnostics["exceptional_set"] = descriptor.to_json()
-                    return Verdict(Outcome.NOT_MEMBER, "periodic-recurrence",
-                                   diagnostics)
+        if classical.outcome is Outcome.INCONCLUSIVE:
+            diagnostics.update(classical.diagnostics)
+            return Verdict(Outcome.INCONCLUSIVE, None, diagnostics)
+        if cycle is not None:
+            witness_eps = min(eps, max(cycle.norms))
+            descriptor = _exceptional_descriptor(cycle, witness_eps)
+        else:   # never-integral: every norm is at least 1/d
+            witness_eps = min(eps, Fraction(1, exact.den))
+            descriptor = Progression(1, 1)
+        in_ideal = ideal_member(ideal, descriptor, depth)
+        if in_ideal.outcome is Outcome.NOT_MEMBER:
+            diagnostics["witness_eps"] = witness_eps
+            diagnostics["exceptional_set"] = descriptor.to_json()
+            return Verdict(Outcome.NOT_MEMBER, classical.certificate, diagnostics)
         return Verdict(Outcome.INCONCLUSIVE, None, diagnostics)
     assert isinstance(x, DigitExpansion)
     stats = _enclosure_eps_stats(x, terms, depth, [eps])[0]
@@ -371,8 +518,8 @@ class WeightRule:
 
     def to_json(self) -> dict:
         if self.kind == "power":
-            return {"kind": "power", "exponent": str(self.exponent)}
-        return {"kind": "explicit", "values": [str(v) for v in self.values]}
+            return {"kind": "power", "exponent": exact_str(self.exponent)}
+        return {"kind": "explicit", "values": [exact_str(v) for v in self.values]}
 
     def __str__(self) -> str:
         if self.kind == "power":
@@ -395,9 +542,9 @@ class BlockCheck:
 
     def to_json(self) -> dict:
         return {"index": self.index, "from": self.j_from, "to": self.j_to,
-                "upper_bound": str(self.upper_bound),
-                "lower_bound": str(self.lower_bound),
-                "majorant": str(self.majorant), "pass": self.passed}
+                "upper_bound": exact_str(self.upper_bound),
+                "lower_bound": exact_str(self.lower_bound),
+                "majorant": exact_str(self.majorant), "pass": self.passed}
 
 
 @dataclass(frozen=True)
@@ -426,9 +573,9 @@ class SummabilityReport:
         return {
             "weights": self.weights.to_json(),
             "depth": self.depth,
-            "norm_sum": str(self.norm_sum),
-            "sin_envelope": [str(self.sin_lower), str(self.sin_upper)],
-            "checkpoints": [[n, str(s)] for n, s in self.checkpoints],
+            "norm_sum": exact_str(self.norm_sum),
+            "sin_envelope": [exact_str(self.sin_lower), exact_str(self.sin_upper)],
+            "checkpoints": [[n, exact_str(s)] for n, s in self.checkpoints],
             "classification": self.classification,
             "blocks": [b.to_json() for b in self.blocks],
         }
@@ -436,6 +583,18 @@ class SummabilityReport:
 
 DIVERGENCE_RAMP = Fraction(3)
 DIVERGENCE_RAMP_DEPTH = 10_000
+
+
+def _split_sum(ps: list[int], qs: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """Unreduced (P, Q) with P/Q = sum of ps[i]/qs[i] over lo <= i < hi, by
+    binary splitting (Haible & Papanikolaou 1998): operands of each product
+    stay balanced, and no gcd is taken until the caller reduces P/Q once."""
+    if hi - lo <= 1:
+        return (ps[lo], qs[lo]) if hi > lo else (0, 1)
+    mid = (lo + hi) // 2
+    p1, q1 = _split_sum(ps, qs, lo, mid)
+    p2, q2 = _split_sum(ps, qs, mid, hi)
+    return p1 * q2 + p2 * q1, q1 * q2
 
 
 def nset_partial_sums(x: PointLike, terms: TermSequence, weights: WeightRule,
@@ -446,17 +605,29 @@ def nset_partial_sums(x: PointLike, terms: TermSequence, weights: WeightRule,
     if exact is None:
         raise ValueError("summability needs an exact point "
                          "(rational or finitely supported expansion)")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if weights.kind == "explicit" and len(weights.values) < depth:
+        raise ValueError(f"no weight stored for index {len(weights.values) + 1}")
     num, den = exact.num, exact.den
     marks = sorted({10 ** k for k in range(1, 20) if 10 ** k < depth} | {depth})
+    residues = _residues(num, den, terms, depth)
     total = Fraction(0)
     checkpoints = []
-    mark_iter = iter(marks)
-    next_mark = next(mark_iter)
-    for n, t in _residues(num, den, terms, depth):
-        total += weights.value(n) * Fraction(min(t, den - t), den)
-        if n == next_mark:
-            checkpoints.append((n, total))
-            next_mark = next(mark_iter, depth + 1)
+    done = 0
+    for mark in marks:
+        # r_n*||a_n x|| = m_n*r_n/den with m_n = min(t_n, den - t_n)
+        ps, qs = [], []
+        for n, t in itertools.islice(residues, mark - done):
+            m = min(t, den - t)
+            if m:
+                r = weights.value(n)
+                ps.append(m * r.numerator)
+                qs.append(r.denominator)
+        p, q = _split_sum(ps, qs, 0, len(ps))
+        total += Fraction(p, q * den)
+        checkpoints.append((mark, total))
+        done = mark
     if num == 0 or total == 0:
         classification = "bounded-evidence"
     elif total >= ramp and depth >= DIVERGENCE_RAMP_DEPTH:

@@ -14,6 +14,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
+from ._exact_text import exact_str
+
 DEFAULT_CUTOFF = 100_000
 
 
@@ -45,7 +47,7 @@ class Verdict:
         return {
             "outcome": self.outcome.value,
             "certificate": self.certificate,
-            "diagnostics": {k: str(v) for k, v in self.diagnostics.items()},
+            "diagnostics": {k: exact_str(v) for k, v in self.diagnostics.items()},
         }
 
 
@@ -268,10 +270,19 @@ class UnionSet(SetDescriptor):
         if all(d == 0 for d in densities):
             # subadditivity: finitely many null parts stay null, overlap or not
             return Fraction(0)
-        for a, b in itertools.combinations(self.parts, 2):
-            if not certified_disjoint(a, b):
-                return None
+        if not self._certified_disjoint():
+            return None
         return sum(densities, Fraction(0))
+
+    def _certified_disjoint(self) -> bool:
+        """Pairwise `certified_disjoint` over the parts.  Progressions sharing
+        one step are disjoint exactly when their starts differ modulo it,
+        which a single pass checks."""
+        step = getattr(self.parts[0], "step", None)
+        if all(isinstance(p, Progression) and p.step == step for p in self.parts):
+            return len({p.start % step for p in self.parts}) == len(self.parts)
+        return all(certified_disjoint(a, b)
+                   for a, b in itertools.combinations(self.parts, 2))
 
     def to_json(self) -> dict:
         return {"type": "union", "parts": [p.to_json() for p in self.parts]}
@@ -328,17 +339,22 @@ class Enumerated(SetDescriptor):
 
 
 def descriptor_from_json(doc: dict) -> SetDescriptor:
-    t = doc["type"]
-    if t == "finite":
-        return FiniteSet([int(e) for e in doc["elements"]])
-    if t == "progression":
-        return Progression(int(doc["start"]), int(doc["step"]))
-    if t == "geometric":
-        return Geometric(int(doc["base"]))
-    if t == "shifted":
-        return Shifted(descriptor_from_json(doc["inner"]), int(doc["offset"]))
-    if t == "union":
-        return UnionSet([descriptor_from_json(p) for p in doc["parts"]])
+    """Inverse of `to_json`; a malformed document raises ValueError."""
+    try:
+        t = doc["type"]
+        if t == "finite":
+            return FiniteSet([int(e) for e in doc["elements"]])
+        if t == "progression":
+            return Progression(int(doc["start"]), int(doc["step"]))
+        if t == "geometric":
+            return Geometric(int(doc["base"]))
+        if t == "shifted":
+            return Shifted(descriptor_from_json(doc["inner"]), int(doc["offset"]))
+        if t == "union":
+            return UnionSet([descriptor_from_json(p) for p in doc["parts"]])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed set descriptor: "
+                         f"{type(exc).__name__} {exc}") from exc
     raise ValueError(f"unknown set descriptor type {t!r}")
 
 

@@ -98,6 +98,15 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+def test_malformed_set_descriptor_is_usage_error(capsys):
+    for spec in ('{"type": "progression"}', '{"type": "union", "parts": [{}]}',
+                 '{"type": "shifted", "inner": 3, "offset": "1"}', '[1, 2]'):
+        code, doc, err = run_cli(capsys, "ideal-member", "--ideal", "density",
+                                 "--set", spec)
+        assert code == EXIT_USAGE and doc is None
+        assert err.startswith("error:")
+
+
 def test_thinset_depth_env(monkeypatch, capsys):
     monkeypatch.setenv("THINSET_DEPTH", "12")
     code, doc, _ = run_cli(capsys, "expand", "--x", "1/3", "--seq", "dyadic")

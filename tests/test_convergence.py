@@ -1,7 +1,11 @@
+import contextlib
+import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from thinset._exact_text import exact_str
 from thinset.convergence import (WeightRule, classical_convergence,
                                  ideal_convergence, membership_by_support,
                                  nset_partial_sums, weight_ideal_link)
@@ -11,6 +15,17 @@ from thinset.ideals import (Geometric, IdealDescriptor, Outcome, Progression,
 from thinset.sequences import ArithmeticSequence, ArithmeticTerms, parse_terms
 
 DENSITY = IdealDescriptor.density()
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """Run the block under a given int-to-string digit limit (0: none)."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 class TestClassical:
@@ -129,6 +144,25 @@ class TestNset:
                                 WeightRule.harmonic(), depth=1000)
         sums = [s for _, s in rep.checkpoints]
         assert sums == sorted(sums)
+
+    def test_to_json_beyond_default_digit_limit(self):
+        rep = nset_partial_sums(CircleRational.parse("1/3"), parse_terms("2^n"),
+                                WeightRule.power(2), depth=10_000)
+        with int_digit_limit(sys.int_info.default_max_str_digits):
+            doc = json.loads(json.dumps(rep.to_json()))
+        assert len(doc["norm_sum"]) > sys.int_info.default_max_str_digits
+        with int_digit_limit(0):     # the wire text is what str() writes
+            assert doc["norm_sum"] == str(rep.norm_sum)
+            assert doc["checkpoints"] == [[n, str(s)] for n, s in rep.checkpoints]
+            assert doc["sin_envelope"] == [str(rep.sin_lower), str(rep.sin_upper)]
+
+    def test_exact_str_matches_str(self):
+        values = [0, -7, 10 ** 5000, -(3 ** 20000), 2 ** 131073 + 1,
+                  Fraction(-(2 ** 20000) - 1, 3 ** 9000), Fraction(5, 1), True]
+        with int_digit_limit(sys.int_info.default_max_str_digits):
+            texts = [exact_str(v) for v in values]
+        with int_digit_limit(0):
+            assert texts == [str(v) for v in values]
 
     def test_truncated_point_rejected(self):
         seq = ArithmeticSequence.dyadic()

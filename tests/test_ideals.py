@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinset.ideals import (Enumerated, FiniteSet, Geometric,
                             GeneratorExhaustedError, IdealDescriptor, Outcome,
@@ -59,6 +61,24 @@ class TestDescriptors:
     def test_union_density_overlapping_unknown(self):
         u = UnionSet([Progression(1, 2), Progression(1, 4)])
         assert u.exact_density() is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(step=st.integers(1, 12),
+           starts=st.lists(st.integers(1, 40), min_size=1, max_size=10),
+           extra=st.one_of(st.none(), st.builds(Progression, st.integers(1, 40),
+                                                st.integers(1, 12)),
+                           st.builds(FiniteSet, st.lists(st.integers(1, 40), max_size=4))))
+    def test_union_density_matches_pairwise_rule(self, step, starts, extra):
+        parts = [Progression(a, step) for a in starts] + ([extra] if extra else [])
+        densities = [p.exact_density() for p in parts]
+        if all(d == 0 for d in densities):
+            expected = Fraction(0)
+        elif all(certified_disjoint(a, b)
+                 for a, b in itertools.combinations(parts, 2)):
+            expected = sum(densities, Fraction(0))
+        else:
+            expected = None
+        assert UnionSet(parts).exact_density() == expected
 
     def test_enumerated_growth(self):
         squares = Enumerated(lambda: (k * k for k in itertools.count(1)),

@@ -1,0 +1,219 @@
+"""Closed-form verdicts for rational points and exact nset sums, checked
+against brute-force oracles on small cases."""
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from thinset import convergence
+from thinset.convergence import (WeightRule, classical_convergence,
+                                 ideal_convergence, nset_partial_sums)
+from thinset.core import CircleRational, DigitExpansion, dist_to_int
+from thinset.ideals import IdealDescriptor, Outcome, Progression
+from thinset.sequences import (ArithmeticSequence, ArithmeticTerms,
+                               ExplicitTerms, ScaledGeometric, parse_terms)
+
+IDEALS = (IdealDescriptor.fin(), IdealDescriptor.density(),
+          IdealDescriptor.summable())
+
+scaled = st.builds(ScaledGeometric, st.integers(1, 12), st.integers(2, 12))
+# a cycled list repeats q_1, so every ratio is >= 2; n! is the chain with q_1 = 1
+ratio_chains = st.lists(st.integers(2, 9), min_size=1, max_size=4).map(
+    lambda ratios: ArithmeticTerms(ArithmeticSequence.from_ratios(ratios)))
+factorial = st.just(ArithmeticTerms(ArithmeticSequence.factorial()))
+
+
+def brute_zero_from(terms, den: int):
+    """Least n with den | a_n by a direct scan of a_n mod den, or None when no
+    residue is 0 over one full cycle: the states (a_n mod den, phase) repeat
+    within den*period steps, and n! is divisible by den from n = den on."""
+    if isinstance(terms, ScaledGeometric):
+        t, horizon = terms.scale * terms.base, den + 1
+        mult = lambda n: terms.base
+    elif terms.seq.spec == ("factorial",):
+        t, horizon = 1, den
+        mult = lambda n: n + 1
+    else:
+        ratios = terms.seq.spec[1]
+        t, horizon = ratios[0], den * len(ratios) + 1
+        mult = lambda n: ratios[n % len(ratios)]
+    t %= den
+    for n in range(1, horizon + 1):
+        if t == 0:
+            return n
+        t = t * mult(n) % den
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.one_of(scaled, ratio_chains, factorial),
+       num=st.integers(1, 10 ** 6), den=st.integers(2, 300))
+def test_valuation_walk_matches_scan(terms, num, den):
+    x = CircleRational.from_fraction(Fraction(num, den))
+    assume(x.num != 0)
+    expected = brute_zero_from(terms, x.den)
+    verdict = classical_convergence(x, terms, depth=5).verdict
+    if expected is not None:
+        assert verdict.outcome is Outcome.MEMBER
+        assert verdict.certificate == "terminating"
+        assert verdict.diagnostics["zero_from"] == expected
+        return
+    assert verdict.outcome is Outcome.NOT_MEMBER
+    assert verdict.certificate == "periodic-recurrence"
+    # with no room for the cycle walk, the valuation walk alone decides
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convergence, "_CYCLE_STATE_CAP", 0)
+        verdict = classical_convergence(x, terms, depth=5).verdict
+    assert verdict.outcome is Outcome.NOT_MEMBER
+    assert verdict.certificate == "never-integral"
+    assert verdict.diagnostics["norm_floor"] == Fraction(1, x.den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ratios=st.lists(st.integers(2, 9), min_size=1, max_size=8),
+       den=st.integers(2, 3000))
+def test_finite_ratio_list_walk_matches_scan(ratios, den):
+    terms = ArithmeticTerms(ArithmeticSequence.from_ratios(ratios, cycle=False))
+    expected = next((n for n in range(1, len(ratios) + 1)
+                     if math.prod(ratios[:n]) % den == 0), None)
+    verdict = classical_convergence(CircleRational(1, den), terms, depth=1).verdict
+    if expected is None:
+        assert verdict.outcome is Outcome.INCONCLUSIVE
+        assert "finite ratio list" in verdict.diagnostics["note"]
+    else:
+        assert verdict.outcome is Outcome.MEMBER
+        assert verdict.diagnostics["zero_from"] == expected
+
+
+def test_beyond_cycle_cap_never_integral():
+    x = CircleRational(1, 1_000_003)
+    terms = parse_terms("2^n")
+    report = classical_convergence(x, terms, depth=100)
+    assert report.verdict.outcome is Outcome.NOT_MEMBER
+    assert report.verdict.certificate == "never-integral"
+    for ideal in IDEALS:
+        v = ideal_convergence(x, terms, ideal, depth=100)
+        assert v.outcome is Outcome.NOT_MEMBER
+        assert v.certificate == "never-integral"
+        assert v.diagnostics["witness_eps"] == Fraction(1, 1_000_003)
+        assert v.diagnostics["exceptional_set"] == Progression(1, 1).to_json()
+
+
+def test_beyond_cycle_cap_factorial_member():
+    report = classical_convergence(CircleRational(1, 1_000_003), parse_terms("n!"),
+                                   depth=100)
+    assert report.verdict.outcome is Outcome.MEMBER
+    assert report.verdict.diagnostics["zero_from"] == 1_000_003
+
+
+def test_th6_count_16_point_zero_from():
+    ks = [2] + [2 ** (i + 1) for i in range(2, 17)]
+    point = DigitExpansion(ArithmeticSequence.dyadic(), {k + 1: 1 for k in ks})
+    v = ideal_convergence(point, ScaledGeometric(3, 2), IdealDescriptor.density(),
+                          depth=50)
+    assert v.outcome is Outcome.MEMBER and v.certificate == "terminating"
+    assert v.diagnostics["zero_from"] == 131_073
+
+
+MERSENNE_61 = 2 ** 61 - 1
+# small primes and primes far past any trial-division bound
+PRIMES = (2, 3, 5, 1_000_003, 2 ** 31 - 1, MERSENNE_61)
+def exponents(top):
+    return st.lists(st.integers(0, top), min_size=len(PRIMES), max_size=len(PRIMES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(r_exps=exponents(9), mult_exps=st.lists(exponents(4), min_size=1, max_size=4))
+def test_periodic_zero_from_matches_prime_valuations(r_exps, mult_exps):
+    """The coprime-basis walk against the same question answered from known
+    prime exponents: the least k with v_p(r) <= sum of v_p over m(1..k)."""
+    r = math.prod(p ** e for p, e in zip(PRIMES, r_exps))
+    mults = [math.prod(p ** e for p, e in zip(PRIMES, exps)) for exps in mult_exps]
+    period = len(mults)
+    if any(e and not any(exps[i] for exps in mult_exps) for i, e in enumerate(r_exps)):
+        expected = None
+    else:
+        have, k = [0] * len(PRIMES), 0
+        while any(h < e for h, e in zip(have, r_exps)):
+            have = [h + v for h, v in zip(have, mult_exps[k % period])]
+            k += 1
+        expected = k + 1
+    assert convergence._periodic_zero_from(r, mults) == expected
+
+
+def test_periodic_zero_from_splits_shared_factors():
+    # 8 and 4 share the prime 2: only the refined basis {2} counts 2^8 right
+    assert convergence._periodic_zero_from(2 ** 8, [8, 4]) == 4
+    assert convergence._periodic_zero_from(2 ** 7 * 3, [12, 18, 8]) == 5
+
+
+def test_large_prime_base_keeps_parent_verdict():
+    terms = parse_terms(f"{MERSENNE_61}^n")
+    v = classical_convergence(CircleRational(1, 3), terms, depth=10).verdict
+    assert v.outcome is Outcome.NOT_MEMBER
+    assert v.certificate == "periodic-recurrence"
+    assert v.diagnostics == {"cycle_start": 1, "period": 1,
+                             "recurring_norm": Fraction(1, 3)}
+    v = classical_convergence(CircleRational(1, MERSENNE_61 ** 2), terms,
+                              depth=10).verdict
+    assert v.outcome is Outcome.MEMBER
+    assert v.diagnostics["zero_from"] == 2
+
+
+def test_inconclusive_names_its_limit():
+    v = classical_convergence(CircleRational(1, 7), ExplicitTerms([2, 3, 5]),
+                              depth=3).verdict
+    assert v.outcome is Outcome.INCONCLUSIVE
+    assert "multiplicative" in v.diagnostics["note"]
+    # two primes past the trial-division bound: n! is reached, but where
+    # cannot be proven without factoring
+    v = ideal_convergence(CircleRational(1, 400_009 * 400_031), parse_terms("n!"),
+                          IdealDescriptor.density(), depth=3)
+    assert v.outcome is Outcome.INCONCLUSIVE
+    assert "trial division up to 400000" in v.diagnostics["note"]
+
+
+def loop_nset(x, terms, weights, depth):
+    """Reference: the term-by-term Fraction sum with checkpoints."""
+    marks = {10 ** k for k in range(1, 20) if 10 ** k < depth} | {depth}
+    total, checkpoints = Fraction(0), []
+    for n in range(1, depth + 1):
+        total += weights.value(n) * dist_to_int(terms.term(n) * x.frac())
+        if n in marks:
+            checkpoints.append((n, total))
+    return total, tuple(checkpoints)
+
+
+weight_rules = st.one_of(
+    st.sampled_from([WeightRule.power(0), WeightRule.harmonic(), WeightRule.power(2)]),
+    st.lists(st.builds(Fraction, st.integers(0, 20), st.integers(1, 50)),
+             min_size=60, max_size=60).map(WeightRule.explicit))
+
+
+@settings(max_examples=100, deadline=None)
+@given(den=st.integers(1, 400), num_seed=st.integers(0, 10 ** 6),
+       weights=weight_rules, depth=st.integers(1, 60),
+       terms=st.one_of(scaled, ratio_chains, factorial,
+                       st.lists(st.integers(1, 10 ** 4), min_size=60, max_size=60).map(
+                           lambda gaps: ExplicitTerms(itertools.accumulate(gaps)))))
+def test_binary_split_nset_matches_loop(den, num_seed, weights, depth, terms):
+    x = CircleRational.from_fraction(Fraction(num_seed, den))
+    report = nset_partial_sums(x, terms, weights, depth)
+    assert (report.norm_sum, report.checkpoints) == loop_nset(x, terms, weights, depth)
+
+
+def test_nset_rejects_short_weight_list():
+    # the missing weights sit at zero-norm indices, and are still refused
+    with pytest.raises(ValueError, match="no weight stored for index 3"):
+        nset_partial_sums(CircleRational(1, 2), parse_terms("2^n"),
+                          WeightRule.explicit([1, 2]), depth=100)
+
+
+def test_nset_rejects_empty_depth():
+    with pytest.raises(ValueError):
+        nset_partial_sums(CircleRational(1, 3), parse_terms("2^n"),
+                          WeightRule.harmonic(), depth=0)
