@@ -4,8 +4,8 @@ witness constructions."""
 
 from .core import (CircleInterval, CircleRational, DigitExpansion, DomainError,
                    InsufficientDigitsError, RatInterval, SIN_UPPER, dist_to_int,
-                   expand, frac_scaled, mult_mod1, reconstruct,
-                   reconstruct_exact, sin_envelope, support, tail_bound)
+                   expand, reconstruct, reconstruct_exact, sin_envelope,
+                   sparse_enclosures, support)
 from .convergence import (BlockCheck, ConvergenceReport, SummabilityReport,
                           WeightRule, classical_convergence, ideal_convergence,
                           membership_by_support, nset_partial_sums,

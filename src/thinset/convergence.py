@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._exact_text import exact_str
-from .core import (CircleRational, DigitExpansion, RatInterval, SIN_UPPER,
-                   _norm_range, reconstruct, reconstruct_exact, support)
+from .core import (CircleRational, DigitExpansion, SIN_UPPER, reconstruct,
+                   reconstruct_exact, support)
 from .ideals import (IdealDescriptor, Outcome, Progression, SetDescriptor,
                      UnionSet, Verdict, ideal_member, translation_invariant_in)
 from .sequences import (ArithmeticTerms, TermSequence, multiplier_chain,
@@ -302,15 +302,37 @@ class ConvergenceReport:
         }
 
 
-def _exact_eps_stats(num: int, den: int, terms: TermSequence, depth: int,
-                     eps_grid: Sequence[Fraction]) -> list[EpsilonStats]:
+def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
+               eps_grid: Sequence[Fraction]) -> list[EpsilonStats]:
+    """Counts of n <= depth with ||a_n x|| >= eps for an exact rational x, or
+    definite ones for an expansion truncated at K, in one integer walk over
+    the residues t = a_n*num mod den.
+
+    x = num/den puts a_n*x at the arc [t, t]/den.  A truncation is
+    x_K = num/u_K, and every continuation puts a_n*x in [t, t + a_n]/u_K.  An
+    arc's norm floor is min(t, lim - t) with lim = den - width; an arc that
+    wraps through 0 counts for no eps, and the walk stops where 2*a_n >= u_K.
+    """
+    if isinstance(x, CircleRational):
+        num, den, widths = x.num, x.den, None
+    else:
+        xk, den = reconstruct(x, x.depth), x.seq.u(x.depth)
+        num, widths = xk.num * (den // xk.den), terms.terms_upto(depth)
     grid = sorted(set(Fraction(e) for e in eps_grid), reverse=True)
     counts = [0] * len(grid)
     last: list[Optional[int]] = [None] * len(grid)
-    # norm >= eps  <=>  min(t, den-t) * eps_den >= eps_num * den
+    # floor >= eps  <=>  floor * eps_den >= eps_num * den
     thresholds = [(e.numerator * den, e.denominator) for e in grid]
+    lim = den
     for n, t in _residues(num, den, terms, depth):
-        m = min(t, den - t)
+        if widths is not None:
+            w = next(widths)
+            if 2 * w >= den:
+                break
+            lim = den - w
+            if t > lim:
+                continue
+        m = min(t, lim - t)
         for i in range(len(grid) - 1, -1, -1):
             lhs, scale = thresholds[i]
             if m * scale >= lhs:
@@ -319,38 +341,8 @@ def _exact_eps_stats(num: int, den: int, terms: TermSequence, depth: int,
             else:
                 break   # grid descends, so failing the smallest remaining
                         # eps rules out all larger ones too
-    return [EpsilonStats(grid[i], counts[i], last[i],
-                         Fraction(counts[i], depth)) for i in range(len(grid))]
-
-
-def _enclosure_eps_stats(e: DigitExpansion, terms: TermSequence, depth: int,
-                         eps_grid: Sequence[Fraction]) -> list[EpsilonStats]:
-    """Definite exceedances for a truncated expansion: the value is only known
-    to lie in [x_K, x_K + 1/u_K], so count n only when the whole enclosure of
-    ||a_n x|| clears eps."""
-    K = e.depth
-    assert K is not None
-    xk = reconstruct(e, K).frac()
-    uk = e.seq.u(K)
-    grid = sorted(set(Fraction(ep) for ep in eps_grid), reverse=True)
-    counts = [0] * len(grid)
-    last: list[Optional[int]] = [None] * len(grid)
-    for n in range(1, depth + 1):
-        a = terms.term(n)
-        w = Fraction(a, uk)
-        if w >= Fraction(1, 2):
-            break   # enclosures too wide to certify anything further
-        h = a * xk
-        h -= h.__floor__()
-        if h + w > 1:
-            continue   # wraps through 0, norm lower bound is 0
-        lo = _norm_range(RatInterval(h, h + w)).lo
-        for i, ep in enumerate(grid):
-            if lo >= ep:
-                counts[i] += 1
-                last[i] = n
-    return [EpsilonStats(grid[i], counts[i], last[i],
-                         Fraction(counts[i], depth), definite_only=True)
+    return [EpsilonStats(grid[i], counts[i], last[i], Fraction(counts[i], depth),
+                         definite_only=widths is not None)
             for i in range(len(grid))]
 
 
@@ -370,11 +362,11 @@ def classical_convergence(x: PointLike, terms: TermSequence, depth: int = DEFAUL
         raise ValueError("depth must be >= 1")
     exact = _resolve_exact(x)
     if exact is not None:
-        stats = _exact_eps_stats(exact.num, exact.den, terms, depth, eps_grid)
+        stats = _eps_stats(exact, terms, depth, eps_grid)
         verdict = _rational_verdict(exact, terms)[0]
     else:
         assert isinstance(x, DigitExpansion)
-        stats = _enclosure_eps_stats(x, terms, depth, eps_grid)
+        stats = _eps_stats(x, terms, depth, eps_grid)
         definite = max((s.exceptional_count for s in stats), default=0)
         verdict = Verdict(Outcome.INCONCLUSIVE, None,
                           {"note": "truncated expansion, enclosure evidence only",
@@ -424,7 +416,7 @@ def ideal_convergence(x: PointLike, terms: TermSequence, ideal: IdealDescriptor,
     if exact is not None:
         if exact.num == 0:
             return Verdict(Outcome.MEMBER, "zero")
-        stats = _exact_eps_stats(exact.num, exact.den, terms, depth, [eps])[0]
+        stats = _eps_stats(exact, terms, depth, [eps])[0]
         diagnostics = {
             "eps": eps,
             "exceptional_count": stats.exceptional_count,
@@ -452,7 +444,7 @@ def ideal_convergence(x: PointLike, terms: TermSequence, ideal: IdealDescriptor,
             return Verdict(Outcome.NOT_MEMBER, classical.certificate, diagnostics)
         return Verdict(Outcome.INCONCLUSIVE, None, diagnostics)
     assert isinstance(x, DigitExpansion)
-    stats = _enclosure_eps_stats(x, terms, depth, [eps])[0]
+    stats = _eps_stats(x, terms, depth, [eps])[0]
     return Verdict(Outcome.INCONCLUSIVE, None,
                    {"eps": eps, "definite_exceptional": stats.exceptional_count,
                     "exceptional_prefix_density": stats.prefix_density,

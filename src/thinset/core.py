@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
 
 from .sequences import ArithmeticSequence
 
@@ -174,14 +174,18 @@ class DigitExpansion:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DigitExpansion":
-        if "sequence" in doc:
-            seq = ArithmeticSequence.from_json(doc["sequence"])
-        else:
-            seq = ArithmeticSequence.from_ratios(
-                [int(r) for r in doc["ratios"]], cycle=False)
-        digits = {int(n): int(c) for n, c in doc["digits"].items()}
-        depth = doc.get("depth")
-        return cls(seq, digits, None if depth is None else int(depth))
+        """Decode `to_json` output; any malformed document raises ValueError."""
+        try:
+            if "sequence" in doc:
+                seq = ArithmeticSequence.from_json(doc["sequence"])
+            else:
+                seq = ArithmeticSequence.from_ratios(
+                    [int(r) for r in doc["ratios"]], cycle=False)
+            digits = {int(n): int(c) for n, c in doc["digits"].items()}
+            depth = doc.get("depth")
+            return cls(seq, digits, None if depth is None else int(depth))
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+            raise ValueError(f"bad expansion document: {exc!r}") from exc
 
 
 def expand(x: CircleRational, seq: ArithmeticSequence, depth: int) -> DigitExpansion:
@@ -233,35 +237,48 @@ def dist_to_int(x: RationalLike) -> Fraction:
     return min(f, 1 - f)
 
 
-def mult_mod1(a: int, x: CircleRational) -> CircleRational:
-    """Exact {a*x}; the result's denominator divides x's."""
-    return CircleRational.from_fraction(a * x.frac())
+_TAIL_BITS = 64   # the head grows until the tail weight is at most 2**-_TAIL_BITS
 
 
-def tail_bound(seq: ArithmeticSequence, k: int) -> RatInterval:
-    """Enclosure [0, 1/u_k] of any admissible digit tail sum_{n>k} c_n/u_n."""
-    if k < 1:
-        raise DomainError("tail index must be >= 1")
-    return RatInterval(Fraction(0), Fraction(1, seq.u(k)))
+def sparse_enclosures(seq: ArithmeticSequence, digits: Mapping[int, int], stop: int,
+                      top: int, bottom: Optional[int] = None, v: int = 1
+                      ) -> Iterator[tuple[int, CircleInterval]]:
+    """Enclosures of {v*u_k*x} for k = top, top-1, ..., bottom+1 (top alone by
+    default), for every x whose digits in (k, stop] are `digits` (zero where
+    none is given) and whose later digits are any admissible tail.
 
-
-def frac_scaled(a: int, e: DigitExpansion, k: int) -> CircleInterval:
-    """Enclosure of {a*x}: exact head {a*x_k} widened by the tail a/u_k.
-
-    A head+tail span crossing 1 comes back as a wraparound union; a span of
-    width >= 1 collapses to the whole circle.
+    With P = q_{k+1}***q_r and N = sum_{k<n<=r} c_n*q_{n+1}***q_r, v*u_k*x is
+    an integer plus v*N/P plus v times a tail in [0, 1/P].  Only ratios enter,
+    never u_k: r runs past the last given digit and on until v/P is at most
+    2**-_TAIL_BITS, or to `stop`.  Stepping k down multiplies q_{k+1} into P
+    and trims the ratios past the last digit that the bound no longer needs.
+    A span crossing 1 is a wraparound union; one of width >= 1 the whole circle.
     """
-    if a < 1:
+    if v < 1:
         raise DomainError("multiplier must be >= 1")
-    head = mult_mod1(a, reconstruct(e, k)).frac()
-    w = Fraction(a, e.seq.u(k))
-    if w >= 1:
-        return CircleInterval((RatInterval(Fraction(0), Fraction(1)),), True)
-    hi = head + w
-    if hi <= 1:
-        return CircleInterval((RatInterval(head, hi),), False)
-    return CircleInterval(
-        (RatInterval(head, Fraction(1)), RatInterval(Fraction(0), hi - 1)), True)
+    if any(not top < n <= stop for n in digits):
+        raise DomainError(f"digits must lie in ({top}, {stop}]")
+    last = max(digits, default=0)
+    cap = v << _TAIL_BITS
+    r, P, N = top, 1, 0
+    for k in range(top, top - 1 if bottom is None else bottom, -1):
+        if k < top:
+            P *= seq.q(k + 1)
+            while r > last and P // (q := seq.q(r)) >= cap:
+                P, N, r = P // q, N // q, r - 1
+        while r < stop and (r < last or P < cap):
+            r += 1
+            q = seq.q(r)
+            P, N = P * q, N * q + digits.get(r, 0)
+        head = v * N % P
+        if v >= P:
+            parts = (RatInterval(Fraction(0), Fraction(1)),)
+        elif head + v <= P:
+            parts = (RatInterval(Fraction(head, P), Fraction(head + v, P)),)
+        else:
+            parts = (RatInterval(Fraction(head, P), Fraction(1)),
+                     RatInterval(Fraction(0), Fraction(head + v - P, P)))
+        yield k, CircleInterval(parts, v >= P or head + v > P)
 
 
 def sin_envelope(x: RationalLike) -> RatInterval:

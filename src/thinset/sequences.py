@@ -7,8 +7,10 @@ each value divides the next.  All values are arbitrary-precision integers.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 
 class ArithmeticSequence:
@@ -158,8 +160,15 @@ class TermSequence:
     def term(self, n: int) -> int:
         raise NotImplementedError
 
-    def terms_upto(self, depth: int) -> Iterable[int]:
-        return (self.term(n) for n in range(1, depth + 1))
+    def terms_upto(self, depth: int) -> Iterator[int]:
+        """a_1, ..., a_depth; a multiplicative chain is multiplied up term by
+        term, asking for no multiplier past a_depth."""
+        chain = multiplier_chain(self)
+        if chain is None:
+            return (self.term(n) for n in range(1, depth + 1))
+        first, mult = chain
+        return itertools.islice(itertools.accumulate(
+            map(mult, itertools.count(1)), operator.mul, initial=first), depth)
 
     def to_json(self) -> dict:
         raise NotImplementedError

@@ -28,7 +28,7 @@ from typing import Optional
 
 from .convergence import BlockCheck, WeightRule, membership_by_support
 from .core import (CircleInterval, DigitExpansion, RatInterval, SIN_UPPER,
-                   _norm_range)
+                   sparse_enclosures)
 from .ideals import (IdealDescriptor, Outcome, SetDescriptor, Shifted, Verdict,
                      descriptor_from_json, non_snt_witness)
 from .sequences import (ArithmeticSequence, ScaledGeometric, TermSequence,
@@ -38,7 +38,6 @@ TAGS = ("th6", "th1", "th2")
 TARGET_BAND = RatInterval(Fraction(1, 4), Fraction(7, 8))
 DEFAULT_SCAN_WINDOW = 200_000
 _BLOCK_WINDOW = 48     # exact head terms per block; the rest goes in a tail bound
-_EXP_CAP = 64          # cap on 2**-gap exponents so tail bounds stay small rationals
 
 
 class UnsupportedIdealError(ValueError):
@@ -422,41 +421,13 @@ def _assemble_expansion(plan: WitnessPlan) -> DigitExpansion:
     return DigitExpansion(plan.seq, digits, None, symbolic_support=symbolic)
 
 
-def _scaled_enclosure(plan: WitnessPlan, idx: int) -> CircleInterval:
-    """Enclosure of {a_{n_i} x}, computed scale-free.
-
-    With a = u_k * v and the next digit sitting past chain index `trunc`,
-    a*x splits into an integer (digits at or below k), the exact head
-    v*c / q_{k+1}, and a tail below v / (q_{k+2}*...*q_{trunc}).  Only ratio
-    products appear, never the huge u values themselves; the product is
-    grown just far enough to pin the tail below 2**-_EXP_CAP.
-    """
-    p = plan.indices[idx]
-    seq = plan.seq
-    trunc = (plan.indices[idx + 1].k if idx + 1 < len(plan.indices)
-             else plan.closing_k)
-    q = seq.q(p.k + 1)
-    head = Fraction(p.v * p.digit % q, q)
-    prod = 1
-    cap = p.v << _EXP_CAP
-    for r in range(p.k + 1, trunc + 1):
-        prod *= seq.q(r)
-        if prod >= cap:
-            break
-    w = Fraction(p.v, prod)
-    if w >= 1:
-        return CircleInterval((RatInterval(Fraction(0), Fraction(1)),), True)
-    hi = head + w
-    if hi <= 1:
-        return CircleInterval((RatInterval(head, hi),), False)
-    return CircleInterval(
-        (RatInterval(head, Fraction(1)), RatInterval(Fraction(0), hi - 1)), True)
-
-
 def _index_checks(plan: WitnessPlan) -> list[IndexCheck]:
     checks = []
-    for idx, p in enumerate(plan.indices):
-        enclosure = _scaled_enclosure(plan, idx)
+    # the digit after index i sits past chain index stop_i
+    stops = [p.k for p in plan.indices[1:]] + [plan.closing_k]
+    for p, stop in zip(plan.indices, stops):
+        [(_, enclosure)] = sparse_enclosures(plan.seq, {p.k + 1: p.digit}, stop,
+                                             p.k, v=p.v)
         norm = enclosure.dist_interval()
         if plan.tag in ("th6", "th1"):
             passed = enclosure.within(TARGET_BAND)
@@ -475,36 +446,31 @@ def _block_checks(plan: WitnessPlan) -> list[BlockCheck]:
     """Certified enclosures of sum_{block} r_j*(22/7)*||u_j x|| per gap
     between consecutive selected chain indices, with r_j = 1/j.
 
-    The head of each block (the last few j before the block's right edge) is
-    evaluated from the digit data exactly; everything earlier is absorbed into
-    a tail bound using ||u_j x|| <= u_j/u_{k_i} <= 2**-(k_i - j).
+    The head of each block (the last _BLOCK_WINDOW j before the block's right
+    edge) is enclosed exactly by walking the kernel down from that edge;
+    everything earlier is absorbed into a tail bound using
+    ||u_j x|| <= u_j/u_{k_i} <= 2**-(k_i - j).
     """
     weights = WeightRule.harmonic()
-    seq = plan.seq
-    ks = [p.k for p in plan.indices]
+    ks = [p.k for p in plan.indices] + [plan.closing_k]
     blocks = []
-    for idx in range(1, len(ks)):
+    for idx in range(1, len(plan.indices)):
         j_from, j_to = ks[idx - 1], ks[idx]
-        digit = plan.indices[idx].digit
-        next_k = ks[idx + 1] if idx + 1 < len(ks) else plan.closing_k
-        upper = Fraction(0)
-        lower = Fraction(0)
+        # bounds on sum r_j*||u_j x||, scaled by the sine envelope at the end
+        upper = lower = Fraction(0)
         head_from = max(j_from, j_to - _BLOCK_WINDOW)
         if head_from > j_from:
             # j in (j_from, head_from]: each norm <= 2**-(j_to - j), and the
-            # geometric sum of those is < 2 * 2**-(j_to - head_from)
-            gap = min(j_to - head_from, _EXP_CAP)
-            upper += weights.value(j_from + 1) * SIN_UPPER * Fraction(2, 2 ** gap)
-        for j in range(head_from + 1, j_to + 1):
-            denom = 1
-            for r in range(j + 1, j_to + 2):
-                denom *= seq.q(r)
-            v_lo = Fraction(digit, denom)
-            v_hi = v_lo + Fraction(1, 2 ** min(next_k - j, _EXP_CAP))
-            norm_range = _norm_range(RatInterval(v_lo, min(v_hi, Fraction(1))))
+            # geometric sum of those is < 2 * 2**-_BLOCK_WINDOW
+            upper = weights.value(j_from + 1) * Fraction(2, 1 << _BLOCK_WINDOW)
+        walk = sparse_enclosures(plan.seq, {j_to + 1: plan.indices[idx].digit},
+                                 ks[idx + 1], j_to, head_from)
+        for j, enclosure in walk:
+            norm = enclosure.dist_interval()
             w = weights.value(j)
-            lower += w * 2 * norm_range.lo
-            upper += w * SIN_UPPER * norm_range.hi
+            lower += w * norm.lo
+            upper += w * norm.hi
+        upper, lower = SIN_UPPER * upper, 2 * lower
         majorant = 2 * SIN_UPPER * weights.value(j_from)
         blocks.append(BlockCheck(idx + 1, j_from, j_to, upper, lower,
                                  majorant, upper <= majorant))
@@ -531,44 +497,58 @@ def build_and_verify(plan: WitnessPlan) -> WitnessCertificate:
                               tuple(blocks), passed)
 
 
+def _differing(stored, fresh, fields: tuple[str, ...]) -> list[str]:
+    return [f for f in fields if getattr(stored, f) != getattr(fresh, f)]
+
+
 def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     """Recompute everything from the plan alone and diff against the stored
-    certificate.  Stored intervals may be equal to or strictly wider than the
-    recomputed ones (noted), but never narrower or disjoint."""
+    certificate.  Stored enclosures (intervals, norm intervals, block bounds)
+    may be equal to or strictly wider than the recomputed ones (noted), but
+    never narrower or disjoint; every other recomputed field must match."""
     report: dict = {"mismatches": [], "notes": []}
+    mismatch, note = report["mismatches"].append, report["notes"].append
     fresh = build_and_verify(cert.plan)
     for n, c in sorted(fresh.expansion.digits.items()):
         stored = cert.expansion.digits.get(n)
         if stored != c:
-            report["mismatches"].append(
-                f"digit at index {n}: stored {stored}, recomputed {c}")
+            mismatch(f"digit at index {n}: stored {stored}, recomputed {c}")
     for n in cert.expansion.digits:
         if n not in fresh.expansion.digits:
-            report["mismatches"].append(f"unexpected stored digit at index {n}")
+            mismatch(f"unexpected stored digit at index {n}")
     for stored, recomputed in zip(cert.checks, fresh.checks):
-        if stored.passed != recomputed.passed:
-            report["mismatches"].append(
-                f"check {stored.i}: stored pass={stored.passed}, "
-                f"recomputed pass={recomputed.passed}")
+        if stored == recomputed:
             continue
-        for part in recomputed.interval.parts:
-            if not any(sp.contains_interval(part) for sp in stored.interval.parts):
-                report["mismatches"].append(
-                    f"check {stored.i}: recomputed interval {part} outside "
-                    f"stored enclosure")
-                break
+        fields = _differing(stored, recomputed,
+                            ("i", "n", "target", "target_min", "passed"))
+        if fields:
+            mismatch(f"check {stored.i}: stored {', '.join(fields)} differ "
+                     f"from recomputed")
+        elif not all(any(sp.contains_interval(part) for sp in stored.interval.parts)
+                     for part in recomputed.interval.parts):
+            mismatch(f"check {stored.i}: recomputed interval outside stored enclosure")
+        elif not stored.norm_interval.contains_interval(recomputed.norm_interval):
+            mismatch(f"check {stored.i}: recomputed norm interval outside stored one")
         else:
-            if stored.interval != recomputed.interval:
-                report["notes"].append(
-                    f"check {stored.i}: recomputed interval is strictly tighter")
+            note(f"check {stored.i}: recomputed interval is strictly tighter")
     if len(cert.checks) != len(fresh.checks):
-        report["mismatches"].append("check count differs from plan")
-    for stored_b, fresh_b in zip(cert.blocks, fresh.blocks):
-        if stored_b.passed != fresh_b.passed or stored_b.upper_bound < fresh_b.lower_bound:
-            report["mismatches"].append(f"block {stored_b.index} inconsistent")
+        mismatch("check count differs from plan")
+    for stored, recomputed in zip(cert.blocks, fresh.blocks):
+        if stored == recomputed:
+            continue
+        fields = _differing(stored, recomputed,
+                            ("index", "j_from", "j_to", "majorant", "passed"))
+        if fields or not (stored.lower_bound <= recomputed.lower_bound
+                          and recomputed.upper_bound <= stored.upper_bound):
+            mismatch(f"block {stored.index} inconsistent")
+        else:
+            note(f"block {stored.index}: recomputed bounds are strictly tighter")
+    if len(cert.blocks) != len(fresh.blocks):
+        mismatch("block count differs from plan")
+    if cert.support_verdict != fresh.support_verdict:   # outcome and certificate tag
+        mismatch("support verdict differs from the recomputed one")
     if cert.passed != fresh.passed:
-        report["mismatches"].append(
-            f"overall pass stored={cert.passed}, recomputed={fresh.passed}")
+        mismatch(f"overall pass stored={cert.passed}, recomputed={fresh.passed}")
     ok = not report["mismatches"]
     report["ok"] = ok
     report["recomputed_pass"] = fresh.passed

@@ -132,3 +132,16 @@ def test_exit_matches_json_verdict(capsys):
         code, doc, _ = run_cli(capsys, *argv)
         assert doc["outcome"] == expected
         assert code == mapping[expected]
+
+
+def test_malformed_expansion_is_usage_error(tmp_path, capsys):
+    good = {"sequence": {"kind": "dyadic"}, "digits": {"1": "1"}, "depth": 3}
+    for doc in ([], dict(good, digits=[]), dict(good, depth=float("inf"))):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["reconstruct", "--json-in", str(path)],
+                     ["converge", "--json-in", str(path), "--a", "2^n",
+                      "--depth", "10"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE and out is None
+            assert err.startswith("error:")

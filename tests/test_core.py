@@ -1,14 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thinset.core import (CircleRational, DigitExpansion, DomainError,
                           InsufficientDigitsError, RatInterval, SIN_UPPER,
-                          dist_to_int, expand, frac_scaled, mult_mod1,
-                          reconstruct, reconstruct_exact, sin_envelope,
-                          support, tail_bound)
+                          dist_to_int, expand, reconstruct, reconstruct_exact,
+                          sin_envelope, sparse_enclosures, support)
 from thinset.ideals import FiniteSet
 from thinset.sequences import ArithmeticSequence
 
@@ -113,18 +112,10 @@ class TestNorm:
         assert dist_to_int(x + y) <= dist_to_int(x) + dist_to_int(y)
 
 
-def test_mult_mod1():
-    x = CircleRational.parse("1/3")
-    assert mult_mod1(2, x).frac() == Fraction(2, 3)
-    assert mult_mod1(3, x).frac() == 0
-    assert mult_mod1(4, x).frac() == Fraction(1, 3)
-
-
-def test_tail_bound():
-    seq = ArithmeticSequence.dyadic()
-    assert tail_bound(seq, 3) == RatInterval(Fraction(0), Fraction(1, 8))
-    with pytest.raises(DomainError):
-        tail_bound(seq, 0)
+def enclose_ax(a, e, k):
+    """{a*x} for x truncated at k: the kernel at k = 0 with v = a."""
+    [(_, enclosure)] = sparse_enclosures(e.seq, e.digits, k, 0, v=a)
+    return enclosure
 
 
 class TestFracScaled:
@@ -132,14 +123,14 @@ class TestFracScaled:
         # a=4, digits 1,0,1 over dyadic, truncated at 3: head {4*5/8} = 1/2,
         # width 4/8 spans through 1
         e = expand(CircleRational.parse("5/8"), ArithmeticSequence.dyadic(), 3)
-        enc = frac_scaled(4, e, 3)
+        enc = enclose_ax(4, e, 3)
         assert not enc.wraparound
         assert enc.parts == (RatInterval(Fraction(1, 2), Fraction(1)),)
 
     def test_true_wraparound(self):
         # head {3*5/8} = 7/8 plus width 3/8 crosses the seam
         e = expand(CircleRational.parse("5/8"), ArithmeticSequence.dyadic(), 3)
-        enc = frac_scaled(3, e, 3)
+        enc = enclose_ax(3, e, 3)
         assert enc.wraparound
         assert enc.parts == (RatInterval(Fraction(7, 8), Fraction(1)),
                              RatInterval(Fraction(0), Fraction(1, 4)))
@@ -147,23 +138,101 @@ class TestFracScaled:
     def test_enclosure_contains_true_value(self):
         seq = ArithmeticSequence.dyadic()
         x = CircleRational.parse("11/64")
-        full = expand(x, seq, 6)
         for k in range(1, 6):
             trunc = expand(x, seq, k)
             for a in (1, 3, 5):
-                enc = frac_scaled(a, trunc, k)
-                true = mult_mod1(a, x).frac()
+                enc = enclose_ax(a, trunc, k)
+                true = a * x.frac() % 1
                 assert any(p.contains(true) for p in enc.parts)
 
     def test_whole_circle_when_tail_dominates(self):
         e = expand(CircleRational.parse("1/2"), ArithmeticSequence.dyadic(), 2)
-        enc = frac_scaled(8, e, 2)
+        enc = enclose_ax(8, e, 2)
         assert enc.parts[0] == RatInterval(Fraction(0), Fraction(1))
 
     def test_norm_interval(self):
         e = expand(CircleRational.parse("5/8"), ArithmeticSequence.dyadic(), 3)
-        norm = frac_scaled(1, e, 3).dist_interval()
+        norm = enclose_ax(1, e, 3).dist_interval()
         assert norm.contains(Fraction(3, 8))
+
+    def test_digits_outside_window_rejected(self):
+        seq = ArithmeticSequence.dyadic()
+        for digits in ({3: 1}, {9: 1}):
+            with pytest.raises(DomainError):
+                list(sparse_enclosures(seq, digits, 8, 3))
+        with pytest.raises(DomainError):
+            list(sparse_enclosures(seq, {4: 1}, 8, 3, v=0))
+
+
+CHAINS = [ArithmeticSequence.dyadic(), ArithmeticSequence.factorial(),
+          ArithmeticSequence.from_ratios([2, 3, 5]), ArithmeticSequence.geometric(3)]
+
+
+def _digits(draw, seq, lo, hi, size):
+    """Up to `size` random digits at distinct indices in (lo, hi]."""
+    if hi <= lo:
+        return {}
+    idx = draw(st.lists(st.integers(lo + 1, hi), max_size=size, unique=True))
+    return {n: draw(st.integers(0, seq.q(n) - 1)) for n in idx}
+
+
+@st.composite
+def kernel_cases(draw):
+    seq = draw(st.sampled_from(CHAINS))
+    top = draw(st.integers(0, 12))
+    bottom = draw(st.integers(-1, top - 1))
+    stop = top + draw(st.one_of(st.integers(0, 4), st.integers(0, 80)))
+    v = draw(st.one_of(st.integers(1, 8), st.integers(1, 2 ** 80)))
+    below = _digits(draw, seq, 0, bottom + 1, 3)        # inside the integer part
+    given_ = _digits(draw, seq, top, stop, 4)
+    beyond = _digits(draw, seq, stop, stop + 12, 4)     # one admissible tail
+    return seq, top, bottom, stop, v, below, given_, beyond
+
+
+def _value(seq, digits):
+    return sum((Fraction(c, seq.u(n)) for n, c in digits.items()), Fraction(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+@example((ArithmeticSequence.dyadic(), 2, 1, 3, 8, {}, {3: 1}, {}))      # whole circle
+@example((ArithmeticSequence.geometric(3), 0, -1, 2, 7, {}, {1: 2}, {}))  # wraparound
+def test_sparse_enclosure_contains_every_completion(case):
+    """For every k walked, the enclosure holds {v*u_k*x} for the zero tail,
+    the maximal tail (all digits q_n - 1 past stop) and a random tail, and
+    equals the enclosure computed afresh at that k."""
+    seq, top, bottom, stop, v, below, given_, beyond = case
+    head = _value(seq, below) + _value(seq, given_)
+    points = [head, head + Fraction(1, seq.u(stop)), head + _value(seq, beyond)]
+    walked = list(sparse_enclosures(seq, given_, stop, top, bottom, v=v))
+    assert [k for k, _ in walked] == list(range(top, bottom, -1))
+    for k, enc in walked:
+        assert [(k, enc)] == list(sparse_enclosures(seq, given_, stop, k, v=v))
+        whole = enc.parts == (RatInterval(Fraction(0), Fraction(1)),)
+        assert enc.wraparound == (whole or len(enc.parts) == 2)
+        for x in points:
+            value = v * seq.u(k) * x % 1    # 0 and 1 are one circle point
+            assert any(p.contains(value) or p.contains(value + 1) for p in enc.parts)
+
+
+def test_sparse_enclosure_branches():
+    seq = ArithmeticSequence.geometric(3)
+    # tail weight 5/9 >= 1 fails, head {5*2/3} = 1/3: one arc
+    [(_, one)] = sparse_enclosures(seq, {1: 2}, 2, 0, v=5)
+    assert one.parts == (RatInterval(Fraction(1, 3), Fraction(8, 9)),)
+    # head {5*(2/3 + 2/9)} = 4/9 with width 5/9 reaches 1 exactly: no wrap
+    [(_, edge)] = sparse_enclosures(seq, {1: 2, 2: 2}, 2, 0, v=5)
+    assert edge.parts == (RatInterval(Fraction(4, 9), Fraction(1)),) and not edge.wraparound
+    # v*u_k*x with v = 7: head {7*2/3} = 2/3, width 7/9 wraps past 1
+    [(_, wrap)] = sparse_enclosures(seq, {1: 2}, 2, 0, v=7)
+    assert wrap.wraparound and wrap.parts == (
+        RatInterval(Fraction(2, 3), Fraction(1)), RatInterval(Fraction(0), Fraction(4, 9)))
+    # v >= q_1*q_2: the whole circle
+    [(_, whole)] = sparse_enclosures(seq, {1: 2}, 2, 0, v=9)
+    assert whole.wraparound and whole.parts == (RatInterval(Fraction(0), Fraction(1)),)
+    # the head keeps its digits exact and the tail drops below 2**-64
+    [(_, deep)] = sparse_enclosures(seq, {1: 1}, 10 ** 6, 0)
+    assert deep.parts[0].lo == Fraction(1, 3) and deep.parts[0].width <= Fraction(1, 2 ** 64)
 
 
 def test_sin_envelope():

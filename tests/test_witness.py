@@ -205,3 +205,52 @@ class TestVerifyCertificate:
         doc["checks"][0]["norm_interval"] = "oops"
         with pytest.raises(CertificateFormatError):
             WitnessCertificate.from_json(doc)
+
+
+def _narrow_block_lower(doc):
+    doc["blocks"][0]["lower_bound"] = doc["blocks"][0]["upper_bound"]
+
+
+def _narrow_block_upper(doc):
+    doc["blocks"][-1]["upper_bound"] = doc["blocks"][-1]["lower_bound"]
+
+
+MUTATIONS = {
+    "narrow-norm-interval": lambda d: d["checks"][0].update(norm_interval=["1/2", "1/2"]),
+    "drop-all-blocks": lambda d: d.update(blocks=[]),
+    "drop-some-blocks": lambda d: d.update(blocks=d["blocks"][:2]),
+    "narrow-block-lower": _narrow_block_lower,
+    "narrow-block-upper": _narrow_block_upper,
+    "relabel-block": lambda d: d["blocks"][1].update({"from": 3}),
+    "flip-support": lambda d: d["support"].update(outcome="Inconclusive"),
+    "retag-support": lambda d: d["support"].update(certificate="definitional"),
+    "null-support": lambda d: d.update(support=None),
+    "retarget-check": lambda d: d["checks"][1].update(target=["1/8", "7/8"]),
+}
+
+
+@pytest.fixture(scope="module")
+def th1_doc():
+    plan = plan_witness("th1", ArithmeticSequence.dyadic(),
+                        ScaledGeometric(3, 2), SUMMABLE, 6)
+    return build_and_verify(plan).to_json()
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_verify_rejects_mutated_certificate(name, th1_doc):
+    doc = json.loads(json.dumps(th1_doc))
+    ok, _ = verify_certificate(WitnessCertificate.from_json(doc))
+    assert ok
+    MUTATIONS[name](doc)
+    ok, report = verify_certificate(WitnessCertificate.from_json(doc))
+    assert not ok and report["mismatches"]
+
+
+def test_verify_notes_wider_block_and_norm(th1_doc):
+    doc = json.loads(json.dumps(th1_doc))
+    doc["blocks"][0]["lower_bound"] = "0"
+    doc["checks"][0]["norm_interval"] = ["0", "1/2"]
+    ok, report = verify_certificate(WitnessCertificate.from_json(doc))
+    assert ok
+    assert any("block 2" in n and "tighter" in n for n in report["notes"])
+    assert any("check 1" in n and "tighter" in n for n in report["notes"])
