@@ -10,11 +10,10 @@ from .convergence import (BlockCheck, ConvergenceReport, SummabilityReport,
                           WeightRule, classical_convergence, ideal_convergence,
                           membership_by_support, nset_partial_sums,
                           weight_ideal_link)
-from .ideals import (Enumerated, FiniteSet, Geometric, GeneratorExhaustedError,
-                     IdealDescriptor, Outcome, Progression, SetDescriptor,
-                     Shifted, UnionSet, Verdict, density_estimate,
-                     descriptor_from_json, exact_density, ideal_member,
-                     non_snt_witness, parse_ideal, prefix_density, shift_set,
+from .ideals import (FiniteSet, Geometric, Growth, IdealDescriptor, Outcome,
+                     Progression, SetDescriptor, Shifted, UnionSet, Verdict,
+                     density_estimate, descriptor_from_json, ideal_member,
+                     non_snt_witness, parse_ideal, prefix_density,
                      translation_invariant_in)
 from .sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerms,
                         ScaledGeometric, TermSequence, parse_sequence,

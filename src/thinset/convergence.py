@@ -392,7 +392,7 @@ def membership_by_support(e: DigitExpansion, ideal: IdealDescriptor,
     supp = support(e)
     member = ideal_member(ideal, supp, cutoff)
     if member.outcome is Outcome.MEMBER:
-        invariant = translation_invariant_in(ideal, supp, cutoff=cutoff)
+        invariant = translation_invariant_in(ideal, supp)
         if invariant.outcome is Outcome.MEMBER:
             return Verdict(Outcome.MEMBER, "support-rule",
                            {"support_member": member.certificate,

@@ -148,6 +148,9 @@ class DigitExpansion:
                 raise ValueError(f"digit c_{n}={c} outside [0, q_{n})")
             if self.depth is not None and n > self.depth:
                 raise ValueError(f"digit index {n} beyond depth {self.depth}")
+            if self.symbolic_support is not None \
+                    and self.symbolic_support.contains(n) is not True:
+                raise ValueError(f"digit index {n} outside the declared support")
             clean[n] = c
         object.__setattr__(self, "digits", dict(clean))
 

@@ -9,22 +9,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ._exact_text import exact_str
 
 DEFAULT_CUTOFF = 100_000
-
-
-class GeneratorExhaustedError(RuntimeError):
-    """An enumerated set's generator ran out before the requested cutoff."""
-
-    def __init__(self, message: str, partial_count: int):
-        super().__init__(message)
-        self.partial_count = partial_count
 
 
 class Outcome(Enum):
@@ -55,6 +48,20 @@ class Verdict:
 # Set descriptors
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Growth:
+    """Certified counting class of a set A, i.e. of |A cap [1, n]|.
+
+    kind "finite": bounded; "log": O(log n); "linear": at least c*n from some
+    n on, for a c > 0.  `density` is the exact natural density, or None where
+    no rule certifies it.  `proof` names the argument behind the class.
+    """
+
+    kind: str
+    density: Optional[Fraction]
+    proof: str
+
+
 class SetDescriptor:
     """A subset of the naturals with a strictly increasing enumeration."""
 
@@ -75,11 +82,8 @@ class SetDescriptor:
         """True/False when decidable without unbounded search, else None."""
         return None
 
-    def is_finite(self) -> Optional[bool]:
-        return None
-
-    def exact_density(self) -> Optional[Fraction]:
-        return None
+    def growth(self) -> Growth:
+        raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -104,11 +108,8 @@ class FiniteSet(SetDescriptor):
     def contains(self, n: int) -> bool:
         return n in self.elements
 
-    def is_finite(self) -> bool:
-        return True
-
-    def exact_density(self) -> Fraction:
-        return Fraction(0)
+    def growth(self) -> Growth:
+        return Growth("finite", Fraction(0), "finite-sum")
 
     def to_json(self) -> dict:
         return {"type": "finite", "elements": [str(e) for e in self.elements]}
@@ -136,11 +137,9 @@ class Progression(SetDescriptor):
     def contains(self, n: int) -> bool:
         return n >= self.start and (n - self.start) % self.step == 0
 
-    def is_finite(self) -> bool:
-        return False
-
-    def exact_density(self) -> Fraction:
-        return Fraction(1, self.step)
+    def growth(self) -> Growth:
+        # sum over start + k*step of n**(-s) dominates a harmonic tail for s <= 1
+        return Growth("linear", Fraction(1, self.step), "progression-divergence")
 
     def to_json(self) -> dict:
         return {"type": "progression", "start": str(self.start), "step": str(self.step)}
@@ -176,11 +175,9 @@ class Geometric(SetDescriptor):
             n //= self.base
         return n == 1
 
-    def is_finite(self) -> bool:
-        return False
-
-    def exact_density(self) -> Fraction:
-        return Fraction(0)
+    def growth(self) -> Growth:
+        # sum b**(-k*s) is a convergent geometric series
+        return Growth("log", Fraction(0), "geometric-series")
 
     def to_json(self) -> dict:
         return {"type": "geometric", "base": str(self.base)}
@@ -198,6 +195,8 @@ class Shifted(SetDescriptor):
                 if m + self.offset >= 1)
 
     def count_upto(self, n: int) -> int:
+        if n < 1:
+            return 0
         # members <= n  <=>  inner members in [1-offset, n-offset]
         hi = self.inner.count_upto(n - self.offset)
         lo = self.inner.count_upto(-self.offset)
@@ -211,11 +210,11 @@ class Shifted(SetDescriptor):
             return False
         return self.inner.contains(m)
 
-    def is_finite(self) -> Optional[bool]:
-        return self.inner.is_finite()
-
-    def exact_density(self) -> Optional[Fraction]:
-        return self.inner.exact_density()
+    def growth(self) -> Growth:
+        # prefix counts move by at most |offset|, and each term of sum n**(-s)
+        # by a bounded factor (comparison test)
+        g = self.inner.growth()
+        return Growth(g.kind, g.density, f"shift-comparison:{g.proof}")
 
     def to_json(self) -> dict:
         return {"type": "shifted", "inner": self.inner.to_json(),
@@ -240,12 +239,9 @@ class UnionSet(SetDescriptor):
                 prev = m
 
     def count_upto(self, n: int) -> int:
-        count = 0
-        for m in self.iter_members():
-            if m > n:
-                break
-            count += 1
-        return count
+        if self._certified_disjoint():
+            return sum(p.count_upto(n) for p in self.parts)
+        return super().count_upto(n)
 
     def contains(self, n: int) -> Optional[bool]:
         results = [p.contains(n) for p in self.parts]
@@ -255,24 +251,17 @@ class UnionSet(SetDescriptor):
             return False
         return None
 
-    def is_finite(self) -> Optional[bool]:
-        results = [p.is_finite() for p in self.parts]
-        if any(r is False for r in results):
-            return False
-        if all(r is True for r in results):
-            return True
-        return None
-
-    def exact_density(self) -> Optional[Fraction]:
-        densities = [p.exact_density() for p in self.parts]
-        if any(d is None for d in densities):
-            return None
-        if all(d == 0 for d in densities):
+    def growth(self) -> Growth:
+        parts = [p.growth() for p in self.parts]
+        kinds = {g.kind for g in parts}
+        if "linear" not in kinds:
             # subadditivity: finitely many null parts stay null, overlap or not
-            return Fraction(0)
-        if not self._certified_disjoint():
-            return None
-        return sum(densities, Fraction(0))
+            return Growth("log" if "log" in kinds else "finite", Fraction(0),
+                          "finite-union-of-convergent")
+        densities = [g.density for g in parts]
+        density = (sum(densities, Fraction(0))
+                   if None not in densities and self._certified_disjoint() else None)
+        return Growth("linear", density, "divergent-part")
 
     def _certified_disjoint(self) -> bool:
         """Pairwise `certified_disjoint` over the parts.  Progressions sharing
@@ -286,56 +275,6 @@ class UnionSet(SetDescriptor):
 
     def to_json(self) -> dict:
         return {"type": "union", "parts": [p.to_json() for p in self.parts]}
-
-
-GROWTH_CLASSES = ("superlinear", "linear", "unknown")
-
-
-@dataclass(frozen=True)
-class Enumerated(SetDescriptor):
-    """Set given only by a cloneable strictly increasing generator.
-
-    The growth certificate is trusted as supplied; "superlinear" means the
-    k-th member grows faster than every linear function of k.
-    """
-
-    make_iter: Callable[[], Iterator[int]] = field(compare=False)
-    growth: str = "unknown"
-    name: str = "enumerated"
-
-    def __post_init__(self):
-        if self.growth not in GROWTH_CLASSES:
-            raise ValueError(f"growth must be one of {GROWTH_CLASSES}")
-
-    def iter_members(self) -> Iterator[int]:
-        prev = 0
-        for m in self.make_iter():
-            if m <= prev:
-                raise ValueError(f"{self.name}: enumeration not strictly increasing")
-            prev = m
-            yield m
-
-    def count_upto(self, n: int) -> int:
-        count = 0
-        for m in self.iter_members():
-            if m > n:
-                return count
-            count += 1
-        raise GeneratorExhaustedError(
-            f"{self.name}: generator exhausted before {n}", partial_count=count)
-
-    def is_finite(self) -> Optional[bool]:
-        if self.growth in ("superlinear", "linear"):
-            return False
-        return None
-
-    def exact_density(self) -> Optional[Fraction]:
-        if self.growth == "superlinear":
-            return Fraction(0)
-        return None
-
-    def to_json(self) -> dict:
-        raise ValueError("enumerated sets have no portable serialization")
 
 
 def descriptor_from_json(doc: dict) -> SetDescriptor:
@@ -366,22 +305,12 @@ def certified_disjoint(a: SetDescriptor, b: SetDescriptor) -> bool:
         return certified_disjoint(b, a)
     if isinstance(a, Progression) and isinstance(b, Progression):
         # a common element solves start_a + i*d_a = start_b + j*d_b
-        import math
         g = math.gcd(a.step, b.step)
         if (a.start - b.start) % g != 0:
             return True
         # compatible congruences intersect in a progression beyond both starts
         return False
     return False
-
-
-def shift_set(s: SetDescriptor, t: int) -> SetDescriptor:
-    """{m + t : m in s}, clipped to the naturals."""
-    if t == 0:
-        return s
-    if isinstance(s, FiniteSet):
-        return FiniteSet([e + t for e in s.elements if e + t >= 1])
-    return Shifted(s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +390,6 @@ def prefix_density(s: SetDescriptor, n: int) -> Fraction:
     return Fraction(s.count_upto(n), n)
 
 
-def exact_density(s: SetDescriptor) -> Optional[Fraction]:
-    return s.exact_density()
-
-
 @dataclass(frozen=True)
 class DensityEstimate:
     """Running prefix-ratio evidence over a tail window, plus exact value if known."""
@@ -484,97 +409,46 @@ def density_estimate(s: SetDescriptor, cutoff: int = DEFAULT_CUTOFF,
     """Min/max of prefix ratios at cutoff/window ... cutoff."""
     points = sorted({max(1, cutoff * i // window) for i in range(1, window + 1)})
     ratios = [prefix_density(s, n) for n in points]
-    return DensityEstimate(cutoff, min(ratios), max(ratios), s.exact_density())
-
-
-def _summable_verdict(s: SetDescriptor, exponent: Fraction,
-                      cutoff: int) -> Verdict:
-    """Certified convergence/divergence of sum_{n in A} n**(-s), s in (0,1]."""
-    if isinstance(s, FiniteSet):
-        return Verdict(Outcome.MEMBER, "finite-sum")
-    if isinstance(s, Geometric):
-        # sum b**(-k*s) is a convergent geometric series
-        return Verdict(Outcome.MEMBER, "geometric-series")
-    if isinstance(s, Progression):
-        # sum over start + k*step of n**(-s) dominates a harmonic tail for s <= 1
-        return Verdict(Outcome.NOT_MEMBER, "progression-divergence")
-    if isinstance(s, Shifted):
-        inner = _summable_verdict(s.inner, exponent, cutoff)
-        if inner.outcome is not Outcome.INCONCLUSIVE:
-            # shifting changes each term by a bounded factor (comparison test)
-            return Verdict(inner.outcome, f"shift-comparison:{inner.certificate}")
-    if isinstance(s, UnionSet):
-        parts = [_summable_verdict(p, exponent, cutoff) for p in s.parts]
-        if any(p.outcome is Outcome.NOT_MEMBER for p in parts):
-            return Verdict(Outcome.NOT_MEMBER, "divergent-part")
-        if all(p.outcome is Outcome.MEMBER for p in parts):
-            return Verdict(Outcome.MEMBER, "finite-union-of-convergent")
-    # evidence only: partial sum at the cutoff (exact only for integer exponents)
-    diagnostics: dict = {"cutoff": cutoff}
-    if exponent.denominator == 1:
-        partial = Fraction(0)
-        for m in s.iter_members():
-            if m > cutoff:
-                break
-            partial += Fraction(1, m ** exponent.numerator)
-        diagnostics["partial_sum"] = partial
-    return Verdict(Outcome.INCONCLUSIVE, None, diagnostics)
+    return DensityEstimate(cutoff, min(ratios), max(ratios), s.growth().density)
 
 
 def ideal_member(ideal: IdealDescriptor, s: SetDescriptor,
                  cutoff: int = DEFAULT_CUTOFF) -> Verdict:
-    """Three-valued membership of the described set in the described ideal."""
+    """Three-valued membership of the described set in the described ideal,
+    read off the set's certified counting class."""
+    g = s.growth()
     if ideal.kind == "fin":
-        fin = s.is_finite()
-        if fin is True:
+        if g.kind == "finite":
             return Verdict(Outcome.MEMBER, "finite")
-        if fin is False:
-            return Verdict(Outcome.NOT_MEMBER, "infinite")
-        try:
-            count = s.count_upto(cutoff)
-        except GeneratorExhaustedError as exc:
-            count = exc.partial_count
-        return Verdict(Outcome.INCONCLUSIVE, None,
-                       {"count_at_cutoff": count, "cutoff": cutoff})
-    if ideal.kind == "density":
-        d = s.exact_density()
-        if d == 0:
-            return Verdict(Outcome.MEMBER, "density-zero")
-        if d is not None and d > 0:
-            return Verdict(Outcome.NOT_MEMBER, "positive-density",
-                           {"density": d})
-        est = density_estimate(s, cutoff)
-        return Verdict(Outcome.INCONCLUSIVE, None,
-                       {"prefix_lower": est.lower, "prefix_upper": est.upper,
-                        "cutoff": cutoff})
-    return _summable_verdict(s, ideal.exponent, cutoff)
-
-
-def translation_invariant_in(ideal: IdealDescriptor, s: SetDescriptor,
-                             shift_range: int = 10,
-                             cutoff: int = DEFAULT_CUTOFF) -> Verdict:
-    """Whether every integer shift of the set stays in the ideal."""
-    base = ideal_member(ideal, s, cutoff)
-    if base.outcome is not Outcome.MEMBER:
-        raise ValueError("set must be a certified member of the ideal first")
-    if ideal.kind == "density":
-        # prefix counts change by at most |t| under a shift, so density survives
-        return Verdict(Outcome.MEMBER, "density-shift-invariance")
-    if ideal.kind == "fin":
-        if s.is_finite() is True:
-            return Verdict(Outcome.MEMBER, "finite-shifts-finite")
+        return Verdict(Outcome.NOT_MEMBER, "infinite")
     if ideal.kind == "summable":
-        # sum over A+t of n**(-s) is term-by-term comparable to the sum over A
-        return Verdict(Outcome.MEMBER, "shift-comparison")
-    evidence = {}
-    for t in range(-shift_range, shift_range + 1):
-        v = ideal_member(ideal, shift_set(s, t), cutoff)
-        evidence[t] = v.outcome.value
-        if v.outcome is Outcome.NOT_MEMBER:
-            return Verdict(Outcome.NOT_MEMBER, "shift-counterexample",
-                           {"shift": t})
+        # sum_{n in A} n**(-s), s in (0, 1], diverges exactly on the linear class
+        if g.kind == "linear":
+            return Verdict(Outcome.NOT_MEMBER, g.proof)
+        return Verdict(Outcome.MEMBER, g.proof)
+    if g.density == 0:
+        return Verdict(Outcome.MEMBER, "density-zero")
+    if g.density is not None:
+        return Verdict(Outcome.NOT_MEMBER, "positive-density", {"density": g.density})
+    est = density_estimate(s, cutoff)
     return Verdict(Outcome.INCONCLUSIVE, None,
-                   {"checked_shifts": shift_range, "evidence": evidence})
+                   {"prefix_lower": est.lower, "prefix_upper": est.upper,
+                    "cutoff": cutoff})
+
+
+# Why a member's shifts stay members: fin members are finite, prefix counts
+# change by at most |t| under a shift, and sum over A+t of n**(-s) is
+# term-by-term comparable to the sum over A.
+_SHIFT_INVARIANCE = {"fin": "finite-shifts-finite",
+                     "density": "density-shift-invariance",
+                     "summable": "shift-comparison"}
+
+
+def translation_invariant_in(ideal: IdealDescriptor, s: SetDescriptor) -> Verdict:
+    """Whether every integer shift of the set stays in the ideal."""
+    if not ideal_member(ideal, s).is_member:
+        raise ValueError("set must be a certified member of the ideal first")
+    return Verdict(Outcome.MEMBER, _SHIFT_INVARIANCE[ideal.kind])
 
 
 def non_snt_witness(ideal: IdealDescriptor) -> Optional[SetDescriptor]:

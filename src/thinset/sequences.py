@@ -21,7 +21,8 @@ class ArithmeticSequence:
     def __init__(self, ratio_fn: Callable[[int], int], spec: tuple):
         self._ratio_fn = ratio_fn
         self.spec = spec
-        self._u_cache: dict[int, int] = {0: 1}   # sparse: products grow huge
+        self._u_cache: dict[int, int] = {0: 1}   # requested u_n and checkpoints
+        self._u_top = 0                          # largest cached index
 
     def __repr__(self) -> str:
         return f"ArithmeticSequence({self.spec!r})"
@@ -47,8 +48,8 @@ class ArithmeticSequence:
     def u(self, n: int) -> int:
         """Partial product u_n, with u_0 = 1.  Sequences with a closed form
         (constant ratio, factorial) bypass the product walk entirely; the
-        rest cache values sparsely since a dense table of huge products would
-        dominate memory."""
+        rest cache every requested u_n, plus one checkpoint per
+        _U_CHECKPOINT ratios, and walk up from the nearest cached index."""
         if n < 0:
             raise ValueError("index must be >= 0")
         if n == 0:
@@ -62,13 +63,18 @@ class ArithmeticSequence:
         cached = self._u_cache.get(n)
         if cached is not None:
             return cached
-        start = max(m for m in self._u_cache if m <= n)
+        # every checkpoint below the top is cached, so the nearest cached
+        # index below n is at most _U_CHECKPOINT probes away
+        start = min(n - 1, self._u_top)
+        while start not in self._u_cache:
+            start -= 1
         value = self._u_cache[start]
         for r in range(start + 1, n + 1):
             value *= self.q(r)
             if r % self._U_CHECKPOINT == 0:
                 self._u_cache[r] = value
         self._u_cache[n] = value
+        self._u_top = max(self._u_top, n)
         return value
 
     # -- constructors -------------------------------------------------

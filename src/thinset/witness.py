@@ -393,11 +393,9 @@ class WitnessCertificate:
     def from_json(cls, doc: dict) -> "WitnessCertificate":
         try:
             plan = WitnessPlan.from_json(doc["plan"])
+            # stored digits are data for `verify` to diff, not a symbolic claim
             digits = {int(n): int(c) for n, c in doc["digits"].items()}
-            symbolic = (Shifted(plan.witness_set, 1)
-                        if plan.witness_set is not None else None)
-            expansion = DigitExpansion(plan.seq, digits, None,
-                                       symbolic_support=symbolic)
+            expansion = DigitExpansion(plan.seq, digits, None)
             checks = tuple(IndexCheck.from_json(c) for c in doc["checks"])
             support = (Verdict(Outcome(doc["support"]["outcome"]),
                                doc["support"].get("certificate"),
@@ -411,7 +409,7 @@ class WitnessCertificate:
             return cls(plan, expansion, checks, support, blocks, bool(doc["pass"]))
         except CertificateFormatError:
             raise
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
             raise CertificateFormatError(f"bad certificate: {exc}") from exc
 
 

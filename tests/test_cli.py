@@ -83,6 +83,19 @@ def test_witness_and_verify(tmp_path, capsys):
     assert report["ok"] and report["recomputed_pass"]
 
 
+def test_malformed_certificate_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    code, doc, _ = run_cli(capsys, "witness", "th6", "--seq", "dyadic",
+                           "--a", "3*2^n", "--ideal", "density",
+                           "--count", "3", "--out", str(path))
+    assert code == EXIT_PASS
+    doc["digits"] = []
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--json-in", str(path))
+    assert code == EXIT_USAGE and out is None
+    assert err.startswith("error:")
+
+
 def test_witness_fin_usage_error(capsys):
     code, doc, err = run_cli(capsys, "witness", "th6", "--seq", "dyadic",
                              "--a", "2^n", "--ideal", "fin", "--count", "2")

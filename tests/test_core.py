@@ -8,7 +8,7 @@ from thinset.core import (CircleRational, DigitExpansion, DomainError,
                           InsufficientDigitsError, RatInterval, SIN_UPPER,
                           dist_to_int, expand, reconstruct, reconstruct_exact,
                           sin_envelope, sparse_enclosures, support)
-from thinset.ideals import FiniteSet
+from thinset.ideals import FiniteSet, Geometric
 from thinset.sequences import ArithmeticSequence
 
 
@@ -250,6 +250,14 @@ def test_sin_envelope():
 def test_support():
     e = DigitExpansion(ArithmeticSequence.dyadic(), {2: 1, 5: 1}, None)
     assert support(e) == FiniteSet([2, 5])
+
+
+def test_digits_outside_symbolic_support_refused():
+    seq = ArithmeticSequence.dyadic()
+    assert DigitExpansion(seq, {2: 1, 16: 1}, None, symbolic_support=Geometric(2))
+    with pytest.raises(ValueError, match="outside the declared support"):
+        DigitExpansion(seq, {n: 1 for n in range(1, 21)}, None,
+                       symbolic_support=Geometric(2))
 
 
 def test_expansion_json_round_trip():

@@ -1,17 +1,17 @@
+import bisect
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinset.ideals import (Enumerated, FiniteSet, Geometric,
-                            GeneratorExhaustedError, IdealDescriptor, Outcome,
+from thinset.ideals import (FiniteSet, Geometric, IdealDescriptor, Outcome,
                             Progression, Shifted, UnionSet, certified_disjoint,
                             density_estimate, descriptor_from_json,
-                            exact_density, ideal_member, non_snt_witness,
-                            parse_ideal, prefix_density, shift_set,
-                            translation_invariant_in)
+                            ideal_member, non_snt_witness, parse_ideal,
+                            prefix_density, translation_invariant_in)
 
 
 class TestDescriptors:
@@ -20,33 +20,32 @@ class TestDescriptors:
         assert list(s.iter_members()) == [1, 2, 3]
         assert s.count_upto(2) == 2
         assert s.contains(2) and not s.contains(5)
-        assert s.exact_density() == 0
+        assert s.growth().density == 0
 
     def test_progression(self):
         evens = Progression(2, 2)
         assert list(itertools.islice(evens.iter_members(), 4)) == [2, 4, 6, 8]
         assert evens.count_upto(10) == 5
         assert evens.contains(100) and not evens.contains(99)
-        assert evens.exact_density() == Fraction(1, 2)
+        assert evens.growth().density == Fraction(1, 2)
 
     def test_geometric(self):
         g = Geometric(2)
         assert list(itertools.islice(g.iter_members(), 4)) == [2, 4, 8, 16]
         assert g.count_upto(1024) == 10
         assert g.contains(64) and not g.contains(12) and not g.contains(1)
-        assert g.exact_density() == 0
+        assert g.growth().density == 0
 
     def test_shifted(self):
         s = Shifted(Geometric(2), 1)
         assert list(itertools.islice(s.iter_members(), 4)) == [3, 5, 9, 17]
         assert s.count_upto(17) == 4
         assert s.contains(9) and not s.contains(8)
-        assert s.exact_density() == 0
+        assert s.growth().density == 0
 
     def test_shift_clipping(self):
-        s = shift_set(FiniteSet([1, 2]), -1)
+        s = Shifted(FiniteSet([1, 2]), -1)
         assert list(s.iter_members()) == [1]
-        assert shift_set(Geometric(2), 0) is not None
 
     def test_union_merges_without_duplicates(self):
         u = UnionSet([Progression(2, 4), Progression(2, 6), FiniteSet([2, 3])])
@@ -56,11 +55,11 @@ class TestDescriptors:
 
     def test_union_density_disjoint_parts(self):
         u = UnionSet([Progression(1, 3), Progression(2, 3)])
-        assert u.exact_density() == Fraction(2, 3)
+        assert u.growth().density == Fraction(2, 3)
 
     def test_union_density_overlapping_unknown(self):
         u = UnionSet([Progression(1, 2), Progression(1, 4)])
-        assert u.exact_density() is None
+        assert u.growth().density is None
 
     @settings(max_examples=200, deadline=None)
     @given(step=st.integers(1, 12),
@@ -70,7 +69,7 @@ class TestDescriptors:
                            st.builds(FiniteSet, st.lists(st.integers(1, 40), max_size=4))))
     def test_union_density_matches_pairwise_rule(self, step, starts, extra):
         parts = [Progression(a, step) for a in starts] + ([extra] if extra else [])
-        densities = [p.exact_density() for p in parts]
+        densities = [p.growth().density for p in parts]
         if all(d == 0 for d in densities):
             expected = Fraction(0)
         elif all(certified_disjoint(a, b)
@@ -78,18 +77,7 @@ class TestDescriptors:
             expected = sum(densities, Fraction(0))
         else:
             expected = None
-        assert UnionSet(parts).exact_density() == expected
-
-    def test_enumerated_growth(self):
-        squares = Enumerated(lambda: (k * k for k in itertools.count(1)),
-                             growth="superlinear", name="squares")
-        assert squares.exact_density() == 0
-        assert squares.is_finite() is False
-        unknown = Enumerated(lambda: iter([1, 2, 3]), name="tiny")
-        assert unknown.exact_density() is None
-        with pytest.raises(GeneratorExhaustedError) as exc:
-            unknown.count_upto(10)
-        assert exc.value.partial_count == 3
+        assert UnionSet(parts).growth().density == expected
 
     def test_json_round_trip(self):
         for s in (FiniteSet([1, 5]), Progression(5, 3), Geometric(3),
@@ -105,9 +93,8 @@ class TestDensity:
         assert prefix_density(Geometric(2), 1024) == Fraction(10, 1024)
 
     def test_exact_density_examples(self):
-        assert exact_density(Progression(5, 3)) == Fraction(1, 3)
-        assert exact_density(Geometric(2)) == 0
-        assert exact_density(Enumerated(lambda: iter([1]), name="x")) is None
+        assert Progression(5, 3).growth().density == Fraction(1, 3)
+        assert Geometric(2).growth().density == 0
 
     def test_estimate_brackets_exact(self):
         est = density_estimate(Progression(1, 4), cutoff=1000)
@@ -120,8 +107,6 @@ class TestIdealMember:
         fin = IdealDescriptor.fin()
         assert ideal_member(fin, FiniteSet([1, 2])).outcome is Outcome.MEMBER
         assert ideal_member(fin, Geometric(2)).outcome is Outcome.NOT_MEMBER
-        unknown = Enumerated(lambda: iter([1, 2]), name="u")
-        assert ideal_member(fin, unknown, cutoff=2).outcome is Outcome.INCONCLUSIVE
 
     def test_density(self):
         d = IdealDescriptor.density()
@@ -132,9 +117,8 @@ class TestIdealMember:
 
     def test_density_inconclusive_has_trace(self):
         d = IdealDescriptor.density()
-        squares = Enumerated(lambda: (k * k for k in itertools.count(1)),
-                             name="squares")   # no growth certificate
-        v = ideal_member(d, squares, cutoff=1000)
+        overlapping = UnionSet([Progression(1, 2), Progression(1, 4)])
+        v = ideal_member(d, overlapping, cutoff=1000)
         assert v.outcome is Outcome.INCONCLUSIVE
         assert "prefix_upper" in v.diagnostics
 
@@ -219,3 +203,61 @@ def test_certified_disjoint():
     assert certified_disjoint(Progression(1, 2), Progression(2, 2))
     assert not certified_disjoint(Progression(1, 2), Progression(3, 4))
     assert certified_disjoint(FiniteSet([1, 3]), Progression(2, 2))
+
+
+# ---------------------------------------------------------------------------
+# The counting-class kernel against brute-force counting
+# ---------------------------------------------------------------------------
+
+_LEAVES = st.one_of(
+    st.builds(FiniteSet, st.lists(st.integers(1, 40), max_size=6)),
+    st.builds(Progression, st.integers(1, 40), st.integers(1, 12)),
+    st.builds(Geometric, st.integers(2, 5)))
+
+
+def _trees(depth):
+    if depth == 1:
+        return _LEAVES
+    sub = _trees(depth - 1)
+    return st.one_of(_LEAVES,
+                     st.builds(Shifted, sub, st.integers(-20, 20)),
+                     st.lists(sub, min_size=1, max_size=4).map(UnionSet))
+
+
+def _budget(s):
+    """(G, F, P, S): Geometric leaves, total FiniteSet size, sum of
+    ceil(start/step) over Progression leaves (the most a progression's count
+    strays from n/step), and sum of |offset| over Shifted nodes."""
+    if isinstance(s, Geometric):
+        return (1, 0, 0, 0)
+    if isinstance(s, FiniteSet):
+        return (0, len(s.elements), 0, 0)
+    if isinstance(s, Progression):
+        return (0, 0, -(-s.start // s.step), 0)
+    if isinstance(s, Shifted):
+        g, f, p, t = _budget(s.inner)
+        return (g, f, p, t + abs(s.offset))
+    return tuple(map(sum, zip(*(_budget(p) for p in s.parts))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees(3))
+def test_growth_class_matches_brute_force_counts(s):
+    N = 4000
+    members = list(itertools.takewhile(lambda m: m <= N, s.iter_members()))
+    for n in range(301):
+        assert s.count_upto(n) == bisect.bisect_right(members, n)
+    count = s.count_upto(N)
+    assert count == len(members)
+    g = s.growth()
+    G, F, P, S = _budget(s)
+    if g.kind == "finite":
+        assert s.count_upto(200) == count == len(list(s.iter_members()))
+    else:
+        assert count > s.count_upto(200)
+    if g.kind == "log":
+        assert count <= G * math.log2(N) + F
+    if g.kind == "linear" and g.density is not None:
+        assert abs(count - g.density * N) <= F + P + S
+    else:
+        assert g.density in (0, None)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms,
                                ExplicitTerms, ScaledGeometric,
@@ -56,6 +58,23 @@ def test_u_cache_consistency_with_checkpoints():
     big = seq.u(5000)
     assert big == 2 ** 2500 * 3 ** 2500
     assert seq.u(4999) * seq.q(5000) == big
+
+
+def test_u_matches_running_product():
+    seq = ArithmeticSequence.from_ratios([2, 3, 5, 7])
+    value = 1
+    for n in range(1, 20_001):
+        value *= seq.q(n)
+        assert seq.u(n) == value
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 20_000), min_size=1, max_size=60))
+def test_u_random_access(indices):
+    # u_n = 2**ceil(n/2) * 3**floor(n/2) on the cycled ratios [2, 3]
+    seq = ArithmeticSequence.from_ratios([2, 3])
+    for n in indices:
+        assert seq.u(n) == 2 ** ((n + 1) // 2) * 3 ** (n // 2)
 
 
 def test_sequence_json_round_trip():
