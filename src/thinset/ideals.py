@@ -82,6 +82,10 @@ class SetDescriptor:
         """True/False when decidable without unbounded search, else None."""
         return None
 
+    def next_member(self, k: int) -> Optional[int]:
+        """The least member >= k, or None when there is none."""
+        return next((m for m in self.iter_members() if m >= k), None)
+
     def growth(self) -> Growth:
         raise NotImplementedError
 
@@ -175,6 +179,16 @@ class Geometric(SetDescriptor):
             n //= self.base
         return n == 1
 
+    def next_member(self, k: int) -> int:
+        if k <= self.base:
+            return self.base
+        # the float logarithm is off by far less than one, so base**j < k
+        # and at most three multiplications remain
+        m = self.base ** max(1, int(math.log(k, self.base)) - 1)
+        while m < k:
+            m *= self.base
+        return m
+
     def growth(self) -> Growth:
         # sum b**(-k*s) is a convergent geometric series
         return Growth("log", Fraction(0), "geometric-series")
@@ -252,6 +266,14 @@ class UnionSet(SetDescriptor):
         return None
 
     def growth(self) -> Growth:
+        # kept outside the dataclass fields, so == and hash do not see it
+        cached = self.__dict__.get("_growth")
+        if cached is None:
+            cached = self._combined_growth()
+            object.__setattr__(self, "_growth", cached)
+        return cached
+
+    def _combined_growth(self) -> Growth:
         parts = [p.growth() for p in self.parts]
         kinds = {g.kind for g in parts}
         if "linear" not in kinds:
@@ -412,11 +434,9 @@ def density_estimate(s: SetDescriptor, cutoff: int = DEFAULT_CUTOFF,
     return DensityEstimate(cutoff, min(ratios), max(ratios), s.growth().density)
 
 
-def ideal_member(ideal: IdealDescriptor, s: SetDescriptor,
-                 cutoff: int = DEFAULT_CUTOFF) -> Verdict:
-    """Three-valued membership of the described set in the described ideal,
-    read off the set's certified counting class."""
-    g = s.growth()
+def _class_verdict(ideal: IdealDescriptor, g: Growth) -> Optional[Verdict]:
+    """The ideal's rule on a certified counting class; None where the class
+    decides nothing (a density ideal and no certified density)."""
     if ideal.kind == "fin":
         if g.kind == "finite":
             return Verdict(Outcome.MEMBER, "finite")
@@ -430,6 +450,16 @@ def ideal_member(ideal: IdealDescriptor, s: SetDescriptor,
         return Verdict(Outcome.MEMBER, "density-zero")
     if g.density is not None:
         return Verdict(Outcome.NOT_MEMBER, "positive-density", {"density": g.density})
+    return None
+
+
+def ideal_member(ideal: IdealDescriptor, s: SetDescriptor,
+                 cutoff: int = DEFAULT_CUTOFF) -> Verdict:
+    """Three-valued membership of the described set in the described ideal,
+    read off the set's certified counting class."""
+    verdict = _class_verdict(ideal, s.growth())
+    if verdict is not None:
+        return verdict
     est = density_estimate(s, cutoff)
     return Verdict(Outcome.INCONCLUSIVE, None,
                    {"prefix_lower": est.lower, "prefix_upper": est.upper,
@@ -446,7 +476,8 @@ _SHIFT_INVARIANCE = {"fin": "finite-shifts-finite",
 
 def translation_invariant_in(ideal: IdealDescriptor, s: SetDescriptor) -> Verdict:
     """Whether every integer shift of the set stays in the ideal."""
-    if not ideal_member(ideal, s).is_member:
+    verdict = _class_verdict(ideal, s.growth())
+    if verdict is None or not verdict.is_member:
         raise ValueError("set must be a certified member of the ideal first")
     return Verdict(Outcome.MEMBER, _SHIFT_INVARIANCE[ideal.kind])
 

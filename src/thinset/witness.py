@@ -22,6 +22,7 @@ the finite truncation it stores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -29,10 +30,10 @@ from typing import Optional
 from .convergence import BlockCheck, WeightRule, membership_by_support
 from .core import (CircleInterval, DigitExpansion, RatInterval, SIN_UPPER,
                    sparse_enclosures)
-from .ideals import (IdealDescriptor, Outcome, SetDescriptor, Shifted, Verdict,
-                     descriptor_from_json, non_snt_witness)
-from .sequences import (ArithmeticSequence, ScaledGeometric, TermSequence,
-                        multiplier_chain, terms_from_json)
+from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
+                     Verdict, descriptor_from_json, non_snt_witness)
+from .sequences import (ArithmeticSequence, ArithmeticTerms, ScaledGeometric,
+                        TermSequence, multiplier_chain, terms_from_json)
 
 TAGS = ("th6", "th1", "th2")
 TARGET_BAND = RatInterval(Fraction(1, 4), Fraction(7, 8))
@@ -178,15 +179,13 @@ class WitnessPlan:
         )
 
 
-def _gap_ratio_product_at_least(seq: ArithmeticSequence, lo: int, hi: int,
-                                bound: int) -> bool:
-    """Whether q_{lo+1} * ... * q_hi >= bound, without forming huge products."""
-    prod = 1
-    for r in range(lo + 1, hi + 1):
-        prod *= seq.q(r)
-        if prod >= bound:
-            return True
-    return prod >= bound
+def _gap_threshold(seq: ArithmeticSequence, lo: int, bound: int) -> int:
+    """Least k with q_{lo+1} * ... * q_k >= bound, for bound >= 2."""
+    k, prod = lo, 1
+    while prod < bound:
+        k += 1
+        prod *= seq.q(k)
+    return k
 
 
 def _decompositions(seq: ArithmeticSequence, terms: TermSequence):
@@ -212,93 +211,148 @@ def _decompositions(seq: ArithmeticSequence, terms: TermSequence):
         n += 1
 
 
+def _strip(x: int, p: int) -> tuple[int, int]:
+    """(e, r) with x = p**e * r and p not dividing r."""
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e, x
+
+
+def _linear_chain_index(seq: ArithmeticSequence, terms: TermSequence):
+    """(t, s, c, b) with k_n = t + s*n and v_n = c * b**n for every n >= 1,
+    or None where no closed form is known.
+
+    * u_n on its own chain: a_n = u_n, so k_n = n and v_n = 1.
+    * c*b**n on u_k = p**k with b = p**s, s >= 1: write c = p**t * c' with p
+      not dividing c'; then a_n = p**(t + s*n) * c' exactly.  A b that is
+      not a power of p is not split p-adically: for composite p a power of
+      p can hide in c' * b'**n (2**n over 4**k has k_n = n // 2).
+    * c*b**n with gcd(b, p) = 1: p divides no c' * b**n, so k_n = t for
+      every n and v_n = c' * b**n.
+    """
+    if (isinstance(terms, ArithmeticTerms) and terms.seq == seq
+            and seq.spec[0] != "ratios-finite"):
+        return 0, 1, 1, 1
+    p = seq.geometric_base
+    if p is None or not isinstance(terms, ScaledGeometric):
+        return None
+    t, c = _strip(terms.scale, p)
+    s, rest = _strip(terms.base, p)
+    if rest == 1:
+        return t, s, c, 1
+    if math.gcd(terms.base, p) == 1:
+        return t, 0, c, terms.base
+    return None
+
+
+def _jump_seeker(t: int, s: int, c: int, b: int):
+    """`seek` for k_n = t + s*n, v_n = c * b**n: least n > after with
+    k_n >= K and k_n in W, by arithmetic instead of a walk.
+
+    W is a `Geometric` set, whose members' residues mod s follow from the
+    previous member's residue; once a residue repeats without k_n ever
+    landing on a member, none ever does."""
+
+    def seek(after: int, K: int, W: Optional[Geometric]):
+        if s == 0:
+            if K <= t and (W is None or W.contains(t)):
+                n = after + 1
+                return n, t, c * b ** n
+            raise SequenceNotAbsorbingError(
+                f"chain index k_n = {t} for every n; no admissible index "
+                f"after n={after}")
+        K = max(K, t + s * (after + 1))
+        if W is not None:
+            K, seen = W.next_member(K), set()
+            while (K - t) % s:
+                if K % s in seen:
+                    raise SequenceNotAbsorbingError(
+                        f"no chain index k_n = {t} + {s}*n after n={after} "
+                        f"lies in the witness set")
+                seen.add(K % s)
+                K = W.next_member(K + 1)
+        n = -(-(K - t) // s)
+        return n, t + s * n, c * b ** n
+
+    return seek
+
+
+def _walk_seeker(seq: ArithmeticSequence, terms: TermSequence, window: int):
+    """`seek` by decomposing a_n term by term.  k_n need not be monotone
+    (explicit terms), so every n is checked; a hit more than `window` terms
+    after the previous one is refused."""
+    walk = _decompositions(seq, terms)
+
+    def seek(after: int, K: int, W: Optional[SetDescriptor]):
+        for n, k, v in walk:
+            if n - after > window:
+                raise SequenceNotAbsorbingError(
+                    f"no admissible index within {window} terms after "
+                    f"n={after}; chain indices k_n may be bounded for "
+                    f"these terms")
+            if k >= K and (W is None or W.contains(k) is True):
+                return n, k, v
+
+    return seek
+
+
 def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
                  ideal: IdealDescriptor, count: int,
                  scan_window: int = DEFAULT_SCAN_WINDOW) -> WitnessPlan:
     """Greedy minimal-index subsequence selection for the given certificate
     family.  One extra index beyond `count` is selected to close off the
-    final tail enclosure."""
+    final tail enclosure.
+
+    Each index asks `seek` for the least n after the previous one whose
+    chain index k_n reaches a threshold K (th6's ratio gap, th1's 2**i,
+    th2's gap constraint) and, for th6/th1, lies in the witness set.  Pairs
+    with a closed-form k_n jump there; the rest walk, within `scan_window`
+    terms per index."""
     if tag not in TAGS:
         raise ValueError(f"unknown certificate tag {tag!r}")
     if count < 0:
         raise ValueError("count must be >= 0")
 
     witness_set: Optional[SetDescriptor] = None
-    base_p: Optional[int] = None
     if tag in ("th6", "th1"):
         witness_set = non_snt_witness(ideal)
         if witness_set is None:
             raise UnsupportedIdealError(
                 f"ideal {ideal.kind!r} has no infinite shift-invariant member")
+    elif seq.geometric_base is None:
+        raise ValueError("th2 needs a constant-ratio chain u_n = p**n")
+
+    linear = _linear_chain_index(seq, terms)
+    if linear is not None and (witness_set is None
+                               or isinstance(witness_set, Geometric)):
+        seek = _jump_seeker(*linear)
     else:
-        base_p = seq.geometric_base
-        if base_p is None:
-            raise ValueError("th2 needs a constant-ratio chain u_n = p**n")
+        seek = _walk_seeker(seq, terms, scan_window)
 
     selected: list[tuple[int, int, int]] = []    # (n, k, v)
     log: list[dict] = []
-    last_hit_n = 0
-
-    def admissible(n: int, k: int, v: int) -> Optional[list[str]]:
-        satisfied: list[str] = []
+    while len(selected) < count + 1:
         i = len(selected) + 1
-        if tag in ("th6", "th1"):
-            if witness_set.contains(k) is not True:
-                return None
-            satisfied.append(f"k={k} in witness set")
+        pn, pk, pv = selected[-1] if selected else (0, 0, 0)
+        if tag == "th2":
+            K = pk + (2 * pn + 1) * pv           # 0 for the first index
+        else:
+            K = 2 ** i if tag == "th1" else 0
+            if selected:
+                K = max(K, _gap_threshold(seq, pk, 8 * pv))
+        n, k, v = seek(pn, K, witness_set)
+        if tag == "th2":
+            satisfied = [f"k={k} >= gap constraint"]
+        else:
+            satisfied = [f"k={k} in witness set"]
             if tag == "th1":
-                if k < 2 ** i:
-                    return None
                 satisfied.append(f"k={k} >= 2^{i}")
             if selected:
-                pk, pv = selected[-1][1], selected[-1][2]
-                if not _gap_ratio_product_at_least(seq, pk, k, 8 * pv):
-                    return None
                 satisfied.append(f"u_{k} >= 8*a (previous index)")
-        else:
-            if selected:
-                pn, pk, pv = selected[-1]
-                if k < pk + (2 * pn + 1) * pv:
-                    return None
-                satisfied.append(f"k={k} >= {pk} + (2*{pn}+1)*{pv}")
-        return satisfied
-
-    if (tag == "th2" and isinstance(terms, ScaledGeometric)
-            and terms.base == base_p):
-        # closed form: a_n = v * p**(n+off) with p not dividing v, so the
-        # decomposition is k_n = n + off with constant cofactor v and the
-        # greedy minimum can be jumped to directly instead of scanned
-        off, v = 0, terms.scale
-        while v % base_p == 0:
-            v //= base_p
-            off += 1
-        n = 1
-        while len(selected) < count + 1:
-            if selected:
-                pn, pk, pv = selected[-1]
-                n = max(n + 1, pk + (2 * pn + 1) * pv - off)
-            k = n + off
-            selected.append((n, k, v))
-            log.append({"i": len(selected), "n": n, "k": k, "v": str(v),
-                        "satisfied": [f"k={k} >= gap constraint"]})
-    else:
-        for n, k, v in _decompositions(seq, terms):
-            if len(selected) == count + 1:
-                break
-            if n - last_hit_n > scan_window:
-                raise SequenceNotAbsorbingError(
-                    f"no admissible index within {scan_window} terms after "
-                    f"n={last_hit_n}; chain indices k_n may be bounded for "
-                    f"these terms")
-            satisfied = admissible(n, k, v)
-            if satisfied is None:
-                continue
-            selected.append((n, k, v))
-            last_hit_n = n
-            log.append({"i": len(selected), "n": n, "k": k, "v": str(v),
-                        "satisfied": satisfied})
-        if len(selected) < count + 1:
-            raise SequenceNotAbsorbingError("term sequence exhausted during planning")
+        selected.append((n, k, v))
+        log.append({"i": i, "n": n, "k": k, "v": str(v), "satisfied": satisfied})
 
     closing_k = selected[count][1]
     planned = []
@@ -500,13 +554,27 @@ def _differing(stored, fresh, fields: tuple[str, ...]) -> list[str]:
 
 
 def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
-    """Recompute everything from the plan alone and diff against the stored
-    certificate.  Stored enclosures (intervals, norm intervals, block bounds)
-    may be equal to or strictly wider than the recomputed ones (noted), but
-    never narrower or disjoint; every other recomputed field must match."""
+    """Re-derive the plan from its request (tag, chain, terms, ideal and
+    count), rebuild the certificate from it and diff against the stored one.
+    The stored indices, closing index and witness set must equal the
+    re-derived ones.  Stored enclosures (intervals, norm intervals, block
+    bounds) may be equal to or strictly wider than the recomputed ones
+    (noted), but never narrower or disjoint; every other recomputed field
+    must match."""
     report: dict = {"mismatches": [], "notes": []}
     mismatch, note = report["mismatches"].append, report["notes"].append
-    fresh = build_and_verify(cert.plan)
+    stored_plan = cert.plan
+    try:
+        plan = plan_witness(stored_plan.tag, stored_plan.seq, stored_plan.terms,
+                            stored_plan.ideal, len(stored_plan.indices))
+    except (ValueError, SequenceNotAbsorbingError) as exc:
+        mismatch(f"plan cannot be re-derived: {exc}")
+        report.update(ok=False, recomputed_pass=False)
+        return False, report
+    fields = _differing(stored_plan, plan, ("indices", "closing_k", "witness_set"))
+    if fields:
+        mismatch(f"plan: stored {', '.join(fields)} differ from the re-derived plan")
+    fresh = build_and_verify(plan)
     for n, c in sorted(fresh.expansion.digits.items()):
         stored = cert.expansion.digits.get(n)
         if stored != c:

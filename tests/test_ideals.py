@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thinset import ideals
 from thinset.ideals import (FiniteSet, Geometric, IdealDescriptor, Outcome,
                             Progression, Shifted, UnionSet, certified_disjoint,
                             density_estimate, descriptor_from_json,
@@ -78,6 +79,25 @@ class TestDescriptors:
         else:
             expected = None
         assert UnionSet(parts).growth().density == expected
+
+    def test_next_member(self):
+        for base in (2, 3, 6, 10):
+            g = Geometric(base)
+            probes = list(range(-2, 400)) + [base ** e + d for e in (30, 200)
+                                             for d in (-1, 0, 1)]
+            for k in probes:
+                expected = next(m for m in g.iter_members() if m >= k)
+                assert g.next_member(k) == expected
+        assert Progression(3, 5).next_member(10) == 13
+        assert Shifted(Geometric(2), 1).next_member(6) == 9
+        assert FiniteSet([1, 4]).next_member(5) is None
+
+    def test_union_growth_cached_outside_fields(self):
+        parts = [Progression(1, 2), Progression(2, 4)]
+        u = UnionSet(parts)
+        assert u.growth() is u.growth()
+        assert u == UnionSet(parts) and hash(u) == hash(UnionSet(parts))
+        assert repr(u) == repr(UnionSet(parts))
 
     def test_json_round_trip(self):
         for s in (FiniteSet([1, 5]), Progression(5, 3), Geometric(3),
@@ -185,6 +205,14 @@ class TestTranslationInvariance:
     def test_requires_member_precondition(self):
         with pytest.raises(ValueError):
             translation_invariant_in(IdealDescriptor.density(), Progression(2, 2))
+
+    def test_no_density_estimate_before_refusal(self, monkeypatch):
+        def estimate(*args, **kwargs):
+            raise AssertionError("density_estimate called")
+        monkeypatch.setattr(ideals, "density_estimate", estimate)
+        overlapping = UnionSet([Progression(1, 2), Progression(1, 4)])
+        with pytest.raises(ValueError, match="certified member"):
+            translation_invariant_in(IdealDescriptor.density(), overlapping)
 
 
 class TestNonSntWitness:

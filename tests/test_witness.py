@@ -2,10 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thinset.core import RatInterval
-from thinset.ideals import IdealDescriptor, Outcome
-from thinset.sequences import ArithmeticSequence, ScaledGeometric
+from thinset.ideals import IdealDescriptor, Outcome, non_snt_witness
+from thinset.sequences import (ArithmeticSequence, ExplicitTerms,
+                               ScaledGeometric, parse_sequence, parse_terms)
 from thinset.witness import (CertificateFormatError, SequenceNotAbsorbingError,
                              UnsupportedIdealError, WitnessCertificate,
                              build_and_verify, decompose, digit_choice,
@@ -100,6 +103,12 @@ class TestPlanning:
         with pytest.raises(SequenceNotAbsorbingError):
             plan_witness("th6", ArithmeticSequence.dyadic(),
                          ScaledGeometric(3, 5), DENSITY, 2, scan_window=500)
+
+    def test_walk_window_refusal(self):
+        # 3*2^n over n!: 5 never divides a_n, so k_n <= 4 and the walk gives up
+        with pytest.raises(SequenceNotAbsorbingError, match="within 500 terms"):
+            plan_witness("th6", ArithmeticSequence.factorial(),
+                         ScaledGeometric(3, 2), DENSITY, 2, scan_window=500)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
@@ -226,6 +235,10 @@ MUTATIONS = {
     "retag-support": lambda d: d["support"].update(certificate="definitional"),
     "null-support": lambda d: d.update(support=None),
     "retarget-check": lambda d: d["checks"][1].update(target=["1/8", "7/8"]),
+    "relabel-terms": lambda d: d["plan"].update(
+        terms={"kind": "scaled-geometric", "scale": "5", "base": "7"}),
+    "renumber-first-index": lambda d: (d["plan"]["indices"][0].update(n=999),
+                                       d["checks"][0].update(n=999)),
 }
 
 
@@ -254,3 +267,147 @@ def test_verify_notes_wider_block_and_norm(th1_doc):
     assert ok
     assert any("block 2" in n and "tighter" in n for n in report["notes"])
     assert any("check 1" in n and "tighter" in n for n in report["notes"])
+
+
+def test_verify_rejects_th6_forgeries():
+    plan = plan_witness("th6", ArithmeticSequence.dyadic(),
+                        ScaledGeometric(3, 2), DENSITY, 6)
+    doc = build_and_verify(plan).to_json()
+    for name in ("relabel-terms", "renumber-first-index"):
+        forged = json.loads(json.dumps(doc))
+        MUTATIONS[name](forged)
+        ok, report = verify_certificate(WitnessCertificate.from_json(forged))
+        assert not ok and report["mismatches"][0].startswith("plan")
+
+
+# ---------------------------------------------------------------------------
+# Jump planner against a term-by-term scan
+# ---------------------------------------------------------------------------
+
+WINDOW = 300
+
+
+def reference_scan(tag, seq, terms, ideal, count, window=WINDOW):
+    """Greedy scan over n = 1, 2, ... checking the construction's conditions
+    on (k_n, v_n) from `decompose` as stated: k in the witness set, k >= 2^i
+    (th1), u_k >= 8*a_{n_prev} (th6/th1), k >= k' + (2n'+1)v' (th2).
+    Returns the selected (n, k, v) and the class of the error that stopped
+    it, if any."""
+    witness = non_snt_witness(ideal) if tag != "th2" else None
+    if tag == "th2" and seq.geometric_base is None:
+        return [], ValueError
+    selected, n = [], 0
+    while len(selected) < count + 1:
+        n += 1
+        if n - (selected[-1][0] if selected else 0) > window:
+            return selected, SequenceNotAbsorbingError
+        try:
+            d = decompose(seq, terms.term(n))
+        except ValueError:
+            return selected, ValueError
+        k, v, i = d.k, d.v, len(selected) + 1
+        if selected:
+            pn, pk, pv = selected[-1]
+        if tag == "th2":
+            if selected and k < pk + (2 * pn + 1) * pv:
+                continue
+        elif (not witness.contains(k) or (tag == "th1" and k < 2 ** i)
+              or (selected and seq.u(k) < 8 * seq.u(pk) * pv)):
+            continue
+        selected.append((n, k, v))
+    return selected, None
+
+
+def planned(plan):
+    return [(e["n"], e["k"], int(e["v"])) for e in plan.growth_log]
+
+
+def assert_matches_reference(tag, seq_text, terms_text, count):
+    seq = parse_sequence(seq_text)
+    terms = parse_terms(terms_text, seq)
+    ideal = SUMMABLE if tag == "th1" else DENSITY
+    expected, error = reference_scan(tag, seq, terms, ideal, count)
+    if error is None:
+        plan = plan_witness(tag, seq, terms, ideal, count, scan_window=WINDOW)
+        assert planned(plan) == expected
+        assert [(p.n, p.k, p.v) for p in plan.indices] == expected[:count]
+        assert plan.closing_k == expected[count][1]
+        return
+    if expected:
+        # the planner agrees on every index the scan reached ...
+        plan = plan_witness(tag, seq, terms, ideal, len(expected) - 1,
+                            scan_window=WINDOW)
+        assert planned(plan) == expected
+    try:
+        plan = plan_witness(tag, seq, terms, ideal, count, scan_window=WINDOW)
+    except error:
+        return
+    # ... and may only go on where the next index lies beyond the scan window
+    assert error is SequenceNotAbsorbingError
+    got = planned(plan)
+    assert got[:len(expected)] == expected
+    assert got[len(expected)][0] > (expected[-1][0] if expected else 0) + WINDOW
+
+
+CHAINS = ["dyadic", "geometric:3", "geometric:4", "geometric:5", "geometric:6",
+          "factorial", "[2,3,5]"]
+TERMS = st.one_of(st.just("u_n"), st.builds("{}*{}^n".format, st.integers(1, 40),
+                                              st.sampled_from([2, 3, 4, 6, 8, 12, 36])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tag=st.sampled_from(["th6", "th1", "th2"]), seq_text=st.sampled_from(CHAINS),
+       terms_text=TERMS, count=st.integers(0, 5))
+@example("th2", "geometric:4", "3*2^n", 3)     # composite p, b not a power of p
+@example("th2", "geometric:4", "3*8^n", 3)
+@example("th6", "geometric:6", "5*36^n", 3)    # b = p^2
+@example("th6", "dyadic", "2*4^n", 2)          # k_n = 1 + 2n is never a power of 2
+@example("th1", "geometric:5", "10*3^n", 2)    # k_n = 1 for every n
+@example("th6", "factorial", "u_n", 5)
+def test_jump_planner_matches_scan(tag, seq_text, terms_text, count):
+    assert_matches_reference(tag, seq_text, terms_text, count)
+
+
+class TestWalkedPairs:
+    def test_factorial_terms_over_dyadic(self):
+        assert_matches_reference("th6", "dyadic", "n!", 3)
+        plan = plan_witness("th6", ArithmeticSequence.dyadic(),
+                            parse_terms("n!"), DENSITY, 3)
+        assert [(p.n, p.k) for p in plan.indices] == [(6, 4), (18, 16), (66, 64)]
+        assert plan.closing_k == 512
+
+    def test_composite_base_pins(self):
+        plan = plan_witness("th2", ArithmeticSequence.geometric(4),
+                            ScaledGeometric(3, 2), DENSITY, 3)
+        assert [p.k for p in plan.indices] == [0, 18, 237]
+        assert plan.closing_k == 3084
+        plan = plan_witness("th2", ArithmeticSequence.geometric(4),
+                            ScaledGeometric(3, 8), DENSITY, 3)
+        assert [p.k for p in plan.indices] == [1, 19, 181]
+        assert plan.closing_k == 1639
+
+    def test_explicit_terms(self):
+        # k_n = 0, 2, 1, 3, 0, 4, 8, 1, 16, 0, 32: not monotone
+        values = [3, 4, 6, 8, 9, 48, 768, 770, 5 << 16, 5 << 16 | 1, 3 << 32]
+        for tag, count in (("th6", 3), ("th1", 2)):
+            seq_terms = ("dyadic", "[" + ",".join(map(str, values)) + "]")
+            assert_matches_reference(tag, *seq_terms, count)
+        plan = plan_witness("th6", ArithmeticSequence.dyadic(),
+                            ExplicitTerms(values), DENSITY, 3)
+        assert [(p.n, p.k) for p in plan.indices] == [(2, 2), (7, 8), (9, 16)]
+        assert plan.closing_k == 32
+        with pytest.raises(ValueError, match="outside explicit list"):
+            plan_witness("th6", ArithmeticSequence.dyadic(),
+                         ExplicitTerms(values), DENSITY, 4)
+
+
+@pytest.mark.parametrize("tag,ideal", [("th6", DENSITY), ("th1", SUMMABLE)])
+def test_count_40_plans_builds_and_verifies(tag, ideal):
+    plan = plan_witness(tag, ArithmeticSequence.dyadic(), ScaledGeometric(3, 2),
+                        ideal, 40)
+    assert plan.indices[-1].k == 2 ** 41 and plan.closing_k == 2 ** 42
+    cert = build_and_verify(plan)
+    assert cert.passed
+    back = WitnessCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+    ok, report = verify_certificate(back)
+    assert ok and report["recomputed_pass"]
