@@ -10,8 +10,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
+from ._exact_text import exact_fraction, exact_int, exact_str
 from .convergence import (DEFAULT_DEPTH, WeightRule, classical_convergence,
                           ideal_convergence, nset_partial_sums,
                           weight_ideal_link)
@@ -20,8 +20,7 @@ from .core import (CircleRational, DigitExpansion, DomainError, expand,
 from .ideals import (Outcome, density_estimate, descriptor_from_json,
                      ideal_member, parse_ideal)
 from .sequences import parse_sequence, parse_terms
-from .witness import (CertificateFormatError, SequenceNotAbsorbingError,
-                      UnsupportedIdealError, WitnessCertificate,
+from .witness import (SequenceNotAbsorbingError, WitnessCertificate,
                       build_and_verify, plan_witness, verify_certificate)
 
 EXIT_PASS = 0
@@ -45,9 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _emit(doc: dict, path=None) -> None:
+    # the whole text first: a document that cannot be written leaves no output
+    text = json.dumps(doc, indent=2)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    sys.stdout.write(text + "\n")
 
 
 def _default_depth(args, fallback: int = DEFAULT_DEPTH) -> int:
@@ -56,7 +59,7 @@ def _default_depth(args, fallback: int = DEFAULT_DEPTH) -> int:
     env = os.environ.get("THINSET_DEPTH")
     if env:
         try:
-            depth = int(env)
+            depth = exact_int(env)
         except ValueError:
             raise UsageError(f"THINSET_DEPTH must be an integer, got {env!r}")
         if depth < 1:
@@ -68,11 +71,16 @@ def _default_depth(args, fallback: int = DEFAULT_DEPTH) -> int:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return _decode_json(fh.read(), path)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}")
+
+
+def _decode_json(text: str, where: str):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise UsageError(f"{where} is not valid JSON: {exc}")
 
 
 def _parse_set(args):
@@ -89,14 +97,14 @@ def _set_from_spec(text: str):
     from .ideals import FiniteSet, Geometric, Progression
     text = text.strip()
     if text.startswith("{"):
-        return descriptor_from_json(json.loads(text))
+        return descriptor_from_json(_decode_json(text, "--set"))
     if text.startswith("finite:"):
-        return FiniteSet([int(t) for t in text[7:].split(",") if t.strip()])
+        return FiniteSet([exact_int(t) for t in text[7:].split(",") if t.strip()])
     if text.startswith("progression:"):
-        start, step = (int(t) for t in text[12:].split(","))
+        start, step = (exact_int(t) for t in text[12:].split(","))
         return Progression(start, step)
     if text.startswith("geometric:"):
-        return Geometric(int(text[10:]))
+        return Geometric(exact_int(text[10:]))
     raise UsageError(f"unrecognized set spec {text!r}")
 
 
@@ -160,7 +168,6 @@ def build_parser() -> _Parser:
     p.add_argument("--a", required=True)
     p.add_argument("--ideal", required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--scan-window", type=int, default=None)
     p.add_argument("--out", help="also write the certificate to this file")
 
     p = sub.add_parser("verify", help="re-verify a serialized certificate")
@@ -195,9 +202,9 @@ def run(args) -> int:
         s = _parse_set(args)
         cutoff = args.cutoff if args.cutoff is not None else _default_depth(args)
         est = density_estimate(s, cutoff)
-        _emit({"cutoff": est.cutoff, "lower": str(est.lower),
-               "upper": str(est.upper),
-               "exact": None if est.exact is None else str(est.exact)})
+        _emit({"cutoff": est.cutoff, "lower": exact_str(est.lower),
+               "upper": exact_str(est.upper),
+               "exact": None if est.exact is None else exact_str(est.exact)})
         return EXIT_PASS
 
     if args.command == "ideal-member":
@@ -213,7 +220,7 @@ def run(args) -> int:
         terms = parse_terms(args.a, seq)
         x = _parse_point(args)
         depth = _default_depth(args)
-        eps = Fraction(args.eps)
+        eps = exact_fraction(args.eps)
         if args.ideal:
             verdict = ideal_convergence(x, terms, parse_ideal(args.ideal),
                                         depth, eps)
@@ -243,16 +250,9 @@ def run(args) -> int:
         seq = parse_sequence(args.seq)
         terms = parse_terms(args.a, seq)
         ideal = parse_ideal(args.ideal)
-        kwargs = {}
-        if args.scan_window is not None:
-            kwargs["scan_window"] = args.scan_window
-        plan = plan_witness(args.tag, seq, terms, ideal, args.count, **kwargs)
+        plan = plan_witness(args.tag, seq, terms, ideal, args.count)
         cert = build_and_verify(plan)
-        doc = cert.to_json()
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, indent=2)
-        _emit(doc)
+        _emit(cert.to_json(), args.out)
         return EXIT_PASS if cert.passed else EXIT_FAIL
 
     if args.command == "verify":
@@ -265,29 +265,14 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    # parsing and printing deep exact inputs (huge numerators, long digit
-    # lists) can exceed the default int-to-string guard; the raised limit
-    # lasts for this call only, so library code run later in the same
-    # process sees the interpreter's setting
-    guarded = hasattr(sys, "set_int_max_str_digits")
-    if guarded:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(2_000_000)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return run(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, ZeroDivisionError, OSError,
+            SequenceNotAbsorbingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnsupportedIdealError, SequenceNotAbsorbingError,
-            CertificateFormatError, DomainError, ValueError,
-            ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
-        if guarded:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ._exact_text import exact_str
+from ._exact_text import exact_fraction, exact_str
 from .core import (CircleRational, DigitExpansion, SIN_UPPER, reconstruct,
                    reconstruct_exact, support)
 from .ideals import (IdealDescriptor, Outcome, Progression, SetDescriptor,
@@ -503,9 +503,10 @@ class WeightRule:
         if text == "1/n":
             return cls.harmonic()
         if text.startswith("1/n^"):
-            return cls.power(Fraction(text[4:]))
+            return cls.power(exact_fraction(text[4:]))
         if text.startswith("[") and text.endswith("]"):
-            return cls.explicit(Fraction(t) for t in text[1:-1].split(",") if t.strip())
+            return cls.explicit(exact_fraction(t)
+                                for t in text[1:-1].split(",") if t.strip())
         raise ValueError(f"unrecognized weight spec {text!r}")
 
     def to_json(self) -> dict:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
 
+from ._exact_text import decoder, exact_fraction, exact_int, exact_str
 from .sequences import ArithmeticSequence
 
 if TYPE_CHECKING:
@@ -60,13 +61,13 @@ class CircleRational:
 
     @classmethod
     def parse(cls, text: str) -> "CircleRational":
-        return cls.from_fraction(Fraction(text))
+        return cls.from_fraction(exact_fraction(text))
 
     def frac(self) -> Fraction:
         return Fraction(self.num, self.den)
 
     def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
+        return f"{exact_str(self.num)}/{exact_str(self.den)}"
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class RatInterval:
         object.__setattr__(self, "lo", Fraction(self.lo))
         object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+            raise ValueError(f"empty interval {self}")
 
     @property
     def width(self) -> Fraction:
@@ -93,7 +94,7 @@ class RatInterval:
         return self.lo <= other.lo and other.hi <= self.hi
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{exact_str(self.lo)}, {exact_str(self.hi)}]"
 
 
 def _norm_range(part: RatInterval) -> RatInterval:
@@ -169,26 +170,24 @@ class DigitExpansion:
         top = self.depth if self.depth is not None else self.last_index
         doc = {
             "sequence": self.seq.to_json(),
-            "ratios": [str(self.seq.q(n)) for n in range(1, top + 1)],
-            "digits": {str(n): str(c) for n, c in sorted(self.digits.items())},
+            "ratios": [exact_str(self.seq.q(n)) for n in range(1, top + 1)],
+            "digits": {exact_str(n): exact_str(c) for n, c in sorted(self.digits.items())},
             "depth": self.depth,
         }
         return doc
 
     @classmethod
+    @decoder("expansion document")
     def from_json(cls, doc: dict) -> "DigitExpansion":
         """Decode `to_json` output; any malformed document raises ValueError."""
-        try:
-            if "sequence" in doc:
-                seq = ArithmeticSequence.from_json(doc["sequence"])
-            else:
-                seq = ArithmeticSequence.from_ratios(
-                    [int(r) for r in doc["ratios"]], cycle=False)
-            digits = {int(n): int(c) for n, c in doc["digits"].items()}
-            depth = doc.get("depth")
-            return cls(seq, digits, None if depth is None else int(depth))
-        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
-            raise ValueError(f"bad expansion document: {exc!r}") from exc
+        if "sequence" in doc:
+            seq = ArithmeticSequence.from_json(doc["sequence"])
+        else:
+            seq = ArithmeticSequence.from_ratios(
+                [exact_int(r) for r in doc["ratios"]], cycle=False)
+        digits = {exact_int(n): exact_int(c) for n, c in doc["digits"].items()}
+        depth = doc.get("depth")
+        return cls(seq, digits, None if depth is None else exact_int(depth))
 
 
 def expand(x: CircleRational, seq: ArithmeticSequence, depth: int) -> DigitExpansion:

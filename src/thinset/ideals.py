@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from ._exact_text import exact_str
+from ._exact_text import decoder, exact_fraction, exact_int, exact_str
 
 DEFAULT_CUTOFF = 100_000
 
@@ -116,7 +116,7 @@ class FiniteSet(SetDescriptor):
         return Growth("finite", Fraction(0), "finite-sum")
 
     def to_json(self) -> dict:
-        return {"type": "finite", "elements": [str(e) for e in self.elements]}
+        return {"type": "finite", "elements": [exact_str(e) for e in self.elements]}
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,8 @@ class Progression(SetDescriptor):
         return Growth("linear", Fraction(1, self.step), "progression-divergence")
 
     def to_json(self) -> dict:
-        return {"type": "progression", "start": str(self.start), "step": str(self.step)}
+        return {"type": "progression", "start": exact_str(self.start),
+                "step": exact_str(self.step)}
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,7 @@ class Geometric(SetDescriptor):
         return Growth("log", Fraction(0), "geometric-series")
 
     def to_json(self) -> dict:
-        return {"type": "geometric", "base": str(self.base)}
+        return {"type": "geometric", "base": exact_str(self.base)}
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ class Shifted(SetDescriptor):
 
     def to_json(self) -> dict:
         return {"type": "shifted", "inner": self.inner.to_json(),
-                "offset": str(self.offset)}
+                "offset": exact_str(self.offset)}
 
 
 @dataclass(frozen=True)
@@ -299,23 +300,20 @@ class UnionSet(SetDescriptor):
         return {"type": "union", "parts": [p.to_json() for p in self.parts]}
 
 
+@decoder("set descriptor")
 def descriptor_from_json(doc: dict) -> SetDescriptor:
     """Inverse of `to_json`; a malformed document raises ValueError."""
-    try:
-        t = doc["type"]
-        if t == "finite":
-            return FiniteSet([int(e) for e in doc["elements"]])
-        if t == "progression":
-            return Progression(int(doc["start"]), int(doc["step"]))
-        if t == "geometric":
-            return Geometric(int(doc["base"]))
-        if t == "shifted":
-            return Shifted(descriptor_from_json(doc["inner"]), int(doc["offset"]))
-        if t == "union":
-            return UnionSet([descriptor_from_json(p) for p in doc["parts"]])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed set descriptor: "
-                         f"{type(exc).__name__} {exc}") from exc
+    t = doc["type"]
+    if t == "finite":
+        return FiniteSet([exact_int(e) for e in doc["elements"]])
+    if t == "progression":
+        return Progression(exact_int(doc["start"]), exact_int(doc["step"]))
+    if t == "geometric":
+        return Geometric(exact_int(doc["base"]))
+    if t == "shifted":
+        return Shifted(descriptor_from_json(doc["inner"]), exact_int(doc["offset"]))
+    if t == "union":
+        return UnionSet([descriptor_from_json(p) for p in doc["parts"]])
     raise ValueError(f"unknown set descriptor type {t!r}")
 
 
@@ -378,13 +376,14 @@ class IdealDescriptor:
     def to_json(self) -> dict:
         doc = {"type": self.kind}
         if self.kind == "summable":
-            doc["exponent"] = str(self.exponent)
+            doc["exponent"] = exact_str(self.exponent)
         return doc
 
     @classmethod
+    @decoder("ideal")
     def from_json(cls, doc: dict) -> "IdealDescriptor":
         if doc["type"] == "summable":
-            return cls.summable(Fraction(doc.get("exponent", 1)))
+            return cls.summable(exact_fraction(doc.get("exponent", 1)))
         return cls(doc["type"])
 
 
@@ -397,7 +396,7 @@ def parse_ideal(text: str) -> IdealDescriptor:
     if text == "summable" or text == "summable:1/n":
         return IdealDescriptor.summable()
     if text.startswith("summable:"):
-        return IdealDescriptor.summable(Fraction(text.split(":", 1)[1]))
+        return IdealDescriptor.summable(exact_fraction(text.split(":", 1)[1]))
     raise ValueError(f"unrecognized ideal spec {text!r}")
 
 

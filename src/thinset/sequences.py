@@ -12,6 +12,8 @@ import operator
 import re
 from typing import Callable, Iterator, Optional, Sequence
 
+from ._exact_text import decoder, exact_int, exact_str
+
 
 class ArithmeticSequence:
     """Lazy, memoized u_n chain defined by its ratio function."""
@@ -124,12 +126,13 @@ class ArithmeticSequence:
     def to_json(self) -> dict:
         kind = self.spec[0]
         if kind in ("ratios", "ratios-finite"):
-            return {"kind": kind, "ratios": [str(r) for r in self.spec[1]]}
+            return {"kind": kind, "ratios": [exact_str(r) for r in self.spec[1]]}
         if kind == "geometric":
-            return {"kind": "geometric", "base": str(self.spec[1])}
+            return {"kind": "geometric", "base": exact_str(self.spec[1])}
         return {"kind": kind}
 
     @classmethod
+    @decoder("sequence")
     def from_json(cls, doc: dict) -> "ArithmeticSequence":
         kind = doc["kind"]
         if kind == "dyadic":
@@ -137,11 +140,11 @@ class ArithmeticSequence:
         if kind == "factorial":
             return cls.factorial()
         if kind == "geometric":
-            return cls.geometric(int(doc["base"]))
+            return cls.geometric(exact_int(doc["base"]))
         if kind == "ratios":
-            return cls.from_ratios([int(r) for r in doc["ratios"]], cycle=True)
+            return cls.from_ratios([exact_int(r) for r in doc["ratios"]], cycle=True)
         if kind == "ratios-finite":
-            return cls.from_ratios([int(r) for r in doc["ratios"]], cycle=False)
+            return cls.from_ratios([exact_int(r) for r in doc["ratios"]], cycle=False)
         raise ValueError(f"unknown sequence kind {kind!r}")
 
 
@@ -153,9 +156,9 @@ def parse_sequence(text: str) -> ArithmeticSequence:
     if text == "factorial":
         return ArithmeticSequence.factorial()
     if text.startswith("geometric:"):
-        return ArithmeticSequence.geometric(int(text.split(":", 1)[1]))
+        return ArithmeticSequence.geometric(exact_int(text.split(":", 1)[1]))
     if text.startswith("[") and text.endswith("]"):
-        ratios = [int(t) for t in text[1:-1].split(",") if t.strip()]
+        ratios = [exact_int(t) for t in text[1:-1].split(",") if t.strip()]
         return ArithmeticSequence.from_ratios(ratios, cycle=True)
     raise ValueError(f"unrecognized sequence spec {text!r}")
 
@@ -200,7 +203,8 @@ class ScaledGeometric(TermSequence):
         return self.scale * self.base ** n
 
     def to_json(self) -> dict:
-        return {"kind": "scaled-geometric", "scale": str(self.scale), "base": str(self.base)}
+        return {"kind": "scaled-geometric", "scale": exact_str(self.scale),
+                "base": exact_str(self.base)}
 
 
 class ArithmeticTerms(TermSequence):
@@ -237,7 +241,7 @@ class ExplicitTerms(TermSequence):
         return self.values[n - 1]
 
     def to_json(self) -> dict:
-        return {"kind": "explicit", "values": [str(v) for v in self.values]}
+        return {"kind": "explicit", "values": [exact_str(v) for v in self.values]}
 
 
 def multiplier_chain(terms: TermSequence):
@@ -272,8 +276,8 @@ def parse_terms(text: str, seq: Optional[ArithmeticSequence] = None) -> TermSequ
     text = text.strip()
     m = _SCALED_RE.match(text)
     if m:
-        scale = int(m.group(1)) if m.group(1) else 1
-        return ScaledGeometric(scale, int(m.group(2)))
+        scale = exact_int(m.group(1)) if m.group(1) else 1
+        return ScaledGeometric(scale, exact_int(m.group(2)))
     if text == "n!":
         return ArithmeticTerms(ArithmeticSequence.factorial())
     if text in ("u_n", "seq"):
@@ -281,16 +285,17 @@ def parse_terms(text: str, seq: Optional[ArithmeticSequence] = None) -> TermSequ
             raise ValueError("'u_n' terms need an explicit sequence")
         return ArithmeticTerms(seq)
     if text.startswith("[") and text.endswith("]"):
-        return ExplicitTerms([int(t) for t in text[1:-1].split(",") if t.strip()])
+        return ExplicitTerms([exact_int(t) for t in text[1:-1].split(",") if t.strip()])
     raise ValueError(f"unrecognized term spec {text!r}")
 
 
+@decoder("term sequence")
 def terms_from_json(doc: dict) -> TermSequence:
     kind = doc["kind"]
     if kind == "scaled-geometric":
-        return ScaledGeometric(int(doc["scale"]), int(doc["base"]))
+        return ScaledGeometric(exact_int(doc["scale"]), exact_int(doc["base"]))
     if kind == "arithmetic":
         return ArithmeticTerms(ArithmeticSequence.from_json(doc["sequence"]))
     if kind == "explicit":
-        return ExplicitTerms([int(v) for v in doc["values"]])
+        return ExplicitTerms([exact_int(v) for v in doc["values"]])
     raise ValueError(f"unknown term kind {kind!r}")

@@ -27,17 +27,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .convergence import BlockCheck, WeightRule, membership_by_support
+from ._exact_text import decoder, exact_fraction, exact_int, exact_str
+from .convergence import (BlockCheck, WeightRule, _periodic_zero_from, _strip,
+                          membership_by_support)
 from .core import (CircleInterval, DigitExpansion, RatInterval, SIN_UPPER,
                    sparse_enclosures)
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
                      Verdict, descriptor_from_json, non_snt_witness)
 from .sequences import (ArithmeticSequence, ArithmeticTerms, ScaledGeometric,
-                        TermSequence, multiplier_chain, terms_from_json)
+                        TermSequence, multiplier_chain, phase_period,
+                        terms_from_json)
 
 TAGS = ("th6", "th1", "th2")
 TARGET_BAND = RatInterval(Fraction(1, 4), Fraction(7, 8))
-DEFAULT_SCAN_WINDOW = 200_000
+SCAN_WINDOW = 200_000    # terms a walked seek may pass before it gives up
 _BLOCK_WINDOW = 48     # exact head terms per block; the rest goes in a tail bound
 
 
@@ -46,8 +49,8 @@ class UnsupportedIdealError(ValueError):
 
 
 class SequenceNotAbsorbingError(RuntimeError):
-    """The term decompositions never reached the required indices in the
-    scan window, so the construction's divergence hypothesis has no evidence."""
+    """The term decompositions provably never reach the required indices, or
+    not within the scan window, so the divergence hypothesis has no evidence."""
 
 
 class CertificateFormatError(ValueError):
@@ -122,21 +125,22 @@ class PlannedIndex:
         return seq.u(self.k) * self.v
 
     def to_json(self) -> dict:
-        doc = {"i": self.i, "n": self.n, "k": self.k, "v": str(self.v),
-               "digit": str(self.digit)}
+        doc = {"i": self.i, "n": self.n, "k": self.k, "v": exact_str(self.v),
+               "digit": exact_str(self.digit)}
         if self.choice is not None:
-            doc.update({"l": str(self.choice.l), "l_prime": str(self.choice.l_prime),
-                        "m": str(self.choice.m)})
+            doc.update(l=exact_str(self.choice.l), l_prime=exact_str(self.choice.l_prime),
+                       m=exact_str(self.choice.m))
         return doc
 
     @classmethod
+    @decoder("planned index", CertificateFormatError)
     def from_json(cls, doc: dict) -> "PlannedIndex":
         choice = None
         if "m" in doc:
-            choice = DigitChoice(int(doc["l"]), int(doc["l_prime"]),
-                                 int(doc["m"]), int(doc["digit"]))
-        return cls(int(doc["i"]), int(doc["n"]), int(doc["k"]), int(doc["v"]),
-                   int(doc["digit"]), choice)
+            choice = DigitChoice(exact_int(doc["l"]), exact_int(doc["l_prime"]),
+                                 exact_int(doc["m"]), exact_int(doc["digit"]))
+        return cls(exact_int(doc["i"]), exact_int(doc["n"]), exact_int(doc["k"]),
+                   exact_int(doc["v"]), exact_int(doc["digit"]), choice)
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,7 @@ class WitnessPlan:
         }
 
     @classmethod
+    @decoder("plan", CertificateFormatError)
     def from_json(cls, doc: dict) -> "WitnessPlan":
         return cls(
             tag=doc["tag"],
@@ -172,7 +177,7 @@ class WitnessPlan:
             terms=terms_from_json(doc["terms"]),
             ideal=IdealDescriptor.from_json(doc["ideal"]),
             indices=tuple(PlannedIndex.from_json(p) for p in doc["indices"]),
-            closing_k=int(doc["closing_k"]),
+            closing_k=exact_int(doc["closing_k"]),
             witness_set=(descriptor_from_json(doc["witness_set"])
                          if doc.get("witness_set") else None),
             growth_log=tuple(doc.get("growth_log", ())),
@@ -209,15 +214,6 @@ def _decompositions(seq: ArithmeticSequence, terms: TermSequence):
             v //= seq.q(k + 1)
             k += 1
         n += 1
-
-
-def _strip(x: int, p: int) -> tuple[int, int]:
-    """(e, r) with x = p**e * r and p not dividing r."""
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e, x
 
 
 def _linear_chain_index(seq: ArithmeticSequence, terms: TermSequence):
@@ -279,28 +275,46 @@ def _jump_seeker(t: int, s: int, c: int, b: int):
     return seek
 
 
-def _walk_seeker(seq: ArithmeticSequence, terms: TermSequence, window: int):
+def _walk_seeker(seq: ArithmeticSequence, terms: TermSequence):
     """`seek` by decomposing a_n term by term.  k_n need not be monotone
-    (explicit terms), so every n is checked; a hit more than `window` terms
-    after the previous one is refused."""
+    (explicit terms), so every n is checked; a hit more than SCAN_WINDOW
+    terms after the previous one is refused.
+
+    On periodic multipliers a seek first asks the valuation walk whether u_L
+    divides any a_n, for the least k it accepts: L = k' + 1 after an index k'
+    (about the size of an a_n already formed, unlike u_K), else the least
+    member of W.  If none does, k_n < L for every n: a refusal by proof."""
     walk = _decompositions(seq, terms)
+    chain, period = multiplier_chain(terms), phase_period(terms)
+    least = None
 
     def seek(after: int, K: int, W: Optional[SetDescriptor]):
-        for n, k, v in walk:
-            if n - after > window:
+        nonlocal least
+        if least is None:
+            least = W.next_member(K) if W is not None else K
+        if period is not None and least > 0:
+            first, mult = chain
+            u = seq.u(least)
+            mults = [mult(n) for n in range(1, period + 1)]
+            if _periodic_zero_from(u // math.gcd(u, first), mults) is None:
                 raise SequenceNotAbsorbingError(
-                    f"no admissible index within {window} terms after "
+                    f"u_{least} divides no term a_n, so every chain index k_n "
+                    f"is below {least}: no admissible index after n={after}")
+        for n, k, v in walk:
+            if n - after > SCAN_WINDOW:
+                raise SequenceNotAbsorbingError(
+                    f"no admissible index within {SCAN_WINDOW} terms after "
                     f"n={after}; chain indices k_n may be bounded for "
                     f"these terms")
             if k >= K and (W is None or W.contains(k) is True):
+                least = k + 1
                 return n, k, v
 
     return seek
 
 
 def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
-                 ideal: IdealDescriptor, count: int,
-                 scan_window: int = DEFAULT_SCAN_WINDOW) -> WitnessPlan:
+                 ideal: IdealDescriptor, count: int) -> WitnessPlan:
     """Greedy minimal-index subsequence selection for the given certificate
     family.  One extra index beyond `count` is selected to close off the
     final tail enclosure.
@@ -308,8 +322,8 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
     Each index asks `seek` for the least n after the previous one whose
     chain index k_n reaches a threshold K (th6's ratio gap, th1's 2**i,
     th2's gap constraint) and, for th6/th1, lies in the witness set.  Pairs
-    with a closed-form k_n jump there; the rest walk, within `scan_window`
-    terms per index."""
+    with a closed-form k_n jump there; the rest walk, within SCAN_WINDOW
+    terms per index, unless a valuation proof refuses them first."""
     if tag not in TAGS:
         raise ValueError(f"unknown certificate tag {tag!r}")
     if count < 0:
@@ -329,7 +343,7 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
                                or isinstance(witness_set, Geometric)):
         seek = _jump_seeker(*linear)
     else:
-        seek = _walk_seeker(seq, terms, scan_window)
+        seek = _walk_seeker(seq, terms)
 
     selected: list[tuple[int, int, int]] = []    # (n, k, v)
     log: list[dict] = []
@@ -352,7 +366,7 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
             if selected:
                 satisfied.append(f"u_{k} >= 8*a (previous index)")
         selected.append((n, k, v))
-        log.append({"i": i, "n": n, "k": k, "v": str(v), "satisfied": satisfied})
+        log.append({"i": i, "n": n, "k": k, "v": exact_str(v), "satisfied": satisfied})
 
     closing_k = selected[count][1]
     planned = []
@@ -400,26 +414,25 @@ class IndexCheck:
         return doc
 
     @classmethod
+    @decoder("index check", CertificateFormatError)
     def from_json(cls, doc: dict) -> "IndexCheck":
-        try:
-            raw = [doc["interval"]] if "interval" in doc else doc["intervals"]
-            parts = tuple(RatInterval(Fraction(lo), Fraction(hi)) for lo, hi in raw)
-            norm = RatInterval(Fraction(doc["norm_interval"][0]),
-                               Fraction(doc["norm_interval"][1]))
-            target = None
-            if "target" in doc:
-                target = RatInterval(Fraction(doc["target"][0]),
-                                     Fraction(doc["target"][1]))
-            target_min = Fraction(doc["target_min"]) if "target_min" in doc else None
-            return cls(int(doc["i"]), int(doc["n"]),
-                       CircleInterval(parts, bool(doc.get("wraparound", False))),
-                       norm, target, target_min, bool(doc["pass"]))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CertificateFormatError(f"bad index check: {exc}") from exc
+        raw = [doc["interval"]] if "interval" in doc else doc["intervals"]
+        parts = tuple(_interval(pair) for pair in raw)
+        target = _interval(doc["target"]) if "target" in doc else None
+        target_min = exact_fraction(doc["target_min"]) if "target_min" in doc else None
+        return cls(exact_int(doc["i"]), exact_int(doc["n"]),
+                   CircleInterval(parts, bool(doc.get("wraparound", False))),
+                   _interval(doc["norm_interval"]), target, target_min,
+                   bool(doc["pass"]))
+
+
+def _interval(pair) -> RatInterval:
+    lo, hi = pair
+    return RatInterval(exact_fraction(lo), exact_fraction(hi))
 
 
 def _rat(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return f"{exact_str(f.numerator)}/{exact_str(f.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -435,7 +448,8 @@ class WitnessCertificate:
         return {
             "theorem": self.plan.tag,
             "plan": self.plan.to_json(),
-            "digits": {str(n): str(c) for n, c in sorted(self.expansion.digits.items())},
+            "digits": {exact_str(n): exact_str(c)
+                       for n, c in sorted(self.expansion.digits.items())},
             "checks": [c.to_json() for c in self.checks],
             "support": (self.support_verdict.to_json()
                         if self.support_verdict is not None else None),
@@ -444,27 +458,23 @@ class WitnessCertificate:
         }
 
     @classmethod
+    @decoder("certificate", CertificateFormatError)
     def from_json(cls, doc: dict) -> "WitnessCertificate":
-        try:
-            plan = WitnessPlan.from_json(doc["plan"])
-            # stored digits are data for `verify` to diff, not a symbolic claim
-            digits = {int(n): int(c) for n, c in doc["digits"].items()}
-            expansion = DigitExpansion(plan.seq, digits, None)
-            checks = tuple(IndexCheck.from_json(c) for c in doc["checks"])
-            support = (Verdict(Outcome(doc["support"]["outcome"]),
-                               doc["support"].get("certificate"),
-                               doc["support"].get("diagnostics", {}))
-                       if doc.get("support") else None)
-            blocks = tuple(
-                BlockCheck(b["index"], b["from"], b["to"],
-                           Fraction(b["upper_bound"]), Fraction(b["lower_bound"]),
-                           Fraction(b["majorant"]), bool(b["pass"]))
-                for b in doc.get("blocks", ()))
-            return cls(plan, expansion, checks, support, blocks, bool(doc["pass"]))
-        except CertificateFormatError:
-            raise
-        except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
-            raise CertificateFormatError(f"bad certificate: {exc}") from exc
+        plan = WitnessPlan.from_json(doc["plan"])
+        # stored digits are data for `verify` to diff, not a symbolic claim
+        digits = {exact_int(n): exact_int(c) for n, c in doc["digits"].items()}
+        expansion = DigitExpansion(plan.seq, digits, None)
+        checks = tuple(IndexCheck.from_json(c) for c in doc["checks"])
+        support = (Verdict(Outcome(doc["support"]["outcome"]),
+                           doc["support"].get("certificate"),
+                           doc["support"].get("diagnostics", {}))
+                   if doc.get("support") else None)
+        blocks = tuple(
+            BlockCheck(b["index"], b["from"], b["to"], exact_fraction(b["upper_bound"]),
+                       exact_fraction(b["lower_bound"]), exact_fraction(b["majorant"]),
+                       bool(b["pass"]))
+            for b in doc.get("blocks", ()))
+        return cls(plan, expansion, checks, support, blocks, bool(doc["pass"]))
 
 
 def _assemble_expansion(plan: WitnessPlan) -> DigitExpansion:

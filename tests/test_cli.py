@@ -1,7 +1,15 @@
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from json_mutation import DELETE, VALUES, json_paths, mutate
 from thinset.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE,
                          main)
+from thinset.ideals import IdealDescriptor
+from thinset.sequences import ArithmeticSequence, ScaledGeometric
+from thinset.witness import build_and_verify, plan_witness
 
 
 def run_cli(capsys, *argv):
@@ -158,3 +166,70 @@ def test_malformed_expansion_is_usage_error(tmp_path, capsys):
             code, out, err = run_cli(capsys, *argv)
             assert code == EXIT_USAGE and out is None
             assert err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def th6_doc():
+    plan = plan_witness("th6", ArithmeticSequence.dyadic(), ScaledGeometric(3, 2),
+                        IdealDescriptor.density(), 3)
+    return build_and_verify(plan).to_json()
+
+
+def test_pinned_malformed_inputs_are_usage_errors(tmp_path, capsys, th6_doc):
+    # parent exits: 1 (IndexError), 64, 1 (RecursionError)
+    zero = json.loads(json.dumps(th6_doc))
+    zero["checks"][0]["norm_interval"] = "0"
+    pole = json.loads(json.dumps(th6_doc))
+    pole["checks"][0]["norm_interval"] = ["1/0", "1/2"]
+    texts = [json.dumps(zero), json.dumps(pole), "[" * 100_000 + "]" * 100_000]
+    for text in texts:
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--json-in", str(path))
+        assert code == EXIT_USAGE and out is None
+        assert err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# In-process fuzzing of the JSON inputs
+# ---------------------------------------------------------------------------
+
+EXPANSION = {"sequence": {"kind": "ratios", "ratios": ["2", "3", "2"]},
+             "ratios": ["2", "3", "2", "2", "3", "2"],
+             "digits": {"1": "1", "2": "0", "4": "1", "6": "1"}, "depth": 6}
+SET = {"type": "union", "parts": [
+    {"type": "progression", "start": "1", "step": "4"},
+    {"type": "shifted", "inner": {"type": "geometric", "base": "2"}, "offset": "1"},
+    {"type": "finite", "elements": ["3", "5"]}]}
+
+
+def fail_document(command, doc):
+    if command == "verify":
+        return not (doc["ok"] and doc["recomputed_pass"])
+    if command == "converge" and "verdict" in doc:
+        doc = doc["verdict"]
+    return command != "reconstruct" and doc["outcome"] == "NotMember"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_json_inputs_keep_the_exit_contract(tmp_path, capsys, th6_doc, data):
+    command, extra, doc = data.draw(st.sampled_from([
+        ("verify", [], th6_doc),
+        ("reconstruct", [], EXPANSION),
+        ("converge", ["--a", "2^n", "--depth", "40"], EXPANSION),
+        ("converge", ["--a", "2^n", "--depth", "40", "--ideal", "density"], EXPANSION),
+        ("ideal-member", ["--ideal", "density"], SET),
+        ("ideal-member", ["--ideal", "summable"], SET),
+    ]))
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    value = data.draw(st.sampled_from(VALUES + [DELETE]))
+    file = tmp_path / "in.json"
+    file.write_text(json.dumps(mutate(doc, path, value)))
+    code, out, err = run_cli(capsys, command, "--json-in", str(file), *extra)
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert out is None and err.startswith("error:")
+    if code == EXIT_FAIL:
+        assert fail_document(command, out)

@@ -1,0 +1,119 @@
+"""The text boundary: exact numbers of any length under any int-to-string
+digit limit, and decoders that raise nothing but their documented error."""
+
+import contextlib
+import json
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from thinset import cli
+from thinset._exact_text import (_SAFE_DIGITS, decoder, exact_fraction,
+                                 exact_int, exact_str)
+from thinset.ideals import IdealDescriptor
+from thinset.sequences import ArithmeticSequence, parse_terms
+from thinset.witness import (WitnessCertificate, build_and_verify,
+                             plan_witness, verify_certificate)
+
+LOWEST = sys.int_info.str_digits_check_threshold
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_safe_length_is_the_lowest_limit():
+    assert _SAFE_DIGITS == LOWEST
+
+
+@settings(max_examples=40, deadline=None)
+@given(digits=st.integers(1, 100_000), seed=st.integers(0, 2 ** 32),
+       negative=st.booleans())
+@example(digits=100_000, seed=1, negative=True)
+def test_int_round_trip_under_lowest_limit(digits, seed, negative):
+    rng = random.Random(seed)
+    v = rng.randrange(10 ** (digits - 1) if digits > 1 else 0, 10 ** digits)
+    v = -v if negative else v
+    with int_digit_limit(LOWEST):
+        text = exact_str(v)
+        assert exact_int(text) == v
+        assert exact_fraction(text) == v
+    with int_digit_limit(0):
+        assert text == str(v)
+
+
+@settings(max_examples=20, deadline=None)
+@given(bits=st.integers(1, 40_000), seed=st.integers(0, 2 ** 32))
+def test_fraction_round_trip_under_lowest_limit(bits, seed):
+    rng = random.Random(seed)
+    f = Fraction(rng.getrandbits(bits) - rng.getrandbits(bits), rng.getrandbits(bits) + 1)
+    with int_digit_limit(LOWEST):
+        assert exact_fraction(exact_str(f)) == f
+
+
+def test_long_text_must_be_plain_digits():
+    long = "1" * (_SAFE_DIGITS + 1)
+    assert exact_int("+" + long) == int(long)
+    assert exact_fraction(f"-{long}/{long}7") == Fraction(-int(long), int(long + "7"))
+    for bad in (long + "x", " " + long, long + ".5", "1_" + long, long + "/"):
+        with pytest.raises(ValueError):
+            exact_fraction(bad)
+    with pytest.raises(ZeroDivisionError):
+        exact_fraction(long + "/0")
+
+
+def test_decoder_maps_every_malformed_document():
+    class Oops(ValueError):
+        pass
+
+    @decoder("thing", Oops)
+    def decode(exc):
+        raise exc
+
+    for exc in (KeyError("k"), IndexError(), TypeError(), AttributeError(),
+                OverflowError(), ZeroDivisionError(), RecursionError(),
+                ValueError("stray")):
+        with pytest.raises(Oops, match=f"^bad thing: {type(exc).__name__}"):
+            decode(exc)
+    own = Oops("already ours")
+    with pytest.raises(Oops, match="^already ours$"):
+        decode(own)
+    with pytest.raises(RuntimeError):
+        decode(RuntimeError("not a document fault"))
+
+
+def test_factorial_certificate_under_lowest_limit():
+    # the closing cofactor of count 4 has 11 794 digits; the library used to
+    # need the CLI's raised limit to write it into growth_log
+    with int_digit_limit(LOWEST):
+        plan = plan_witness("th6", ArithmeticSequence.dyadic(), parse_terms("n!"),
+                            IdealDescriptor.density(), 4)
+        assert len(plan.growth_log[-1]["v"]) == 11794
+        cert = build_and_verify(plan)
+        assert cert.passed
+        back = WitnessCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+        assert back == cert
+        ok, report = verify_certificate(back)
+        assert ok and report["recomputed_pass"]
+
+
+def test_cli_leaves_the_limit_alone(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    with int_digit_limit(LOWEST):
+        code = cli.main(["witness", "th6", "--seq", "dyadic", "--a", "n!",
+                         "--ideal", "density", "--count", "4", "--out", str(out)])
+        assert code == cli.EXIT_PASS
+        assert sys.get_int_max_str_digits() == LOWEST
+        assert cli.main(["verify", "--json-in", str(out)]) == cli.EXIT_PASS
+    printed = capsys.readouterr().out
+    assert printed.startswith(out.read_text())

@@ -1,10 +1,15 @@
+import functools
 import json
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from json_mutation import DELETE, VALUES, json_paths, mutate
+from thinset import witness
 from thinset.core import RatInterval
 from thinset.ideals import IdealDescriptor, Outcome, non_snt_witness
 from thinset.sequences import (ArithmeticSequence, ExplicitTerms,
@@ -102,13 +107,25 @@ class TestPlanning:
         # a_n = 3*5^n never gains dyadic factors: k_n stays 0
         with pytest.raises(SequenceNotAbsorbingError):
             plan_witness("th6", ArithmeticSequence.dyadic(),
-                         ScaledGeometric(3, 5), DENSITY, 2, scan_window=500)
+                         ScaledGeometric(3, 5), DENSITY, 2)
+
+    @pytest.mark.parametrize("seq", [ArithmeticSequence.factorial(),
+                                     ArithmeticSequence.from_ratios([2, 3, 5])])
+    def test_bounded_walk_refused_by_proof(self, seq):
+        # 3*2^n: 5 never divides a_n, so k_n <= 4 over n! and <= 2 over
+        # [2,3,5]; the valuation walk proves it before any term is walked
+        start = time.perf_counter()
+        with pytest.raises(SequenceNotAbsorbingError, match="divides no term"):
+            plan_witness("th6", seq, ScaledGeometric(3, 2), DENSITY, 2)
+        assert time.perf_counter() - start < 0.5
 
     def test_walk_window_refusal(self):
-        # 3*2^n over n!: 5 never divides a_n, so k_n <= 4 and the walk gives up
-        with pytest.raises(SequenceNotAbsorbingError, match="within 500 terms"):
-            plan_witness("th6", ArithmeticSequence.factorial(),
-                         ScaledGeometric(3, 2), DENSITY, 2, scan_window=500)
+        # 2*12^n over dyadic: k_n = 1 + 2n grows but is never a power of two,
+        # which no valuation proof sees, so the walk gives up at its window
+        with mock.patch.object(witness, "SCAN_WINDOW", 500), \
+                pytest.raises(SequenceNotAbsorbingError, match="within 500 terms"):
+            plan_witness("th6", ArithmeticSequence.dyadic(),
+                         ScaledGeometric(2, 12), DENSITY, 2)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
@@ -322,24 +339,24 @@ def planned(plan):
     return [(e["n"], e["k"], int(e["v"])) for e in plan.growth_log]
 
 
+@mock.patch.object(witness, "SCAN_WINDOW", WINDOW)
 def assert_matches_reference(tag, seq_text, terms_text, count):
     seq = parse_sequence(seq_text)
     terms = parse_terms(terms_text, seq)
     ideal = SUMMABLE if tag == "th1" else DENSITY
     expected, error = reference_scan(tag, seq, terms, ideal, count)
     if error is None:
-        plan = plan_witness(tag, seq, terms, ideal, count, scan_window=WINDOW)
+        plan = plan_witness(tag, seq, terms, ideal, count)
         assert planned(plan) == expected
         assert [(p.n, p.k, p.v) for p in plan.indices] == expected[:count]
         assert plan.closing_k == expected[count][1]
         return
     if expected:
         # the planner agrees on every index the scan reached ...
-        plan = plan_witness(tag, seq, terms, ideal, len(expected) - 1,
-                            scan_window=WINDOW)
+        plan = plan_witness(tag, seq, terms, ideal, len(expected) - 1)
         assert planned(plan) == expected
     try:
-        plan = plan_witness(tag, seq, terms, ideal, count, scan_window=WINDOW)
+        plan = plan_witness(tag, seq, terms, ideal, count)
     except error:
         return
     # ... and may only go on where the next index lies beyond the scan window
@@ -411,3 +428,41 @@ def test_count_40_plans_builds_and_verifies(tag, ideal):
     back = WitnessCertificate.from_json(json.loads(json.dumps(cert.to_json())))
     ok, report = verify_certificate(back)
     assert ok and report["recomputed_pass"]
+
+
+# ---------------------------------------------------------------------------
+# Single-field mutations of passing certificates
+# ---------------------------------------------------------------------------
+
+def plan_request(plan):
+    return plan.tag, plan.seq, plan.terms, plan.ideal, len(plan.indices)
+
+
+@functools.cache
+def passing_certificate(tag):
+    seq, terms, ideal = {"th6": ("dyadic", "3*2^n", DENSITY),
+                         "th1": ("dyadic", "3*2^n", SUMMABLE),
+                         "th2": ("geometric:3", "2*3^n", DENSITY)}[tag]
+    plan = plan_witness(tag, parse_sequence(seq), parse_terms(terms), ideal, 3)
+    return json.dumps(build_and_verify(plan).to_json())
+
+
+@settings(max_examples=200, deadline=None)
+@given(tag=st.sampled_from(["th6", "th1", "th2"]), data=st.data())
+def test_single_field_mutation_is_rejected_or_true(tag, data):
+    original = json.loads(passing_certificate(tag))
+    path = data.draw(st.sampled_from(list(json_paths(original))))
+    doc = mutate(original, path, data.draw(st.sampled_from(VALUES + [DELETE])))
+    try:
+        cert = WitnessCertificate.from_json(doc)
+    except CertificateFormatError:
+        return
+    ok, report = verify_certificate(cert)
+    if not ok:
+        assert report["mismatches"]
+        return
+    # a mutation that verifies asks for the same plan, or is, field for field,
+    # the certificate the planner builds for the request it now makes
+    request = plan_request(cert.plan)
+    if request != plan_request(WitnessCertificate.from_json(original).plan):
+        assert build_and_verify(plan_witness(*request)).to_json() == doc
