@@ -97,17 +97,6 @@ class RatInterval:
         return f"[{exact_str(self.lo)}, {exact_str(self.hi)}]"
 
 
-def _norm_range(part: RatInterval) -> RatInterval:
-    """Range of min({t},1-{t}) over a subinterval of [0,1]."""
-    half = Fraction(1, 2)
-    lo, hi = part.lo, part.hi
-    if hi <= half:
-        return RatInterval(lo, hi)
-    if lo >= half:
-        return RatInterval(1 - hi, 1 - lo)
-    return RatInterval(min(lo, 1 - hi), half)
-
-
 @dataclass(frozen=True)
 class CircleInterval:
     """Enclosure of a circle point: one interval, or two when it wraps past 1."""
@@ -118,10 +107,15 @@ class CircleInterval:
     def within(self, target: RatInterval) -> bool:
         return all(target.contains_interval(p) for p in self.parts)
 
-    def dist_interval(self) -> RatInterval:
-        """Enclosure of the nearest-integer distance of the enclosed point."""
-        ranges = [_norm_range(p) for p in self.parts]
-        return RatInterval(min(r.lo for r in ranges), max(r.hi for r in ranges))
+    @classmethod
+    def from_head(cls, head: int, v: int, P: int) -> "CircleInterval":
+        """The arc [head, head + v]/P mod 1, for 0 <= head < P."""
+        if v >= P:
+            return cls((RatInterval(Fraction(0), Fraction(1)),), True)
+        if head + v <= P:
+            return cls((RatInterval(Fraction(head, P), Fraction(head + v, P)),))
+        return cls((RatInterval(Fraction(head, P), Fraction(1)),
+                    RatInterval(Fraction(0), Fraction(head + v - P, P))), True)
 
 
 @dataclass(frozen=True)
@@ -242,19 +236,19 @@ def dist_to_int(x: RationalLike) -> Fraction:
 _TAIL_BITS = 64   # the head grows until the tail weight is at most 2**-_TAIL_BITS
 
 
-def sparse_enclosures(seq: ArithmeticSequence, digits: Mapping[int, int], stop: int,
-                      top: int, bottom: Optional[int] = None, v: int = 1
-                      ) -> Iterator[tuple[int, CircleInterval]]:
-    """Enclosures of {v*u_k*x} for k = top, top-1, ..., bottom+1 (top alone by
-    default), for every x whose digits in (k, stop] are `digits` (zero where
-    none is given) and whose later digits are any admissible tail.
+def enclosure_heads(seq: ArithmeticSequence, digits: Mapping[int, int], stop: int,
+                    top: int, bottom: Optional[int] = None, v: int = 1
+                    ) -> Iterator[tuple[int, int, int]]:
+    """(k, head, P) for k = top, top-1, ..., bottom+1 (top alone by default):
+    {v*u_k*x} lies in [head, head + v]/P mod 1, with 0 <= head < P, for
+    every x whose digits in (k, stop] are `digits` (zero where none is
+    given) and whose later digits are any admissible tail.
 
     With P = q_{k+1}***q_r and N = sum_{k<n<=r} c_n*q_{n+1}***q_r, v*u_k*x is
     an integer plus v*N/P plus v times a tail in [0, 1/P].  Only ratios enter,
     never u_k: r runs past the last given digit and on until v/P is at most
     2**-_TAIL_BITS, or to `stop`.  Stepping k down multiplies q_{k+1} into P
     and trims the ratios past the last digit that the bound no longer needs.
-    A span crossing 1 is a wraparound union; one of width >= 1 the whole circle.
     """
     if v < 1:
         raise DomainError("multiplier must be >= 1")
@@ -272,15 +266,31 @@ def sparse_enclosures(seq: ArithmeticSequence, digits: Mapping[int, int], stop: 
             r += 1
             q = seq.q(r)
             P, N = P * q, N * q + digits.get(r, 0)
-        head = v * N % P
-        if v >= P:
-            parts = (RatInterval(Fraction(0), Fraction(1)),)
-        elif head + v <= P:
-            parts = (RatInterval(Fraction(head, P), Fraction(head + v, P)),)
-        else:
-            parts = (RatInterval(Fraction(head, P), Fraction(1)),
-                     RatInterval(Fraction(0), Fraction(head + v - P, P)))
-        yield k, CircleInterval(parts, v >= P or head + v > P)
+        yield k, v * N % P, P
+
+
+def norm_bounds(head: int, v: int, P: int) -> tuple[int, int]:
+    """Numerators over 2P of the least and the greatest ||t|| for t in the
+    arc [head, head + v]/P mod 1, with 0 <= head < P."""
+    end = head + v
+    if v >= P:                       # the whole circle
+        return 0, P
+    if end > P:                      # wraps past 1, so it holds an integer
+        return 0, min(P, 2 * max(P - head, end - P))
+    if 2 * end <= P:                 # inside [0, 1/2]
+        return 2 * head, 2 * end
+    if 2 * head >= P:                # inside [1/2, 1]
+        return 2 * (P - end), 2 * (P - head)
+    return 2 * min(head, P - end), P     # straddles 1/2
+
+
+def sparse_enclosures(seq: ArithmeticSequence, digits: Mapping[int, int], stop: int,
+                      top: int, bottom: Optional[int] = None, v: int = 1
+                      ) -> Iterator[tuple[int, CircleInterval]]:
+    """`enclosure_heads` as circle intervals: a span crossing 1 is a
+    wraparound union, one of width >= 1 the whole circle."""
+    for k, head, P in enclosure_heads(seq, digits, stop, top, bottom, v):
+        yield k, CircleInterval.from_head(head, v, P)
 
 
 def sin_envelope(x: RationalLike) -> RatInterval:

@@ -28,10 +28,10 @@ from fractions import Fraction
 from typing import Optional
 
 from ._exact_text import decoder, exact_fraction, exact_int, exact_str
-from .convergence import (BlockCheck, WeightRule, _periodic_zero_from, _strip,
+from .convergence import (BlockCheck, _periodic_zero_from, _split_sum, _strip,
                           membership_by_support)
 from .core import (CircleInterval, DigitExpansion, RatInterval, SIN_UPPER,
-                   sparse_enclosures)
+                   enclosure_heads, norm_bounds)
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
                      Verdict, descriptor_from_json, non_snt_witness)
 from .sequences import (ArithmeticSequence, ArithmeticTerms, ScaledGeometric,
@@ -423,12 +423,20 @@ class IndexCheck:
         return cls(exact_int(doc["i"]), exact_int(doc["n"]),
                    CircleInterval(parts, bool(doc.get("wraparound", False))),
                    _interval(doc["norm_interval"]), target, target_min,
-                   bool(doc["pass"]))
+                   _flag(doc["pass"]))
 
 
 def _interval(pair) -> RatInterval:
     lo, hi = pair
     return RatInterval(exact_fraction(lo), exact_fraction(hi))
+
+
+def _flag(value) -> bool:
+    """A `pass` flag: a JSON boolean and nothing else."""
+    if not isinstance(value, bool):
+        raise CertificateFormatError(
+            f"pass must be a JSON boolean, not {type(value).__name__}")
+    return value
 
 
 def _rat(f: Fraction) -> str:
@@ -461,6 +469,8 @@ class WitnessCertificate:
     @decoder("certificate", CertificateFormatError)
     def from_json(cls, doc: dict) -> "WitnessCertificate":
         plan = WitnessPlan.from_json(doc["plan"])
+        if doc["theorem"] != plan.tag:
+            raise CertificateFormatError("theorem differs from the plan's tag")
         # stored digits are data for `verify` to diff, not a symbolic claim
         digits = {exact_int(n): exact_int(c) for n, c in doc["digits"].items()}
         expansion = DigitExpansion(plan.seq, digits, None)
@@ -472,9 +482,9 @@ class WitnessCertificate:
         blocks = tuple(
             BlockCheck(b["index"], b["from"], b["to"], exact_fraction(b["upper_bound"]),
                        exact_fraction(b["lower_bound"]), exact_fraction(b["majorant"]),
-                       bool(b["pass"]))
+                       _flag(b["pass"]))
             for b in doc.get("blocks", ()))
-        return cls(plan, expansion, checks, support, blocks, bool(doc["pass"]))
+        return cls(plan, expansion, checks, support, blocks, _flag(doc["pass"]))
 
 
 def _assemble_expansion(plan: WitnessPlan) -> DigitExpansion:
@@ -488,9 +498,11 @@ def _index_checks(plan: WitnessPlan) -> list[IndexCheck]:
     # the digit after index i sits past chain index stop_i
     stops = [p.k for p in plan.indices[1:]] + [plan.closing_k]
     for p, stop in zip(plan.indices, stops):
-        [(_, enclosure)] = sparse_enclosures(plan.seq, {p.k + 1: p.digit}, stop,
-                                             p.k, v=p.v)
-        norm = enclosure.dist_interval()
+        [(_, head, P)] = enclosure_heads(plan.seq, {p.k + 1: p.digit}, stop,
+                                         p.k, v=p.v)
+        enclosure = CircleInterval.from_head(head, p.v, P)
+        lo, hi = norm_bounds(head, p.v, P)
+        norm = RatInterval(Fraction(lo, 2 * P), Fraction(hi, 2 * P))
         if plan.tag in ("th6", "th1"):
             passed = enclosure.within(TARGET_BAND)
             checks.append(IndexCheck(p.i, p.n, enclosure, norm,
@@ -512,28 +524,41 @@ def _block_checks(plan: WitnessPlan) -> list[BlockCheck]:
     edge) is enclosed exactly by walking the kernel down from that edge;
     everything earlier is absorbed into a tail bound using
     ||u_j x|| <= u_j/u_{k_i} <= 2**-(k_i - j).
+
+    The walk puts ||u_j x|| in [lo_j, hi_j]/(2*P_j); over L = lcm(P_j) each
+    bound is an integer sum of m_j/j, summed by binary splitting and reduced
+    once.  The majorant is 2*(22/7)*r_{j_from}, with r_1 in place of r_0
+    for a block that starts at k = 0.
     """
-    weights = WeightRule.harmonic()
     ks = [p.k for p in plan.indices] + [plan.closing_k]
     blocks = []
     for idx in range(1, len(plan.indices)):
         j_from, j_to = ks[idx - 1], ks[idx]
-        # bounds on sum r_j*||u_j x||, scaled by the sine envelope at the end
-        upper = lower = Fraction(0)
         head_from = max(j_from, j_to - _BLOCK_WINDOW)
+        walk = list(enclosure_heads(plan.seq, {j_to + 1: plan.indices[idx].digit},
+                                    ks[idx + 1], j_to, head_from))
+        L = math.lcm(*(P for _, _, P in walk))
+        los, his, js = [], [], []
+        for j, head, P in walk:
+            lo, hi = norm_bounds(head, 1, P)
+            los.append(lo * (L // P))
+            his.append(hi * (L // P))
+            js.append(j)
+        # sum r_j*||u_j x|| lies in [p_lo, p_hi] / (2*L*q)
+        p_lo, q = _split_sum(los, js, 0, len(js))
+        p_hi, _ = _split_sum(his, js, 0, len(js))
+        den = 2 * L * q
+        # both scaled by the sine envelope [2, 22/7]
+        lower = Fraction(2 * p_lo, den)
         if head_from > j_from:
             # j in (j_from, head_from]: each norm <= 2**-(j_to - j), and the
-            # geometric sum of those is < 2 * 2**-_BLOCK_WINDOW
-            upper = weights.value(j_from + 1) * Fraction(2, 1 << _BLOCK_WINDOW)
-        walk = sparse_enclosures(plan.seq, {j_to + 1: plan.indices[idx].digit},
-                                 ks[idx + 1], j_to, head_from)
-        for j, enclosure in walk:
-            norm = enclosure.dist_interval()
-            w = weights.value(j)
-            lower += w * norm.lo
-            upper += w * norm.hi
-        upper, lower = SIN_UPPER * upper, 2 * lower
-        majorant = 2 * SIN_UPPER * weights.value(j_from)
+            # geometric sum of those is < 2 * 2**-_BLOCK_WINDOW; with the
+            # weight r_{j_from+1} that adds 1/tail
+            tail = (j_from + 1) << (_BLOCK_WINDOW - 1)
+            p_hi, den = p_hi * tail + den, den * tail
+        upper = Fraction(SIN_UPPER.numerator * p_hi, SIN_UPPER.denominator * den)
+        majorant = Fraction(2 * SIN_UPPER.numerator,
+                            SIN_UPPER.denominator * max(j_from, 1))
         blocks.append(BlockCheck(idx + 1, j_from, j_to, upper, lower,
                                  majorant, upper <= majorant))
     return blocks

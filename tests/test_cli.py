@@ -91,6 +91,19 @@ def test_witness_and_verify(tmp_path, capsys):
     assert report["ok"] and report["recomputed_pass"]
 
 
+def test_th2_first_index_at_k_zero(tmp_path, capsys):
+    # the block from k = 0 takes the majorant 2*(22/7)*r_1
+    out = tmp_path / "cert.json"
+    code, doc, _ = run_cli(capsys, "witness", "th2", "--seq", "geometric:4",
+                           "--a", "3*2^n", "--ideal", "density",
+                           "--count", "3", "--out", str(out))
+    assert code == EXIT_PASS and doc["pass"] is True
+    assert [p["k"] for p in doc["plan"]["indices"]] == [0, 18, 237]
+    assert (doc["blocks"][0]["from"], doc["blocks"][0]["majorant"]) == (0, "44/7")
+    code, report, _ = run_cli(capsys, "verify", "--json-in", str(out))
+    assert code == EXIT_PASS and report["ok"]
+
+
 def test_malformed_certificate_is_usage_error(tmp_path, capsys):
     path = tmp_path / "cert.json"
     code, doc, _ = run_cli(capsys, "witness", "th6", "--seq", "dyadic",
@@ -188,6 +201,14 @@ def test_pinned_malformed_inputs_are_usage_errors(tmp_path, capsys, th6_doc):
         code, out, err = run_cli(capsys, "verify", "--json-in", str(path))
         assert code == EXIT_USAGE and out is None
         assert err.startswith("error:")
+
+
+def test_retagged_certificate_is_usage_error(tmp_path, capsys, th6_doc):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(th6_doc, theorem="th1", **{"pass": "false"})))
+    code, out, err = run_cli(capsys, "verify", "--json-in", str(path))
+    assert code == EXIT_USAGE and out is None
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thinset.core import (CircleRational, DigitExpansion, DomainError,
-                          InsufficientDigitsError, RatInterval, SIN_UPPER,
-                          dist_to_int, expand, reconstruct, reconstruct_exact,
+from enclosure_reference import dist_interval
+from thinset.core import (CircleInterval, CircleRational, DigitExpansion,
+                          DomainError, InsufficientDigitsError, RatInterval,
+                          SIN_UPPER, dist_to_int, enclosure_heads, expand,
+                          norm_bounds, reconstruct, reconstruct_exact,
                           sin_envelope, sparse_enclosures, support)
 from thinset.ideals import FiniteSet, Geometric
 from thinset.sequences import ArithmeticSequence
@@ -152,8 +154,9 @@ class TestFracScaled:
 
     def test_norm_interval(self):
         e = expand(CircleRational.parse("5/8"), ArithmeticSequence.dyadic(), 3)
-        norm = enclose_ax(1, e, 3).dist_interval()
-        assert norm.contains(Fraction(3, 8))
+        [(_, head, P)] = enclosure_heads(e.seq, e.digits, 3, 0)
+        lo, hi = norm_bounds(head, 1, P)
+        assert Fraction(lo, 2 * P) <= Fraction(3, 8) <= Fraction(hi, 2 * P)
 
     def test_digits_outside_window_rejected(self):
         seq = ArithmeticSequence.dyadic()
@@ -233,6 +236,32 @@ def test_sparse_enclosure_branches():
     # the head keeps its digits exact and the tail drops below 2**-64
     [(_, deep)] = sparse_enclosures(seq, {1: 1}, 10 ** 6, 0)
     assert deep.parts[0].lo == Fraction(1, 3) and deep.parts[0].width <= Fraction(1, 2 ** 64)
+
+
+@pytest.mark.parametrize("head,v,bounds", [
+    (1, 2, (2, 6)),     # [1/8, 3/8] inside [0, 1/2]
+    (5, 2, (2, 6)),     # [5/8, 7/8] inside [1/2, 1]
+    (3, 3, (4, 8)),     # [3/8, 6/8] straddles 1/2
+    (7, 3, (0, 4)),     # [7/8, 10/8] wraps past 1
+    (3, 6, (0, 8)),     # [3/8, 9/8] wraps past 1 and holds 1/2
+    (3, 8, (0, 8)),     # width 1: the whole circle
+])
+def test_norm_bounds_branches(head, v, bounds):
+    P = 8
+    assert norm_bounds(head, v, P) == bounds
+    lo, hi = bounds
+    reference = dist_interval(CircleInterval.from_head(head, v, P))
+    assert reference == RatInterval(Fraction(lo, 2 * P), Fraction(hi, 2 * P))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2 ** 70).flatmap(
+    lambda P: st.tuples(st.integers(0, P - 1), st.integers(1, 2 * P), st.just(P))))
+def test_norm_bounds_match_fraction_reference(case):
+    head, v, P = case
+    lo, hi = norm_bounds(head, v, P)
+    reference = dist_interval(CircleInterval.from_head(head, v, P))
+    assert reference == RatInterval(Fraction(lo, 2 * P), Fraction(hi, 2 * P))
 
 
 def test_sin_envelope():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import enclosure_reference
 from json_mutation import DELETE, VALUES, json_paths, mutate
 from thinset import witness
 from thinset.core import RatInterval
@@ -466,3 +467,60 @@ def test_single_field_mutation_is_rejected_or_true(tag, data):
     request = plan_request(cert.plan)
     if request != plan_request(WitnessCertificate.from_json(original).plan):
         assert build_and_verify(plan_witness(*request)).to_json() == doc
+
+
+@pytest.mark.parametrize("edit", [
+    {"theorem": "th1"},
+    {"pass": "false"},
+    {"theorem": "th1", "pass": "false"},
+])
+def test_theorem_and_pass_edits_are_rejected(edit):
+    doc = json.loads(passing_certificate("th6"))
+    doc.update(edit)
+    with pytest.raises(CertificateFormatError):
+        WitnessCertificate.from_json(doc)
+
+
+@pytest.mark.parametrize("path", [("pass",), ("checks", 0, "pass"),
+                                  ("blocks", 0, "pass")])
+@pytest.mark.parametrize("value", [1, 0, "true", None])
+def test_pass_flags_must_be_json_booleans(path, value):
+    original = json.loads(passing_certificate("th1"))
+    assert WitnessCertificate.from_json(original).passed
+    with pytest.raises(CertificateFormatError, match="JSON boolean"):
+        WitnessCertificate.from_json(mutate(original, path, value))
+
+
+# ---------------------------------------------------------------------------
+# Integer block sums against per-j Fraction accumulation
+# ---------------------------------------------------------------------------
+
+@st.composite
+def block_requests(draw):
+    """th1/th2 requests whose planner jumps, or walks only a few terms."""
+    seq_text = draw(st.sampled_from(["geometric:2", "geometric:3", "geometric:4",
+                                     "geometric:5", "geometric:7", "dyadic",
+                                     "[2,3,5]"]))
+    if seq_text == "[2,3,5]":
+        return "th1", seq_text, "u_n", draw(st.integers(2, 5))
+    p = 2 if seq_text == "dyadic" else int(seq_text.split(":")[1])
+    tag = draw(st.sampled_from(["th1", "th2"]))
+    # th1 needs k_n in {2, 4, 8, ...}, which k_n = t + 2n may never reach
+    bases = [p] if tag == "th1" else [p, p * p]
+    terms = draw(st.one_of(st.just("u_n"), st.builds(
+        "{}*{}^n".format, st.integers(1, 40), st.sampled_from(bases))))
+    return tag, seq_text, terms, draw(st.integers(2, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_requests())
+@example(("th2", "geometric:4", "3*2^n", 3))    # first index at k = 0
+@example(("th1", "[2,3,5]", "u_n", 5))          # ratios trimmed as k steps down
+def test_block_sums_match_fraction_reference(request):
+    tag, seq_text, terms_text, count = request
+    seq = parse_sequence(seq_text)
+    plan = plan_witness(tag, seq, parse_terms(terms_text, seq),
+                        SUMMABLE if tag == "th1" else DENSITY, count)
+    assert witness._block_checks(plan) == enclosure_reference.block_checks(plan)
+    for check in witness._index_checks(plan):
+        assert check.norm_interval == enclosure_reference.dist_interval(check.interval)
