@@ -37,7 +37,7 @@ from .sequences import (ArithmeticTerms, TermSequence, multiplier_chain,
 
 DEFAULT_DEPTH = 100_000
 DEFAULT_EPS_GRID = (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 64))
-_CYCLE_STATE_CAP = 400_000     # largest residue cycle walked for diagnostics
+_CYCLE_STATE_CAP = 400_000     # largest den*period whose cycle is reported
 _FACTOR_BOUND = 400_000        # trial-division limit when factoring d for n!
 
 PointLike = Union[CircleRational, DigitExpansion]
@@ -47,19 +47,83 @@ PointLike = Union[CircleRational, DigitExpansion]
 # Residue machinery for rational x
 # ---------------------------------------------------------------------------
 
-def _residues(num: int, den: int, terms: TermSequence, depth: int):
-    """Yield (n, t_n) with t_n = a_n*num mod den, incrementally when possible."""
-    chain = multiplier_chain(terms)
-    if chain is not None:
+class _Residues:
+    """The walk (n, t_n), t_n = a_n*num mod den, for n = start .. depth (for
+    ever when depth is None), incrementally on a multiplier chain.
+
+    start = (n0, t_n0) resumes a chain walk at n0.  With stop=True a chain
+    walk ends once the rest is fixed, and sets repeat = (h, t_h, lam): the
+    positions h .. h+lam-1 were walked, and t_p = t_{p-lam} for every later
+    p.  A zero residue stays zero, as a_{n+1} = a_n*m(n), so lam = 1 there.
+    With multipliers of period P the state (t_n, n mod P) fixes the rest,
+    and each state is compared with the one saved at the last power of two
+    (Brent, BIT 20, 1980): the first repeat gives the least period lam of
+    the states, within 2*max(mu, lam) + lam steps and O(1) memory.
+    """
+
+    def __init__(self, num: int, den: int, terms: TermSequence,
+                 depth: Optional[int] = None, start: Optional[tuple[int, int]] = None,
+                 stop: bool = False):
+        self.num, self.den, self.terms, self.depth = num, den, terms, depth
+        self.start, self.stop = start, stop
+        self.repeat: Optional[tuple[int, int, int]] = None
+
+    def __iter__(self):
+        num, den, depth, terms = self.num, self.den, self.depth, self.terms
+        n0, t = self.start or (1, None)
+        if depth is not None and depth < n0:
+            return
+        chain = multiplier_chain(terms)
+        if chain is None:
+            for n in itertools.count(n0) if depth is None else range(n0, depth + 1):
+                yield n, terms.term(n) * num % den
+            return
         first, mult = chain
-        t = (first % den) * num % den
-        for n in range(1, depth + 1):
-            if n > 1:   # a finite chain has no multiplier past its last term
+        if t is None:
+            t = (first % den) * num % den
+        # a finite chain has no multiplier past its last term, so only the
+        # n that are walked ask for one
+        steps = itertools.count(n0 + 1) if depth is None else range(n0 + 1, depth + 1)
+        yield n0, t
+        if not self.stop:
+            for n in steps:
                 t = t * mult(n - 1) % den
+                yield n, t
+            return
+        period = phase_period(terms)
+        if not t:
+            self._zero_from(n0, mult, period)
+            return
+        # the saved state is referenced, never copied; with no period it
+        # stays None, which no residue equals
+        mark, mark_n, save_at = (t, n0, 2 * n0) if period else (None, 0, 0)
+        for n in steps:
+            t = t * mult(n - 1) % den
+            if t == mark and (n - mark_n) % period == 0:
+                self.repeat = (mark_n, mark, n - mark_n)
+                return
             yield n, t
-    else:
-        for n in range(1, depth + 1):
-            yield n, terms.term(n) * num % den
+            if not t:
+                self._zero_from(n, mult, period)
+                return
+            if n == save_at:
+                mark, mark_n, save_at = t, n, 2 * n
+
+    def _zero_from(self, n: int, mult, period: Optional[int]) -> None:
+        """Stop at the zero residue t_n.  Every later residue is 0, but a full
+        walk would still ask for the later multipliers, so ask for those that
+        can fail: one period of a cycled list, or a finite list to its end."""
+        self.repeat = (n, 0, 1)
+        depth, terms = self.depth, self.terms
+        if depth is None:
+            return
+        if period is not None:
+            depth = min(depth, n + period)
+        elif not (isinstance(terms, ArithmeticTerms)
+                  and terms.seq.spec[0] == "ratios-finite"):
+            return
+        for k in range(n, depth):
+            mult(k)
 
 
 @dataclass(frozen=True)
@@ -70,31 +134,29 @@ class _Cycle:
 
 
 def _detect_cycle(num: int, den: int, terms: TermSequence) -> Optional[_Cycle]:
-    """The eventual cycle of (a_n*x mod 1, phase), walked state by state, so
-    only where den*period stays within _CYCLE_STATE_CAP.  It adds
-    diagnostics to a verdict the valuation walk has already decided."""
+    """The eventual cycle of (a_n*x mod 1, phase), reported only where
+    den*period stays within _CYCLE_STATE_CAP.  Brent's walk gives the
+    period; a second pass with two walkers that far apart gives its start.
+    It adds diagnostics to a verdict the valuation walk has already decided."""
     period = phase_period(terms)
     if period is None or den * period > _CYCLE_STATE_CAP:
         return None
-    chain = multiplier_chain(terms)
-    if chain is None:
-        return None
-    first, mult = chain
-    seen: dict[tuple[int, int], int] = {}
-    residues: list[int] = []
-    t = (first % den) * num % den
-    n = 1
-    while True:
-        state = (t, (n - 1) % period)
-        if state in seen:
-            mu = seen[state]
-            cyc = residues[mu - 1:n - 1]
-            norms = tuple(Fraction(min(r, den - r), den) for r in cyc)
-            return _Cycle(mu, len(cyc), norms)
-        seen[state] = n
-        residues.append(t)
-        t = t * mult(n) % den
-        n += 1
+    walk = _Residues(num, den, terms, stop=True)
+    for _ in walk:
+        pass
+    # a zero stop repeats the residue only; the states repeat with the phase
+    lam = math.lcm(walk.repeat[2], period)
+    lead = iter(_Residues(num, den, terms))
+    for _ in itertools.islice(lead, lam):
+        pass
+    # lam is a multiple of the phase period, so equal residues lam apart are
+    # equal states, first at the cycle's start
+    for (mu, t), (_, ahead) in zip(_Residues(num, den, terms), lead):
+        if t == ahead:
+            break
+    norms = tuple(Fraction(min(r, den - r), den)
+                  for _, r in _Residues(num, den, terms, mu + lam - 1, start=(mu, t)))
+    return _Cycle(mu, lam, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +374,9 @@ def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
     x_K = num/u_K, and every continuation puts a_n*x in [t, t + a_n]/u_K.  An
     arc's norm floor is min(t, lim - t) with lim = den - width; an arc that
     wraps through 0 counts for no eps, and the walk stops where 2*a_n >= u_K.
+    The exact walk stops once the rest of it repeats its last period lam
+    (see _Residues), and each position h of that period stands for the
+    floor((depth - h)/lam) later positions that repeat it.
     """
     if isinstance(x, CircleRational):
         num, den, widths = x.num, x.den, None
@@ -319,12 +384,15 @@ def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
         xk, den = reconstruct(x, x.depth), x.seq.u(x.depth)
         num, widths = xk.num * (den // xk.den), terms.terms_upto(depth)
     grid = sorted(set(Fraction(e) for e in eps_grid), reverse=True)
-    counts = [0] * len(grid)
-    last: list[Optional[int]] = [None] * len(grid)
-    # floor >= eps  <=>  floor * eps_den >= eps_num * den
-    thresholds = [(e.numerator * den, e.denominator) for e in grid]
+    # an integer norm floor m reaches eps exactly when m >= ceil(eps*den); these
+    # floors ascend with eps, so m reaches the `level` smallest eps, with
+    # level = bisect_right(floors, m)
+    floors = [-(-e.numerator * den // e.denominator) for e in reversed(grid)]
+    hits = [0] * (len(grid) + 1)        # positions per level
+    at = [0] * (len(grid) + 1)          # last position per level, 0 for none
     lim = den
-    for n, t in _residues(num, den, terms, depth):
+    walk = _Residues(num, den, terms, depth, stop=widths is None)
+    for n, t in walk:
         if widths is not None:
             w = next(widths)
             if 2 * w >= den:
@@ -332,18 +400,24 @@ def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
             lim = den - w
             if t > lim:
                 continue
-        m = min(t, lim - t)
-        for i in range(len(grid) - 1, -1, -1):
-            lhs, scale = thresholds[i]
-            if m * scale >= lhs:
-                counts[i] += 1
-                last[i] = n
-            else:
-                break   # grid descends, so failing the smallest remaining
-                        # eps rules out all larger ones too
-    return [EpsilonStats(grid[i], counts[i], last[i], Fraction(counts[i], depth),
-                         definite_only=widths is not None)
-            for i in range(len(grid))]
+        level = bisect.bisect_right(floors, min(t, lim - t))
+        hits[level] += 1
+        at[level] = n
+    if walk.repeat is not None:
+        start, t, lam = walk.repeat
+        for h, t in _Residues(num, den, terms, start + lam - 1, start=(start, t)):
+            reps = (depth - h) // lam
+            if reps:
+                level = bisect.bisect_right(floors, min(t, den - t))
+                hits[level] += reps
+                at[level] = max(at[level], h + reps * lam)
+    stats = []
+    for i, eps in enumerate(grid):      # eps is reached from level len(grid) - i on
+        count = sum(hits[len(grid) - i:])
+        stats.append(EpsilonStats(eps, count, max(at[len(grid) - i:]) or None,
+                                  Fraction(count, depth),
+                                  definite_only=widths is not None))
+    return stats
 
 
 def _resolve_exact(x: PointLike) -> Optional[CircleRational]:
@@ -604,7 +678,7 @@ def nset_partial_sums(x: PointLike, terms: TermSequence, weights: WeightRule,
         raise ValueError(f"no weight stored for index {len(weights.values) + 1}")
     num, den = exact.num, exact.den
     marks = sorted({10 ** k for k in range(1, 20) if 10 ** k < depth} | {depth})
-    residues = _residues(num, den, terms, depth)
+    residues = iter(_Residues(num, den, terms, depth))
     total = Fraction(0)
     checkpoints = []
     done = 0

@@ -420,8 +420,13 @@ class IndexCheck:
         parts = tuple(_interval(pair) for pair in raw)
         target = _interval(doc["target"]) if "target" in doc else None
         target_min = exact_fraction(doc["target_min"]) if "target_min" in doc else None
+        # an arc wraps past 1 when it is stored in two parts, or is the whole circle
+        wraparound = _flag(doc["wraparound"], "wraparound")
+        whole = len(parts) == 1 and (parts[0].lo, parts[0].hi) == (0, 1)
+        if wraparound != (len(parts) == 2 or whole):
+            raise CertificateFormatError("wraparound disagrees with the interval's parts")
         return cls(exact_int(doc["i"]), exact_int(doc["n"]),
-                   CircleInterval(parts, bool(doc.get("wraparound", False))),
+                   CircleInterval(parts, wraparound),
                    _interval(doc["norm_interval"]), target, target_min,
                    _flag(doc["pass"]))
 
@@ -431,11 +436,11 @@ def _interval(pair) -> RatInterval:
     return RatInterval(exact_fraction(lo), exact_fraction(hi))
 
 
-def _flag(value) -> bool:
-    """A `pass` flag: a JSON boolean and nothing else."""
+def _flag(value, name: str = "pass") -> bool:
+    """A flag such as `pass`: a JSON boolean and nothing else."""
     if not isinstance(value, bool):
         raise CertificateFormatError(
-            f"pass must be a JSON boolean, not {type(value).__name__}")
+            f"{name} must be a JSON boolean, not {type(value).__name__}")
     return value
 
 

@@ -211,6 +211,17 @@ def test_retagged_certificate_is_usage_error(tmp_path, capsys, th6_doc):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("value", ["no", True])
+def test_wraparound_edit_is_usage_error(tmp_path, capsys, th6_doc, value):
+    doc = json.loads(json.dumps(th6_doc))
+    doc["checks"][0]["wraparound"] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--json-in", str(path))
+    assert code == EXIT_USAGE and out is None
+    assert "wraparound" in err
+
+
 # ---------------------------------------------------------------------------
 # In-process fuzzing of the JSON inputs
 # ---------------------------------------------------------------------------

@@ -3,19 +3,22 @@ against brute-force oracles on small cases."""
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import cycle_reference
 from thinset import convergence
-from thinset.convergence import (WeightRule, classical_convergence,
+from thinset.convergence import (DEFAULT_EPS_GRID, WeightRule, classical_convergence,
                                  ideal_convergence, nset_partial_sums)
 from thinset.core import CircleRational, DigitExpansion, dist_to_int
 from thinset.ideals import IdealDescriptor, Outcome, Progression
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms,
-                               ExplicitTerms, ScaledGeometric, parse_terms)
+                               ExplicitTerms, ScaledGeometric, parse_sequence,
+                               parse_terms, phase_period)
 
 IDEALS = (IdealDescriptor.fin(), IdealDescriptor.density(),
           IdealDescriptor.summable())
@@ -175,6 +178,123 @@ def test_inconclusive_names_its_limit():
                           IdealDescriptor.density(), depth=3)
     assert v.outcome is Outcome.INCONCLUSIVE
     assert "trial division up to 400000" in v.diagnostics["note"]
+
+
+# ---------------------------------------------------------------------------
+# The residue-cycle walk against a term-by-term scan
+# ---------------------------------------------------------------------------
+
+WALK_TERMS = {
+    "dyadic": ArithmeticTerms(parse_sequence("dyadic")),
+    "geometric:3": ArithmeticTerms(parse_sequence("geometric:3")),
+    "[2,3,5]": ArithmeticTerms(parse_sequence("[2,3,5]")),
+    "[4,9]": ArithmeticTerms(parse_sequence("[4,9]")),
+    "5*6^n": ScaledGeometric(5, 6),
+    "n!": ArithmeticTerms(ArithmeticSequence.factorial()),
+    # consecutive integers: a zero residue at n = d*k is followed by 1/d
+    "explicit": ExplicitTerms(range(2, 402)),
+}
+
+
+def landmark_depths(terms, num: int, den: int, top: int) -> list[int]:
+    """Depths just before the cycle's start, at its first repeat and next to
+    powers of two (where the walk saves its state), up to top."""
+    if phase_period(terms) is not None:
+        mu, period, _ = cycle_reference.detect_cycle(num, den, terms)
+        marks = [mu - 1, mu + period - 1, mu + period, mu + period + 1]
+    else:   # n! and the list: the first zero residue
+        zero = next((n for n in range(1, top + 1) if terms.term(n) * num % den == 0), top)
+        marks = [zero - 1, zero, zero + 1]
+    marks += [2 ** j + s for j in range(1, top.bit_length()) for s in (-1, 1)]
+    return sorted({d for d in marks if 1 <= d <= top})
+
+
+def brute_norms(terms, num: int, den: int, depth: int) -> list[int]:
+    """den*||a_n x|| for n = 1..depth from a_n itself: no chain, no stop."""
+    return [min(r, den - r) for r in (terms.term(n) * num % den
+                                      for n in range(1, depth + 1))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(WALK_TERMS)), num=st.integers(0, 10 ** 6),
+       den=st.integers(1, 400), data=st.data())
+@example(name="explicit", num=1, den=2, data=None)
+def test_eps_stats_match_brute_walk(name, num, den, data):
+    terms = WALK_TERMS[name]
+    x = CircleRational.from_fraction(Fraction(num, den))
+    top = 300 if name in ("n!", "explicit") else 2000
+    depths = landmark_depths(terms, x.num, x.den, top)
+    depth = depths[-1] if data is None else data.draw(st.sampled_from(depths))
+    norms = brute_norms(terms, x.num, x.den, depth)
+
+    def expected(eps):
+        hits = [n for n, m in enumerate(norms, 1)
+                if m * eps.denominator >= eps.numerator * x.den]
+        return len(hits), hits[-1] if hits else None, Fraction(len(hits), depth)
+
+    stats = classical_convergence(x, terms, depth).stats
+    assert [s.eps for s in stats] == sorted(DEFAULT_EPS_GRID, reverse=True)
+    for s in stats:
+        assert (s.exceptional_count, s.last_exceptional, s.prefix_density) == expected(s.eps)
+    for eps in DEFAULT_EPS_GRID:
+        v = ideal_convergence(x, terms, IdealDescriptor.density(), depth, eps)
+        if x.num == 0:
+            assert v.certificate == "zero"
+            continue
+        d = v.diagnostics
+        assert (d["exceptional_count"], d["last_exceptional"],
+                d["exceptional_prefix_density"]) == expected(eps)
+
+
+def test_zero_residue_followed_by_nonzero_is_walked():
+    # [2, 3, 4] at x = 1/2: norms 0, 1/2, 0, so the list has no zero stop
+    stats = classical_convergence(CircleRational(1, 2), ExplicitTerms([2, 3, 4]),
+                                  3, [Fraction(1, 4)]).stats
+    assert (stats[0].exceptional_count, stats[0].last_exceptional) == (1, 2)
+
+
+def test_zero_stop_ends_the_walk():
+    # 720 | 6!, so n! reaches the zero residue at n = 6, whatever the depth
+    walk = convergence._Residues(1, 720, parse_terms("n!"), 10 ** 9, stop=True)
+    assert [n for n, _ in walk] == [1, 2, 3, 4, 5, 6]
+    assert walk.repeat == (6, 0, 1)
+    # the multipliers a full walk asks for still raise: a finite list has to
+    # reach the depth, and a cycled list with a ratio below 2 is refused even
+    # at x = 0, whose residues are all zero
+    finite = ArithmeticTerms(ArithmeticSequence.from_ratios([2, 3], cycle=False))
+    with pytest.raises(ValueError, match="only 2 ratios"):
+        classical_convergence(CircleRational(1, 2), finite, 3)
+    cycled = ArithmeticTerms(ArithmeticSequence.from_ratios([2, 1]))
+    with pytest.raises(ValueError, match="q_2 must be >= 2"):
+        classical_convergence(CircleRational(0, 1), cycled, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.one_of(scaled, ratio_chains), num=st.integers(0, 10 ** 6),
+       den=st.integers(1, 3000))
+def test_brent_cycle_matches_state_dict(terms, num, den):
+    assume(den * phase_period(terms) <= convergence._CYCLE_STATE_CAP)
+    cycle = convergence._detect_cycle(num % den, den, terms)
+    assert (cycle.mu, cycle.period, cycle.norms) == \
+        cycle_reference.detect_cycle(num % den, den, terms)
+
+
+def test_cycle_count_is_depth_independent():
+    terms = ArithmeticTerms(parse_sequence("[2,3,5]"))
+    x, depth, eps = CircleRational(640, 699), 10 ** 8, Fraction(1, 8)
+    start = time.perf_counter()
+    v = ideal_convergence(x, terms, IdealDescriptor.density(), depth, eps)
+    assert time.perf_counter() - start < 1
+    assert (v.outcome, v.certificate) == (Outcome.NOT_MEMBER, "periodic-recurrence")
+    # the pre-period once, then each cycle position as often as it fits
+    mu, period, norms = cycle_reference.detect_cycle(x.num, x.den, terms)
+    head = [n for n, m in enumerate(brute_norms(terms, x.num, x.den, mu - 1), 1)
+            if m * eps.denominator >= eps.numerator * x.den]
+    tail = [mu + j for j, norm in enumerate(norms) if norm >= eps]
+    count = len(head) + sum((depth - h) // period + 1 for h in tail)
+    last = max(h + (depth - h) // period * period for h in tail)
+    assert (v.diagnostics["exceptional_count"], v.diagnostics["last_exceptional"]) \
+        == (count, last)
 
 
 def loop_nset(x, terms, weights, depth):

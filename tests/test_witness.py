@@ -491,6 +491,30 @@ def test_pass_flags_must_be_json_booleans(path, value):
         WitnessCertificate.from_json(mutate(original, path, value))
 
 
+@pytest.mark.parametrize("value", ["no", True])
+def test_wraparound_edits_are_rejected(value):
+    # the first check of the th6 certificate is one arc that does not wrap
+    original = json.loads(passing_certificate("th6"))
+    assert original["checks"][0]["wraparound"] is False
+    with pytest.raises(CertificateFormatError, match="wraparound"):
+        WitnessCertificate.from_json(mutate(original, ("checks", 0, "wraparound"), value))
+
+
+@pytest.mark.parametrize("parts, wraps", [
+    ([["0", "1"]], True),                       # the whole circle
+    ([["1/2", "1"], ["0", "1/4"]], True),       # an arc through 0
+    ([["1/4", "3/4"]], False),
+])
+def test_wraparound_follows_the_parts(parts, wraps):
+    check = json.loads(passing_certificate("th6"))["checks"][0]
+    del check["interval"]
+    check["intervals"] = parts
+    decoded = witness.IndexCheck.from_json(dict(check, wraparound=wraps))
+    assert decoded.interval.wraparound is wraps
+    with pytest.raises(CertificateFormatError, match="disagrees"):
+        witness.IndexCheck.from_json(dict(check, wraparound=not wraps))
+
+
 # ---------------------------------------------------------------------------
 # Integer block sums against per-j Fraction accumulation
 # ---------------------------------------------------------------------------
