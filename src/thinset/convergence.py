@@ -59,13 +59,26 @@ class _Residues:
     and each state is compared with the one saved at the last power of two
     (Brent, BIT 20, 1980): the first repeat gives the least period lam of
     the states, within 2*max(mu, lam) + lam steps and O(1) memory.
+
+    With quiet > 0 (at most den) a stopping walk may leave out positions
+    whose residue is below quiet.  After a residue below quiet, a product
+    t_n = t_{n-1}*m(n-1) still below quiet is left unreduced, and so is
+    each later t_n*m(n)*...*m(p-1) that the sum of bit_length(m - 1) =
+    ceil(log2 m) keeps below 2**b <= quiet, b = bit_length(quiet) - 1.
+    The walk steps over all of these positions and forms one product, by
+    a product tree, at the first position past the run.  Every multiplier
+    a full walk asks for is still asked for.  Which positions are yielded
+    depends on the state alone, and the mark is saved at the first yielded
+    n from its save point on; as every multiplier is >= 2, the yielded
+    positions cannot wind twice round the state cycle before they repeat,
+    so repeat holds the same least period.
     """
 
     def __init__(self, num: int, den: int, terms: TermSequence,
                  depth: Optional[int] = None, start: Optional[tuple[int, int]] = None,
-                 stop: bool = False):
+                 stop: bool = False, quiet: int = 0):
         self.num, self.den, self.terms, self.depth = num, den, terms, depth
-        self.start, self.stop = start, stop
+        self.start, self.stop, self.quiet = start, stop, quiet
         self.repeat: Optional[tuple[int, int, int]] = None
 
     def __iter__(self):
@@ -97,8 +110,26 @@ class _Residues:
         # the saved state is referenced, never copied; with no period it
         # stays None, which no residue equals
         mark, mark_n, save_at = (t, n0, 2 * n0) if period else (None, 0, 0)
+        quiet = self.quiet
+        b = quiet.bit_length() - 1
+        steps = iter(steps)
         for n in steps:
-            t = t * mult(n - 1) % den
+            if t >= quiet:
+                t = t * mult(n - 1) % den
+            else:
+                t *= mult(n - 1)
+                if t < quiet:   # still quiet, so unreduced: step over the run
+                    ms, bits = [], t.bit_length()
+                    while bits <= b:
+                        n = next(steps, None)
+                        if n is None:
+                            return
+                        ms.append(mult(n - 1))
+                        bits += (ms[-1] - 1).bit_length()
+                    t *= _tree_product(ms)
+                t %= den
+                if period and n > save_at:     # the first yielded n >= save_at
+                    save_at = n
             if t == mark and (n - mark_n) % period == 0:
                 self.repeat = (mark_n, mark, n - mark_n)
                 return
@@ -124,6 +155,15 @@ class _Residues:
             return
         for k in range(n, depth):
             mult(k)
+
+
+def _tree_product(xs: list[int]) -> int:
+    """The product of xs by binary splitting, so that the operands of each
+    product stay balanced; a left fold is quadratic in len(xs)."""
+    if len(xs) <= 16:
+        return math.prod(xs)
+    mid = len(xs) // 2
+    return _tree_product(xs[:mid]) * _tree_product(xs[mid:])
 
 
 @dataclass(frozen=True)
@@ -376,7 +416,8 @@ def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
     wraps through 0 counts for no eps, and the walk stops where 2*a_n >= u_K.
     The exact walk stops once the rest of it repeats its last period lam
     (see _Residues), and each position h of that period stands for the
-    floor((depth - h)/lam) later positions that repeat it.
+    floor((depth - h)/lam) later positions that repeat it.  It steps over
+    runs of residues below the smallest ceil(eps*den), which reach no eps.
     """
     if isinstance(x, CircleRational):
         num, den, widths = x.num, x.den, None
@@ -391,7 +432,10 @@ def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
     hits = [0] * (len(grid) + 1)        # positions per level
     at = [0] * (len(grid) + 1)          # last position per level, 0 for none
     lim = den
-    walk = _Residues(num, den, terms, depth, stop=widths is None)
+    # an exact residue below the smallest floor reaches no eps, so the walk
+    # may step over runs of them
+    quiet = min([*floors, den]) if widths is None else 0
+    walk = _Residues(num, den, terms, depth, stop=widths is None, quiet=quiet)
     for n, t in walk:
         if widths is not None:
             w = next(widths)
@@ -480,6 +524,8 @@ def ideal_convergence(x: PointLike, terms: TermSequence, ideal: IdealDescriptor,
                       depth: int = DEFAULT_DEPTH, eps: Fraction = Fraction(1, 8),
                       ) -> Verdict:
     """Ideal-wise convergence of ||a_n x|| to 0, with exceptional-set evidence."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     eps = Fraction(eps)
     if isinstance(x, DigitExpansion) and x.symbolic_support is not None \
             and isinstance(terms, ArithmeticTerms) and terms.seq == x.seq:

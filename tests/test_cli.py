@@ -64,6 +64,13 @@ def test_converge_ideal(capsys):
     assert doc["outcome"] == "NotMember"
 
 
+def test_converge_depth_zero_is_usage_error(capsys):
+    args = ("converge", "--x", "1/3", "--a", "2^n", "--depth", "0")
+    for extra in ((), ("--ideal", "density")):
+        code, doc, err = run_cli(capsys, *args, *extra)
+        assert (code, doc, err) == (EXIT_USAGE, None, "error: depth must be >= 1\n")
+
+
 def test_converge_classical(capsys):
     code, doc, _ = run_cli(capsys, "converge", "--x", "1/1024", "--a", "2^n",
                            "--depth", "100")

@@ -14,7 +14,7 @@ import cycle_reference
 from thinset import convergence
 from thinset.convergence import (DEFAULT_EPS_GRID, WeightRule, classical_convergence,
                                  ideal_convergence, nset_partial_sums)
-from thinset.core import CircleRational, DigitExpansion, dist_to_int
+from thinset.core import CircleRational, DigitExpansion, dist_to_int, reconstruct_exact
 from thinset.ideals import IdealDescriptor, Outcome, Progression
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms,
                                ExplicitTerms, ScaledGeometric, parse_sequence,
@@ -295,6 +295,125 @@ def test_cycle_count_is_depth_independent():
     last = max(h + (depth - h) // period * period for h in tail)
     assert (v.diagnostics["exceptional_count"], v.diagnostics["last_exceptional"]) \
         == (count, last)
+
+
+# ---------------------------------------------------------------------------
+# The quiet walk: runs of residues below ceil(eps_min*d) are stepped over
+# ---------------------------------------------------------------------------
+
+QUIET_TERMS = {name: WALK_TERMS[name]
+               for name in ("dyadic", "geometric:3", "[2,3,5]", "5*6^n", "n!")}
+QUIET_TERMS["3*2^n"] = ScaledGeometric(3, 2)
+
+
+@st.composite
+def quiet_points(draw):
+    """Exact points whose residues run far below d between a few positions:
+    sparse expansions over a chain, plus odd dens of 200-3000 bits (d much
+    larger than a_depth) and small dens, whose cycles fit in the walk."""
+    kind = draw(st.sampled_from(("sparse", "wide", "small")))
+    if kind == "sparse":
+        seq = parse_sequence(draw(st.sampled_from(("dyadic", "geometric:3", "[2,3,5]"))))
+        digits = draw(st.dictionaries(st.integers(1, 1500), st.integers(1, 10 ** 6),
+                                      min_size=1, max_size=5))
+        digits = {k: c % seq.q(k) or 1 for k, c in digits.items()}
+        return reconstruct_exact(DigitExpansion(seq, digits))
+    if kind == "wide":
+        den = draw(st.integers(2 ** 199, 2 ** 3000)) | 1
+    else:
+        den = draw(st.integers(1, 5000))
+    return CircleRational.from_fraction(Fraction(draw(st.integers(0, den - 1)), den))
+
+
+def quiet_grid(data, den: int) -> list[Fraction]:
+    """A grid holding eps = 0 (nothing is quiet), 1/2, or an eps whose
+    ceil(eps*d) is a power of two."""
+    kind = data.draw(st.sampled_from(("zero", "half", "power")))
+    if kind == "zero":
+        return [Fraction(0), Fraction(1, 8)]
+    if kind == "half":
+        return [Fraction(1, 2)]
+    j = data.draw(st.integers(0, max(0, den.bit_length() - 2)))
+    return [Fraction(1, 4), Fraction(2 ** j, den)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(QUIET_TERMS)), x=quiet_points(), data=st.data())
+@example(name="3*2^n", x=CircleRational(2 ** 40 + 1, 2 ** 41), data=None)
+def test_quiet_walk_matches_plain_walk(name, x, data):
+    terms = QUIET_TERMS[name]
+    num, den = x.num, x.den
+    top = 200 if name == "n!" else 600
+    if data is None:
+        depth, grid = top, [Fraction(1, 8)]
+    else:
+        depth, grid = data.draw(st.integers(1, top)), quiet_grid(data, den)
+    floors = sorted(-(-e.numerator * den // e.denominator) for e in grid)
+    quiet = min(floors[0], den)
+    walk = convergence._Residues(num, den, terms, depth, stop=True, quiet=quiet)
+    got = list(walk)
+    plain = convergence._Residues(num, den, terms, depth, stop=True)
+    for _ in plain:
+        pass
+    residues = [terms.term(n) * num % den for n in range(1, depth + 1)]
+    # every yielded position lies on the walk, and none at or above quiet
+    # before the walk's end is missing
+    assert all(residues[n - 1] == t for n, t in got)
+    end = depth if walk.repeat is None else walk.repeat[0] + walk.repeat[2] - 1
+    assert [(n, t) for n, t in got if t >= quiet] == \
+        [(n, t) for n, t in enumerate(residues[:end], 1) if t >= quiet]
+    if walk.repeat is not None:
+        h, t_h, lam = walk.repeat
+        assert residues[h - 1] == t_h
+        assert all(residues[p - 1] == residues[p - 1 - lam]
+                   for p in range(h + lam, depth + 1))
+        if plain.repeat is not None:
+            assert lam == plain.repeat[2]
+    stats = convergence._eps_stats(x, terms, depth, grid)
+    norms = [min(r, den - r) for r in residues]
+    for s in stats:
+        hits = [n for n, m in enumerate(norms, 1)
+                if m * s.eps.denominator >= s.eps.numerator * den]
+        assert (s.exceptional_count, s.last_exceptional) == \
+            (len(hits), hits[-1] if hits else None)
+
+
+def test_sparse_point_walk_yields_near_its_digits():
+    # the count-16 th6 point over the dyadic chain: one unit digit at each
+    # k + 1, and ||3*2^n x|| far below 1/64 between the digits
+    ks = [2] + [2 ** i for i in range(3, 18)]
+    x = reconstruct_exact(DigitExpansion(ArithmeticSequence.dyadic(),
+                                         {k + 1: 1 for k in ks}))
+    terms = ScaledGeometric(3, 2)
+    quiet = -(-x.den // 64)
+    walk = convergence._Residues(x.num, x.den, terms, 10 ** 5, stop=True, quiet=quiet)
+    assert sum(1 for _ in walk) <= 40 * 16
+    # against a walk of every residue, doubled one at a time
+    depth, den = 10 ** 4, x.den
+    norms, r = [], 3 * x.num % den
+    for _ in range(depth):
+        r = 2 * r - den if 2 * r >= den else 2 * r
+        norms.append(min(r, den - r))
+    for s in classical_convergence(x, terms, depth).stats:
+        hits = [n for n, m in enumerate(norms, 1)
+                if m * s.eps.denominator >= s.eps.numerator * den]
+        assert (s.exceptional_count, s.last_exceptional) == (len(hits), hits[-1])
+
+
+def test_quiet_walk_keeps_the_least_period():
+    # 2^n mod 2^40 - 1 cycles through the powers 2^0 .. 2^39; the runs below
+    # d/64 are stepped over, and a landing still meets the saved state
+    d = 2 ** 40 - 1
+    walk = convergence._Residues(1, d, ScaledGeometric(1, 2), 10 ** 6, stop=True,
+                                 quiet=-(-d // 64))
+    assert sum(1 for _ in walk) < 40
+    assert walk.repeat[2] == 40
+
+
+def test_ideal_convergence_rejects_depth_zero():
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        ideal_convergence(CircleRational(1, 3), parse_terms("2^n"),
+                          IdealDescriptor.density(), depth=0)
 
 
 def loop_nset(x, terms, weights, depth):
