@@ -3,9 +3,8 @@ certified verdicts, convergence evidence reports, and certificate-producing
 witness constructions."""
 
 from .core import (CircleInterval, CircleRational, DigitExpansion, DomainError,
-                   InsufficientDigitsError, RatInterval, SIN_UPPER, dist_to_int,
-                   expand, reconstruct, reconstruct_exact, sin_envelope,
-                   sparse_enclosures, support)
+                   InsufficientDigitsError, RatInterval, SIN_UPPER, expand,
+                   reconstruct, reconstruct_exact, support)
 from .convergence import (BlockCheck, ConvergenceReport, SummabilityReport,
                           WeightRule, classical_convergence, ideal_convergence,
                           membership_by_support, nset_partial_sums,

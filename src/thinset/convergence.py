@@ -173,30 +173,23 @@ class _Cycle:
     norms: tuple[Fraction, ...]   # ||a_n x|| for n = mu .. mu+period-1
 
 
-def _detect_cycle(num: int, den: int, terms: TermSequence) -> Optional[_Cycle]:
-    """The eventual cycle of (a_n*x mod 1, phase), reported only where
-    den*period stays within _CYCLE_STATE_CAP.  Brent's walk gives the
-    period; a second pass with two walkers that far apart gives its start.
-    It adds diagnostics to a verdict the valuation walk has already decided."""
-    period = phase_period(terms)
-    if period is None or den * period > _CYCLE_STATE_CAP:
-        return None
-    walk = _Residues(num, den, terms, stop=True)
-    for _ in walk:
-        pass
-    # a zero stop repeats the residue only; the states repeat with the phase
-    lam = math.lcm(walk.repeat[2], period)
-    lead = iter(_Residues(num, den, terms))
-    for _ in itertools.islice(lead, lam):
-        pass
-    # lam is a multiple of the phase period, so equal residues lam apart are
-    # equal states, first at the cycle's start
-    for (mu, t), (_, ahead) in zip(_Residues(num, den, terms), lead):
-        if t == ahead:
-            break
-    norms = tuple(Fraction(min(r, den - r), den)
-                  for _, r in _Residues(num, den, terms, mu + lam - 1, start=(mu, t)))
-    return _Cycle(mu, lam, norms)
+def _walked_cycle(num: int, den: int, terms: TermSequence, mu: int,
+                  walked: tuple) -> _Cycle:
+    """The cycle of (a_n*x mod 1, phase) from its start mu, out of the
+    ε-walk's pass `walked` (see _eps_stats): with the residues t_h ..
+    t_{h+lam-1} of one period, the norm at mu + j is the one at
+    h + ((mu - h + j) mod lam).  A walk that reached its depth first goes on
+    from where it stopped until the states repeat."""
+    h, lam, residues = walked
+    if lam is None:
+        walk = _Residues(num, den, terms, start=(h, residues[-1]), stop=True)
+        for _ in walk:
+            pass
+        h, t, lam = walk.repeat
+        residues = [t for _, t in _Residues(num, den, terms, h + lam - 1, start=(h, t))]
+    k = (mu - h) % lam
+    return _Cycle(mu, lam, tuple(Fraction(min(t, den - t), den)
+                                 for t in residues[k:] + residues[:k]))
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +259,18 @@ def _coprime_basis(nums) -> list[int]:
     return basis
 
 
-def _periodic_zero_from(r: int, mults: Sequence[int]) -> Optional[int]:
-    """Least n with r | m(1)*...*m(n-1) for multipliers repeating with
-    period len(mults), or None when some prime of r divides none of them.
+def _cycle_start(r: int, mults: Sequence[int]) -> tuple[int, int]:
+    """(n, rest) for multipliers repeating with period len(mults): rest is
+    the part of r coprime to every multiplier, and n the least index with
+    r/rest | m(1)*...*m(n-1).
+
+    For x = p/d on a chain, with r = d/gcd(d, a_1), rest = 1 makes n the
+    first index with a_n*x an integer.  Otherwise no a_n*x is one, and n is
+    where the states (a_n*x mod 1, phase) enter their cycle: modulo each
+    prime power of d that a multiplier covers, the valuation of a_n rises
+    every period until it reaches d's and the residue stays 0; modulo the
+    rest of d the multipliers are units, so the states there are purely
+    periodic.
 
     Only g = gcd(r, m) matters (r divides a product of the m exactly when it
     divides the product of their g), and the g are refined into a coprime
@@ -284,15 +286,13 @@ def _periodic_zero_from(r: int, mults: Sequence[int]) -> Optional[int]:
         if not shared:
             break
         basis = _coprime_basis(basis + shared)
-    if rest > 1:
-        return None
     period = len(mults)
-    steps = 0                       # least k with r | m(1)*...*m(k)
+    steps = 0                       # least k with r/rest | m(1)*...*m(k)
     for b, e in need.items():       # e >= 1: each b divides some g, so r
         prefix = list(itertools.accumulate(_strip(g, b)[0] for g in gs))
         full, left = divmod(e - 1, prefix[-1])
         steps = max(steps, full * period + bisect.bisect_left(prefix, left + 1) + 1)
-    return steps + 1
+    return steps + 1, rest
 
 
 def _legendre_least(p: int, e: int) -> int:
@@ -322,10 +322,10 @@ def _factorial_zero_from(d: int) -> Optional[int]:
     return max((_legendre_least(p, e) for p, e in factors.items()), default=1)
 
 
-def _rational_verdict(x: CircleRational, terms: TermSequence
+def _rational_verdict(x: CircleRational, terms: TermSequence, walked: tuple
                       ) -> tuple[Verdict, Optional[_Cycle]]:
     """Verdict on ||a_n x|| -> 0 for rational x, with the residue cycle behind
-    a periodic-recurrence verdict."""
+    a periodic-recurrence verdict, taken from the ε-walk's pass `walked`."""
     def undecided(note: str):
         return Verdict(Outcome.INCONCLUSIVE, None, {"note": note}), None
 
@@ -339,7 +339,18 @@ def _rational_verdict(x: CircleRational, terms: TermSequence
     period = phase_period(terms)
     spec = terms.seq.spec if isinstance(terms, ArithmeticTerms) else None
     if period is not None:
-        zero_from = _periodic_zero_from(r, [mult(n) for n in range(1, period + 1)])
+        zero_from, rest = _cycle_start(r, [mult(n) for n in range(1, period + 1)])
+        if rest > 1:
+            # no a_n*x is an integer, and the states enter their cycle at
+            # zero_from; the cycle, when small enough to report, names the
+            # recurring norm, and otherwise ||a_n x|| >= 1/d is the certificate
+            if x.den * period > _CYCLE_STATE_CAP:
+                return Verdict(Outcome.NOT_MEMBER, "never-integral",
+                               {"norm_floor": Fraction(1, x.den)}), None
+            cycle = _walked_cycle(x.num, x.den, terms, zero_from, walked)
+            return Verdict(Outcome.NOT_MEMBER, "periodic-recurrence",
+                           {"cycle_start": cycle.mu, "period": cycle.period,
+                            "recurring_norm": max(cycle.norms)}), cycle
     elif spec == ("factorial",):
         zero_from = _factorial_zero_from(r)
         if zero_from is None:
@@ -347,22 +358,12 @@ def _rational_verdict(x: CircleRational, terms: TermSequence
                              f"leaves a cofactor of the denominator it cannot factor")
     elif spec is not None and spec[0] == "ratios-finite":
         # the chain ends with its list, so its first period is all of it
-        zero_from = _periodic_zero_from(r, spec[1][1:])
-        if zero_from is None or zero_from > len(spec[1]):
+        zero_from, rest = _cycle_start(r, spec[1][1:])
+        if rest > 1 or zero_from > len(spec[1]):
             return undecided("finite ratio list ends before d divides a term")
     else:
         return undecided("multiplier chain is neither periodic, finite nor n!")
-    if zero_from is not None:
-        return Verdict(Outcome.MEMBER, "terminating", {"zero_from": zero_from}), None
-    # no a_n*x is an integer; the residue cycle, when small enough to walk,
-    # names the recurring norm, and otherwise ||a_n x|| >= 1/d is the certificate
-    cycle = _detect_cycle(x.num, x.den, terms)
-    if cycle is not None:
-        return Verdict(Outcome.NOT_MEMBER, "periodic-recurrence",
-                       {"cycle_start": cycle.mu, "period": cycle.period,
-                        "recurring_norm": max(cycle.norms)}), cycle
-    return Verdict(Outcome.NOT_MEMBER, "never-integral",
-                   {"norm_floor": Fraction(1, x.den)}), None
+    return Verdict(Outcome.MEMBER, "terminating", {"zero_from": zero_from}), None
 
 
 # ---------------------------------------------------------------------------
@@ -405,19 +406,25 @@ class ConvergenceReport:
 
 
 def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
-               eps_grid: Sequence[Fraction]) -> list[EpsilonStats]:
+               eps_grid: Sequence[Fraction]) -> tuple[list[EpsilonStats], tuple]:
     """Counts of n <= depth with ||a_n x|| >= eps for an exact rational x, or
     definite ones for an expansion truncated at K, in one integer walk over
-    the residues t = a_n*num mod den.
+    the residues t = a_n*num mod den, and the walk's pass for _walked_cycle.
 
     x = num/den puts a_n*x at the arc [t, t]/den.  A truncation is
     x_K = num/u_K, and every continuation puts a_n*x in [t, t + a_n]/u_K.  An
     arc's norm floor is min(t, lim - t) with lim = den - width; an arc that
     wraps through 0 counts for no eps, and the walk stops where 2*a_n >= u_K.
     The exact walk stops once the rest of it repeats its last period lam
-    (see _Residues), and each position h of that period stands for the
-    floor((depth - h)/lam) later positions that repeat it.  It steps over
-    runs of residues below the smallest ceil(eps*den), which reach no eps.
+    (see _Residues), and one more walk over that period h .. h+lam-1 counts
+    each of its positions for the floor((depth - h)/lam) later ones that
+    repeat it.  It steps over runs of residues below the smallest
+    ceil(eps*den), which reach no eps.
+
+    The pass is (h, lam, residues): the period's start, length and residues
+    t_h .. t_{h+lam-1}, kept where den*period is within _CYCLE_STATE_CAP; or,
+    from a walk that reached its depth first, (n, None, [t_n]) at its last
+    yielded position.
     """
     if isinstance(x, CircleRational):
         num, den, widths = x.num, x.den, None
@@ -447,9 +454,15 @@ def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
         level = bisect.bisect_right(floors, min(t, lim - t))
         hits[level] += 1
         at[level] = n
+    walked = n, None, [t]
     if walk.repeat is not None:
         start, t, lam = walk.repeat
-        for h, t in _Residues(num, den, terms, start + lam - 1, start=(start, t)):
+        period = _Residues(num, den, terms, start + lam - 1, start=(start, t))
+        phases = phase_period(terms)
+        if phases is not None and den * phases <= _CYCLE_STATE_CAP:
+            period = list(period)
+            walked = start, lam, [t for _, t in period]
+        for h, t in period:
             reps = (depth - h) // lam
             if reps:
                 level = bisect.bisect_right(floors, min(t, den - t))
@@ -461,7 +474,7 @@ def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
         stats.append(EpsilonStats(eps, count, max(at[len(grid) - i:]) or None,
                                   Fraction(count, depth),
                                   definite_only=widths is not None))
-    return stats
+    return stats, walked
 
 
 def _resolve_exact(x: PointLike) -> Optional[CircleRational]:
@@ -480,11 +493,11 @@ def classical_convergence(x: PointLike, terms: TermSequence, depth: int = DEFAUL
         raise ValueError("depth must be >= 1")
     exact = _resolve_exact(x)
     if exact is not None:
-        stats = _eps_stats(exact, terms, depth, eps_grid)
-        verdict = _rational_verdict(exact, terms)[0]
+        stats, walked = _eps_stats(exact, terms, depth, eps_grid)
+        verdict = _rational_verdict(exact, terms, walked)[0]
     else:
         assert isinstance(x, DigitExpansion)
-        stats = _eps_stats(x, terms, depth, eps_grid)
+        stats = _eps_stats(x, terms, depth, eps_grid)[0]
         definite = max((s.exceptional_count for s in stats), default=0)
         verdict = Verdict(Outcome.INCONCLUSIVE, None,
                           {"note": "truncated expansion, enclosure evidence only",
@@ -536,14 +549,14 @@ def ideal_convergence(x: PointLike, terms: TermSequence, ideal: IdealDescriptor,
     if exact is not None:
         if exact.num == 0:
             return Verdict(Outcome.MEMBER, "zero")
-        stats = _eps_stats(exact, terms, depth, [eps])[0]
+        [stats], walked = _eps_stats(exact, terms, depth, [eps])
         diagnostics = {
             "eps": eps,
             "exceptional_count": stats.exceptional_count,
             "exceptional_prefix_density": stats.prefix_density,
             "last_exceptional": stats.last_exceptional,
         }
-        classical, cycle = _rational_verdict(exact, terms)
+        classical, cycle = _rational_verdict(exact, terms, walked)
         if classical.outcome is Outcome.MEMBER:
             # eventual classical convergence survives any free ideal
             diagnostics.update(classical.diagnostics)
@@ -564,7 +577,7 @@ def ideal_convergence(x: PointLike, terms: TermSequence, ideal: IdealDescriptor,
             return Verdict(Outcome.NOT_MEMBER, classical.certificate, diagnostics)
         return Verdict(Outcome.INCONCLUSIVE, None, diagnostics)
     assert isinstance(x, DigitExpansion)
-    stats = _eps_stats(x, terms, depth, [eps])[0]
+    [stats], _ = _eps_stats(x, terms, depth, [eps])
     return Verdict(Outcome.INCONCLUSIVE, None,
                    {"eps": eps, "definite_exceptional": stats.exceptional_count,
                     "exceptional_prefix_density": stats.prefix_density,

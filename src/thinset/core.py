@@ -181,7 +181,12 @@ class DigitExpansion:
                 [exact_int(r) for r in doc["ratios"]], cycle=False)
         digits = {exact_int(n): exact_int(c) for n, c in doc["digits"].items()}
         depth = doc.get("depth")
-        return cls(seq, digits, None if depth is None else exact_int(depth))
+        e = cls(seq, digits, None if depth is None else exact_int(depth))
+        # beside `sequence` the list is a copy, so it must be q_1 .. q_top
+        if "sequence" in doc and "ratios" in doc \
+                and doc["ratios"] != e.to_json()["ratios"]:
+            raise ValueError("ratios disagree with the sequence")
+        return e
 
 
 def expand(x: CircleRational, seq: ArithmeticSequence, depth: int) -> DigitExpansion:
@@ -224,13 +229,6 @@ def support(e: DigitExpansion) -> "SetDescriptor":
         return e.symbolic_support
     from .ideals import FiniteSet
     return FiniteSet(sorted(e.digits))
-
-
-def dist_to_int(x: RationalLike) -> Fraction:
-    """Nearest-integer distance min({x}, 1-{x}), in [0, 1/2]."""
-    f = as_fraction(x)
-    f -= f.__floor__()
-    return min(f, 1 - f)
 
 
 _TAIL_BITS = 64   # the head grows until the tail weight is at most 2**-_TAIL_BITS
@@ -282,18 +280,3 @@ def norm_bounds(head: int, v: int, P: int) -> tuple[int, int]:
     if 2 * head >= P:                # inside [1/2, 1]
         return 2 * (P - end), 2 * (P - head)
     return 2 * min(head, P - end), P     # straddles 1/2
-
-
-def sparse_enclosures(seq: ArithmeticSequence, digits: Mapping[int, int], stop: int,
-                      top: int, bottom: Optional[int] = None, v: int = 1
-                      ) -> Iterator[tuple[int, CircleInterval]]:
-    """`enclosure_heads` as circle intervals: a span crossing 1 is a
-    wraparound union, one of width >= 1 the whole circle."""
-    for k, head, P in enclosure_heads(seq, digits, stop, top, bottom, v):
-        yield k, CircleInterval.from_head(head, v, P)
-
-
-def sin_envelope(x: RationalLike) -> RatInterval:
-    """Rational bracket [2*||x||, (22/7)*||x||] around |sin(pi*x)|."""
-    d = dist_to_int(x)
-    return RatInterval(2 * d, SIN_UPPER * d)

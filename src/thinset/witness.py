@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ._exact_text import decoder, exact_fraction, exact_int, exact_str
-from .convergence import (BlockCheck, _periodic_zero_from, _split_sum, _strip,
+from .convergence import (BlockCheck, _cycle_start, _split_sum, _strip,
                           membership_by_support)
 from .core import (CircleInterval, DigitExpansion, RatInterval, SIN_UPPER,
                    enclosure_heads, norm_bounds)
@@ -296,7 +296,7 @@ def _walk_seeker(seq: ArithmeticSequence, terms: TermSequence):
             first, mult = chain
             u = seq.u(least)
             mults = [mult(n) for n in range(1, period + 1)]
-            if _periodic_zero_from(u // math.gcd(u, first), mults) is None:
+            if _cycle_start(u // math.gcd(u, first), mults)[1] > 1:
                 raise SequenceNotAbsorbingError(
                     f"u_{least} divides no term a_n, so every chain index k_n "
                     f"is below {least}: no admissible index after n={after}")
@@ -304,8 +304,8 @@ def _walk_seeker(seq: ArithmeticSequence, terms: TermSequence):
             if n - after > SCAN_WINDOW:
                 raise SequenceNotAbsorbingError(
                     f"no admissible index within {SCAN_WINDOW} terms after "
-                    f"n={after}; chain indices k_n may be bounded for "
-                    f"these terms")
+                    f"n={after}: the walked seek stops at its scan window "
+                    f"(SCAN_WINDOW)")
             if k >= K and (W is None or W.contains(k) is True):
                 least = k + 1
                 return n, k, v

@@ -1,6 +1,7 @@
-"""The state-by-state residue cycle walk that Brent's walk in
-`convergence._detect_cycle` replaced: every (residue, phase) state goes into
-a dict until one repeats, so memory grows with the pre-period plus the period."""
+"""A state-by-state reference for the residue cycle that `convergence`
+reads off its ε-walk (period and norms, by Brent's method) and off
+valuations (its start): every (residue, phase) state goes into a dict until
+one repeats, so memory grows with the pre-period plus the period."""
 
 from fractions import Fraction
 

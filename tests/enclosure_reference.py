@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from thinset import witness
 from thinset.convergence import BlockCheck, WeightRule
-from thinset.core import SIN_UPPER, RatInterval, sparse_enclosures
+from thinset.core import SIN_UPPER, CircleInterval, RatInterval, enclosure_heads
 
 
 def norm_range(part: RatInterval) -> RatInterval:
@@ -38,10 +38,10 @@ def block_checks(plan) -> list[BlockCheck]:
         head_from = max(j_from, j_to - witness._BLOCK_WINDOW)
         if head_from > j_from:
             upper = weights.value(j_from + 1) * Fraction(2, 1 << witness._BLOCK_WINDOW)
-        walk = sparse_enclosures(plan.seq, {j_to + 1: plan.indices[idx].digit},
-                                 ks[idx + 1], j_to, head_from)
-        for j, enclosure in walk:
-            norm = dist_interval(enclosure)
+        walk = enclosure_heads(plan.seq, {j_to + 1: plan.indices[idx].digit},
+                               ks[idx + 1], j_to, head_from)
+        for j, head, P in walk:
+            norm = dist_interval(CircleInterval.from_head(head, 1, P))
             lower += weights.value(j) * norm.lo
             upper += weights.value(j) * norm.hi
         upper, lower = SIN_UPPER * upper, 2 * lower

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from json_mutation import DELETE, VALUES, json_paths, mutate
 from thinset.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE,
                          main)
+from thinset.core import DigitExpansion
 from thinset.ideals import IdealDescriptor
 from thinset.sequences import ArithmeticSequence, ScaledGeometric
 from thinset.witness import build_and_verify, plan_witness
@@ -186,6 +187,22 @@ def test_malformed_expansion_is_usage_error(tmp_path, capsys):
             code, out, err = run_cli(capsys, *argv)
             assert code == EXIT_USAGE and out is None
             assert err.startswith("error:")
+
+
+def test_edited_ratio_is_usage_error(tmp_path, capsys):
+    # the count-3 dyadic th6 point with q_6 = 2 rewritten as 3
+    doc = DigitExpansion(ArithmeticSequence.dyadic(), {3: 1, 9: 1, 17: 1}).to_json()
+    path = tmp_path / "p.json"
+    argv = ["converge", "--json-in", str(path), "--a", "3*2^n", "--depth", "40",
+            "--ideal", "density"]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_PASS and out["certificate"] == "terminating"
+    doc["ratios"][5] = "3"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out is None
+    assert err.startswith("error:") and "ratios disagree" in err
 
 
 @pytest.fixture(scope="module")

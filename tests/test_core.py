@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enclosure_reference import dist_interval
+from thinset.convergence import WeightRule, nset_partial_sums
 from thinset.core import (CircleInterval, CircleRational, DigitExpansion,
                           DomainError, InsufficientDigitsError, RatInterval,
-                          SIN_UPPER, dist_to_int, enclosure_heads, expand,
-                          norm_bounds, reconstruct, reconstruct_exact,
-                          sin_envelope, sparse_enclosures, support)
+                          SIN_UPPER, enclosure_heads, expand, norm_bounds,
+                          reconstruct, reconstruct_exact, support)
 from thinset.ideals import FiniteSet, Geometric
-from thinset.sequences import ArithmeticSequence
+from thinset.sequences import ArithmeticSequence, ExplicitTerms
 
 
 def digit_list(e, depth):
@@ -93,6 +94,20 @@ def test_round_trip_property(num, k, pick):
     assert reconstruct(expand(x, seq, k), k) == x
 
 
+def dist_to_int(x: Fraction) -> Fraction:
+    """||x|| by the core's nearest-integer rule, on the arc of width 0 at {x}."""
+    f = x - math.floor(x)
+    lo, hi = norm_bounds(f.numerator, 0, f.denominator)
+    assert lo == hi and Fraction(lo, 2 * f.denominator) == min(f, 1 - f)
+    return Fraction(lo, 2 * f.denominator)
+
+
+def arcs(seq, digits, stop, top, bottom=None, v=1):
+    """`enclosure_heads` as circle intervals."""
+    return [(k, CircleInterval.from_head(head, v, P))
+            for k, head, P in enclosure_heads(seq, digits, stop, top, bottom, v)]
+
+
 class TestNorm:
     def test_values(self):
         assert dist_to_int(Fraction(1, 3)) == Fraction(1, 3)
@@ -116,7 +131,7 @@ class TestNorm:
 
 def enclose_ax(a, e, k):
     """{a*x} for x truncated at k: the kernel at k = 0 with v = a."""
-    [(_, enclosure)] = sparse_enclosures(e.seq, e.digits, k, 0, v=a)
+    [(_, enclosure)] = arcs(e.seq, e.digits, k, 0, v=a)
     return enclosure
 
 
@@ -162,9 +177,9 @@ class TestFracScaled:
         seq = ArithmeticSequence.dyadic()
         for digits in ({3: 1}, {9: 1}):
             with pytest.raises(DomainError):
-                list(sparse_enclosures(seq, digits, 8, 3))
+                arcs(seq, digits, 8, 3)
         with pytest.raises(DomainError):
-            list(sparse_enclosures(seq, {4: 1}, 8, 3, v=0))
+            arcs(seq, {4: 1}, 8, 3, v=0)
 
 
 CHAINS = [ArithmeticSequence.dyadic(), ArithmeticSequence.factorial(),
@@ -207,10 +222,10 @@ def test_sparse_enclosure_contains_every_completion(case):
     seq, top, bottom, stop, v, below, given_, beyond = case
     head = _value(seq, below) + _value(seq, given_)
     points = [head, head + Fraction(1, seq.u(stop)), head + _value(seq, beyond)]
-    walked = list(sparse_enclosures(seq, given_, stop, top, bottom, v=v))
+    walked = arcs(seq, given_, stop, top, bottom, v=v)
     assert [k for k, _ in walked] == list(range(top, bottom, -1))
     for k, enc in walked:
-        assert [(k, enc)] == list(sparse_enclosures(seq, given_, stop, k, v=v))
+        assert [(k, enc)] == arcs(seq, given_, stop, k, v=v)
         whole = enc.parts == (RatInterval(Fraction(0), Fraction(1)),)
         assert enc.wraparound == (whole or len(enc.parts) == 2)
         for x in points:
@@ -221,20 +236,20 @@ def test_sparse_enclosure_contains_every_completion(case):
 def test_sparse_enclosure_branches():
     seq = ArithmeticSequence.geometric(3)
     # tail weight 5/9 >= 1 fails, head {5*2/3} = 1/3: one arc
-    [(_, one)] = sparse_enclosures(seq, {1: 2}, 2, 0, v=5)
+    [(_, one)] = arcs(seq, {1: 2}, 2, 0, v=5)
     assert one.parts == (RatInterval(Fraction(1, 3), Fraction(8, 9)),)
     # head {5*(2/3 + 2/9)} = 4/9 with width 5/9 reaches 1 exactly: no wrap
-    [(_, edge)] = sparse_enclosures(seq, {1: 2, 2: 2}, 2, 0, v=5)
+    [(_, edge)] = arcs(seq, {1: 2, 2: 2}, 2, 0, v=5)
     assert edge.parts == (RatInterval(Fraction(4, 9), Fraction(1)),) and not edge.wraparound
     # v*u_k*x with v = 7: head {7*2/3} = 2/3, width 7/9 wraps past 1
-    [(_, wrap)] = sparse_enclosures(seq, {1: 2}, 2, 0, v=7)
+    [(_, wrap)] = arcs(seq, {1: 2}, 2, 0, v=7)
     assert wrap.wraparound and wrap.parts == (
         RatInterval(Fraction(2, 3), Fraction(1)), RatInterval(Fraction(0), Fraction(4, 9)))
     # v >= q_1*q_2: the whole circle
-    [(_, whole)] = sparse_enclosures(seq, {1: 2}, 2, 0, v=9)
+    [(_, whole)] = arcs(seq, {1: 2}, 2, 0, v=9)
     assert whole.wraparound and whole.parts == (RatInterval(Fraction(0), Fraction(1)),)
     # the head keeps its digits exact and the tail drops below 2**-64
-    [(_, deep)] = sparse_enclosures(seq, {1: 1}, 10 ** 6, 0)
+    [(_, deep)] = arcs(seq, {1: 1}, 10 ** 6, 0)
     assert deep.parts[0].lo == Fraction(1, 3) and deep.parts[0].width <= Fraction(1, 2 ** 64)
 
 
@@ -264,13 +279,19 @@ def test_norm_bounds_match_fraction_reference(case):
     assert reference == RatInterval(Fraction(lo, 2 * P), Fraction(hi, 2 * P))
 
 
+def sin_envelope(x: Fraction) -> RatInterval:
+    """The [2*||x||, (22/7)*||x||] bracket of a one-term summability report."""
+    report = nset_partial_sums(CircleRational.from_fraction(x), ExplicitTerms([1]),
+                               WeightRule.power(0), depth=1)
+    return RatInterval(report.sin_lower, report.sin_upper)
+
+
 def test_sin_envelope():
     env = sin_envelope(Fraction(1, 2))
     assert env.lo == 1
     assert env.hi == SIN_UPPER / 2
     assert sin_envelope(Fraction(0)).hi == 0
     # the bracket really contains |sin(pi x)| at a spot check
-    import math
     val = abs(math.sin(math.pi / 3))
     env = sin_envelope(Fraction(1, 3))
     assert float(env.lo) <= val <= float(env.hi)
@@ -294,3 +315,15 @@ def test_expansion_json_round_trip():
     back = DigitExpansion.from_json(e.to_json())
     assert back.digits == e.digits
     assert back.depth == e.depth
+
+
+def test_expansion_ratios_must_match_sequence():
+    # the count-3 dyadic th6 point: beside `sequence`, `ratios` is a copy of
+    # q_1 .. q_17, and a copy that disagrees is refused
+    e = DigitExpansion(ArithmeticSequence.dyadic(), {3: 1, 9: 1, 17: 1})
+    doc = e.to_json()
+    assert DigitExpansion.from_json(doc).to_json() == doc
+    ratios = doc["ratios"]
+    for edited in (ratios[:5] + ["3"] + ratios[6:], ratios[:-1], ratios + ["2"]):
+        with pytest.raises(ValueError, match="ratios disagree with the sequence"):
+            DigitExpansion.from_json(dict(doc, ratios=edited))

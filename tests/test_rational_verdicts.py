@@ -14,7 +14,7 @@ import cycle_reference
 from thinset import convergence
 from thinset.convergence import (DEFAULT_EPS_GRID, WeightRule, classical_convergence,
                                  ideal_convergence, nset_partial_sums)
-from thinset.core import CircleRational, DigitExpansion, dist_to_int, reconstruct_exact
+from thinset.core import CircleRational, DigitExpansion, reconstruct_exact
 from thinset.ideals import IdealDescriptor, Outcome, Progression
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms,
                                ExplicitTerms, ScaledGeometric, parse_sequence,
@@ -131,27 +131,30 @@ def exponents(top):
 
 @settings(max_examples=300, deadline=None)
 @given(r_exps=exponents(9), mult_exps=st.lists(exponents(4), min_size=1, max_size=4))
-def test_periodic_zero_from_matches_prime_valuations(r_exps, mult_exps):
+def test_cycle_start_matches_prime_valuations(r_exps, mult_exps):
     """The coprime-basis walk against the same question answered from known
-    prime exponents: the least k with v_p(r) <= sum of v_p over m(1..k)."""
+    prime exponents: rest is r's part at the primes no multiplier has, and
+    the index is one past the least k with v_p(r) <= sum of v_p over
+    m(1..k) at every other prime."""
     r = math.prod(p ** e for p, e in zip(PRIMES, r_exps))
     mults = [math.prod(p ** e for p, e in zip(PRIMES, exps)) for exps in mult_exps]
     period = len(mults)
-    if any(e and not any(exps[i] for exps in mult_exps) for i, e in enumerate(r_exps)):
-        expected = None
-    else:
-        have, k = [0] * len(PRIMES), 0
-        while any(h < e for h, e in zip(have, r_exps)):
-            have = [h + v for h, v in zip(have, mult_exps[k % period])]
-            k += 1
-        expected = k + 1
-    assert convergence._periodic_zero_from(r, mults) == expected
+    covered = [any(exps[i] for exps in mult_exps) for i in range(len(PRIMES))]
+    rest = math.prod(p ** e for p, e, c in zip(PRIMES, r_exps, covered) if not c)
+    need = [e if c else 0 for e, c in zip(r_exps, covered)]
+    have, k = [0] * len(PRIMES), 0
+    while any(h < e for h, e in zip(have, need)):
+        have = [h + v for h, v in zip(have, mult_exps[k % period])]
+        k += 1
+    assert convergence._cycle_start(r, mults) == (k + 1, rest)
 
 
-def test_periodic_zero_from_splits_shared_factors():
+def test_cycle_start_splits_shared_factors():
     # 8 and 4 share the prime 2: only the refined basis {2} counts 2^8 right
-    assert convergence._periodic_zero_from(2 ** 8, [8, 4]) == 4
-    assert convergence._periodic_zero_from(2 ** 7 * 3, [12, 18, 8]) == 5
+    assert convergence._cycle_start(2 ** 8, [8, 4]) == (4, 1)
+    assert convergence._cycle_start(2 ** 7 * 3, [12, 18, 8]) == (5, 1)
+    # 7 divides no multiplier: it is the rest, and 2^8 still sets the start
+    assert convergence._cycle_start(2 ** 8 * 7 ** 2, [8, 4]) == (4, 49)
 
 
 def test_large_prime_base_keeps_parent_verdict():
@@ -269,14 +272,69 @@ def test_zero_stop_ends_the_walk():
         classical_convergence(CircleRational(0, 1), cycled, 5)
 
 
+def rational_pass(x, terms, depth):
+    """The verdict and cycle of one classical call's ε-walk pass."""
+    _, walked = convergence._eps_stats(x, terms, depth, DEFAULT_EPS_GRID)
+    return convergence._rational_verdict(x, terms, walked)
+
+
 @settings(max_examples=200, deadline=None)
 @given(terms=st.one_of(scaled, ratio_chains), num=st.integers(0, 10 ** 6),
        den=st.integers(1, 3000))
 def test_brent_cycle_matches_state_dict(terms, num, den):
+    """The cycle from the ε-walk's repeat and the start from valuations,
+    against the state dict: from a walk that repeats within its depth, and
+    from one that reaches depth 1 first and walks on."""
     assume(den * phase_period(terms) <= convergence._CYCLE_STATE_CAP)
-    cycle = convergence._detect_cycle(num % den, den, terms)
+    mu, period, norms = cycle_reference.detect_cycle(num % den, den, terms)
+    x = CircleRational.from_fraction(Fraction(num, den))
+    for depth in (1, 3 * den * phase_period(terms)):
+        verdict, cycle = rational_pass(x, terms, depth)
+        if cycle is not None:
+            assert verdict.certificate == "periodic-recurrence"
+            assert (cycle.mu, cycle.period, cycle.norms) == (mu, period, norms)
+        else:   # the states enter (0, phase) at the first zero residue
+            assert verdict.certificate in ("zero", "terminating")
+            assert verdict.diagnostics.get("zero_from", 1) == mu
+            assert period == phase_period(terms) and not any(norms)
+
+
+def test_period_beyond_depth_under_the_cap():
+    # 2 has order 10036 mod the prime 10037: the ε-walk at depth 50 ends long
+    # before the states repeat, though den*period is under the cap
+    x, terms = CircleRational(1, 10_037), parse_terms("2^n")
+    _, (h, lam, _) = convergence._eps_stats(x, terms, 50, DEFAULT_EPS_GRID)
+    assert (h, lam) == (50, None)
+    verdict, cycle = rational_pass(x, terms, 50)
     assert (cycle.mu, cycle.period, cycle.norms) == \
-        cycle_reference.detect_cycle(num % den, den, terms)
+        cycle_reference.detect_cycle(1, 10_037, terms)
+    # 2^n runs through every nonzero residue, 5018 = (10037 - 1)/2 included
+    assert verdict.diagnostics == {"cycle_start": 1, "period": 10_036,
+                                   "recurring_norm": Fraction(5018, 10_037)}
+
+
+def test_one_walk_pass_per_call(monkeypatch):
+    """A classical or an ideal call walks the residues at most twice: the
+    ε-walk and its one-period re-walk.  The cycle's start takes no walk."""
+    starts = []
+    walk = convergence._Residues.__iter__
+
+    def counted(self):
+        starts.append(self.start)
+        return walk(self)
+    monkeypatch.setattr(convergence._Residues, "__iter__", counted)
+    terms = ArithmeticTerms(parse_sequence("[2,3,5]"))
+    x = CircleRational(640, 699)
+    report = classical_convergence(x, terms, 10 ** 4)
+    assert report.verdict.certificate == "periodic-recurrence"
+    assert len(starts) == 2 and starts[0] is None
+    starts.clear()
+    v = ideal_convergence(x, terms, IdealDescriptor.density(), 10 ** 4)
+    assert v.certificate == "periodic-recurrence"
+    assert len(starts) == 2 and starts[0] is None
+    # the re-walk starts past the cycle's start, so no walk looked for it
+    mu = report.verdict.diagnostics["cycle_start"]
+    assert mu > 1 and starts[1][0] >= mu
 
 
 def test_cycle_count_is_depth_independent():
@@ -369,7 +427,7 @@ def test_quiet_walk_matches_plain_walk(name, x, data):
                    for p in range(h + lam, depth + 1))
         if plain.repeat is not None:
             assert lam == plain.repeat[2]
-    stats = convergence._eps_stats(x, terms, depth, grid)
+    stats, _ = convergence._eps_stats(x, terms, depth, grid)
     norms = [min(r, den - r) for r in residues]
     for s in stats:
         hits = [n for n, m in enumerate(norms, 1)
@@ -416,12 +474,16 @@ def test_ideal_convergence_rejects_depth_zero():
                           IdealDescriptor.density(), depth=0)
 
 
+def nearest(f: Fraction) -> Fraction:
+    return min(f - math.floor(f), math.ceil(f) - f)
+
+
 def loop_nset(x, terms, weights, depth):
     """Reference: the term-by-term Fraction sum with checkpoints."""
     marks = {10 ** k for k in range(1, 20) if 10 ** k < depth} | {depth}
     total, checkpoints = Fraction(0), []
     for n in range(1, depth + 1):
-        total += weights.value(n) * dist_to_int(terms.term(n) * x.frac())
+        total += weights.value(n) * nearest(terms.term(n) * x.frac())
         if n in marks:
             checkpoints.append((n, total))
     return total, tuple(checkpoints)

@@ -122,11 +122,14 @@ class TestPlanning:
 
     def test_walk_window_refusal(self):
         # 2*12^n over dyadic: k_n = 1 + 2n grows but is never a power of two,
-        # which no valuation proof sees, so the walk gives up at its window
+        # which no valuation proof sees, so the walk gives up at its window;
+        # the refusal names that limit and claims nothing about k_n
         with mock.patch.object(witness, "SCAN_WINDOW", 500), \
-                pytest.raises(SequenceNotAbsorbingError, match="within 500 terms"):
+                pytest.raises(SequenceNotAbsorbingError, match="within 500 terms") as info:
             plan_witness("th6", ArithmeticSequence.dyadic(),
                          ScaledGeometric(2, 12), DENSITY, 2)
+        assert "scan window" in str(info.value)
+        assert "may be bounded" not in str(info.value)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
