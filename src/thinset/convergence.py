@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._exact_text import exact_fraction, exact_str
-from .core import (CircleRational, DigitExpansion, SIN_UPPER, reconstruct,
+from .core import (CircleRational, DigitExpansion, SIN_UPPER, _partial_sum,
                    reconstruct_exact, support)
 from .ideals import (IdealDescriptor, Outcome, Progression, SetDescriptor,
                      UnionSet, Verdict, ideal_member, translation_invariant_in)
@@ -411,10 +411,11 @@ def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
     definite ones for an expansion truncated at K, in one integer walk over
     the residues t = a_n*num mod den, and the walk's pass for _walked_cycle.
 
-    x = num/den puts a_n*x at the arc [t, t]/den.  A truncation is
-    x_K = num/u_K, and every continuation puts a_n*x in [t, t + a_n]/u_K.  An
-    arc's norm floor is min(t, lim - t) with lim = den - width; an arc that
-    wraps through 0 counts for no eps, and the walk stops where 2*a_n >= u_K.
+    x = num/den puts a_n*x at the arc [t, t]/den.  A truncation x_K = N/u_top
+    (see core._partial_sum) is num/u_K with num = N*q_{top+1}***q_K, never
+    reduced, and every continuation puts a_n*x in [t, t + a_n]/u_K.  An arc's
+    norm floor is min(t, lim - t) with lim = den - width; an arc that wraps
+    through 0 counts for no eps, and the walk stops where 2*a_n >= u_K.
     The exact walk stops once the rest of it repeats its last period lam
     (see _Residues), and one more walk over that period h .. h+lam-1 counts
     each of its positions for the floor((depth - h)/lam) later ones that
@@ -429,8 +430,9 @@ def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
     if isinstance(x, CircleRational):
         num, den, widths = x.num, x.den, None
     else:
-        xk, den = reconstruct(x, x.depth), x.seq.u(x.depth)
-        num, widths = xk.num * (den // xk.den), terms.terms_upto(depth)
+        N, top = _partial_sum(x, x.depth)
+        num, den = N * x.seq.ratio_product(top, x.depth), x.seq.u(x.depth)
+        widths = terms.terms_upto(depth)
     grid = sorted(set(Fraction(e) for e in eps_grid), reverse=True)
     # an integer norm floor m reaches eps exactly when m >= ceil(eps*den); these
     # floors ascend with eps, so m reaches the `level` smallest eps, with

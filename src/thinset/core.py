@@ -190,30 +190,37 @@ class DigitExpansion:
 
 
 def expand(x: CircleRational, seq: ArithmeticSequence, depth: int) -> DigitExpansion:
-    """Greedy digits: c_1 = floor(u_1*x), c_{k+1} = floor(u_{k+1}*(x - x_k))."""
+    """Greedy digits c_n = floor(u_n*(x - x_{n-1})) of x = p/d, by the walk
+    c_n = floor(q_n*r/d), r <- q_n*r mod d from r = p: r = d*u_n*(x - x_n)."""
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    rem = x.frac()      # x - x_k, kept exactly
-    digits = {}
+    r, d, digits = x.num, x.den, {}
     for n in range(1, depth + 1):
-        un = seq.u(n)
-        c = int(rem * un)   # < q_n because rem < 1/u_{n-1}
+        c, r = divmod(seq.q(n) * r, d)      # c < q_n because r < d
         if c:
             digits[n] = c
-            rem -= Fraction(c, un)
     return DigitExpansion(seq, digits, depth)
 
 
-def reconstruct(e: DigitExpansion, depth: int) -> CircleRational:
-    """Exact partial sum x_depth = sum_{n<=depth} c_n/u_n."""
+def _partial_sum(e: DigitExpansion, depth: int) -> tuple[int, int]:
+    """(N, top), x_depth = N/u_top with top the last digit index <= depth (0
+    for none), by Horner's rule over the gaps' ratio products, none past q_top."""
     if depth < 1:
         raise DomainError("depth must be >= 1")
     if e.depth is not None and depth > e.depth:
         raise InsufficientDigitsError(
             f"depth {depth} exceeds stored depth {e.depth}")
-    total = sum((Fraction(c, e.seq.u(n)) for n, c in e.digits.items() if n <= depth),
-                Fraction(0))
-    return CircleRational.from_fraction(total)
+    N = top = 0
+    for n in sorted(n for n in e.digits if n <= depth):
+        N, top = N * e.seq.ratio_product(top, n) + e.digits[n], n
+    return N, top
+
+
+def reconstruct(e: DigitExpansion, depth: int) -> CircleRational:
+    """Exact partial sum x_depth = sum_{n<=depth} c_n/u_n: one integer
+    numerator over u_top (see _partial_sum), reduced once."""
+    N, top = _partial_sum(e, depth)
+    return CircleRational.from_fraction(Fraction(N, e.seq.u(top)))
 
 
 def reconstruct_exact(e: DigitExpansion) -> CircleRational:

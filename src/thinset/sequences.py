@@ -8,6 +8,7 @@ each value divides the next.  All values are arbitrary-precision integers.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from typing import Callable, Iterator, Optional, Sequence
@@ -16,15 +17,12 @@ from ._exact_text import decoder, exact_int, exact_str
 
 
 class ArithmeticSequence:
-    """Lazy, memoized u_n chain defined by its ratio function."""
-
-    _U_CHECKPOINT = 4096   # cache one partial product per this many ratios
+    """u_n chain defined by its ratio function; every u_n and every ratio
+    product comes from a closed form in `spec`, and nothing is cached."""
 
     def __init__(self, ratio_fn: Callable[[int], int], spec: tuple):
         self._ratio_fn = ratio_fn
         self.spec = spec
-        self._u_cache: dict[int, int] = {0: 1}   # requested u_n and checkpoints
-        self._u_top = 0                          # largest cached index
 
     def __repr__(self) -> str:
         return f"ArithmeticSequence({self.spec!r})"
@@ -36,8 +34,7 @@ class ArithmeticSequence:
         return hash(self.spec)
 
     def q(self, n: int) -> int:
-        """Ratio q_n for n >= 1.  Computed on demand from the closed form;
-        no table is kept, so indices into the billions stay cheap."""
+        """Ratio q_n for n >= 1, from the closed form, so any index is cheap."""
         if n < 1:
             raise ValueError("ratio index must be >= 1")
         qn = self._ratio_fn(n)
@@ -48,36 +45,29 @@ class ArithmeticSequence:
         return qn
 
     def u(self, n: int) -> int:
-        """Partial product u_n, with u_0 = 1.  Sequences with a closed form
-        (constant ratio, factorial) bypass the product walk entirely; the
-        rest cache every requested u_n, plus one checkpoint per
-        _U_CHECKPOINT ratios, and walk up from the nearest cached index."""
+        """Partial product u_n = q_1***q_n, with u_0 = 1."""
         if n < 0:
             raise ValueError("index must be >= 0")
-        if n == 0:
-            return 1
-        base = self.geometric_base
-        if base is not None:
-            return base ** n
-        if self.spec == ("factorial",):
-            import math
-            return math.factorial(n)
-        cached = self._u_cache.get(n)
-        if cached is not None:
-            return cached
-        # every checkpoint below the top is cached, so the nearest cached
-        # index below n is at most _U_CHECKPOINT probes away
-        start = min(n - 1, self._u_top)
-        while start not in self._u_cache:
-            start -= 1
-        value = self._u_cache[start]
-        for r in range(start + 1, n + 1):
-            value *= self.q(r)
-            if r % self._U_CHECKPOINT == 0:
-                self._u_cache[r] = value
-        self._u_cache[n] = value
-        self._u_top = max(self._u_top, n)
-        return value
+        return self.ratio_product(0, n)
+
+    def ratio_product(self, a: int, b: int) -> int:
+        """q_{a+1}***q_b = u_b/u_a for 0 <= a <= b in closed form: b!/a! on the
+        factorial chain, else (q_1***q_L)^floor((b-a)/L) times the (b-a) mod L
+        ratios from q_{a+1} on, over a list of L ratios (1 for a constant
+        ratio).  It raises the first error of the walk q(a+1), ..., q(b), found
+        among its first L ratios (L+1 from q_1: q_{L+1} is q_1 or past a list)."""
+        if not 0 <= a <= b:
+            raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
+        kind = self.spec[0]
+        if kind == "factorial":
+            return math.factorial(b) if a == 0 else math.perm(b, b - a)
+        ratios = (self.geometric_base,) if kind in ("dyadic", "geometric") else self.spec[1]
+        L, s = len(ratios), a % len(ratios)
+        for n in range(a + 1, min(b, max(a, 1) + L) + 1):
+            self.q(n)
+        reps, rest = divmod(b - a, L)
+        head = math.prod(ratios[s:s + rest] + ratios[:max(0, s + rest - L)])
+        return math.prod(ratios) ** reps * head if reps else head
 
     # -- constructors -------------------------------------------------
 

@@ -121,9 +121,6 @@ class PlannedIndex:
     digit: int             # digit placed at chain index k+1
     choice: Optional[DigitChoice] = None    # th6/th1 only
 
-    def a(self, seq: ArithmeticSequence) -> int:
-        return seq.u(self.k) * self.v
-
     def to_json(self) -> dict:
         doc = {"i": self.i, "n": self.n, "k": self.k, "v": exact_str(self.v),
                "digit": exact_str(self.digit)}

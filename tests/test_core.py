@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -92,6 +94,123 @@ def test_round_trip_property(num, k, pick):
     uk = seq.u(k)
     x = CircleRational.from_fraction(Fraction(num % uk, uk))
     assert reconstruct(expand(x, seq, k), k) == x
+
+
+# The remainder walk and Horner's rule against the Fraction loops they
+# replace; u_n here is the running product of q_1 .. q_n, so an invalid ratio
+# raises where the walk over the ratios would.
+WALK_CHAINS = [ArithmeticSequence.dyadic(), ArithmeticSequence.factorial(),
+               ArithmeticSequence.geometric(6), ArithmeticSequence.from_ratios([2, 3, 5, 7]),
+               ArithmeticSequence.from_ratios([1, 3]),                # q_1 = 1, q_3 = 1
+               ArithmeticSequence.from_ratios([2, 3, 5], cycle=False)]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _running_u(seq, n):
+    value = 1
+    for m in range(1, n + 1):
+        value *= seq.q(m)
+    return value
+
+
+def greedy_reference(x, seq, depth):
+    """c_n = floor(u_n*rem), rem -= c_n/u_n, over Fractions."""
+    rem, digits, un = x.frac(), {}, 1
+    for n in range(1, depth + 1):
+        un *= seq.q(n)
+        c = int(rem * un)
+        if c:
+            digits[n] = c
+            rem -= Fraction(c, un)
+    return digits
+
+
+def sum_reference(e, depth):
+    """sum_{n<=depth} c_n/u_n over Fractions, in stored order."""
+    total = sum((Fraction(c, _running_u(e.seq, n))
+                 for n, c in e.digits.items() if n <= depth), Fraction(0))
+    return CircleRational.from_fraction(total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=st.sampled_from(WALK_CHAINS), num=st.integers(min_value=0),
+       den=st.one_of(st.integers(1, 10 ** 4), st.integers(1, 2 ** 80),
+                     st.tuples(*[st.integers(0, 12)] * 4).map(    # terminating points
+                         lambda e: 2 ** e[0] * 3 ** e[1] * 5 ** e[2] * 7 ** e[3])),
+       depth=st.integers(1, 40))
+def test_expand_matches_greedy_fraction_loop(seq, num, den, depth):
+    x = CircleRational.from_fraction(Fraction(num % den, den))
+    got, want = _outcome(expand, x, seq, depth), _outcome(greedy_reference, x, seq, depth)
+    if isinstance(got, DigitExpansion):
+        assert (got.digits, got.depth) == (want, depth)
+    else:
+        assert got == want
+
+
+@st.composite
+def sparse_expansions(draw):
+    """Up to 6 digits in stored order shuffled, with gaps up to 20 (past every
+    list's length), finite or truncated up to 20 indices past the last digit."""
+    seq = draw(st.sampled_from(WALK_CHAINS))
+    n, digits = 0, {}
+    for _ in range(draw(st.integers(0, 6))):
+        n += draw(st.integers(1, 20))
+        qn = _outcome(seq.q, n)
+        if isinstance(qn, int) and qn >= 2:
+            digits[n] = draw(st.integers(1, qn - 1))
+    digits = dict(draw(st.permutations(list(digits.items()))))
+    last = max(digits, default=0)
+    depth = draw(st.none() | st.integers(max(last, 1), last + 20))
+    return DigitExpansion(seq, digits, depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_expansions())
+def test_reconstruct_matches_fraction_sum(e):
+    last = e.last_index
+    top = e.depth if e.depth is not None else last + 20
+    for depth in sorted({1, last - 1, last, last + 1, top} - {0, -1}):
+        if depth <= top:
+            assert _outcome(reconstruct, e, depth) == _outcome(sum_reference, e, depth)
+    expected = (_outcome(sum_reference, e, max(1, last)) if e.depth is None
+                else ("InsufficientDigitsError",
+                      "expansion is a truncation, exact value unknown"))
+    assert _outcome(reconstruct_exact, e) == expected
+
+
+def test_truncation_past_a_finite_list_reconstructs():
+    # no ratio past the last digit is asked for, so q_4 .. q_10 never are
+    seq = ArithmeticSequence.from_ratios([2, 3, 5], cycle=False)
+    e = DigitExpansion(seq, {1: 1, 3: 4}, depth=10)
+    assert reconstruct(e, 10).frac() == Fraction(1, 2) + Fraction(4, 30)
+    with pytest.raises(ValueError, match="only 3 ratios available, wanted q_4"):
+        expand(CircleRational.parse("1/7"), seq, 4)
+
+
+LONG_LIST = [random.Random(5).randrange(2, 9) for _ in range(8000)]
+
+
+@pytest.mark.parametrize("seq, depth", [
+    (ArithmeticSequence.from_ratios([2, 3, 5, 7]), 30_000),
+    (ArithmeticSequence.from_ratios(LONG_LIST), 8000),      # a gap touches only its ratios
+    (ArithmeticSequence.from_ratios(LONG_LIST, cycle=False), 8000),
+])
+def test_dense_round_trip_is_fast(seq, depth):
+    # the largest 64-bit prime denominator; a walk that forms a Fraction or
+    # u_n per digit, or rotates the whole list per gap, misses the bound
+    x = CircleRational(12345678901234567, 2 ** 64 - 59)
+    start = time.perf_counter()
+    e = expand(x, seq, depth)
+    xr = reconstruct(e, depth)
+    assert time.perf_counter() - start < 1.0
+    uK = _running_u(seq, depth)
+    assert xr.frac() == Fraction(x.num * uK // x.den, uK)
 
 
 def dist_to_int(x: Fraction) -> Fraction:

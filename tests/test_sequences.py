@@ -53,7 +53,7 @@ def test_divisibility_chain_property():
         assert seq.u(n) % seq.u(n - 1) == 0
 
 
-def test_u_cache_consistency_with_checkpoints():
+def test_u_far_index_matches_neighbour():
     seq = ArithmeticSequence.from_ratios([2, 3])
     big = seq.u(5000)
     assert big == 2 ** 2500 * 3 ** 2500
@@ -75,6 +75,60 @@ def test_u_random_access(indices):
     seq = ArithmeticSequence.from_ratios([2, 3])
     for n in indices:
         assert seq.u(n) == 2 ** ((n + 1) // 2) * 3 ** (n // 2)
+
+
+def _walk(seq, a, b):
+    """q_{a+1}***q_b as a running product, raising the walk's first error."""
+    value = 1
+    for n in range(a + 1, b + 1):
+        value *= seq.q(n)
+    return value
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratios=st.lists(st.integers(2, 12), min_size=1, max_size=5),
+       bad=st.none() | st.tuples(st.integers(0, 4), st.integers(-1, 1)),
+       cycle=st.booleans(), data=st.data())
+def test_u_and_ratio_product_match_running_product(ratios, bad, cycle, data):
+    if bad is not None:
+        ratios[bad[0] % len(ratios)] = bad[1]
+    seq = ArithmeticSequence.from_ratios(ratios, cycle=cycle)
+    top = 3 * len(ratios) + 2
+    for n in range(top + 1):
+        assert _outcome(seq.u, n) == _outcome(_walk, seq, 0, n)
+    a = data.draw(st.integers(0, top))
+    b = data.draw(st.integers(a, top))
+    assert _outcome(seq.ratio_product, a, b) == _outcome(_walk, seq, a, b)
+
+
+@pytest.mark.parametrize("seq", [ArithmeticSequence.dyadic(), ArithmeticSequence.factorial(),
+                                 ArithmeticSequence.geometric(6),
+                                 ArithmeticSequence.from_ratios([5, 5, 5])])
+def test_closed_form_ratio_products(seq):
+    for a in range(0, 40, 3):
+        for b in range(a, 45, 4):
+            assert seq.ratio_product(a, b) == _walk(seq, a, b)
+    with pytest.raises(ValueError, match="need 0 <= a <= b"):
+        seq.ratio_product(5, 3)
+
+
+@pytest.mark.parametrize("seq, n, message", [
+    (ArithmeticSequence.from_ratios([1, 3]), 3, "q_3 must be >= 2, got 1"),
+    (ArithmeticSequence.from_ratios([2, 3], cycle=False), 3,
+     "only 2 ratios available, wanted q_3"),
+    (ArithmeticSequence.from_ratios([2, 1]), 5, "q_2 must be >= 2, got 1"),
+])
+def test_u_raises_the_walks_first_error(seq, n, message):
+    with pytest.raises(ValueError) as info:
+        seq.u(n)
+    assert str(info.value) == message
 
 
 def test_sequence_json_round_trip():
