@@ -43,7 +43,10 @@ def _digits_value(s: str) -> int:
 
 
 def exact_int(value) -> int:
-    """`int(value)`; text longer than _SAFE_DIGITS must be [+-]digits."""
+    """`int(value)`; text longer than _SAFE_DIGITS must be [+-]digits.  A
+    bool or a float is refused: int() would read true as 1 and 1.9 as 1."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"not an integer: {value!r}")
     if not isinstance(value, str) or len(value) <= _SAFE_DIGITS:
         return int(value)
     if not _INT_TEXT.fullmatch(value):

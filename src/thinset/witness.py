@@ -14,10 +14,12 @@ Three certificate families are produced, identified by wire tags:
 * ``th2`` - prime-power chain u_n = p**n with unit digits, targets
   ||a_{n_i} x|| > (p-1)/p**2, plus harmonic block bounds.
 
-Each check is an exact rational interval computation: head value from the
-planned digits plus an explicit tail enclosure, so a passing certificate is
-rigorous for the infinite continuation of the digit pattern, not just for
-the finite truncation it stores.
+Each index check is an exact rational interval computation: head value
+from the planned digits plus an explicit tail enclosure.  Each block bound
+is a dyadic fixed-point number rounded outward from the same enclosures, so
+it encloses the block's exact sum without forming that sum's denominator.
+Either way a passing certificate is rigorous for the infinite continuation
+of the digit pattern, not just for the finite truncation it stores.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ._exact_text import decoder, exact_fraction, exact_int, exact_str
-from .convergence import (BlockCheck, _cycle_start, _split_sum, _strip,
+from .convergence import (BlockCheck, _cycle_start, _strip,
                           membership_by_support)
 from .core import (CircleInterval, DigitExpansion, RatInterval, SIN_UPPER,
                    enclosure_heads, norm_bounds)
@@ -42,6 +44,7 @@ TAGS = ("th6", "th1", "th2")
 TARGET_BAND = RatInterval(Fraction(1, 4), Fraction(7, 8))
 SCAN_WINDOW = 200_000    # terms a walked seek may pass before it gives up
 _BLOCK_WINDOW = 48     # exact head terms per block; the rest goes in a tail bound
+_BLOCK_BITS = 64       # block bounds are multiples of 2**-(_BLOCK_BITS + bits(j_from))
 
 
 class UnsupportedIdealError(ValueError):
@@ -482,7 +485,8 @@ class WitnessCertificate:
                            doc["support"].get("diagnostics", {}))
                    if doc.get("support") else None)
         blocks = tuple(
-            BlockCheck(b["index"], b["from"], b["to"], exact_fraction(b["upper_bound"]),
+            BlockCheck(exact_int(b["index"]), exact_int(b["from"]), exact_int(b["to"]),
+                       exact_fraction(b["upper_bound"]),
                        exact_fraction(b["lower_bound"]), exact_fraction(b["majorant"]),
                        _flag(b["pass"]))
             for b in doc.get("blocks", ()))
@@ -518,52 +522,86 @@ def _index_checks(plan: WitnessPlan) -> list[IndexCheck]:
     return checks
 
 
-def _block_checks(plan: WitnessPlan) -> list[BlockCheck]:
-    """Certified enclosures of sum_{block} r_j*(22/7)*||u_j x|| per gap
-    between consecutive selected chain indices, with r_j = 1/j.
+def _block_walks(plan: WitnessPlan):
+    """(index, j_from, j_to, walk, tail) per gap between consecutive selected
+    chain indices, with r_j = 1/j.  The block's sum of r_j*||u_j x|| over
+    j_from < j <= j_to lies in [sum lo/(2*P*j), sum hi/(2*P*j) + 1/tail]
+    over the (j, lo, hi, P) of its walk; tail = 0 stands for no tail term.
 
-    The head of each block (the last _BLOCK_WINDOW j before the block's right
-    edge) is enclosed exactly by walking the kernel down from that edge;
-    everything earlier is absorbed into a tail bound using
-    ||u_j x|| <= u_j/u_{k_i} <= 2**-(k_i - j).
-
-    The walk puts ||u_j x|| in [lo_j, hi_j]/(2*P_j); over L = lcm(P_j) each
-    bound is an integer sum of m_j/j, summed by binary splitting and reduced
-    once.  The majorant is 2*(22/7)*r_{j_from}, with r_1 in place of r_0
-    for a block that starts at k = 0.
-    """
+    The walk is the block's head: the last _BLOCK_WINDOW j before its right
+    edge, enclosed by walking the kernel down from that edge, which puts
+    ||u_j x|| in [lo, hi]/(2*P).  Everything earlier goes into the tail term,
+    using ||u_j x|| <= u_j/u_{k_i} <= 2**-(k_i - j).  The walk is lazy, so a
+    block whose walk is not read costs nothing."""
     ks = [p.k for p in plan.indices] + [plan.closing_k]
-    blocks = []
     for idx in range(1, len(plan.indices)):
         j_from, j_to = ks[idx - 1], ks[idx]
         head_from = max(j_from, j_to - _BLOCK_WINDOW)
-        walk = list(enclosure_heads(plan.seq, {j_to + 1: plan.indices[idx].digit},
-                                    ks[idx + 1], j_to, head_from))
-        L = math.lcm(*(P for _, _, P in walk))
-        los, his, js = [], [], []
-        for j, head, P in walk:
-            lo, hi = norm_bounds(head, 1, P)
-            los.append(lo * (L // P))
-            his.append(hi * (L // P))
-            js.append(j)
-        # sum r_j*||u_j x|| lies in [p_lo, p_hi] / (2*L*q)
-        p_lo, q = _split_sum(los, js, 0, len(js))
-        p_hi, _ = _split_sum(his, js, 0, len(js))
-        den = 2 * L * q
-        # both scaled by the sine envelope [2, 22/7]
-        lower = Fraction(2 * p_lo, den)
-        if head_from > j_from:
-            # j in (j_from, head_from]: each norm <= 2**-(j_to - j), and the
-            # geometric sum of those is < 2 * 2**-_BLOCK_WINDOW; with the
-            # weight r_{j_from+1} that adds 1/tail
-            tail = (j_from + 1) << (_BLOCK_WINDOW - 1)
-            p_hi, den = p_hi * tail + den, den * tail
-        upper = Fraction(SIN_UPPER.numerator * p_hi, SIN_UPPER.denominator * den)
+        walk = ((j, *norm_bounds(head, 1, P), P) for j, head, P in enclosure_heads(
+            plan.seq, {j_to + 1: plan.indices[idx].digit}, ks[idx + 1], j_to, head_from))
+        # j in (j_from, head_from]: each norm <= 2**-(j_to - j), and the
+        # geometric sum of those is < 2 * 2**-_BLOCK_WINDOW; with the weight
+        # r_{j_from+1} that adds 1/tail
+        tail = (j_from + 1) << (_BLOCK_WINDOW - 1) if head_from > j_from else 0
+        yield idx + 1, j_from, j_to, walk, tail
+
+
+def _block_checks(plan: WitnessPlan) -> list[BlockCheck]:
+    """Certified enclosures of sum_{block} r_j*(22/7)*||u_j x|| per gap
+    between consecutive selected chain indices (see `_block_walks`), each
+    against the majorant 2*(22/7)*r_{j_from}, with r_1 in place of r_0 for a
+    block that starts at k = 0.
+
+    Each bound is a dyadic m/2**E with E = _BLOCK_BITS + bits(j_from),
+    rounded outward term by term (Moore 1966): each lo/(2*P*j) is rounded
+    down, each hi/(2*P*j), the tail term and the factor 22/7 up, and the
+    factor 2 of the lower bound is exact.  No common denominator of the
+    weights is formed, and since 2**E > 2**_BLOCK_BITS * j_from the
+    _BLOCK_WINDOW + 2 roundings keep each bound within about
+    majorant * 2**-59 of the block's exact sum (`_exact_block_bounds`).
+    """
+    blocks = []
+    for index, j_from, j_to, walk, tail in _block_walks(plan):
+        E = _BLOCK_BITS + max(j_from, 1).bit_length()
+        low = high = 0
+        for j, lo, hi, P in walk:
+            low += (lo << E) // (2 * P * j)
+            high -= (-hi << E) // (2 * P * j)
+        if tail:
+            high -= -(1 << E) // tail
+        lower = Fraction(2 * low, 1 << E)
+        upper = Fraction(-(-SIN_UPPER.numerator * high // SIN_UPPER.denominator),
+                         1 << E)
         majorant = Fraction(2 * SIN_UPPER.numerator,
                             SIN_UPPER.denominator * max(j_from, 1))
-        blocks.append(BlockCheck(idx + 1, j_from, j_to, upper, lower,
+        blocks.append(BlockCheck(index, j_from, j_to, upper, lower,
                                  majorant, upper <= majorant))
     return blocks
+
+
+def _exact_block_bounds(plan: WitnessPlan, index: int) -> tuple[int, int, int]:
+    """(low, high, den): the exact lower and upper bounds low/den and
+    high/den of block `index`, the pair that its dyadic bounds enclose and
+    that certificates written before the bounds were dyadic store.
+
+    The sum stays unreduced, so no gcd is ever taken.  Every P of the walk
+    divides M = P_top * q_{bottom+1}***q_top, as stepping k down only adds
+    q_{k+1} and trims ratios off the top, so the terms share the scale
+    1/(2*M) and each costs a product by its j."""
+    _, _, _, walk, tail = next(b for b in _block_walks(plan) if b[0] == index)
+    walk = list(walk)
+    (top, _, _, P_top), bottom = walk[0], walk[-1][0]
+    M = P_top * plan.seq.ratio_product(bottom, top)
+    low = high = 0
+    den = 1
+    for j, lo, hi, P in walk:
+        scale = den * (M // P)
+        low, high, den = low * j + lo * scale, high * j + hi * scale, den * j
+    den *= 2 * M
+    if tail:
+        high, den, low = high * tail + den, den * tail, low * tail
+    return (2 * SIN_UPPER.denominator * low, SIN_UPPER.numerator * high,
+            SIN_UPPER.denominator * den)
 
 
 def build_and_verify(plan: WitnessPlan) -> WitnessCertificate:
@@ -590,6 +628,13 @@ def _differing(stored, fresh, fields: tuple[str, ...]) -> list[str]:
     return [f for f in fields if getattr(stored, f) != getattr(fresh, f)]
 
 
+def _contains_exact(stored: BlockCheck, low: int, high: int, den: int) -> bool:
+    """Whether the stored bounds contain [low/den, high/den], with den > 0."""
+    lo, hi = stored.lower_bound, stored.upper_bound
+    return (lo.numerator * den <= low * lo.denominator
+            and high * hi.denominator <= hi.numerator * den)
+
+
 def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     """Re-derive the plan from its request (tag, chain, terms, ideal and
     count), rebuild the certificate from it and diff against the stored one.
@@ -597,7 +642,10 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     re-derived ones.  Stored enclosures (intervals, norm intervals, block
     bounds) may be equal to or strictly wider than the recomputed ones
     (noted), but never narrower or disjoint; every other recomputed field
-    must match."""
+    must match.  The one exception is a block whose stored bounds are
+    narrower than the dyadic ones, as certificates written before the bounds
+    were dyadic store them: that block passes, noted, only if its stored
+    bounds contain the block's exact sum."""
     report: dict = {"mismatches": [], "notes": []}
     mismatch, note = report["mismatches"].append, report["notes"].append
     stored_plan = cert.plan
@@ -639,13 +687,17 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     for stored, recomputed in zip(cert.blocks, fresh.blocks):
         if stored == recomputed:
             continue
-        fields = _differing(stored, recomputed,
-                            ("index", "j_from", "j_to", "majorant", "passed"))
-        if fields or not (stored.lower_bound <= recomputed.lower_bound
-                          and recomputed.upper_bound <= stored.upper_bound):
+        if _differing(stored, recomputed,
+                      ("index", "j_from", "j_to", "majorant", "passed")):
             mismatch(f"block {stored.index} inconsistent")
-        else:
+        elif (stored.lower_bound <= recomputed.lower_bound
+              and recomputed.upper_bound <= stored.upper_bound):
             note(f"block {stored.index}: recomputed bounds are strictly tighter")
+        elif _contains_exact(stored, *_exact_block_bounds(plan, stored.index)):
+            note(f"block {stored.index}: stored bounds are narrower than the "
+                 f"dyadic ones and contain the exact sum")
+        else:
+            mismatch(f"block {stored.index}: stored bounds exclude the exact sum")
     if len(cert.blocks) != len(fresh.blocks):
         mismatch("block count differs from plan")
     if cert.support_verdict != fresh.support_verdict:   # outcome and certificate tag

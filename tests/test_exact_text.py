@@ -16,8 +16,10 @@ from thinset._exact_text import (_SAFE_DIGITS, decoder, exact_fraction,
                                  exact_int, exact_str)
 from thinset.ideals import IdealDescriptor
 from thinset.sequences import ArithmeticSequence, parse_terms
-from thinset.witness import (WitnessCertificate, build_and_verify,
-                             plan_witness, verify_certificate)
+from json_mutation import json_paths, mutate
+from thinset.sequences import parse_sequence
+from thinset.witness import (CertificateFormatError, WitnessCertificate,
+                             build_and_verify, plan_witness, verify_certificate)
 
 LOWEST = sys.int_info.str_digits_check_threshold
 
@@ -70,6 +72,55 @@ def test_long_text_must_be_plain_digits():
             exact_fraction(bad)
     with pytest.raises(ZeroDivisionError):
         exact_fraction(long + "/0")
+
+
+def test_bools_and_floats_are_not_integers():
+    for value in (1.5, 1.9, 2.0, -0.0, True, False):
+        with pytest.raises(ValueError, match="not an integer"):
+            exact_int(value)
+    assert exact_int(7) == exact_int("7") == 7
+
+
+# the certificate keys that hold integers; growth_log and support are not
+# decoded, and digit positions are JSON keys, hence text
+INT_KEYS = {"i", "n", "k", "v", "digit", "l", "l_prime", "m", "closing_k",
+            "base", "scale", "index", "from", "to"}
+
+
+def integer_paths(doc):
+    for path in json_paths(doc):
+        if path[:2] == ("plan", "growth_log") or path[0] == "support":
+            continue
+        if path[-1] in INT_KEYS or (len(path) == 2 and path[0] == "digits"):
+            yield path
+
+
+@pytest.fixture(scope="module", params=[("th1", "dyadic", "3*2^n", "summable"),
+                                        ("th2", "geometric:3", "2*3^n", "density")],
+                ids=lambda p: p[0])
+def certificate_doc(request):
+    tag, seq, terms, ideal = request.param
+    s = parse_sequence(seq)
+    plan = plan_witness(tag, s, parse_terms(terms, s), IdealDescriptor.from_json(
+        {"type": ideal}), 3)
+    return build_and_verify(plan).to_json()
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True], ids=repr)
+def test_every_integer_field_refuses_non_integers(certificate_doc, value, tmp_path,
+                                                  capsys):
+    paths = list(integer_paths(certificate_doc))
+    assert {p[-1] for p in paths} >= {"i", "n", "k", "v", "digit", "closing_k",
+                                      "index", "from", "to", "scale", "base"}
+    file = tmp_path / "c.json"
+    for path in paths:
+        doc = mutate(certificate_doc, path, value)
+        with pytest.raises(CertificateFormatError, match="not an integer"):
+            WitnessCertificate.from_json(doc)
+        file.write_text(json.dumps(doc))
+        assert cli.main(["verify", "--json-in", str(file)]) == cli.EXIT_USAGE, path
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_decoder_maps_every_malformed_document():

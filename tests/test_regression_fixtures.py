@@ -1,12 +1,18 @@
 """Regression fixtures: certificates and convergence reports pinned as JSON.
 
 `tests/fixtures/regression.json` holds the documents these cases produced
-before the enclosure kernel was unified.  Every document must come back
-byte-identical, except th2 blocks on bases other than 2, whose bounds may
-only tighten: each recomputed block lies inside the stored one with the same
-`pass` flag, and the stored certificate still verifies.
+before the enclosure kernel was unified and before block bounds were dyadic,
+so it is also the corpus of certificates in the old, exact block format.
+Every document must come back byte-identical except the bounds of th1/th2
+blocks: each block keeps its index, range, majorant and `pass` flag, and its
+recomputed dyadic bounds contain the stored ones to within
+majorant * 2**-(_BLOCK_BITS - 10).  The one exception is the upper bound of
+th2 blocks on bases other than 2, which a kernel before the unification
+stored wider; it may only exceed the recomputed one.  Every stored
+certificate still verifies, its th1/th2 blocks through the exact fallback.
 
-Rewrite the fixtures (only on purpose) with
+Rewrite the fixtures (only on purpose; a rewrite stores dyadic bounds and
+so loses the old-format corpus) with
 
     PYTHONPATH=src python tests/test_regression_fixtures.py
 """
@@ -17,11 +23,13 @@ from fractions import Fraction
 
 import pytest
 
+import enclosure_reference
+
 from thinset.convergence import classical_convergence, ideal_convergence
 from thinset.core import CircleRational, DigitExpansion, expand
 from thinset.ideals import parse_ideal
 from thinset.sequences import ExplicitTerms, parse_sequence, parse_terms
-from thinset.witness import (WitnessCertificate, build_and_verify,
+from thinset.witness import (_BLOCK_BITS, WitnessCertificate, build_and_verify,
                              plan_witness, verify_certificate)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "regression.json"
@@ -95,9 +103,17 @@ def stored():
     return json.loads(FIXTURES.read_text())
 
 
-def _within(fresh: dict, old: dict) -> bool:
-    return (Fraction(old["lower_bound"]) <= Fraction(fresh["lower_bound"])
-            <= Fraction(fresh["upper_bound"]) <= Fraction(old["upper_bound"]))
+def _assert_blocks_agree(fresh_blocks, old_blocks, wider_upper: bool):
+    assert len(fresh_blocks) == len(old_blocks)
+    fixed = ("index", "from", "to", "majorant", "pass")
+    for b_new, b_old in zip(fresh_blocks, old_blocks):
+        assert [b_new[f] for f in fixed] == [b_old[f] for f in fixed]
+        slack = Fraction(b_old["majorant"]) / 2 ** (_BLOCK_BITS - 10)
+        lo_new, hi_new = Fraction(b_new["lower_bound"]), Fraction(b_new["upper_bound"])
+        lo_old, hi_old = Fraction(b_old["lower_bound"]), Fraction(b_old["upper_bound"])
+        assert lo_new <= lo_old <= lo_new + slack
+        assert hi_new - slack <= hi_old
+        assert wider_upper or hi_old <= hi_new
 
 
 @pytest.mark.parametrize("case", CERT_CASES, ids=lambda c: "-".join(map(str, c)))
@@ -105,18 +121,50 @@ def test_certificate_matches_fixture(case, stored):
     old = next(e["doc"] for e in stored["certificates"] if e["case"] == list(case))
     fresh = _cert_doc(case)
     base = parse_sequence(case[1]).geometric_base
-    if case[0] == "th2" and base != 2:
-        old_blocks, fresh_blocks = old.pop("blocks"), fresh.pop("blocks")
-        assert len(fresh_blocks) == len(old_blocks)
-        for b_new, b_old in zip(fresh_blocks, old_blocks):
-            fixed = ("index", "from", "to", "majorant", "pass")
-            assert [b_new[f] for f in fixed] == [b_old[f] for f in fixed]
-            assert _within(b_new, b_old)
-        old["blocks"] = old_blocks
-    else:
-        assert fresh == old
+    old_blocks, fresh_blocks = old.pop("blocks"), fresh.pop("blocks")
+    _assert_blocks_agree(fresh_blocks, old_blocks, case[0] == "th2" and base != 2)
+    assert fresh == old
+    old["blocks"] = old_blocks
     ok, report = verify_certificate(WitnessCertificate.from_json(old))
     assert ok and report["recomputed_pass"], report
+    if old_blocks:
+        assert any("exact sum" in n for n in report["notes"]), report
+
+
+def _step(text: str, sign: int) -> str:
+    """A stored bound moved by sign times the smallest step over its own
+    denominator."""
+    value = Fraction(text)
+    return str(value + Fraction(sign, value.denominator))
+
+
+@pytest.mark.parametrize("case", [c for c in CERT_CASES if c[0] != "th6"],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_old_format_block_bounds_are_checked_exactly(case, stored):
+    """Each stored bound moved by the smallest step over its own denominator:
+    outward it verifies with a note, inward it is rejected where it was the
+    exact sum.  Only the wider upper bounds of th2 on bases other than 2 may
+    move inward and still hold the exact sum."""
+    old = next(e["doc"] for e in stored["certificates"] if e["case"] == list(case))
+    plan = WitnessCertificate.from_json(old).plan
+    wider_upper = case[0] == "th2" and plan.seq.geometric_base != 2
+    for b, ref in enumerate(enclosure_reference.block_checks(plan)):
+        assert Fraction(old["blocks"][b]["lower_bound"]) == ref.lower_bound
+        assert (Fraction(old["blocks"][b]["upper_bound"]) == ref.upper_bound
+                or wider_upper)
+        for key in ("lower_bound", "upper_bound"):
+            for sign in (1, -1):
+                doc = json.loads(json.dumps(old))
+                block = doc["blocks"][b]
+                value = Fraction(block[key])
+                moved = value + Fraction(sign, value.denominator)
+                block[key] = str(moved)
+                holds = (moved <= ref.lower_bound if key == "lower_bound"
+                         else ref.upper_bound <= moved)
+                ok, report = verify_certificate(WitnessCertificate.from_json(doc))
+                assert ok is holds, (b, key, sign, report)
+                said = report["notes"] if ok else report["mismatches"]
+                assert any(m.startswith(f"block {ref.index}:") for m in said)
 
 
 @pytest.mark.parametrize("case", CONVERGENCE_CASES,

@@ -519,7 +519,7 @@ def test_wraparound_follows_the_parts(parts, wraps):
 
 
 # ---------------------------------------------------------------------------
-# Integer block sums against per-j Fraction accumulation
+# Dyadic block bounds against per-j Fraction accumulation
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -543,11 +543,31 @@ def block_requests(draw):
 @given(block_requests())
 @example(("th2", "geometric:4", "3*2^n", 3))    # first index at k = 0
 @example(("th1", "[2,3,5]", "u_n", 5))          # ratios trimmed as k steps down
+@example(("th1", "dyadic", "3*2^n", 8))
+@example(("th2", "geometric:2", "5*2^n", 10))
+@example(("th2", "geometric:3", "2*3^n", 16))
+@example(("th2", "geometric:5", "23*5^n", 40))   # j near 10**75, 48-term heads
 def test_block_sums_match_fraction_reference(request):
     tag, seq_text, terms_text, count = request
     seq = parse_sequence(seq_text)
     plan = plan_witness(tag, seq, parse_terms(terms_text, seq),
                         SUMMABLE if tag == "th1" else DENSITY, count)
-    assert witness._block_checks(plan) == enclosure_reference.block_checks(plan)
+    blocks = witness._block_checks(plan)
+    exact = enclosure_reference.block_checks(plan)
+    assert len(blocks) == len(exact)
+    for dyadic, ref in zip(blocks, exact):
+        assert (dyadic.index, dyadic.j_from, dyadic.j_to, dyadic.majorant,
+                dyadic.passed) == (ref.index, ref.j_from, ref.j_to, ref.majorant,
+                                   ref.passed)
+        # rounded outward: the dyadic pair contains the exact one ...
+        assert dyadic.lower_bound <= ref.lower_bound <= ref.upper_bound <= dyadic.upper_bound
+        # ... and is within majorant * 2**-(_BLOCK_BITS - 10) of it
+        slack = ref.majorant / 2 ** (witness._BLOCK_BITS - 10)
+        assert ref.lower_bound - dyadic.lower_bound <= slack
+        assert dyadic.upper_bound - ref.upper_bound <= slack
+        # the exact fallback of `verify` sums the same pair
+        low, high, den = witness._exact_block_bounds(plan, dyadic.index)
+        assert (Fraction(low, den), Fraction(high, den)) == (ref.lower_bound,
+                                                             ref.upper_bound)
     for check in witness._index_checks(plan):
         assert check.norm_interval == enclosure_reference.dist_interval(check.interval)
