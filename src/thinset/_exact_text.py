@@ -56,7 +56,11 @@ def exact_int(value) -> int:
 
 
 def exact_fraction(value) -> Fraction:
-    """`Fraction(value)`; text longer than _SAFE_DIGITS must be p or p/q."""
+    """`Fraction(value)`; text longer than _SAFE_DIGITS must be p or p/q.  A
+    bool or a float is refused: Fraction() would read true as 1 and 0.1 as
+    its binary value."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"not a rational: {value!r}")
     if not isinstance(value, str) or len(value) <= _SAFE_DIGITS:
         return Fraction(value)
     num, slash, den = value.partition("/")

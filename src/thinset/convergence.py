@@ -740,6 +740,7 @@ def nset_partial_sums(x: PointLike, terms: TermSequence, weights: WeightRule,
     num, den = exact.num, exact.den
     marks = sorted({10 ** k for k in range(1, 20) if 10 ** k < depth} | {depth})
     residues = iter(_Residues(num, den, terms, depth))
+    power = weights.exponent.numerator if weights.kind == "power" else None
     total = Fraction(0)
     checkpoints = []
     done = 0
@@ -748,7 +749,10 @@ def nset_partial_sums(x: PointLike, terms: TermSequence, weights: WeightRule,
         ps, qs = [], []
         for n, t in itertools.islice(residues, mark - done):
             m = min(t, den - t)
-            if m:
+            if m and power is not None:     # r_n = 1/n**s, kept in integers
+                ps.append(m)
+                qs.append(n ** power)
+            elif m:
                 r = weights.value(n)
                 ps.append(m * r.numerator)
                 qs.append(r.denominator)

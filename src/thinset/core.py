@@ -7,6 +7,7 @@ two-part union instead of being widened.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
@@ -31,6 +32,15 @@ class InsufficientDigitsError(ValueError):
 RationalLike = Union[int, Fraction, "CircleRational"]
 
 
+def _gcd(a: int, b: int) -> int:
+    """gcd(a, b) for a >= 0 and b > 0.  Stein's first step: the power of two
+    2**min(v2(a), v2(b)) comes from shifts and only b's odd part reaches
+    math.gcd, so a dyadic b costs time linear in bits."""
+    s = (b & -b).bit_length() - 1
+    t = (a & -a).bit_length() - 1 if a else s
+    return math.gcd(a, b >> s) << min(s, t)
+
+
 def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, CircleRational):
         return x.frac()
@@ -49,8 +59,7 @@ class CircleRational:
             raise DomainError("denominator must be positive")
         if not 0 <= self.num < self.den:
             raise DomainError("value must lie in [0,1)")
-        f = Fraction(self.num, self.den)
-        if (f.numerator, f.denominator) != (self.num, self.den):
+        if _gcd(self.num, self.den) != 1:
             raise DomainError("numerator and denominator must be coprime")
 
     @classmethod
@@ -218,9 +227,12 @@ def _partial_sum(e: DigitExpansion, depth: int) -> tuple[int, int]:
 
 def reconstruct(e: DigitExpansion, depth: int) -> CircleRational:
     """Exact partial sum x_depth = sum_{n<=depth} c_n/u_n: one integer
-    numerator over u_top (see _partial_sum), reduced once."""
+    numerator over u_top (see _partial_sum), reduced once by _gcd; the
+    partial sum lies in [0, 1), so 0 <= N < u_top."""
     N, top = _partial_sum(e, depth)
-    return CircleRational.from_fraction(Fraction(N, e.seq.u(top)))
+    d = e.seq.u(top)
+    g = _gcd(N, d)
+    return CircleRational(N // g, d // g)
 
 
 def reconstruct_exact(e: DigitExpansion) -> CircleRational:

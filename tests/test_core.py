@@ -4,14 +4,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from enclosure_reference import dist_interval
 from thinset.convergence import WeightRule, nset_partial_sums
 from thinset.core import (CircleInterval, CircleRational, DigitExpansion,
                           DomainError, InsufficientDigitsError, RatInterval,
-                          SIN_UPPER, enclosure_heads, expand, norm_bounds,
+                          SIN_UPPER, _gcd, enclosure_heads, expand, norm_bounds,
                           reconstruct, reconstruct_exact, support)
 from thinset.ideals import FiniteSet, Geometric
 from thinset.sequences import ArithmeticSequence, ExplicitTerms
@@ -35,6 +35,49 @@ class TestCircleRational:
             CircleRational(3, 2)
         with pytest.raises(DomainError):
             CircleRational(2, 4)
+
+
+# 0, small values, and values of about 10**5 bits
+operands = st.one_of(st.just(0), st.integers(1, 2 ** 70), st.integers(0, 2 ** 32).map(
+    lambda seed: random.Random(seed).getrandbits(100_000)))
+odd = st.one_of(st.just(1), operands).map(lambda v: v | 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=operands, t=st.integers(0, 100_000), m=odd, s=st.integers(0, 100_000),
+       g=odd)
+@example(a=0, t=0, m=1, s=0, g=1)                   # b = 1
+@example(a=0, t=0, m=1, s=100_000, g=1)             # a = 0, b = 2**s
+@example(a=5, t=3, m=1, s=100_000, g=3)             # dyadic times an odd factor
+def test_gcd_kernel_matches_math_gcd(a, t, m, s, g):
+    # a = (a*g)*2**t and b = (m*g)*2**s share the odd factor g
+    a, b = (a * g) << t, (m * g) << s
+    assert _gcd(a, b) == math.gcd(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(0), m=st.integers(1, 2 ** 200), j=st.integers(0, 300),
+       o=st.integers(0, 2 ** 64))
+@example(k=1, m=3, j=100_000, o=0)                  # g = 2**100000
+@example(k=1, m=2, j=0, o=3 ** 20_000)              # a large odd g
+@example(k=0, m=1, j=1, o=0)                        # 0/2
+def test_circle_rational_rejects_every_common_factor(k, m, j, o):
+    g = (2 * o + 1) << j
+    assume(g > 1)
+    with pytest.raises(DomainError, match="coprime"):
+        CircleRational(k % m * g, m * g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(num=st.integers(0, 2 ** 100), den=st.integers(1, 2 ** 100), s=st.integers(0, 200))
+def test_circle_rational_accepts_exactly_the_coprime_pairs(num, den, s):
+    den <<= s
+    num %= den
+    if math.gcd(num, den) == 1:
+        CircleRational(num, den)
+    else:
+        with pytest.raises(DomainError, match="coprime"):
+            CircleRational(num, den)
 
 
 class TestExpand:
@@ -182,6 +225,25 @@ def test_reconstruct_matches_fraction_sum(e):
                 else ("InsufficientDigitsError",
                       "expansion is a truncation, exact value unknown"))
     assert _outcome(reconstruct_exact, e) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=st.sampled_from([ArithmeticSequence.dyadic(), ArithmeticSequence.geometric(3),
+                            ArithmeticSequence.factorial(),
+                            ArithmeticSequence.from_ratios([2, 3, 5, 7])]),
+       data=st.data())
+@example(seq=ArithmeticSequence.dyadic(), data=None)        # all digits zero
+def test_reconstruct_is_the_reduced_fraction(seq, data):
+    digits, depth = {}, 1
+    if data is not None:
+        depth = data.draw(st.integers(1, 60))
+        digits = {n: data.draw(st.integers(0, seq.q(n) - 1)) for n in range(1, depth + 1)
+                  if data.draw(st.booleans())}
+    e = DigitExpansion(seq, digits, depth)
+    uK = _running_u(seq, depth)
+    want = Fraction(sum(c * uK // _running_u(seq, n) for n, c in digits.items()), uK)
+    x = reconstruct(e, depth)
+    assert (x.num, x.den) == (want.numerator, want.denominator)
 
 
 def test_truncation_past_a_finite_list_reconstructs():

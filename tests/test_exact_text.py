@@ -81,6 +81,42 @@ def test_bools_and_floats_are_not_integers():
     assert exact_int(7) == exact_int("7") == 7
 
 
+def test_bools_and_floats_are_not_rationals():
+    for value in (0.5, 0.1, 2.0, -0.0, True, False):
+        with pytest.raises(ValueError, match="not a rational"):
+            exact_fraction(value)
+    assert exact_fraction(3) == exact_fraction("3") == 3
+
+
+@pytest.fixture(scope="module")
+def th1_doc():
+    s = parse_sequence("dyadic")
+    plan = plan_witness("th1", s, parse_terms("3*2^n", s),
+                        IdealDescriptor.summable(), 3)
+    return build_and_verify(plan).to_json()
+
+
+# rational fields that once decoded false as 0 and true as 1, and verified
+@pytest.mark.parametrize("path, value", [
+    (("blocks", 0, "lower_bound"), False),
+    (("blocks", 0, "lower_bound"), 0.25),
+    (("checks", 0, "norm_interval"), [False, True]),
+    (("checks", 0, "norm_interval"), [0.25, 0.5]),
+    (("plan", "ideal", "exponent"), True),
+    (("plan", "ideal", "exponent"), 1.0),
+], ids=repr)
+def test_rational_fields_refuse_bools_and_floats(th1_doc, path, value, tmp_path,
+                                                 capsys):
+    doc = mutate(th1_doc, path, value)
+    with pytest.raises(CertificateFormatError, match="not a rational"):
+        WitnessCertificate.from_json(doc)
+    file = tmp_path / "c.json"
+    file.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--json-in", str(file)]) == cli.EXIT_USAGE == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 # the certificate keys that hold integers; growth_log and support are not
 # decoded, and digit positions are JSON keys, hence text
 INT_KEYS = {"i", "n", "k", "v", "digit", "l", "l_prime", "m", "closing_k",

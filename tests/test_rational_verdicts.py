@@ -122,6 +122,21 @@ def test_th6_count_16_point_zero_from():
     assert v.diagnostics["zero_from"] == 131_073
 
 
+def test_th6_count_20_point_reduces_in_linear_time():
+    # x = N/2**2097153: the reduction and the coprimality check of a dyadic
+    # denominator are shifts, where two quadratic gcds took about 15 s
+    ks = [2] + [2 ** i for i in range(3, 22)]
+    point = DigitExpansion(ArithmeticSequence.dyadic(), {k + 1: 1 for k in ks})
+    start = time.perf_counter()
+    x = reconstruct_exact(point)
+    assert time.perf_counter() - start < 1.0
+    assert x.den == 1 << 2_097_153
+    v = ideal_convergence(point, ScaledGeometric(3, 2), IdealDescriptor.density(),
+                          depth=100_000)
+    assert v.outcome is Outcome.MEMBER and v.certificate == "terminating"
+    assert v.diagnostics["zero_from"] == 2_097_153
+
+
 MERSENNE_61 = 2 ** 61 - 1
 # small primes and primes far past any trial-division bound
 PRIMES = (2, 3, 5, 1_000_003, 2 ** 31 - 1, MERSENNE_61)
