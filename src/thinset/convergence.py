@@ -286,27 +286,38 @@ def _cycle_start(r: int, mults: Sequence[int]) -> tuple[int, int]:
         if not shared:
             break
         basis = _coprime_basis(basis + shared)
-    period = len(mults)
-    steps = 0                       # least k with r/rest | m(1)*...*m(k)
-    for b, e in need.items():       # e >= 1: each b divides some g, so r
-        prefix = list(itertools.accumulate(_strip(g, b)[0] for g in gs))
-        full, left = divmod(e - 1, prefix[-1])
-        steps = max(steps, full * period + bisect.bisect_left(prefix, left + 1) + 1)
-    return steps + 1, rest
+    return _least_count([(e, list(itertools.accumulate(_strip(g, b)[0] for g in gs)))
+                         for b, e in need.items()], len(mults)) + 1, rest
+
+
+def _least_count(needs, period: int) -> Optional[int]:
+    """Least s >= 0 with b**e | m(1)*...*m(s) for each (e, table) of needs,
+    table[i] = v_b(m(1)*...*m(i+1)) over one period; None if there is none."""
+    steps = 0
+    for e, table in needs:
+        if e > 0:
+            if not table[-1]:
+                return None
+            full, left = divmod(e - 1, table[-1])
+            steps = max(steps, full * period + bisect.bisect_left(table, left + 1) + 1)
+    return steps
+
+
+def _legendre(n: int, p: int) -> int:
+    """v_p(n!) = sum_i floor(n/p**i) for a prime p (Legendre's formula)."""
+    total = 0
+    while n:
+        n //= p
+        total += n
+    return total
 
 
 def _legendre_least(p: int, e: int) -> int:
-    """Least n with p**e | n!, where v_p(n!) = sum_i floor(n/p**i)."""
-    def v(n: int) -> int:
-        total = 0
-        while n:
-            n //= p
-            total += n
-        return total
+    """Least n with p**e | n!, by bisection on Legendre's formula."""
     lo, hi = 1, e                   # the answer is k*p for some 1 <= k <= e
     while lo < hi:
         mid = (lo + hi) // 2
-        if v(mid * p) >= e:
+        if _legendre(mid * p, p) >= e:
             hi = mid
         else:
             lo = mid + 1

@@ -67,7 +67,8 @@ class ArithmeticSequence:
             self.q(n)
         reps, rest = divmod(b - a, L)
         head = math.prod(ratios[s:s + rest] + ratios[:max(0, s + rest - L)])
-        return math.prod(ratios) ** reps * head if reps else head
+        P = math.prod(ratios) if reps else 1     # a power of two is shifted, not raised
+        return head << (P.bit_length() - 1) * reps if P & (P - 1) == 0 else P ** reps * head
 
     # -- constructors -------------------------------------------------
 

@@ -24,25 +24,27 @@ of the digit pattern, not just for the finite truncation it stores.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from ._exact_text import decoder, exact_fraction, exact_int, exact_str
-from .convergence import (BlockCheck, _cycle_start, _strip,
+from .convergence import (BlockCheck, _coprime_basis, _least_count, _legendre,
+                          _legendre_least, _strip, _trial_factor,
                           membership_by_support)
 from .core import (CircleInterval, DigitExpansion, RatInterval, SIN_UPPER,
                    enclosure_heads, norm_bounds)
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
                      Verdict, descriptor_from_json, non_snt_witness)
-from .sequences import (ArithmeticSequence, ArithmeticTerms, ScaledGeometric,
-                        TermSequence, multiplier_chain, phase_period,
-                        terms_from_json)
+from .sequences import (ArithmeticSequence, ArithmeticTerms, TermSequence,
+                        multiplier_chain, phase_period, terms_from_json)
 
 TAGS = ("th6", "th1", "th2")
 TARGET_BAND = RatInterval(Fraction(1, 4), Fraction(7, 8))
-SCAN_WINDOW = 200_000    # terms a walked seek may pass before it gives up
+SCAN_WINDOW = 200_000    # most terms a seek may pass where v_n grows with n
 _BLOCK_WINDOW = 48     # exact head terms per block; the rest goes in a tail bound
 _BLOCK_BITS = 64       # block bounds are multiples of 2**-(_BLOCK_BITS + bits(j_from))
 
@@ -52,8 +54,8 @@ class UnsupportedIdealError(ValueError):
 
 
 class SequenceNotAbsorbingError(RuntimeError):
-    """The term decompositions provably never reach the required indices, or
-    not within the scan window, so the divergence hypothesis has no evidence."""
+    """The chain indices provably never reach the required ones, or not
+    within the scan window, so the divergence hypothesis has no evidence."""
 
 
 class CertificateFormatError(ValueError):
@@ -185,132 +187,191 @@ class WitnessPlan:
 
 
 def _gap_threshold(seq: ArithmeticSequence, lo: int, bound: int) -> int:
-    """Least k with q_{lo+1} * ... * q_k >= bound, for bound >= 2."""
-    k, prod = lo, 1
-    while prod < bound:
-        k += 1
-        prod *= seq.q(k)
-    return k
+    """Least k with q_{lo+1} * ... * q_k >= bound >= 2, by bisection over
+    `ratio_product`.  Every ratio past q_1 is >= 2, so d = bits(bound - 1)
+    of them reach bound (one more from q_1), and d itself, the answer on a
+    dyadic chain, is checked first.  A finite list that falls short raises
+    what `seq.q` raises past its end."""
+    d = (bound - 1).bit_length() + (lo == 0)
+    if seq.spec[0] == "ratios-finite":
+        d = min(d, len(seq.spec[1]) - lo)
+        if seq.ratio_product(lo, lo + d) < bound:
+            seq.q(lo + d + 1)
+    short = d - 1                               # below bound at short, not at d
+    if seq.ratio_product(lo, lo + short) >= bound:
+        short, d = 0, short
+    while d - short > 1:
+        mid = (short + d) // 2
+        short, d = (mid, d) if seq.ratio_product(lo, lo + mid) < bound else (short, mid)
+    return lo + d
 
 
-def _decompositions(seq: ArithmeticSequence, terms: TermSequence):
-    """Yield (n, k_n, v_n) for n = 1, 2, ...; incremental for term chains."""
-    chain = multiplier_chain(terms)
-    if chain is None:
-        n = 1
-        while True:
-            d = decompose(seq, terms.term(n))
-            yield n, d.k, d.v
-            n += 1
-        return
-    first, mult = chain
-    d = decompose(seq, first)
-    k, v = d.k, d.v
-    n = 1
+# ---------------------------------------------------------------------------
+# Chain index k_n = max{k : u_k | a_n}
+# ---------------------------------------------------------------------------
+
+class _Index(NamedTuple):
+    least: Callable     # (L, after) -> least n > after with u_L | a_n, None if none
+    index: Callable     # n -> k_n
+    cofactor: Callable  # (n, k) -> a_n/u_k
+    quasi: Callable = lambda: None   # (T, S, n0, R) or None, see `_valuations`
+    monotone: bool = True            # k_n <= k_{n+1}, as a_n | a_{n+1}
+    windowed: bool = True            # v_n grows with n, so SCAN_WINDOW applies
+
+
+def _chain_index(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
+    """The kernel for the pair.  A finite list of terms (explicit, or `u_n`
+    of a finite ratio list) is decomposed term by term up to its end, whose
+    ValueError it raises; as k_n need not be monotone, `least` names the
+    next n to check.  `u_n` on its own chain has k_n = n and v_n = 1."""
+    kind, chain, period = seq.spec[0], multiplier_chain(terms), phase_period(terms)
+    if chain is None or (isinstance(terms, ArithmeticTerms)
+                         and terms.seq.spec[0] == "ratios-finite"):
+        d = lambda n: decompose(seq, terms.term(n))
+        return _Index(lambda L, after: after + 1, lambda n: d(n).k, lambda n, k: d(n).v,
+                      monotone=False)
+    if isinstance(terms, ArithmeticTerms) and terms.seq == seq:
+        return _Index(lambda L, after: max(L, after + 1), lambda n: n, lambda n, k: 1,
+                      windowed=False)
+    if kind != "factorial":
+        ratios = seq.spec[1] if kind.startswith("ratios") else (seq.geometric_base,)
+        return _valuations(seq, ratios, kind != "ratios-finite", False, terms)
+    # the least B >= 2 prime to every multiplier is a prime, so v_B(a_n) =
+    # v_B(a_1) for every n, and no k! with B**(v_B(a_1) + 1) | k! divides a_n
+    M = math.prod(chain[1](n) for n in range(1, period + 1))
+    B = next(p for p in itertools.count(2) if math.gcd(p, M) == 1)
+    cap = _legendre_least(B, _strip(chain[0], B)[0] + 1) - 1
+    return _valuations(seq, range(1, cap + 1), False, True, terms)
+
+
+def _valuations(seq, ratios, cyclic: bool, capped: bool, terms) -> _Index:
+    """k_n and v_n from valuations over a coprime basis (`_coprime_basis`;
+    Bernstein, J. Algorithms 54, 2005), never forming a_n: u_k | a_n
+    exactly when v_b(u_k) <= v_b(a_n) for every b of the basis.
+    * Chain: v_b(u_k) = (k // L)*Q + v_b(u_{k mod L}), Q = v_b(u_L), over
+      L `cyclic` ratios; or v_b(u_k), k <= L, on a finite list, whose end
+      raises as `decompose` would unless it is a `capped` cut of k!.
+    * Terms: v_b(a_1) plus prefix sums over one period of P multipliers, V
+      per period (`c*b^n`, `u_n` of a constant or cycled chain); or, for
+      n!, Legendre's formula over the primes of the chain's ratios.
+    v_n stays bounded exactly when each b of the terms rises at the least
+    slope V/Q.  quasi: k_b(n) = max{k : v_b(u_k) <= v_b(a_n)} gains L per
+    Q, so k_b(n + P*m) = k_b(n) + L*m*V/Q once Q/gcd(Q, V) divides m; and
+    k_b(n) is within L of L*(v_b(a_1) + j*V)/Q, j = (n-1) // P (with j + 1
+    above), so from n0 on k_n = min_b k_b(n) lies among the least slopes."""
+    L = len(ratios)
+    seq.ratio_product(0, L + cyclic)                # raises what seq.q raises there
+    if period := phase_period(terms):
+        first, mult = multiplier_chain(terms)
+        mults = [mult(n) for n in range(1, period + 1)]
+        basis = _coprime_basis({first, *mults, *ratios})
+        a1 = {b: _strip(first, b)[0] for b in basis}
+        pre = {b: list(itertools.accumulate(_strip(m, b)[0] for m in mults)) for b in basis}
+    else:                                           # n! terms
+        basis = list(set().union(*(_trial_factor(r, r)[0] for r in ratios)))
+    cp = {b: list(itertools.accumulate((_strip(r, b)[0] for r in ratios), initial=0))
+          for b in basis}
+    bounding = [b for b in basis if cp[b][-1]]      # the rest never bound k_n
+
+    def chain(k):                                   # [v_b(u_k) for b in basis]
+        f, r = divmod(k, L) if cyclic else (0, k)
+        return [f * cp[b][-1] + cp[b][r] for b in basis]
+
+    def vals(n, bs=basis):                          # [v_b(a_n) for b in bs]
+        if not period:
+            return [_legendre(n, p) for p in bs]
+        f, r = divmod(n - 1, period)
+        return [a1[b] + f * pre[b][-1] + (pre[b][r - 1] if r else 0) for b in bs]
+
+    def least(target, after):
+        if target > L and not cyclic:
+            if capped:
+                return None
+            seq.q(L + 1)                            # raises: the list ends
+        f, r = divmod(target, L) if cyclic else (0, target)
+        if not period:
+            return max([_legendre_least(p, e) for p in bounding
+                        if (e := f * cp[p][-1] + cp[p][r])] + [after + 1])
+        s = _least_count([(f * cp[b][-1] + cp[b][r] - a1[b], pre[b]) for b in bounding], period)
+        return None if s is None else max(s + 1, after + 1)
+
+    def index(n):                                   # min_b max{k : v_b(u_k) <= v_b(a_n)}
+        ks = [] if cyclic else [L]
+        for b, A in zip(bounding, vals(n, bounding)):
+            c = cp[b]
+            ks.append(A // c[-1] * L + bisect.bisect_right(c, A % c[-1], 0, L) - 1 if cyclic
+                      else bisect.bisect_right(c, A) - 1)
+        k = min(ks)
+        if k == L and not (cyclic or capped):
+            seq.q(L + 1)                            # raises, as decompose does
+        return k
+
+    def cofactor(n, k):
+        if period:
+            return math.prod(b ** (A - C) for b, A, C in zip(basis, vals(n), chain(k)))
+        v = math.factorial(n)
+        for p, e in zip(basis, chain(k)):
+            v = v >> e if p == 2 else v // p ** e
+        return v
+
+    if not period:
+        return _Index(least, index, cofactor)
+    slope = {b: Fraction(pre[b][-1], cp[b][-1]) for b in bounding}
+    low = min(slope.values(), default=0)
+
+    def quasi():
+        if not cyclic or not low:                   # k_n bounded: `least` proves it
+            return None
+        group = [b for b in slope if slope[b] == low]
+        m = math.lcm(*(cp[b][-1] // math.gcd(cp[b][-1], pre[b][-1]) for b in group))
+        top = Fraction(a1[group[0]] + pre[group[0]][-1], cp[group[0]][-1]) + 2
+        n0 = 1 + period * max([math.ceil((top - Fraction(a1[b], cp[b][-1])) / (slope[b] - low))
+                               for b in slope if slope[b] > low] + [0])
+        T, S = period * m, L * m * low.numerator // low.denominator
+        return T, S, n0, {index(n) % S for n in range(n0, n0 + T)}
+
+    windowed = any(pre[b][-1] and slope.get(b) != low for b in basis)
+    return _Index(least, index, cofactor, quasi, True, windowed)
+
+
+def _seek(index: _Index, after: int, K: int, W: Optional[SetDescriptor]):
+    """(n, k_n, v_n) for the least n > after with k_n >= K, and k_n in W
+    when W is given.  On a monotone k_n a miss k moves the target to W's
+    next member past k: no term is walked.  Refused by proof when u_L
+    divides no term for the target L, or, with k_n quasi-linear, when the
+    members of W past k_{n0} have residues mod S (base*w mod S on a
+    Geometric W) that repeat without meeting R: every k_n up to n0 is at
+    most k_{n0}, and every later one has its residue in R.  Refused by the
+    window when k_n is `windowed` and the hit lies past SCAN_WINDOW terms."""
+    target = K if W is None else W.next_member(K)
+    n = after
     while True:
-        yield n, k, v
-        v *= mult(n)
-        while v % seq.q(k + 1) == 0:
-            v //= seq.q(k + 1)
-            k += 1
-        n += 1
-
-
-def _linear_chain_index(seq: ArithmeticSequence, terms: TermSequence):
-    """(t, s, c, b) with k_n = t + s*n and v_n = c * b**n for every n >= 1,
-    or None where no closed form is known.
-
-    * u_n on its own chain: a_n = u_n, so k_n = n and v_n = 1.
-    * c*b**n on u_k = p**k with b = p**s, s >= 1: write c = p**t * c' with p
-      not dividing c'; then a_n = p**(t + s*n) * c' exactly.  A b that is
-      not a power of p is not split p-adically: for composite p a power of
-      p can hide in c' * b'**n (2**n over 4**k has k_n = n // 2).
-    * c*b**n with gcd(b, p) = 1: p divides no c' * b**n, so k_n = t for
-      every n and v_n = c' * b**n.
-    """
-    if (isinstance(terms, ArithmeticTerms) and terms.seq == seq
-            and seq.spec[0] != "ratios-finite"):
-        return 0, 1, 1, 1
-    p = seq.geometric_base
-    if p is None or not isinstance(terms, ScaledGeometric):
-        return None
-    t, c = _strip(terms.scale, p)
-    s, rest = _strip(terms.base, p)
-    if rest == 1:
-        return t, s, c, 1
-    if math.gcd(terms.base, p) == 1:
-        return t, 0, c, terms.base
-    return None
-
-
-def _jump_seeker(t: int, s: int, c: int, b: int):
-    """`seek` for k_n = t + s*n, v_n = c * b**n: least n > after with
-    k_n >= K and k_n in W, by arithmetic instead of a walk.
-
-    W is a `Geometric` set, whose members' residues mod s follow from the
-    previous member's residue; once a residue repeats without k_n ever
-    landing on a member, none ever does."""
-
-    def seek(after: int, K: int, W: Optional[Geometric]):
-        if s == 0:
-            if K <= t and (W is None or W.contains(t)):
-                n = after + 1
-                return n, t, c * b ** n
+        n = index.least(target, n)
+        if n is None:
             raise SequenceNotAbsorbingError(
-                f"chain index k_n = {t} for every n; no admissible index "
-                f"after n={after}")
-        K = max(K, t + s * (after + 1))
-        if W is not None:
-            K, seen = W.next_member(K), set()
-            while (K - t) % s:
-                if K % s in seen:
+                f"u_{target} divides no term a_n, so every chain index k_n "
+                f"is below {target}: no admissible index after n={after}")
+        if index.windowed and n - after > SCAN_WINDOW:
+            raise SequenceNotAbsorbingError(
+                f"no admissible index within {SCAN_WINDOW} terms after "
+                f"n={after}: the seek stops at its scan window (SCAN_WINDOW)")
+        k = index.index(n)
+        if k == target or k > target and (W is None or W.contains(k)):
+            return n, k, index.cofactor(n, k)
+        if not index.monotone:
+            continue
+        target, seen = W.next_member(k + 1), set()
+        if isinstance(W, Geometric) and (quasi := index.quasi()):
+            T, S, n0, R = quasi
+            bound = index.index(n0)
+            while target > bound and target % S not in R:
+                if target % S in seen:
                     raise SequenceNotAbsorbingError(
-                        f"no chain index k_n = {t} + {s}*n after n={after} "
-                        f"lies in the witness set")
-                seen.add(K % s)
-                K = W.next_member(K + 1)
-        n = -(-(K - t) // s)
-        return n, t + s * n, c * b ** n
-
-    return seek
-
-
-def _walk_seeker(seq: ArithmeticSequence, terms: TermSequence):
-    """`seek` by decomposing a_n term by term.  k_n need not be monotone
-    (explicit terms), so every n is checked; a hit more than SCAN_WINDOW
-    terms after the previous one is refused.
-
-    On periodic multipliers a seek first asks the valuation walk whether u_L
-    divides any a_n, for the least k it accepts: L = k' + 1 after an index k'
-    (about the size of an a_n already formed, unlike u_K), else the least
-    member of W.  If none does, k_n < L for every n: a refusal by proof."""
-    walk = _decompositions(seq, terms)
-    chain, period = multiplier_chain(terms), phase_period(terms)
-    least = None
-
-    def seek(after: int, K: int, W: Optional[SetDescriptor]):
-        nonlocal least
-        if least is None:
-            least = W.next_member(K) if W is not None else K
-        if period is not None and least > 0:
-            first, mult = chain
-            u = seq.u(least)
-            mults = [mult(n) for n in range(1, period + 1)]
-            if _cycle_start(u // math.gcd(u, first), mults)[1] > 1:
-                raise SequenceNotAbsorbingError(
-                    f"u_{least} divides no term a_n, so every chain index k_n "
-                    f"is below {least}: no admissible index after n={after}")
-        for n, k, v in walk:
-            if n - after > SCAN_WINDOW:
-                raise SequenceNotAbsorbingError(
-                    f"no admissible index within {SCAN_WINDOW} terms after "
-                    f"n={after}: the walked seek stops at its scan window "
-                    f"(SCAN_WINDOW)")
-            if k >= K and (W is None or W.contains(k) is True):
-                least = k + 1
-                return n, k, v
-
-    return seek
+                        f"no chain index k_n after n={after} lies in the witness set "
+                        f"{{{W.base}^j}}: k_(n+{T}) = k_n + {S} from n={n0} on, and "
+                        f"the members' residues mod {S} repeat without meeting them")
+                seen.add(target % S)
+                target = W.next_member(target + 1)
 
 
 def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
@@ -319,11 +380,15 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
     family.  One extra index beyond `count` is selected to close off the
     final tail enclosure.
 
-    Each index asks `seek` for the least n after the previous one whose
+    Each index asks `_seek` for the least n after the previous one whose
     chain index k_n reaches a threshold K (th6's ratio gap, th1's 2**i,
-    th2's gap constraint) and, for th6/th1, lies in the witness set.  Pairs
-    with a closed-form k_n jump there; the rest walk, within SCAN_WINDOW
-    terms per index, unless a valuation proof refuses them first."""
+    th2's gap constraint) and, for th6/th1, lies in the witness set.  One
+    kernel (`_chain_index`) answers for every pair, in closed form from
+    valuations (periodic chains and multipliers; Legendre's formula for
+    n!), or by decomposing a finite list of terms.  A request is refused by
+    proof when u_L divides no term, or when quasi-linear k_n never meet the
+    witness set; SCAN_WINDOW caps, by arithmetic, how far past the previous
+    index a seek may go where the cofactor v_n grows with n."""
     if tag not in TAGS:
         raise ValueError(f"unknown certificate tag {tag!r}")
     if count < 0:
@@ -338,13 +403,7 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
     elif seq.geometric_base is None:
         raise ValueError("th2 needs a constant-ratio chain u_n = p**n")
 
-    linear = _linear_chain_index(seq, terms)
-    if linear is not None and (witness_set is None
-                               or isinstance(witness_set, Geometric)):
-        seek = _jump_seeker(*linear)
-    else:
-        seek = _walk_seeker(seq, terms)
-
+    index = _chain_index(seq, terms)
     selected: list[tuple[int, int, int]] = []    # (n, k, v)
     log: list[dict] = []
     while len(selected) < count + 1:
@@ -356,7 +415,7 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
             K = 2 ** i if tag == "th1" else 0
             if selected:
                 K = max(K, _gap_threshold(seq, pk, 8 * pv))
-        n, k, v = seek(pn, K, witness_set)
+        n, k, v = _seek(index, pn, K, witness_set)
         if tag == "th2":
             satisfied = [f"k={k} >= gap constraint"]
         else:

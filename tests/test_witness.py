@@ -1,5 +1,7 @@
 import functools
 import json
+import math
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -13,8 +15,9 @@ from json_mutation import DELETE, VALUES, json_paths, mutate
 from thinset import witness
 from thinset.core import RatInterval
 from thinset.ideals import IdealDescriptor, Outcome, non_snt_witness
-from thinset.sequences import (ArithmeticSequence, ExplicitTerms,
-                               ScaledGeometric, parse_sequence, parse_terms)
+from thinset.sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerms,
+                               ScaledGeometric, parse_sequence, parse_terms,
+                               phase_period)
 from thinset.witness import (CertificateFormatError, SequenceNotAbsorbingError,
                              UnsupportedIdealError, WitnessCertificate,
                              build_and_verify, decompose, digit_choice,
@@ -120,16 +123,35 @@ class TestPlanning:
             plan_witness("th6", seq, ScaledGeometric(3, 2), DENSITY, 2)
         assert time.perf_counter() - start < 0.5
 
-    def test_walk_window_refusal(self):
-        # 2*12^n over dyadic: k_n = 1 + 2n grows but is never a power of two,
-        # which no valuation proof sees, so the walk gives up at its window;
-        # the refusal names that limit and claims nothing about k_n
-        with mock.patch.object(witness, "SCAN_WINDOW", 500), \
-                pytest.raises(SequenceNotAbsorbingError, match="within 500 terms") as info:
+    def test_quasi_linear_refusal_by_proof(self):
+        # 2*12^n over dyadic: k_n = 1 + 2n grows but is never a power of two;
+        # the residues of k_n and of W's members mod 2 prove it, at once
+        start = time.perf_counter()
+        with pytest.raises(SequenceNotAbsorbingError, match="witness set") as info:
             plan_witness("th6", ArithmeticSequence.dyadic(),
-                         ScaledGeometric(2, 12), DENSITY, 2)
+                         ScaledGeometric(2, 12), DENSITY, 3)
+        assert time.perf_counter() - start < 0.01
+        assert "window" not in str(info.value)
+
+    def test_window_refusal(self):
+        # th2 6^n over dyadic: k_n = n and v_n = 3^n, so the third index needs
+        # n = 10 + 21*3^10, past the window; arithmetic finds it, no walk
+        start = time.perf_counter()
+        with pytest.raises(SequenceNotAbsorbingError,
+                           match="within 200000 terms after n=10") as info:
+            plan_witness("th2", ArithmeticSequence.dyadic(),
+                         ScaledGeometric(1, 6), DENSITY, 4)
+        assert time.perf_counter() - start < 1
         assert "scan window" in str(info.value)
-        assert "may be bounded" not in str(info.value)
+        # the second index is n = 10, nine terms after n = 1: a window of nine
+        # reaches it and one of eight does not
+        with mock.patch.object(witness, "SCAN_WINDOW", 9):
+            plan = plan_witness("th2", ArithmeticSequence.dyadic(),
+                                ScaledGeometric(1, 6), DENSITY, 1)
+            assert [p["n"] for p in plan.growth_log] == [1, 10]
+        with mock.patch.object(witness, "SCAN_WINDOW", 8), \
+                pytest.raises(SequenceNotAbsorbingError, match="within 8 terms after n=1"):
+            plan_witness("th2", ArithmeticSequence.dyadic(), ScaledGeometric(1, 6), DENSITY, 1)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
@@ -420,6 +442,114 @@ class TestWalkedPairs:
         with pytest.raises(ValueError, match="outside explicit list"):
             plan_witness("th6", ArithmeticSequence.dyadic(),
                          ExplicitTerms(values), DENSITY, 4)
+
+
+# ---------------------------------------------------------------------------
+# Chain-index kernel against decompose and a brute scan
+# ---------------------------------------------------------------------------
+
+KERNEL_CHAINS = ["dyadic", "geometric:3", "geometric:4", "geometric:6", "factorial",
+                 "[2,3,5]", "[4,6]", "[2,2,3]"]
+KERNEL_TERMS = st.one_of(
+    st.builds(ScaledGeometric, st.integers(1, 40), st.sampled_from([2, 3, 4, 6, 8, 12, 36])),
+    st.just(parse_terms("n!")),
+    st.sampled_from(KERNEL_CHAINS).map(lambda text: ArithmeticTerms(parse_sequence(text))))
+
+
+FINITE = ArithmeticSequence.from_ratios([2, 3, 2, 2, 5, 2, 2, 3, 2, 2, 2, 2], cycle=False)
+
+
+def kernel_chain(text):
+    return FINITE if text == "finite" else parse_sequence(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq_text=st.sampled_from(KERNEL_CHAINS + ["finite"]), terms=KERNEL_TERMS,
+       ns=st.lists(st.integers(1, 300), min_size=1, max_size=4), L=st.integers(0, 30))
+@example("geometric:6", ArithmeticTerms(parse_sequence("[2,3,5]")), [1, 2, 3, 300], 7)
+@example("factorial", ScaledGeometric(3, 2), [1, 2, 3], 5)         # k_n <= 4: proof
+@example("dyadic", ScaledGeometric(2, 12), [1, 100], 30)
+@example("[4,6]", ScaledGeometric(5, 36), [1, 2, 3, 4], 9)          # uneven slopes
+@example("geometric:6", ScaledGeometric(3 ** 10, 12), [1, 9, 10], 12)  # k_n = 2n, then n + 10
+@example("finite", parse_terms("n!"), [5, 20], 13)                # u_12 | 20!: past the end
+def test_chain_index_matches_reference(seq_text, terms, ns, L):
+    seq = kernel_chain(seq_text)
+    index = witness._chain_index(seq, terms)
+    for n in ns:
+        try:
+            d = decompose(seq, terms.term(n))
+        except ValueError as exc:           # k_n reaches the end of a finite chain
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                index.index(n)
+            continue
+        k = index.index(n)
+        assert (k, index.cofactor(n, k)) == (d.k, d.v)
+    try:
+        u = seq.u(L)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            index.least(L, 0)
+        return
+    # least(L) is the first n a brute scan finds; a proof that there is none
+    # is checked up to one period per bit of u_L, by which v_b(a_n) >= v_b(u_L)
+    # for every b that the multipliers carry at all
+    least = index.least(L, 0)
+    limit = least or phase_period(terms) * (u.bit_length() + 1) + 1
+    first = next((n for n in range(1, limit + 1) if terms.term(n) % u == 0), None)
+    assert first == least
+    if least is not None:                   # every n past the least one qualifies
+        assert index.least(L, least + 5) == least + 6
+    quasi = index.quasi()
+    if quasi and quasi[2] + 3 * quasi[0] < 1500:
+        T, S, n0, R = quasi
+        ks = [decompose(seq, terms.term(n)).k for n in range(n0, n0 + 3 * T)]
+        assert all(b == a + S for a, b in zip(ks, ks[T:]))
+        assert {k % S for k in ks} == R
+
+
+@settings(max_examples=150, deadline=None)
+@given(seq_text=st.sampled_from(KERNEL_CHAINS + ["finite"]), lo=st.integers(0, 150),
+       bits=st.integers(1, 600), salt=st.integers(0, 1 << 600))
+@example("finite", 150, 50, 0)      # bits(bound) ratios pass the list's end, the answer does not
+def test_gap_threshold_matches_definition(seq_text, lo, bits, salt):
+    seq = (ArithmeticSequence.from_ratios([2, 3, 5, 7, 11, 13] * 30, cycle=False)
+           if seq_text == "finite" else parse_sequence(seq_text))
+    bound = max(2, (1 << (bits - 1)) + salt % (1 << (bits - 1)))
+    k, prod = lo, 1
+    try:
+        while prod < bound:
+            k += 1
+            prod *= seq.q(k)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            witness._gap_threshold(seq, lo, bound)
+        return
+    assert witness._gap_threshold(seq, lo, bound) == k
+
+
+def test_gap_threshold_at_factorial_count_6_size():
+    # th6 n! over dyadic: after k = 65536 at n = 65538 the gap asks for
+    # 8*v with v the odd part of 65538!, about 890 000 bits
+    f = math.factorial(65538)
+    bound = 8 * (f >> (f & -f).bit_length() - 1)
+    start = time.perf_counter()
+    k = witness._gap_threshold(ArithmeticSequence.dyadic(), 65536, bound)
+    assert time.perf_counter() - start < 0.1
+    assert k == 65536 + (bound - 1).bit_length()
+
+
+def test_factorial_terms_at_count_5_and_6():
+    dyadic, terms = ArithmeticSequence.dyadic(), parse_terms("n!")
+    start = time.perf_counter()
+    plan = plan_witness("th6", dyadic, terms, DENSITY, 5)
+    assert time.perf_counter() - start < 5
+    assert [p.n for p in plan.indices] == [6, 18, 66, 514, 4098]
+    assert plan.closing_k == 65536
+    # the next hit is n = 2**20 + 2, more than the window past n = 65538
+    start = time.perf_counter()
+    with pytest.raises(SequenceNotAbsorbingError, match="within 200000 terms after n=65538"):
+        plan_witness("th6", dyadic, terms, DENSITY, 6)
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("tag,ideal", [("th6", DENSITY), ("th1", SUMMABLE)])
