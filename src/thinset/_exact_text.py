@@ -8,6 +8,7 @@ here works under any setting of that limit and never changes it.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import re
 from decimal import Decimal
@@ -16,6 +17,20 @@ from fractions import Fraction
 # sys.int_info.str_digits_check_threshold: no limit setting refuses text this short
 _SAFE_DIGITS = 640
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")
+_SPLIT_BITS = 1 << 14    # up to here Decimal(n) is as fast as splitting n
+_EXACT = decimal.Context(decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+# keys are powers of two: one entry per doubling of the longest integer written
+_pow2 = functools.cache(lambda k: _EXACT.power(2, k))
+
+
+def _decimal(n: int) -> Decimal:
+    """Decimal(n) for n >= 0, exact, as D(n >> k)*D(2**k) + D(n mod 2**k)
+    with k a power of two, so libmpdec's fast products do the work (CPython
+    3.12's _pylong.int_to_decimal_string); Decimal(n) alone is quadratic."""
+    if n.bit_length() <= _SPLIT_BITS:
+        return Decimal(n)
+    k = 1 << (n.bit_length() - 1).bit_length() - 1
+    return _EXACT.add(_EXACT.multiply(_decimal(n >> k), _pow2(k)), _decimal(n & (1 << k) - 1))
 
 
 def exact_str(value) -> str:
@@ -26,7 +41,7 @@ def exact_str(value) -> str:
         # an int past the digit limit: decimal has none and writes the same text
         if isinstance(value, Fraction) and value.denominator != 1:
             return f"{exact_str(value.numerator)}/{exact_str(value.denominator)}"
-        return str(Decimal(int(value)))
+        return "-" * (value < 0) + str(_decimal(abs(int(value))))
 
 
 # keys are _SAFE_DIGITS * 2**j: one entry per doubling of the longest text read

@@ -693,7 +693,6 @@ class SummabilityReport:
     norm_sum: Fraction                 # exact sum r_n * ||a_n x||
     checkpoints: tuple[tuple[int, Fraction], ...]
     classification: str                # bounded-evidence | divergent-evidence | inconclusive
-    blocks: tuple[BlockCheck, ...] = ()
 
     def __post_init__(self):
         sums = [s for _, s in self.checkpoints]
@@ -716,7 +715,6 @@ class SummabilityReport:
             "sin_envelope": [exact_str(self.sin_lower), exact_str(self.sin_upper)],
             "checkpoints": [[n, exact_str(s)] for n, s in self.checkpoints],
             "classification": self.classification,
-            "blocks": [b.to_json() for b in self.blocks],
         }
 
 

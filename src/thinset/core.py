@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
 
 from ._exact_text import decoder, exact_fraction, exact_int, exact_str
-from .sequences import ArithmeticSequence
+from .sequences import ArithmeticSequence, ArithmeticTerms, phase_period
 
 if TYPE_CHECKING:
     from .ideals import SetDescriptor
@@ -170,31 +170,28 @@ class DigitExpansion:
         return max(self.digits, default=0)
 
     def to_json(self) -> dict:
-        top = self.depth if self.depth is not None else self.last_index
-        doc = {
-            "sequence": self.seq.to_json(),
-            "ratios": [exact_str(self.seq.q(n)) for n in range(1, top + 1)],
-            "digits": {exact_str(n): exact_str(c) for n, c in sorted(self.digits.items())},
-            "depth": self.depth,
-        }
-        return doc
+        digits = {exact_str(n): exact_str(c) for n, c in sorted(self.digits.items())}
+        return {"sequence": self.seq.to_json(), "digits": digits, "depth": self.depth}
 
     @classmethod
     @decoder("expansion document")
     def from_json(cls, doc: dict) -> "DigitExpansion":
-        """Decode `to_json` output; any malformed document raises ValueError."""
-        if "sequence" in doc:
-            seq = ArithmeticSequence.from_json(doc["sequence"])
-        else:
-            seq = ArithmeticSequence.from_ratios(
-                [exact_int(r) for r in doc["ratios"]], cycle=False)
+        """Decode `to_json` output; any malformed document raises ValueError.
+        Older documents copy q_1 .. q_top as text (top = depth, else the last
+        digit index) beside `sequence`: checked phase by phase over a cycling
+        chain's L ratios, else one by one, forming only q_1 .. q_{L+1}."""
+        seq = (ArithmeticSequence.from_json(doc["sequence"]) if "sequence" in doc else
+               ArithmeticSequence.from_ratios([exact_int(r) for r in doc["ratios"]], cycle=False))
         digits = {exact_int(n): exact_int(c) for n, c in doc["digits"].items()}
         depth = doc.get("depth")
         e = cls(seq, digits, None if depth is None else exact_int(depth))
-        # beside `sequence` the list is a copy, so it must be q_1 .. q_top
-        if "sequence" in doc and "ratios" in doc \
-                and doc["ratios"] != e.to_json()["ratios"]:
-            raise ValueError("ratios disagree with the sequence")
+        if "sequence" in doc and "ratios" in doc:
+            copy, top = doc["ratios"], e.depth or e.last_index
+            L = phase_period(ArithmeticTerms(seq)) or top
+            if not isinstance(copy, list) or len(copy) != top or any(
+                    (phase := copy[s::L]).count(exact_str(seq.q(s + 1))) != len(phase)
+                    for s in range(min(top, L + 1))):
+                raise ValueError("ratios disagree with the sequence")
         return e
 
 

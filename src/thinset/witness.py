@@ -155,6 +155,8 @@ class WitnessPlan:
     closing_k: int          # chain index where the next digit would go; the
                             # tail enclosure of the last check starts here
     witness_set: Optional[SetDescriptor]
+    # the selection log, in memory only: {"i", "n", "k", "v"} per selected
+    # index, the closing one included; not written, so a decoded plan has none
     growth_log: tuple[dict, ...] = field(compare=False, default=())
 
     def to_json(self) -> dict:
@@ -167,7 +169,6 @@ class WitnessPlan:
             "closing_k": self.closing_k,
             "witness_set": (self.witness_set.to_json()
                             if self.witness_set is not None else None),
-            "growth_log": list(self.growth_log),
         }
 
     @classmethod
@@ -182,7 +183,6 @@ class WitnessPlan:
             closing_k=exact_int(doc["closing_k"]),
             witness_set=(descriptor_from_json(doc["witness_set"])
                          if doc.get("witness_set") else None),
-            growth_log=tuple(doc.get("growth_log", ())),
         )
 
 
@@ -405,7 +405,6 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
 
     index = _chain_index(seq, terms)
     selected: list[tuple[int, int, int]] = []    # (n, k, v)
-    log: list[dict] = []
     while len(selected) < count + 1:
         i = len(selected) + 1
         pn, pk, pv = selected[-1] if selected else (0, 0, 0)
@@ -415,17 +414,7 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
             K = 2 ** i if tag == "th1" else 0
             if selected:
                 K = max(K, _gap_threshold(seq, pk, 8 * pv))
-        n, k, v = _seek(index, pn, K, witness_set)
-        if tag == "th2":
-            satisfied = [f"k={k} >= gap constraint"]
-        else:
-            satisfied = [f"k={k} in witness set"]
-            if tag == "th1":
-                satisfied.append(f"k={k} >= 2^{i}")
-            if selected:
-                satisfied.append(f"u_{k} >= 8*a (previous index)")
-        selected.append((n, k, v))
-        log.append({"i": i, "n": n, "k": k, "v": exact_str(v), "satisfied": satisfied})
+        selected.append(_seek(index, pn, K, witness_set))
 
     closing_k = selected[count][1]
     planned = []
@@ -435,8 +424,8 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
             planned.append(PlannedIndex(i, n, k, v, choice.c, choice))
         else:
             planned.append(PlannedIndex(i, n, k, v, 1, None))
-    return WitnessPlan(tag, seq, terms, ideal, tuple(planned), closing_k,
-                       witness_set, tuple(log))
+    log = tuple({"i": i, "n": n, "k": k, "v": v} for i, (n, k, v) in enumerate(selected, 1))
+    return WitnessPlan(tag, seq, terms, ideal, tuple(planned), closing_k, witness_set, log)
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,10 @@ def test_malformed_expansion_is_usage_error(tmp_path, capsys):
 
 
 def test_edited_ratio_is_usage_error(tmp_path, capsys):
-    # the count-3 dyadic th6 point with q_6 = 2 rewritten as 3
+    # the count-3 dyadic th6 point in the older format, which copies q_1 ..
+    # q_17 beside `sequence`, with q_6 = 2 rewritten as 3
     doc = DigitExpansion(ArithmeticSequence.dyadic(), {3: 1, 9: 1, 17: 1}).to_json()
+    doc["ratios"] = ["2"] * 17
     path = tmp_path / "p.json"
     argv = ["converge", "--json-in", str(path), "--a", "3*2^n", "--depth", "40",
             "--ideal", "density"]

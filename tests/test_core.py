@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -14,7 +15,7 @@ from thinset.core import (CircleInterval, CircleRational, DigitExpansion,
                           SIN_UPPER, _gcd, enclosure_heads, expand, norm_bounds,
                           reconstruct, reconstruct_exact, support)
 from thinset.ideals import FiniteSet, Geometric
-from thinset.sequences import ArithmeticSequence, ExplicitTerms
+from thinset.sequences import ArithmeticSequence, ExplicitTerms, parse_sequence
 
 
 def digit_list(e, depth):
@@ -499,12 +500,53 @@ def test_expansion_json_round_trip():
 
 
 def test_expansion_ratios_must_match_sequence():
-    # the count-3 dyadic th6 point: beside `sequence`, `ratios` is a copy of
-    # q_1 .. q_17, and a copy that disagrees is refused
+    # the count-3 dyadic th6 point in the older format: beside `sequence`,
+    # `ratios` is a copy of q_1 .. q_17, and a copy that disagrees is refused
     e = DigitExpansion(ArithmeticSequence.dyadic(), {3: 1, 9: 1, 17: 1})
-    doc = e.to_json()
-    assert DigitExpansion.from_json(doc).to_json() == doc
+    doc = dict(e.to_json(), ratios=["2"] * 17)
+    assert DigitExpansion.from_json(doc).to_json() == e.to_json()
     ratios = doc["ratios"]
     for edited in (ratios[:5] + ["3"] + ratios[6:], ratios[:-1], ratios + ["2"]):
         with pytest.raises(ValueError, match="ratios disagree with the sequence"):
             DigitExpansion.from_json(dict(doc, ratios=edited))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain=st.sampled_from(["dyadic", "geometric:3", "[2,3,5]", "factorial"]),
+       raw=st.dictionaries(st.integers(1, 60), st.integers(1, 10 ** 6), max_size=8),
+       extra=st.none() | st.integers(0, 20), data=st.data())
+def test_expansion_documents_round_trip(chain, raw, extra, data):
+    # exact (extra None) or truncated `extra` indices past the last digit;
+    # older documents copy q_1 .. q_top beside `sequence`, and that copy is
+    # checked whole: one ratio edited, dropped or appended is refused, and
+    # so is the copy's text run together into one string
+    seq = parse_sequence(chain)
+    digits = {n: c % (seq.q(n) - 1) + 1 for n, c in raw.items() if seq.q(n) > 1}
+    depth = None if extra is None else max(digits, default=0) + extra or None
+    e = DigitExpansion(seq, digits, depth)
+    doc = e.to_json()
+    assert set(doc) == {"sequence", "digits", "depth"}
+    assert DigitExpansion.from_json(doc) == e
+    top = depth or max(digits, default=0)
+    copy = [str(seq.q(n)) for n in range(1, top + 1)]
+    assert DigitExpansion.from_json(dict(doc, ratios=copy)) == e
+    edits = [copy + [data.draw(st.sampled_from(["2", "3", "7"]))], "".join(copy)]
+    if copy:
+        at = data.draw(st.integers(0, top - 1))
+        edits += [copy[:at] + [str(int(copy[at]) + 1)] + copy[at + 1:],
+                  copy[:at] + copy[at + 1:]]
+    for edited in edits:
+        with pytest.raises(ValueError, match="ratios disagree with the sequence"):
+            DigitExpansion.from_json(dict(doc, ratios=edited))
+
+
+def test_count_20_point_document_is_small():
+    # the count-20 th6 point over the dyadic chain, denominator 2^2097153:
+    # its document once copied all 2 097 153 ratios
+    k = [2] + [2 ** i for i in range(3, 22)]
+    e = DigitExpansion(ArithmeticSequence.dyadic(), {j + 1: 1 for j in k})
+    text = json.dumps(e.to_json())
+    assert len(text) < 4096
+    start = time.perf_counter()
+    assert DigitExpansion.from_json(json.loads(text)) == e
+    assert time.perf_counter() - start < 0.1

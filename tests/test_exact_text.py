@@ -5,6 +5,7 @@ import contextlib
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thinset import cli
-from thinset._exact_text import (_SAFE_DIGITS, decoder, exact_fraction,
-                                 exact_int, exact_str)
+from thinset._exact_text import (_SAFE_DIGITS, _SPLIT_BITS, decoder,
+                                 exact_fraction, exact_int, exact_str)
 from thinset.ideals import IdealDescriptor
 from thinset.sequences import ArithmeticSequence, parse_terms
 from json_mutation import json_paths, mutate
@@ -52,6 +53,35 @@ def test_int_round_trip_under_lowest_limit(digits, seed, negative):
         assert exact_fraction(text) == v
     with int_digit_limit(0):
         assert text == str(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.integers(1, 166_100),
+       shape=st.sampled_from(["random", "2^b", "2^b-1", "sparse"]),
+       seed=st.integers(0, 2 ** 32), negative=st.booleans())
+@example(bits=_SPLIT_BITS + 1, shape="2^b", seed=0, negative=False)
+@example(bits=166_100, shape="2^b-1", seed=0, negative=True)
+def test_int_text_matches_str(bits, shape, seed, negative):
+    # up to 5*10**4 digits, across the bit sizes where exact_str splits an
+    # integer, and on values whose low parts are runs of zeros or of ones
+    rng = random.Random(seed)
+    v = {"random": rng.getrandbits(bits) | 1 << bits - 1, "2^b": 1 << bits - 1,
+         "2^b-1": (1 << bits) - 1,
+         "sparse": sum(1 << rng.randrange(bits) for _ in range(5)) | 1 << bits - 1}[shape]
+    v = -v if negative else v
+    with int_digit_limit(LOWEST):
+        text = exact_str(v)
+    with int_digit_limit(0):
+        assert text == str(v)
+
+
+def test_long_int_text_round_trip_is_fast():
+    # about 630 000 digits, the size of the count-20 th6 point's denominator
+    v = random.Random(5).getrandbits(2_093_000) | 1 << 2_092_999
+    with int_digit_limit(LOWEST):
+        start = time.perf_counter()
+        assert exact_int(exact_str(v)) == v
+        assert time.perf_counter() - start < 2
 
 
 @settings(max_examples=20, deadline=None)
@@ -117,15 +147,15 @@ def test_rational_fields_refuse_bools_and_floats(th1_doc, path, value, tmp_path,
     assert captured.out == "" and captured.err.startswith("error:")
 
 
-# the certificate keys that hold integers; growth_log and support are not
-# decoded, and digit positions are JSON keys, hence text
+# the certificate keys that hold integers; support is not decoded, and digit
+# positions are JSON keys, hence text
 INT_KEYS = {"i", "n", "k", "v", "digit", "l", "l_prime", "m", "closing_k",
             "base", "scale", "index", "from", "to"}
 
 
 def integer_paths(doc):
     for path in json_paths(doc):
-        if path[:2] == ("plan", "growth_log") or path[0] == "support":
+        if path[0] == "support":
             continue
         if path[-1] in INT_KEYS or (len(path) == 2 and path[0] == "digits"):
             yield path
@@ -181,11 +211,11 @@ def test_decoder_maps_every_malformed_document():
 
 def test_factorial_certificate_under_lowest_limit():
     # the closing cofactor of count 4 has 11 794 digits; the library used to
-    # need the CLI's raised limit to write it into growth_log
+    # need the CLI's raised limit to write it
     with int_digit_limit(LOWEST):
         plan = plan_witness("th6", ArithmeticSequence.dyadic(), parse_terms("n!"),
                             IdealDescriptor.density(), 4)
-        assert len(plan.growth_log[-1]["v"]) == 11794
+        assert len(exact_str(plan.growth_log[-1]["v"])) == 11794
         cert = build_and_verify(plan)
         assert cert.passed
         back = WitnessCertificate.from_json(json.loads(json.dumps(cert.to_json())))

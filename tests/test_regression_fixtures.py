@@ -123,8 +123,10 @@ def test_certificate_matches_fixture(case, stored):
     base = parse_sequence(case[1]).geometric_base
     old_blocks, fresh_blocks = old.pop("blocks"), fresh.pop("blocks")
     _assert_blocks_agree(fresh_blocks, old_blocks, case[0] == "th2" and base != 2)
+    # certificates no longer write growth_log; the stored ones keep it
+    old_log = old["plan"].pop("growth_log")
     assert fresh == old
-    old["blocks"] = old_blocks
+    old["blocks"], old["plan"]["growth_log"] = old_blocks, old_log
     ok, report = verify_certificate(WitnessCertificate.from_json(old))
     assert ok and report["recomputed_pass"], report
     if old_blocks:

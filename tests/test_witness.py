@@ -564,6 +564,22 @@ def test_count_40_plans_builds_and_verifies(tag, ideal):
     assert ok and report["recomputed_pass"]
 
 
+def test_count_40_th2_certificate_holds_each_fact_once():
+    # the selection log stays in memory and is not written; a certificate
+    # written with it still decodes, to the same certificate
+    seq = ArithmeticSequence.geometric(5)
+    plan = plan_witness("th2", seq, ScaledGeometric(23, 5), DENSITY, 40)
+    *log, closing = plan.growth_log
+    assert [(e["i"], e["n"], e["k"], e["v"]) for e in log] == [
+        (p.i, p.n, p.k, p.v) for p in plan.indices]
+    assert (closing["i"], closing["k"]) == (41, plan.closing_k)
+    cert = build_and_verify(plan)
+    doc = cert.to_json()
+    assert "growth_log" not in doc["plan"] and len(json.dumps(doc)) < 30720
+    old = dict(doc, plan=dict(doc["plan"], growth_log=[{"i": 1, "satisfied": []}]))
+    assert WitnessCertificate.from_json(old) == WitnessCertificate.from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # Single-field mutations of passing certificates
 # ---------------------------------------------------------------------------
