@@ -32,8 +32,8 @@ from .core import (CircleRational, DigitExpansion, SIN_UPPER, _partial_sum,
                    reconstruct_exact, support)
 from .ideals import (IdealDescriptor, Outcome, Progression, SetDescriptor,
                      UnionSet, Verdict, ideal_member, translation_invariant_in)
-from .sequences import (ArithmeticTerms, TermSequence, multiplier_chain,
-                        phase_period)
+from .sequences import (ArithmeticTerms, TermSequence, _divisibility_of,
+                        multiplier_chain, phase_period)
 
 DEFAULT_DEPTH = 100_000
 DEFAULT_EPS_GRID = (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 64))
@@ -192,147 +192,6 @@ def _walked_cycle(num: int, den: int, terms: TermSequence, mu: int,
                                  for t in residues[k:] + residues[:k]))
 
 
-# ---------------------------------------------------------------------------
-# Valuation walk: from which n on is a_n*x an integer?
-# ---------------------------------------------------------------------------
-#
-# For x = p/d in lowest terms, a_n*x is an integer exactly when d | a_n.  On a
-# multiplicative chain a_{n+1} = a_n*m(n) that holds from some n on or never,
-# and valuations of d against the primes, or a coprime basis, of what it
-# shares with the multipliers say which.
-
-def _strip(n: int, p: int) -> tuple[int, int]:
-    """(v, n / p**v) with p**v the largest power of p >= 2, prime or not,
-    dividing n > 0.  Divides by p**(2**i) from the top down, so a huge power
-    costs O(log v) divisions."""
-    if p == 2:
-        v = (n & -n).bit_length() - 1
-        return v, n >> v
-    if n % p:
-        return 0, n
-    powers = [p]
-    while n % (square := powers[-1] * powers[-1]) == 0:
-        powers.append(square)
-    v = 0
-    for i in range(len(powers) - 1, -1, -1):
-        q, rem = divmod(n, powers[i])
-        if rem == 0:
-            n = q
-            v += 1 << i
-    return v, n
-
-
-def _trial_factor(n: int, bound: int) -> tuple[dict[int, int], int]:
-    """Prime powers of n > 0 found by trial division with p <= bound, and
-    the cofactor left.  Division stops early once p*p exceeds the cofactor,
-    which is then 1 or prime and goes into the factors; a cofactor above 1
-    is returned only when the bound stopped the search."""
-    factors: dict[int, int] = {}
-    p = 2
-    while p <= bound and p * p <= n:
-        v, n = _strip(n, p)
-        if v:
-            factors[p] = v
-        p += 1 if p == 2 else 2
-    if n > 1 and p * p > n:
-        factors[n] = factors.get(n, 0) + 1
-        n = 1
-    return factors, n
-
-
-def _coprime_basis(nums) -> list[int]:
-    """Pairwise coprime integers > 1 over which each of nums factors, found by
-    splitting any two that share a factor into their gcd and the quotients;
-    no number is factored into primes."""
-    basis: list[int] = []
-    todo = [n for n in nums if n > 1]
-    while todo:
-        a = todo.pop()
-        for i, b in enumerate(basis):
-            g = math.gcd(a, b)
-            if g > 1:
-                del basis[i]
-                todo += [c for c in (g, a // g, b // g) if c > 1]
-                break
-        else:
-            basis.append(a)
-    return basis
-
-
-def _cycle_start(r: int, mults: Sequence[int]) -> tuple[int, int]:
-    """(n, rest) for multipliers repeating with period len(mults): rest is
-    the part of r coprime to every multiplier, and n the least index with
-    r/rest | m(1)*...*m(n-1).
-
-    For x = p/d on a chain, with r = d/gcd(d, a_1), rest = 1 makes n the
-    first index with a_n*x an integer.  Otherwise no a_n*x is one, and n is
-    where the states (a_n*x mod 1, phase) enter their cycle: modulo each
-    prime power of d that a multiplier covers, the valuation of a_n rises
-    every period until it reaches d's and the residue stays 0; modulo the
-    rest of d the multipliers are units, so the states there are purely
-    periodic.
-
-    Only g = gcd(r, m) matters (r divides a product of the m exactly when it
-    divides the product of their g), and the g are refined into a coprime
-    basis over which r factors too.  Valuations against the basis elements
-    then decide divisibility as prime valuations would, without factoring."""
-    gs = [math.gcd(r, m) for m in mults]
-    basis = _coprime_basis(set(gs))
-    while True:
-        need, rest = {}, r
-        for b in basis:
-            need[b], rest = _strip(rest, b)
-        shared = [g for b in basis if (g := math.gcd(rest, b)) > 1]
-        if not shared:
-            break
-        basis = _coprime_basis(basis + shared)
-    return _least_count([(e, list(itertools.accumulate(_strip(g, b)[0] for g in gs)))
-                         for b, e in need.items()], len(mults)) + 1, rest
-
-
-def _least_count(needs, period: int) -> Optional[int]:
-    """Least s >= 0 with b**e | m(1)*...*m(s) for each (e, table) of needs,
-    table[i] = v_b(m(1)*...*m(i+1)) over one period; None if there is none."""
-    steps = 0
-    for e, table in needs:
-        if e > 0:
-            if not table[-1]:
-                return None
-            full, left = divmod(e - 1, table[-1])
-            steps = max(steps, full * period + bisect.bisect_left(table, left + 1) + 1)
-    return steps
-
-
-def _legendre(n: int, p: int) -> int:
-    """v_p(n!) = sum_i floor(n/p**i) for a prime p (Legendre's formula)."""
-    total = 0
-    while n:
-        n //= p
-        total += n
-    return total
-
-
-def _legendre_least(p: int, e: int) -> int:
-    """Least n with p**e | n!, by bisection on Legendre's formula."""
-    lo, hi = 1, e                   # the answer is k*p for some 1 <= k <= e
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _legendre(mid * p, p) >= e:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo * p
-
-
-def _factorial_zero_from(d: int) -> Optional[int]:
-    """Least n with d | n!, or None when trial division up to
-    _FACTOR_BOUND leaves a cofactor it cannot prove prime."""
-    factors, rest = _trial_factor(d, _FACTOR_BOUND)
-    if rest > 1:
-        return None
-    return max((_legendre_least(p, e) for p, e in factors.items()), default=1)
-
-
 def _rational_verdict(x: CircleRational, terms: TermSequence, walked: tuple
                       ) -> tuple[Verdict, Optional[_Cycle]]:
     """Verdict on ||a_n x|| -> 0 for rational x, with the residue cycle behind
@@ -342,38 +201,26 @@ def _rational_verdict(x: CircleRational, terms: TermSequence, walked: tuple
 
     if x.num == 0:
         return Verdict(Outcome.MEMBER, "zero"), None
-    chain = multiplier_chain(terms)
-    if chain is None:
+    kernel = _divisibility_of(terms)
+    if kernel is None:
         return undecided("terms are not a multiplicative chain")
-    first, mult = chain
-    r = x.den // math.gcd(x.den, first)
-    period = phase_period(terms)
-    spec = terms.seq.spec if isinstance(terms, ArithmeticTerms) else None
-    if period is not None:
-        zero_from, rest = _cycle_start(r, [mult(n) for n in range(1, period + 1)])
-        if rest > 1:
-            # no a_n*x is an integer, and the states enter their cycle at
-            # zero_from; the cycle, when small enough to report, names the
-            # recurring norm, and otherwise ||a_n x|| >= 1/d is the certificate
-            if x.den * period > _CYCLE_STATE_CAP:
-                return Verdict(Outcome.NOT_MEMBER, "never-integral",
-                               {"norm_floor": Fraction(1, x.den)}), None
-            cycle = _walked_cycle(x.num, x.den, terms, zero_from, walked)
-            return Verdict(Outcome.NOT_MEMBER, "periodic-recurrence",
-                           {"cycle_start": cycle.mu, "period": cycle.period,
-                            "recurring_norm": max(cycle.norms)}), cycle
-    elif spec == ("factorial",):
-        zero_from = _factorial_zero_from(r)
-        if zero_from is None:
-            return undecided(f"n! terms: trial division up to {_FACTOR_BOUND} "
-                             f"leaves a cofactor of the denominator it cannot factor")
-    elif spec is not None and spec[0] == "ratios-finite":
-        # the chain ends with its list, so its first period is all of it
-        zero_from, rest = _cycle_start(r, spec[1][1:])
-        if rest > 1 or zero_from > len(spec[1]):
-            return undecided("finite ratio list ends before d divides a term")
-    else:
-        return undecided("multiplier chain is neither periodic, finite nor n!")
+    zero_from, rest = kernel.zero_from(x.den, _FACTOR_BOUND)
+    if rest > 1 and kernel.period:
+        # d divides no a_n; the states (a_n*x mod 1, phase) cycle from
+        # zero_from on, and the cycle, when small enough to report, names
+        # the recurring norm, else ||a_n x|| >= 1/d is the certificate
+        if x.den * kernel.period > _CYCLE_STATE_CAP:
+            return Verdict(Outcome.NOT_MEMBER, "never-integral",
+                           {"norm_floor": Fraction(1, x.den)}), None
+        cycle = _walked_cycle(x.num, x.den, terms, zero_from, walked)
+        return Verdict(Outcome.NOT_MEMBER, "periodic-recurrence",
+                       {"cycle_start": cycle.mu, "period": cycle.period,
+                        "recurring_norm": max(cycle.norms)}), cycle
+    if rest > 1 or zero_from is None:
+        return undecided("finite ratio list ends before d divides a term"
+                         if kernel.mults is not None else
+                         f"n! terms: trial division up to {_FACTOR_BOUND} "
+                         f"leaves a cofactor of the denominator it cannot factor")
     return Verdict(Outcome.MEMBER, "terminating", {"zero_from": zero_from}), None
 
 

@@ -428,6 +428,8 @@ class DensityEstimate:
 def density_estimate(s: SetDescriptor, cutoff: int = DEFAULT_CUTOFF,
                      window: int = 4) -> DensityEstimate:
     """Min/max of prefix ratios at cutoff/window ... cutoff."""
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
     points = sorted({max(1, cutoff * i // window) for i in range(1, window + 1)})
     ratios = [prefix_density(s, n) for n in points]
     return DensityEstimate(cutoff, min(ratios), max(ratios), s.growth().density)

@@ -7,6 +7,7 @@ each value divides the next.  All values are arbitrary-precision integers.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -257,6 +258,171 @@ def phase_period(terms: TermSequence) -> Optional[int]:
         if spec[0] == "ratios":
             return len(spec[1])
     return None
+
+
+# ---------------------------------------------------------------------------
+# Divisibility of the terms: from which n on does D divide a_n?
+# ---------------------------------------------------------------------------
+# On a multiplicative chain a_{n+1} = a_n*m(n), D | a_n from some n on or
+# never; valuations of D over a coprime basis of a_1 and the multipliers
+# (Bernstein, J. Algorithms 54, 2005) say which.  Only n! needs D's primes.
+
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(v, n / p**v) with p**v the largest power of p >= 2, prime or not,
+    dividing n > 0.  Divides by p**(2**i) from the top down, so a huge power
+    costs O(log v) divisions."""
+    if p == 2:
+        v = (n & -n).bit_length() - 1
+        return v, n >> v
+    if n % p:
+        return 0, n
+    powers = [p]
+    while n % (square := powers[-1] * powers[-1]) == 0:
+        powers.append(square)
+    v = 0
+    for i in range(len(powers) - 1, -1, -1):
+        q, rem = divmod(n, powers[i])
+        if rem == 0:
+            n = q
+            v += 1 << i
+    return v, n
+
+
+def _trial_factor(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """Prime powers of n > 0 found by trial division with p <= bound, and
+    the cofactor left.  Division stops early once p*p exceeds the cofactor,
+    which is then 1 or prime and goes into the factors; a cofactor above 1
+    is returned only when the bound stopped the search."""
+    factors: dict[int, int] = {}
+    p = 2
+    while p <= bound and p * p <= n:
+        v, n = _strip(n, p)
+        if v:
+            factors[p] = v
+        p += 1 if p == 2 else 2
+    if n > 1 and p * p > n:
+        factors[n] = factors.get(n, 0) + 1
+        n = 1
+    return factors, n
+
+
+def _coprime_basis(nums) -> list[int]:
+    """Pairwise coprime integers > 1 over which each of nums factors, found by
+    splitting any two that share a factor into their gcd and the quotients;
+    no number is factored into primes."""
+    basis: list[int] = []
+    todo = [n for n in nums if n > 1]
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(basis):
+            g = math.gcd(a, b)
+            if g > 1:
+                del basis[i]
+                todo += [c for c in (g, a // g, b // g) if c > 1]
+                break
+        else:
+            basis.append(a)
+    return basis
+
+
+def _legendre(n: int, p: int) -> int:
+    """v_p(n!) = sum_i floor(n/p**i) for a prime p (Legendre's formula)."""
+    total = 0
+    while n:
+        n //= p
+        total += n
+    return total
+
+
+def _legendre_least(p: int, e: int) -> int:
+    """Least n with p**e | n!, by bisection on Legendre's formula."""
+    lo, hi = 1, e                   # the answer is k*p for some 1 <= k <= e
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _legendre(mid * p, p) >= e else (mid + 1, hi)
+    return lo * p
+
+
+class _Divisibility(dict):
+    """v_b(a_n), and the least n with b**e | a_n, for a_1 = first and the
+    multipliers m(1), m(2), ...: one period `mults` when `cyclic`, else a
+    finite list (the terms end at a_{len(mults)+1}), or a_n = n! with b a
+    prime when mults is None.  As a mapping, b -> (v_b(a_1),
+    [v_b(m(1)***m(i)) for i = 0 .. len(mults)]), filled on use."""
+
+    def __init__(self, first: int, mults: Optional[Sequence[int]], cyclic: bool = True):
+        super().__init__()
+        self.first, self.mults = first, mults
+        self.period = len(mults) if cyclic and mults is not None else None
+
+    def basis(self, nums: Sequence[int]) -> list[int]:
+        """A coprime basis of a_1, the multipliers and nums (n!: nums' primes)."""
+        if self.mults is None:
+            return list(set().union(*(_trial_factor(r, r)[0] for r in nums)))
+        return _coprime_basis({self.first, *self.mults, *nums})
+
+    def __missing__(self, b: int):
+        table = self[b] = (_strip(self.first, b)[0], list(itertools.accumulate(
+            (_strip(m, b)[0] for m in self.mults), initial=0)))
+        return table
+
+    def vals(self, n: int, bs) -> list[int]:
+        """[v_b(a_n) for b in bs]."""
+        if self.mults is None:
+            return [_legendre(n, p) for p in bs]
+        f, r = divmod(n - 1, self.period) if self.period else (0, n - 1)
+        return [a + f * pre[-1] + pre[r] for a, pre in map(self.__getitem__, bs)]
+
+    def least(self, needs) -> Optional[int]:
+        """Least n with b**e | a_n for every (b, e) of needs; None proves there
+        is none (a period adds nothing to b beyond a_1, or a finite list ends)."""
+        if self.mults is None:
+            return max([_legendre_least(p, e) for p, e in needs if e > 0], default=1)
+        steps, period = 0, self.period
+        for b, e in needs:
+            a, pre = self[b]
+            if e > a:
+                full, left = divmod(e - a - 1, pre[-1]) if period and pre[-1] else (0, e - a - 1)
+                i = bisect.bisect_left(pre, left + 1)
+                if i == len(pre):
+                    return None
+                steps = max(steps, full * (period or 0) + i)
+        return steps + 1
+
+    def zero_from(self, d: int, bound: int) -> tuple[Optional[int], int]:
+        """(n, rest): rest is the part of d > 0 that no term supplies, and n
+        the least index with d/rest | a_n (None past a finite list), so d |
+        a_n from n on if rest = 1, else never.  d is stripped over a basis of
+        its gcds with a_1 and the multipliers, refined by gcd(rest, b).  For
+        n!, rest is the cofactor trial division up to bound leaves unproven."""
+        if self.mults is None:
+            factors, rest = _trial_factor(d, bound)
+            return self.least(factors.items()), rest
+        basis = _coprime_basis({math.gcd(d, t) for t in (self.first, *self.mults)})
+        while True:
+            need, rest = [], d
+            for b in basis:
+                e, rest = _strip(rest, b)
+                need.append((b, e))
+            shared = [g for b in basis if (g := math.gcd(rest, b)) > 1]
+            if not shared:
+                break
+            basis = _coprime_basis(basis + shared)
+        rest *= math.prod(b ** (e - self[b][0]) for b, e in need
+                          if not self[b][1][-1] and e > self[b][0])
+        return self.least([(b, e) for b, e in need if self[b][1][-1]]), rest
+
+
+def _divisibility_of(terms: TermSequence) -> Optional[_Divisibility]:
+    """The kernel above for the terms, or None off a multiplier chain."""
+    if (chain := multiplier_chain(terms)) is None:
+        return None
+    first, mult = chain
+    if period := phase_period(terms):
+        return _Divisibility(first, [mult(n) for n in range(1, period + 1)])
+    if terms.seq.spec[0] == "ratios-finite":
+        return _Divisibility(first, terms.seq.spec[1][1:], False)
+    return _Divisibility(first, None)
 
 
 _SCALED_RE = re.compile(r"^(?:(\d+)\s*\*\s*)?(\d+)\^n$")

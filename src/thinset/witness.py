@@ -32,15 +32,14 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from ._exact_text import decoder, exact_fraction, exact_int, exact_str
-from .convergence import (BlockCheck, _coprime_basis, _least_count, _legendre,
-                          _legendre_least, _strip, _trial_factor,
-                          membership_by_support)
+from .convergence import BlockCheck, membership_by_support
 from .core import (CircleInterval, DigitExpansion, RatInterval, SIN_UPPER,
                    enclosure_heads, norm_bounds)
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
                      Verdict, descriptor_from_json, non_snt_witness)
 from .sequences import (ArithmeticSequence, ArithmeticTerms, TermSequence,
-                        multiplier_chain, phase_period, terms_from_json)
+                        _divisibility_of, _strip, multiplier_chain,
+                        phase_period, terms_from_json)
 
 TAGS = ("th6", "th1", "th2")
 TARGET_BAND = RatInterval(Fraction(1, 4), Fraction(7, 8))
@@ -240,35 +239,27 @@ def _chain_index(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
     # v_B(a_1) for every n, and no k! with B**(v_B(a_1) + 1) | k! divides a_n
     M = math.prod(chain[1](n) for n in range(1, period + 1))
     B = next(p for p in itertools.count(2) if math.gcd(p, M) == 1)
-    cap = _legendre_least(B, _strip(chain[0], B)[0] + 1) - 1
+    cap = _divisibility_of(ArithmeticTerms(seq)).least([(B, _strip(chain[0], B)[0] + 1)]) - 1
     return _valuations(seq, range(1, cap + 1), False, True, terms)
 
 
 def _valuations(seq, ratios, cyclic: bool, capped: bool, terms) -> _Index:
-    """k_n and v_n from valuations over a coprime basis (`_coprime_basis`;
-    Bernstein, J. Algorithms 54, 2005), never forming a_n: u_k | a_n
-    exactly when v_b(u_k) <= v_b(a_n) for every b of the basis.
+    """k_n and v_n from valuations over a coprime basis, never forming a_n:
+    u_k | a_n exactly when v_b(u_k) <= v_b(a_n) for every b of the basis.
+    v_b(a_n) and `least` come from the kernel `sequences._divisibility_of`.
     * Chain: v_b(u_k) = (k // L)*Q + v_b(u_{k mod L}), Q = v_b(u_L), over
       L `cyclic` ratios; or v_b(u_k), k <= L, on a finite list, whose end
       raises as `decompose` would unless it is a `capped` cut of k!.
-    * Terms: v_b(a_1) plus prefix sums over one period of P multipliers, V
-      per period (`c*b^n`, `u_n` of a constant or cycled chain); or, for
-      n!, Legendre's formula over the primes of the chain's ratios.
     v_n stays bounded exactly when each b of the terms rises at the least
-    slope V/Q.  quasi: k_b(n) = max{k : v_b(u_k) <= v_b(a_n)} gains L per
-    Q, so k_b(n + P*m) = k_b(n) + L*m*V/Q once Q/gcd(Q, V) divides m; and
-    k_b(n) is within L of L*(v_b(a_1) + j*V)/Q, j = (n-1) // P (with j + 1
-    above), so from n0 on k_n = min_b k_b(n) lies among the least slopes."""
+    slope V/Q, V = v_b gained per period of P multipliers.  quasi: k_b(n) =
+    max{k : v_b(u_k) <= v_b(a_n)} gains L per Q, so k_b(n + P*m) = k_b(n) +
+    L*m*V/Q once Q/gcd(Q, V) divides m; and k_b(n) is within L of
+    L*(v_b(a_1) + j*V)/Q, j = (n-1) // P (with j + 1 above), so from n0 on
+    k_n = min_b k_b(n) lies among the least slopes."""
     L = len(ratios)
     seq.ratio_product(0, L + cyclic)                # raises what seq.q raises there
-    if period := phase_period(terms):
-        first, mult = multiplier_chain(terms)
-        mults = [mult(n) for n in range(1, period + 1)]
-        basis = _coprime_basis({first, *mults, *ratios})
-        a1 = {b: _strip(first, b)[0] for b in basis}
-        pre = {b: list(itertools.accumulate(_strip(m, b)[0] for m in mults)) for b in basis}
-    else:                                           # n! terms
-        basis = list(set().union(*(_trial_factor(r, r)[0] for r in ratios)))
+    kernel = _divisibility_of(terms)
+    basis, period, vals = kernel.basis(ratios), kernel.period, kernel.vals
     cp = {b: list(itertools.accumulate((_strip(r, b)[0] for r in ratios), initial=0))
           for b in basis}
     bounding = [b for b in basis if cp[b][-1]]      # the rest never bound k_n
@@ -277,23 +268,14 @@ def _valuations(seq, ratios, cyclic: bool, capped: bool, terms) -> _Index:
         f, r = divmod(k, L) if cyclic else (0, k)
         return [f * cp[b][-1] + cp[b][r] for b in basis]
 
-    def vals(n, bs=basis):                          # [v_b(a_n) for b in bs]
-        if not period:
-            return [_legendre(n, p) for p in bs]
-        f, r = divmod(n - 1, period)
-        return [a1[b] + f * pre[b][-1] + (pre[b][r - 1] if r else 0) for b in bs]
-
     def least(target, after):
         if target > L and not cyclic:
             if capped:
                 return None
             seq.q(L + 1)                            # raises: the list ends
         f, r = divmod(target, L) if cyclic else (0, target)
-        if not period:
-            return max([_legendre_least(p, e) for p in bounding
-                        if (e := f * cp[p][-1] + cp[p][r])] + [after + 1])
-        s = _least_count([(f * cp[b][-1] + cp[b][r] - a1[b], pre[b]) for b in bounding], period)
-        return None if s is None else max(s + 1, after + 1)
+        n = kernel.least([(b, f * cp[b][-1] + cp[b][r]) for b in bounding])
+        return None if n is None else max(n, after + 1)
 
     def index(n):                                   # min_b max{k : v_b(u_k) <= v_b(a_n)}
         ks = [] if cyclic else [L]
@@ -308,7 +290,7 @@ def _valuations(seq, ratios, cyclic: bool, capped: bool, terms) -> _Index:
 
     def cofactor(n, k):
         if period:
-            return math.prod(b ** (A - C) for b, A, C in zip(basis, vals(n), chain(k)))
+            return math.prod(b ** (A - C) for b, A, C in zip(basis, vals(n, basis), chain(k)))
         v = math.factorial(n)
         for p, e in zip(basis, chain(k)):
             v = v >> e if p == 2 else v // p ** e
@@ -316,21 +298,23 @@ def _valuations(seq, ratios, cyclic: bool, capped: bool, terms) -> _Index:
 
     if not period:
         return _Index(least, index, cofactor)
-    slope = {b: Fraction(pre[b][-1], cp[b][-1]) for b in bounding}
+    a1 = {b: kernel[b][0] for b in basis}
+    V = {b: kernel[b][1][-1] for b in basis}      # v_b gained per period
+    slope = {b: Fraction(V[b], cp[b][-1]) for b in bounding}
     low = min(slope.values(), default=0)
 
     def quasi():
         if not cyclic or not low:                   # k_n bounded: `least` proves it
             return None
         group = [b for b in slope if slope[b] == low]
-        m = math.lcm(*(cp[b][-1] // math.gcd(cp[b][-1], pre[b][-1]) for b in group))
-        top = Fraction(a1[group[0]] + pre[group[0]][-1], cp[group[0]][-1]) + 2
+        m = math.lcm(*(cp[b][-1] // math.gcd(cp[b][-1], V[b]) for b in group))
+        top = Fraction(a1[group[0]] + V[group[0]], cp[group[0]][-1]) + 2
         n0 = 1 + period * max([math.ceil((top - Fraction(a1[b], cp[b][-1])) / (slope[b] - low))
                                for b in slope if slope[b] > low] + [0])
         T, S = period * m, L * m * low.numerator // low.denominator
         return T, S, n0, {index(n) % S for n in range(n0, n0 + T)}
 
-    windowed = any(pre[b][-1] and slope.get(b) != low for b in basis)
+    windowed = any(V[b] and slope.get(b) != low for b in basis)
     return _Index(least, index, cofactor, quasi, True, windowed)
 
 

@@ -46,6 +46,16 @@ def test_density(capsys):
     assert doc["exact"] == "1/2"
 
 
+def test_cutoff_below_one_is_usage_error(capsys):
+    overlapping = ('{"type": "union", "parts": [{"type": "progression", "start": "1", '
+                   '"step": "2"}, {"type": "progression", "start": "1", "step": "4"}]}')
+    for argv in (["density", "--set", "progression:1,2"],
+                 ["ideal-member", "--ideal", "density", "--set", overlapping]):
+        code, doc, err = run_cli(capsys, *argv, "--cutoff", "0")
+        assert (code, doc) == (EXIT_USAGE, None)
+        assert "cutoff must be >= 1" in err
+
+
 def test_ideal_member_exit_codes(capsys):
     code, doc, _ = run_cli(capsys, "ideal-member", "--ideal", "density",
                            "--set", "geometric:2")

@@ -121,6 +121,16 @@ class TestDensity:
         assert est.lower <= Fraction(1, 4) <= est.upper
         assert est.exact == Fraction(1, 4)
 
+    def test_estimate_refuses_cutoff_below_one(self):
+        # prefix_density refuses n < 1; the estimate used to measure at n = 1
+        for cutoff in (0, -5):
+            with pytest.raises(ValueError, match="cutoff must be >= 1"):
+                density_estimate(Progression(1, 2), cutoff=cutoff)
+        overlapping = UnionSet([Progression(1, 2), Progression(1, 4)])
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            ideal_member(IdealDescriptor.density(), overlapping, cutoff=0)
+        assert density_estimate(Progression(1, 2), cutoff=1).lower == 1
+
 
 class TestIdealMember:
     def test_fin(self):

@@ -11,13 +11,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cycle_reference
-from thinset import convergence
-from thinset.convergence import (DEFAULT_EPS_GRID, WeightRule, classical_convergence,
-                                 ideal_convergence, nset_partial_sums)
+from thinset import convergence, witness
+from thinset.convergence import (_FACTOR_BOUND, DEFAULT_EPS_GRID, WeightRule,
+                                 classical_convergence, ideal_convergence,
+                                 nset_partial_sums)
 from thinset.core import CircleRational, DigitExpansion, reconstruct_exact
 from thinset.ideals import IdealDescriptor, Outcome, Progression
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms,
-                               ExplicitTerms, ScaledGeometric, parse_sequence,
+                               ExplicitTerms, ScaledGeometric, _Divisibility,
+                               _divisibility_of, multiplier_chain, parse_sequence,
                                parse_terms, phase_period)
 
 IDEALS = (IdealDescriptor.fin(), IdealDescriptor.density(),
@@ -146,11 +148,11 @@ def exponents(top):
 
 @settings(max_examples=300, deadline=None)
 @given(r_exps=exponents(9), mult_exps=st.lists(exponents(4), min_size=1, max_size=4))
-def test_cycle_start_matches_prime_valuations(r_exps, mult_exps):
-    """The coprime-basis walk against the same question answered from known
-    prime exponents: rest is r's part at the primes no multiplier has, and
-    the index is one past the least k with v_p(r) <= sum of v_p over
-    m(1..k) at every other prime."""
+def test_divisibility_matches_prime_valuations(r_exps, mult_exps):
+    """The coprime-basis kernel against the same question answered from
+    known prime exponents, for a_1 = 1: rest is r's part at the primes no
+    multiplier has, and the index is one past the least k with v_p(r) <=
+    sum of v_p over m(1..k) at every other prime."""
     r = math.prod(p ** e for p, e in zip(PRIMES, r_exps))
     mults = [math.prod(p ** e for p, e in zip(PRIMES, exps)) for exps in mult_exps]
     period = len(mults)
@@ -161,15 +163,69 @@ def test_cycle_start_matches_prime_valuations(r_exps, mult_exps):
     while any(h < e for h, e in zip(have, need)):
         have = [h + v for h, v in zip(have, mult_exps[k % period])]
         k += 1
-    assert convergence._cycle_start(r, mults) == (k + 1, rest)
+    assert _Divisibility(1, mults).zero_from(r, _FACTOR_BOUND) == (k + 1, rest)
 
 
-def test_cycle_start_splits_shared_factors():
+def test_divisibility_splits_shared_factors():
     # 8 and 4 share the prime 2: only the refined basis {2} counts 2^8 right
-    assert convergence._cycle_start(2 ** 8, [8, 4]) == (4, 1)
-    assert convergence._cycle_start(2 ** 7 * 3, [12, 18, 8]) == (5, 1)
+    assert _Divisibility(1, [8, 4]).zero_from(2 ** 8, _FACTOR_BOUND) == (4, 1)
+    assert _Divisibility(1, [12, 18, 8]).zero_from(2 ** 7 * 3, _FACTOR_BOUND) == (5, 1)
     # 7 divides no multiplier: it is the rest, and 2^8 still sets the start
-    assert convergence._cycle_start(2 ** 8 * 7 ** 2, [8, 4]) == (4, 49)
+    assert _Divisibility(1, [8, 4]).zero_from(2 ** 8 * 7 ** 2, _FACTOR_BOUND) == (4, 49)
+
+
+CHAINS = (ArithmeticSequence.dyadic(), ArithmeticSequence.geometric(3),
+          ArithmeticSequence.from_ratios([2, 3, 5]))
+finite_lists = st.lists(st.integers(2, 9), min_size=1, max_size=8).map(
+    lambda ratios: ArithmeticSequence.from_ratios(ratios, cycle=False))
+kernel_terms = st.one_of(scaled, factorial, st.sampled_from(CHAINS).map(ArithmeticTerms),
+                         finite_lists.map(ArithmeticTerms))
+
+
+def scan_least(terms, D: int):
+    """Least n with D | a_n by a walk of a_n mod D: a periodic chain's states
+    (a_n mod D, phase) repeat within D*period steps, D | n! from n = D on,
+    and a finite list ends with its terms."""
+    first, mult = multiplier_chain(terms)
+    if period := phase_period(terms):
+        horizon = D * period + 1
+    elif terms.seq.spec[0] == "ratios-finite":
+        horizon = len(terms.seq.spec[1])
+    else:
+        horizon = D
+    t = first % D
+    for n in range(1, horizon + 1):
+        if t == 0:
+            return n
+        if n < horizon:
+            t = t * mult(n) % D
+    return None
+
+
+def kernel_least(terms, D: int):
+    """The kernel's least n with D | a_n, None where it proves there is none."""
+    n, rest = _divisibility_of(terms).zero_from(D, _FACTOR_BOUND)
+    return n if rest == 1 else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=kernel_terms, D=st.integers(1, 400))
+def test_divisibility_kernel_matches_scan(terms, D):
+    assert kernel_least(terms, D) == scan_least(terms, D)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=st.one_of(st.sampled_from(CHAINS + (ArithmeticSequence.factorial(),)),
+                     finite_lists),
+       terms=kernel_terms, L=st.integers(0, 12))
+def test_divisibility_kernel_matches_planner_least(seq, terms, L):
+    """For D = u_L the verdict's kernel and the planner's seek give the same
+    least n, on every pair whose chain index comes from valuations."""
+    assume(terms != ArithmeticTerms(seq) and not (
+        isinstance(terms, ArithmeticTerms) and terms.seq.spec[0] == "ratios-finite"))
+    if seq.spec[0] == "ratios-finite":
+        L = min(L, len(seq.spec[1]))
+    assert witness._chain_index(seq, terms).least(L, 0) == kernel_least(terms, seq.u(L))
 
 
 def test_large_prime_base_keeps_parent_verdict():
