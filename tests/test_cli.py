@@ -237,6 +237,13 @@ def test_pinned_malformed_inputs_are_usage_errors(tmp_path, capsys, th6_doc):
         code, out, err = run_cli(capsys, "verify", "--json-in", str(path))
         assert code == EXIT_USAGE and out is None
         assert err.startswith("error:")
+    # signed weights: 1, -1, ... cancel the sum to "0", which would read as
+    # bounded-evidence (exit 0), and -1s invert the envelope to ["-2", "-22/7"]
+    for weights, depth in (("[1,-1,1,-1,1,-1,1,-1,1,-1,1,-1]", "12"), ("[-1,-1,-1]", "3")):
+        code, out, err = run_cli(capsys, "nset", "--x", "1/3", "--a", "2^n",
+                                 "--weights", weights, "--depth", depth)
+        assert code == EXIT_USAGE and out is None
+        assert err == "error: explicit weights must be >= 0\n"
 
 
 def test_retagged_certificate_is_usage_error(tmp_path, capsys, th6_doc):

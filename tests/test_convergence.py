@@ -179,6 +179,15 @@ class TestWeightRule:
         assert WeightRule.parse("1/n^2").value(3) == Fraction(1, 9)
         assert WeightRule.parse("[1/2,1/3]").value(2) == Fraction(1, 3)
 
+    def test_negative_weight_refused(self):
+        # weights 1, -1, 1, ... cancel the sum at 1/3 under 2^n to 0
+        for values in ([1, -1] * 6, [-1, -1, -1], [Fraction(0), Fraction(-1, 7)]):
+            with pytest.raises(ValueError, match="explicit weights must be >= 0"):
+                WeightRule.explicit(values)
+        with pytest.raises(ValueError, match="explicit weights must be >= 0"):
+            WeightRule.parse("[1/2,-1/3]")
+        assert WeightRule.explicit([0, 1]).values == (0, 1)
+
     def test_json_round_trip(self):
         for w in (WeightRule.harmonic(), WeightRule.power(2),
                   WeightRule.explicit([Fraction(1, 2)])):

@@ -3,6 +3,7 @@ against brute-force oracles on small cases."""
 
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 
 import cycle_reference
 from thinset import convergence, witness
+from thinset._exact_text import exact_str
 from thinset.convergence import (_FACTOR_BOUND, DEFAULT_EPS_GRID, WeightRule,
                                  classical_convergence, ideal_convergence,
                                  nset_partial_sums)
 from thinset.core import CircleRational, DigitExpansion, reconstruct_exact
-from thinset.ideals import IdealDescriptor, Outcome, Progression
+from thinset.ideals import IdealDescriptor, Outcome, Progression, UnionSet
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms,
                                ExplicitTerms, ScaledGeometric, _Divisibility,
                                _divisibility_of, multiplier_chain, parse_sequence,
@@ -318,6 +320,14 @@ def test_eps_stats_match_brute_walk(name, num, den, data):
         d = v.diagnostics
         assert (d["exceptional_count"], d["last_exceptional"],
                 d["exceptional_prefix_density"]) == expected(eps)
+        if v.certificate == "periodic-recurrence":
+            # the cycle positions whose norm reaches the witness eps
+            mu, period, cycle = cycle_reference.detect_cycle(x.num, x.den, terms)
+            witness = min(eps, max(cycle))
+            parts = [Progression(mu + j, period) for j, m in enumerate(cycle) if m >= witness]
+            assert d["witness_eps"] == witness
+            assert d["exceptional_set"] == \
+                (parts[0] if len(parts) == 1 else UnionSet(parts)).to_json()
 
 
 def test_zero_residue_followed_by_nonzero_is_walked():
@@ -363,7 +373,8 @@ def test_brent_cycle_matches_state_dict(terms, num, den):
         verdict, cycle = rational_pass(x, terms, depth)
         if cycle is not None:
             assert verdict.certificate == "periodic-recurrence"
-            assert (cycle.mu, cycle.period, cycle.norms) == (mu, period, norms)
+            assert (cycle.mu, cycle.period) == (mu, period)
+            assert tuple(Fraction(m, x.den) for m in cycle.norms) == norms
         else:   # the states enter (0, phase) at the first zero residue
             assert verdict.certificate in ("zero", "terminating")
             assert verdict.diagnostics.get("zero_from", 1) == mu
@@ -377,8 +388,9 @@ def test_period_beyond_depth_under_the_cap():
     _, (h, lam, _) = convergence._eps_stats(x, terms, 50, DEFAULT_EPS_GRID)
     assert (h, lam) == (50, None)
     verdict, cycle = rational_pass(x, terms, 50)
-    assert (cycle.mu, cycle.period, cycle.norms) == \
-        cycle_reference.detect_cycle(1, 10_037, terms)
+    mu, period, norms = cycle_reference.detect_cycle(1, 10_037, terms)
+    assert (cycle.mu, cycle.period) == (mu, period)
+    assert tuple(Fraction(m, x.den) for m in cycle.norms) == norms
     # 2^n runs through every nonzero residue, 5018 = (10037 - 1)/2 included
     assert verdict.diagnostics == {"cycle_start": 1, "period": 10_036,
                                    "recurring_norm": Fraction(5018, 10_037)}
@@ -560,22 +572,70 @@ def loop_nset(x, terms, weights, depth):
     return total, tuple(checkpoints)
 
 
+NSET_TOP = 250
 weight_rules = st.one_of(
-    st.sampled_from([WeightRule.power(0), WeightRule.harmonic(), WeightRule.power(2)]),
+    st.sampled_from([WeightRule.power(s) for s in range(4)]),
     st.lists(st.builds(Fraction, st.integers(0, 20), st.integers(1, 50)),
-             min_size=60, max_size=60).map(WeightRule.explicit))
+             min_size=NSET_TOP, max_size=NSET_TOP).map(WeightRule.explicit))
+nset_terms = st.one_of(
+    scaled, ratio_chains, factorial,
+    st.sampled_from([WALK_TERMS["dyadic"], WALK_TERMS["[2,3,5]"]]),
+    st.lists(st.integers(2, 9), min_size=NSET_TOP, max_size=NSET_TOP).map(
+        lambda ratios: ArithmeticTerms(ArithmeticSequence.from_ratios(ratios, cycle=False))),
+    st.lists(st.integers(1, 10 ** 4), min_size=NSET_TOP, max_size=NSET_TOP).map(
+        lambda gaps: ExplicitTerms(itertools.accumulate(gaps))))
+
+
+def nset_depths(terms, num: int, den: int) -> list[int]:
+    """landmark_depths, the last walked position h + lam - 1 of the stopping
+    walk and the first repeated one h + lam, and the marks 10 and 100 with
+    their neighbours."""
+    walk = convergence._Residues(num, den, terms, NSET_TOP, stop=True)
+    for _ in walk:
+        pass
+    marks = [9, 10, 11, 99, 100, 101]
+    if walk.repeat is not None:
+        h, _, lam = walk.repeat
+        marks += [h + lam - 1, h + lam]
+    return sorted({d for d in landmark_depths(terms, num, den, NSET_TOP) + marks
+                   if d <= NSET_TOP})
 
 
 @settings(max_examples=100, deadline=None)
 @given(den=st.integers(1, 400), num_seed=st.integers(0, 10 ** 6),
-       weights=weight_rules, depth=st.integers(1, 60),
-       terms=st.one_of(scaled, ratio_chains, factorial,
-                       st.lists(st.integers(1, 10 ** 4), min_size=60, max_size=60).map(
-                           lambda gaps: ExplicitTerms(itertools.accumulate(gaps)))))
-def test_binary_split_nset_matches_loop(den, num_seed, weights, depth, terms):
+       weights=weight_rules, terms=nset_terms, data=st.data())
+# zero stops: 4 | 2^2 and 720 | 6!, summed on to NSET_TOP
+@example(den=4, num_seed=1, weights=WeightRule.harmonic(),
+         terms=WALK_TERMS["dyadic"], data=None)
+@example(den=720, num_seed=7, weights=WeightRule.power(3),
+         terms=WALK_TERMS["n!"], data=None)
+def test_nset_matches_brute_sum(den, num_seed, weights, terms, data):
+    """The floors of one stopping walk, extended by its last period and
+    summed in blocks over lcm(1..mark)**s, against the Fraction sum of
+    r_n*||a_n x|| from a_n itself; a finite list past its end raises the
+    error that a_n raises."""
     x = CircleRational.from_fraction(Fraction(num_seed, den))
+    depths = nset_depths(terms, x.num, x.den)
+    depth = depths[-1] if data is None else data.draw(st.sampled_from(depths))
     report = nset_partial_sums(x, terms, weights, depth)
     assert (report.norm_sum, report.checkpoints) == loop_nset(x, terms, weights, depth)
+    doc = report.to_json()
+    assert doc["norm_sum"] == exact_str(report.norm_sum)
+    assert doc["sin_envelope"] == [exact_str(report.sin_lower), exact_str(report.sin_upper)]
+    assert doc["checkpoints"] == [[n, exact_str(s)] for n, s in report.checkpoints]
+    if data is not None and isinstance(terms, ArithmeticTerms) \
+            and terms.seq.spec[0] == "ratios-finite":
+        past = NSET_TOP + data.draw(st.integers(1, 3))
+        with pytest.raises(ValueError) as brute:
+            loop_nset(x, terms, WeightRule.harmonic(), past)
+        with pytest.raises(ValueError, match=re.escape(str(brute.value))):
+            nset_partial_sums(x, terms, WeightRule.harmonic(), past)
+
+
+def test_lcm_upto_matches_fold():
+    # prime powers at n itself (4, 8, 9, 16, 25, ...) included
+    for n in range(1, 300):
+        assert convergence._lcm_upto(n) == math.lcm(*range(1, n + 1))
 
 
 def test_nset_rejects_short_weight_list():
