@@ -7,6 +7,7 @@ Exit codes: 0 pass/Member, 1 fail/NotMember, 2 Inconclusive, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -120,7 +121,9 @@ def _parse_point(args, seq=None):
         raise UsageError(f"bad point {args.x!r}: {exc}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built on first use and kept: parsing leaves it as it was."""
     parser = _Parser(prog="thinset")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -221,6 +224,8 @@ def run(args) -> int:
         x = _parse_point(args)
         depth = _default_depth(args)
         eps = exact_fraction(args.eps)
+        if eps <= 0:    # every norm is >= 0, so its exceptional set proves nothing
+            raise UsageError("eps must be > 0")
         if args.ideal:
             verdict = ideal_convergence(x, terms, parse_ideal(args.ideal),
                                         depth, eps)

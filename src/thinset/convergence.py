@@ -66,13 +66,21 @@ class _Residues:
     t_n = t_{n-1}*m(n-1) still below quiet is left unreduced, and so is
     each later t_n*m(n)*...*m(p-1) that the sum of bit_length(m - 1) =
     ceil(log2 m) keeps below 2**b <= quiet, b = bit_length(quiet) - 1.
-    The walk steps over all of these positions and forms one product, by
-    a product tree, at the first position past the run.  Every multiplier
-    a full walk asks for is still asked for.  Which positions are yielded
-    depends on the state alone, and the mark is saved at the first yielded
-    n from its save point on; as every multiplier is >= 2, the yielded
-    positions cannot wind twice round the state cycle before they repeat,
-    so repeat holds the same least period.
+    The walk steps over all of these positions and forms one product at the
+    first position past the run.  With multipliers of period P, a run that
+    has stepped P of them, of product M and bit sum C, jumps the w whole
+    periods that keep the sum within b and n within the depth at once: t
+    times M**w (a shift when M is a power of two), C*w bits, n + P*w.  Any
+    P consecutive multipliers are a rotation of those P, so the jump asks
+    for none, and a bad ratio of a cycled list raises within the P asked
+    first, as in a full walk.  A run thus asks for at most 2P + 1
+    multipliers, whatever its length.  n! and finite lists have no period
+    and step every position, so a finite list is asked for each ratio that
+    a full walk asks for.  Which positions are yielded depends on the state
+    alone, and the mark is saved at the first yielded n from its save point
+    on; as every multiplier is >= 2, the yielded positions cannot wind twice
+    round the state cycle before they repeat, so repeat holds the same least
+    period.
     """
 
     def __init__(self, num: int, den: int, terms: TermSequence,
@@ -113,19 +121,35 @@ class _Residues:
         mark, mark_n, save_at = (t, n0, 2 * n0) if period else (None, 0, 0)
         quiet = self.quiet
         b = quiet.bit_length() - 1
-        steps = iter(steps)
-        for n in steps:
+        n = n0
+        while n != depth:
             if t >= quiet:
-                t = t * mult(n - 1) % den
+                t = t * mult(n) % den
+                n += 1
             else:
-                t *= mult(n - 1)
+                t *= mult(n)
+                n += 1
                 if t < quiet:   # still quiet, so unreduced: step over the run
                     ms, bits = [], t.bit_length()
+                    ms_from = bits      # bits before the multipliers in ms
                     while bits <= b:
-                        n = next(steps, None)
-                        if n is None:
+                        if len(ms) == period:
+                            # ms is one period, of product M and bit sum C:
+                            # jump the w more periods that keep bits <= b
+                            C = bits - ms_from
+                            w = (b - bits) // C
+                            if depth is not None:
+                                w = min(w, (depth - n) // period)
+                            if w > 0:
+                                M = math.prod(ms)
+                                t = (t << (M.bit_length() - 1) * (w + 1) if M & (M - 1) == 0
+                                     else t * M ** (w + 1))
+                                ms, n, bits = [], n + w * period, bits + w * C
+                                ms_from = bits
+                        if n == depth:
                             return
-                        ms.append(mult(n - 1))
+                        ms.append(mult(n))
+                        n += 1
                         bits += (ms[-1] - 1).bit_length()
                     t *= _tree_product(ms)
                 t %= den
@@ -368,6 +392,8 @@ def classical_convergence(x: PointLike, terms: TermSequence, depth: int = DEFAUL
     """Pointwise convergence evidence for ||a_n x|| -> 0."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if any(Fraction(eps) < 0 for eps in eps_grid):
+        raise ValueError("eps must be >= 0")
     exact = _resolve_exact(x)
     if exact is not None:
         stats, walked = _eps_stats(exact, terms, depth, eps_grid)
@@ -417,6 +443,8 @@ def ideal_convergence(x: PointLike, terms: TermSequence, ideal: IdealDescriptor,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     eps = Fraction(eps)
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
     if isinstance(x, DigitExpansion) and x.symbolic_support is not None \
             and isinstance(terms, ArithmeticTerms) and terms.seq == x.seq:
         by_support = membership_by_support(x, ideal, depth)

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from json_mutation import DELETE, VALUES, json_paths, mutate
+from thinset import cli
 from thinset.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE,
                          main)
 from thinset.core import DigitExpansion
@@ -18,6 +19,28 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     doc = json.loads(captured.out) if captured.out.strip() else None
     return code, doc, captured.err
+
+
+def test_parser_serves_successive_calls(capsys):
+    """The parser is built once per process: calls on it, with usage errors
+    among them, print and exit as calls on freshly built parsers do."""
+    calls = [
+        ("expand", "--x", "5/8", "--seq", "dyadic", "--depth", "3"),
+        ("converge", "--x", "1/3", "--a", "2^n", "--depth", "50", "--ideal", "density"),
+        ("converge", "--x", "1/3", "--depth", "50"),
+        ("density", "--set", "progression:2,2", "--cutoff", "100"),
+        ("no-such-command", "--x", "1/3"),
+        ("converge", "--x", "1/3", "--a", "2^n", "--depth", "50"),
+        ("nset", "--x", "1/3", "--a", "2^n", "--depth", "20"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_PASS,
+                                              EXIT_USAGE, EXIT_FAIL, EXIT_INCONCLUSIVE]
+    assert [run_cli(capsys, *argv) for argv in calls] == fresh
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_expand(capsys):
@@ -244,6 +267,13 @@ def test_pinned_malformed_inputs_are_usage_errors(tmp_path, capsys, th6_doc):
                                  "--weights", weights, "--depth", depth)
         assert code == EXIT_USAGE and out is None
         assert err == "error: explicit weights must be >= 0\n"
+    # every norm is >= 0, so a NotMember witness at eps <= 0 would be vacuous
+    for eps in ("0", "-1"):
+        for ideal in (["--ideal", "density"], []):
+            code, out, err = run_cli(capsys, "converge", "--x", "1/3", "--a", "2^n",
+                                     "--eps", eps, *ideal, "--depth", "100")
+            assert code == EXIT_USAGE and out is None
+            assert err == "error: eps must be > 0\n"
 
 
 def test_retagged_certificate_is_usage_error(tmp_path, capsys, th6_doc):

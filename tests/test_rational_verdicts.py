@@ -478,9 +478,17 @@ def quiet_grid(data, den: int) -> list[Fraction]:
     return [Fraction(1, 4), Fraction(2 ** j, den)]
 
 
+# two digits over [2,3,5] (d = u_450, about 2^737): the quiet runs before and
+# between them span over a hundred periods under [2,3,5] and under 5*6^n
+TWO_DIGIT_POINT = reconstruct_exact(DigitExpansion(parse_sequence("[2,3,5]"),
+                                                   {150: 1, 450: 1}))
+
+
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(QUIET_TERMS)), x=quiet_points(), data=st.data())
 @example(name="3*2^n", x=CircleRational(2 ** 40 + 1, 2 ** 41), data=None)
+@example(name="[2,3,5]", x=TWO_DIGIT_POINT, data=None)
+@example(name="5*6^n", x=TWO_DIGIT_POINT, data=None)
 def test_quiet_walk_matches_plain_walk(name, x, data):
     terms = QUIET_TERMS[name]
     num, den = x.num, x.den
@@ -549,6 +557,69 @@ def test_quiet_walk_keeps_the_least_period():
                                  quiet=-(-d // 64))
     assert sum(1 for _ in walk) < 40
     assert walk.repeat[2] == 40
+
+
+@pytest.fixture
+def asked(monkeypatch):
+    """The multipliers the residue walks ask for, in order."""
+    seen = []
+
+    def counted(terms):
+        chain = multiplier_chain(terms)
+        if chain is None:
+            return None
+        first, mult = chain
+        return first, lambda n: seen.append(n) or mult(n)
+    monkeypatch.setattr(convergence, "multiplier_chain", counted)
+    return seen
+
+
+def test_quiet_runs_jump_whole_periods(asked):
+    # the count-16 th6 point under 3*2^n: a run between two digits asks for a
+    # few multipliers, not one per position
+    ks = [2] + [2 ** i for i in range(3, 18)]
+    x = reconstruct_exact(DigitExpansion(ArithmeticSequence.dyadic(),
+                                         {k + 1: 1 for k in ks}))
+    walk = convergence._Residues(x.num, x.den, ScaledGeometric(3, 2), 10 ** 5,
+                                 stop=True, quiet=-(-x.den // 64))
+    for _ in walk:
+        pass
+    assert len(asked) <= 200
+    # a 5-digit point over [2,3,5] at depth 2*10^4, period 3: the same counts
+    # as a plain walk that reduces every residue
+    seq = parse_sequence("[2,3,5]")
+    terms = ArithmeticTerms(seq)
+    x = reconstruct_exact(DigitExpansion(seq, {4: 1, 1000: 1, 4000: 1, 9002: 2,
+                                               15000: 1}))
+    depth = 2 * 10 ** 4
+    asked.clear()
+    stats = classical_convergence(x, terms, depth).stats
+    assert len(asked) <= 400
+    norms = [min(t, x.den - t) for _, t in convergence._Residues(x.num, x.den, terms, depth)]
+    for s in stats:
+        hits = [n for n, m in enumerate(norms, 1)
+                if m * s.eps.denominator >= s.eps.numerator * x.den]
+        assert (s.exceptional_count, s.last_exceptional) == (len(hits), hits[-1])
+
+
+@pytest.mark.parametrize("ratios", [[1, 2], [2, 3, 1]])
+def test_quiet_walk_raises_where_a_full_walk_does(ratios):
+    # q_3 = 1 is the second multiplier asked, and a run jumps only after it
+    # has stepped a whole period, so the walk raises where a full walk does,
+    # after yielding only its start
+    x = reconstruct_exact(DigitExpansion(ArithmeticSequence.dyadic(), {200: 1, 400: 1}))
+    terms = ArithmeticTerms(ArithmeticSequence.from_ratios(ratios))
+    prefixes = []
+    for quiet in (-(-x.den // 64), 0):
+        walk = convergence._Residues(x.num, x.den, terms, 10 ** 4, stop=True, quiet=quiet)
+        prefixes.append([])
+        with pytest.raises(ValueError, match=r"^q_3 must be >= 2, got 1$"):
+            for step in walk:
+                prefixes[-1].append(step)
+    quiet_prefix, full_prefix = prefixes
+    assert quiet_prefix == full_prefix[:1] == [(1, ratios[0] * x.num % x.den)]
+    with pytest.raises(ValueError, match=r"^q_3 must be >= 2, got 1$"):
+        classical_convergence(x, terms, 10 ** 4)
 
 
 def test_ideal_convergence_rejects_depth_zero():
