@@ -40,6 +40,7 @@ DEFAULT_DEPTH = 100_000
 DEFAULT_EPS_GRID = (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 64))
 _CYCLE_STATE_CAP = 400_000     # largest den*period whose cycle is reported
 _FACTOR_BOUND = 400_000        # trial-division limit when factoring d for n!
+_TRUNCATION_BITS = 1 << 27     # largest bits(u_K) a truncation at K may need
 
 PointLike = Union[CircleRational, DigitExpansion]
 
@@ -329,6 +330,9 @@ def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
     if isinstance(x, CircleRational):
         num, den, widths = x.num, x.den, None
     else:
+        if x.depth - 1 > _TRUNCATION_BITS:      # bits(u_K) >= K - 1, as q_n >= 2 past q_1
+            raise ValueError(f"a truncation at depth K needs u_K of at least K - 1 bits, "
+                             f"more than _TRUNCATION_BITS = {_TRUNCATION_BITS}")
         N, top = _partial_sum(x, x.depth)
         num, den = N * x.seq.ratio_product(top, x.depth), x.seq.u(x.depth)
         widths = terms.terms_upto(depth)

@@ -87,8 +87,9 @@ class RatInterval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"empty interval {self}")
 
@@ -281,6 +282,32 @@ def enclosure_heads(seq: ArithmeticSequence, digits: Mapping[int, int], stop: in
             q = seq.q(r)
             P, N = P * q, N * q + digits.get(r, 0)
         yield k, v * N % P, P
+
+
+def shared_heads(seq: ArithmeticSequence, digits: Mapping[int, int], stop: int,
+                 top: int, bottom: Optional[int] = None, v: int = 1,
+                 walks: Optional[dict] = None) -> Iterator[tuple[int, int, int, int, int]]:
+    """(top - k, head, P, lo, hi) per (k, head, P) of `enclosure_heads`, with
+    (lo, hi) = norm_bounds(head, v, P), walked once per key of `walks`.
+
+    The kernel reads only q_{low+1} .. q_high, with low = bottom + 1 (top
+    alone by default) and high = max(last digit, top) + bits(v*2**_TAIL_BITS)
+    + 1, and a stop past high + 1 acts as high + 1.  Over ratios of period L
+    the walk is thus fixed by low mod L, by top, the digits and the clipped
+    stop relative to low, and by v.  A window from below L keys apart (q_1
+    alone may be 1); without a period, or without `walks`, every window is
+    walked anew."""
+    if walks is None or not (L := phase_period(ArithmeticTerms(seq))):
+        for k, head, P in enclosure_heads(seq, digits, stop, top, bottom, v):
+            yield top - k, head, P, *norm_bounds(head, v, P)
+        return
+    low = top if bottom is None else bottom + 1
+    high = max(max(digits, default=0), top) + (v << _TAIL_BITS).bit_length() + 1
+    key = (min(low, L + low % L), top - low, v, min(stop, high + 1) - low,
+           tuple(sorted((n - low, c) for n, c in digits.items())))
+    if key not in walks:
+        walks[key] = list(shared_heads(seq, digits, stop, top, bottom, v))
+    yield from walks[key]
 
 
 def norm_bounds(head: int, v: int, P: int) -> tuple[int, int]:

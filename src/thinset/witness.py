@@ -33,8 +33,7 @@ from typing import Callable, NamedTuple, Optional
 
 from ._exact_text import decoder, exact_fraction, exact_int, exact_str
 from .convergence import BlockCheck, membership_by_support
-from .core import (CircleInterval, DigitExpansion, RatInterval, SIN_UPPER,
-                   enclosure_heads, norm_bounds)
+from .core import CircleInterval, DigitExpansion, RatInterval, SIN_UPPER, shared_heads
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
                      Verdict, descriptor_from_json, non_snt_witness)
 from .sequences import (ArithmeticSequence, ArithmeticTerms, TermSequence,
@@ -531,15 +530,14 @@ def _assemble_expansion(plan: WitnessPlan) -> DigitExpansion:
     return DigitExpansion(plan.seq, digits, None, symbolic_support=symbolic)
 
 
-def _index_checks(plan: WitnessPlan) -> list[IndexCheck]:
+def _index_checks(plan: WitnessPlan, walks: Optional[dict] = None) -> list[IndexCheck]:
     checks = []
     # the digit after index i sits past chain index stop_i
     stops = [p.k for p in plan.indices[1:]] + [plan.closing_k]
     for p, stop in zip(plan.indices, stops):
-        [(_, head, P)] = enclosure_heads(plan.seq, {p.k + 1: p.digit}, stop,
-                                         p.k, v=p.v)
+        [(_, head, P, lo, hi)] = shared_heads(plan.seq, {p.k + 1: p.digit}, stop,
+                                              p.k, v=p.v, walks=walks)
         enclosure = CircleInterval.from_head(head, p.v, P)
-        lo, hi = norm_bounds(head, p.v, P)
         norm = RatInterval(Fraction(lo, 2 * P), Fraction(hi, 2 * P))
         if plan.tag in ("th6", "th1"):
             passed = enclosure.within(TARGET_BAND)
@@ -554,23 +552,25 @@ def _index_checks(plan: WitnessPlan) -> list[IndexCheck]:
     return checks
 
 
-def _block_walks(plan: WitnessPlan):
+def _block_walks(plan: WitnessPlan, walks: Optional[dict] = None):
     """(index, j_from, j_to, walk, tail) per gap between consecutive selected
     chain indices, with r_j = 1/j.  The block's sum of r_j*||u_j x|| over
     j_from < j <= j_to lies in [sum lo/(2*P*j), sum hi/(2*P*j) + 1/tail]
-    over the (j, lo, hi, P) of its walk; tail = 0 stands for no tail term.
+    over the (j_to - j, head, P, lo, hi) of its walk; tail = 0 stands for no
+    tail term.
 
     The walk is the block's head: the last _BLOCK_WINDOW j before its right
     edge, enclosed by walking the kernel down from that edge, which puts
     ||u_j x|| in [lo, hi]/(2*P).  Everything earlier goes into the tail term,
     using ||u_j x|| <= u_j/u_{k_i} <= 2**-(k_i - j).  The walk is lazy, so a
-    block whose walk is not read costs nothing."""
+    block whose walk is not read costs nothing, and blocks whose windows
+    agree share it through `walks` (see core.shared_heads)."""
     ks = [p.k for p in plan.indices] + [plan.closing_k]
     for idx in range(1, len(plan.indices)):
         j_from, j_to = ks[idx - 1], ks[idx]
         head_from = max(j_from, j_to - _BLOCK_WINDOW)
-        walk = ((j, *norm_bounds(head, 1, P), P) for j, head, P in enclosure_heads(
-            plan.seq, {j_to + 1: plan.indices[idx].digit}, ks[idx + 1], j_to, head_from))
+        walk = shared_heads(plan.seq, {j_to + 1: plan.indices[idx].digit}, ks[idx + 1],
+                            j_to, head_from, walks=walks)
         # j in (j_from, head_from]: each norm <= 2**-(j_to - j), and the
         # geometric sum of those is < 2 * 2**-_BLOCK_WINDOW; with the weight
         # r_{j_from+1} that adds 1/tail
@@ -578,7 +578,7 @@ def _block_walks(plan: WitnessPlan):
         yield idx + 1, j_from, j_to, walk, tail
 
 
-def _block_checks(plan: WitnessPlan) -> list[BlockCheck]:
+def _block_checks(plan: WitnessPlan, walks: Optional[dict] = None) -> list[BlockCheck]:
     """Certified enclosures of sum_{block} r_j*(22/7)*||u_j x|| per gap
     between consecutive selected chain indices (see `_block_walks`), each
     against the majorant 2*(22/7)*r_{j_from}, with r_1 in place of r_0 for a
@@ -593,12 +593,13 @@ def _block_checks(plan: WitnessPlan) -> list[BlockCheck]:
     majorant * 2**-59 of the block's exact sum (`_exact_block_bounds`).
     """
     blocks = []
-    for index, j_from, j_to, walk, tail in _block_walks(plan):
+    for index, j_from, j_to, walk, tail in _block_walks(plan, walks):
         E = _BLOCK_BITS + max(j_from, 1).bit_length()
         low = high = 0
-        for j, lo, hi, P in walk:
-            low += (lo << E) // (2 * P * j)
-            high -= (-hi << E) // (2 * P * j)
+        for d, _, P, lo, hi in walk:
+            scale = 2 * P * (j_to - d)
+            low += (lo << E) // scale
+            high -= (-hi << E) // scale
         if tail:
             high -= -(1 << E) // tail
         lower = Fraction(2 * low, 1 << E)
@@ -620,14 +621,14 @@ def _exact_block_bounds(plan: WitnessPlan, index: int) -> tuple[int, int, int]:
     divides M = P_top * q_{bottom+1}***q_top, as stepping k down only adds
     q_{k+1} and trims ratios off the top, so the terms share the scale
     1/(2*M) and each costs a product by its j."""
-    _, _, _, walk, tail = next(b for b in _block_walks(plan) if b[0] == index)
+    _, _, top, walk, tail = next(b for b in _block_walks(plan) if b[0] == index)
     walk = list(walk)
-    (top, _, _, P_top), bottom = walk[0], walk[-1][0]
+    (_, _, P_top, _, _), bottom = walk[0], top - walk[-1][0]
     M = P_top * plan.seq.ratio_product(bottom, top)
     low = high = 0
     den = 1
-    for j, lo, hi, P in walk:
-        scale = den * (M // P)
+    for d, _, P, lo, hi in walk:
+        j, scale = top - d, den * (M // P)
         low, high, den = low * j + lo * scale, high * j + hi * scale, den * j
     den *= 2 * M
     if tail:
@@ -643,11 +644,12 @@ def build_and_verify(plan: WitnessPlan) -> WitnessCertificate:
     and flips the certificate's overall pass flag.
     """
     e = _assemble_expansion(plan)
-    checks = _index_checks(plan)
+    walks: dict = {}    # this call's kernel walks, one per distinct window
+    checks = _index_checks(plan, walks)
     support_verdict = None
     if plan.tag in ("th6", "th1"):
         support_verdict = membership_by_support(e, plan.ideal)
-    blocks = _block_checks(plan) if plan.tag in ("th1", "th2") else []
+    blocks = _block_checks(plan, walks) if plan.tag in ("th1", "th2") else []
     passed = (all(c.passed for c in checks)
               and all(b.passed for b in blocks)
               and (support_verdict is None

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -220,6 +221,22 @@ def test_malformed_expansion_is_usage_error(tmp_path, capsys):
             code, out, err = run_cli(capsys, *argv)
             assert code == EXIT_USAGE and out is None
             assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("depth", [10 ** 700, 10 ** 19])
+def test_huge_truncation_depth_is_usage_error(tmp_path, capsys, depth):
+    # the dyadic 1/3 point truncated at `depth`: u_depth = 2**depth, so
+    # the walk is refused by the size bound before any integer is formed
+    doc = {"sequence": {"kind": "dyadic"}, "digits": {"2": "1", "4": "1"}, "depth": depth}
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    for extra in ([], ["--ideal", "density"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "converge", "--json-in", str(path), "--a", "2^n",
+                                 "--depth", "100", *extra)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_USAGE and out is None
+        assert err.startswith("error:") and "_TRUNCATION_BITS" in err
 
 
 def test_edited_ratio_is_usage_error(tmp_path, capsys):

@@ -13,9 +13,10 @@ from thinset.convergence import WeightRule, nset_partial_sums
 from thinset.core import (CircleInterval, CircleRational, DigitExpansion,
                           DomainError, InsufficientDigitsError, RatInterval,
                           SIN_UPPER, _gcd, enclosure_heads, expand, norm_bounds,
-                          reconstruct, reconstruct_exact, support)
+                          reconstruct, reconstruct_exact, shared_heads, support)
 from thinset.ideals import FiniteSet, Geometric
-from thinset.sequences import ArithmeticSequence, ExplicitTerms, parse_sequence
+from thinset.sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerms,
+                               parse_sequence, phase_period)
 
 
 def digit_list(e, depth):
@@ -433,6 +434,47 @@ def test_sparse_enclosure_branches():
     # the head keeps its digits exact and the tail drops below 2**-64
     [(_, deep)] = arcs(seq, {1: 1}, 10 ** 6, 0)
     assert deep.parts[0].lo == Fraction(1, 3) and deep.parts[0].width <= Fraction(1, 2 ** 64)
+
+
+@st.composite
+def shared_windows(draw):
+    """A chain and windows (digits, stop, top, bottom, v), each repeated
+    whole periods of the ratios up the chain, so that their keys meet."""
+    seq = draw(st.sampled_from(CHAINS + [ArithmeticSequence.from_ratios([1, 3])]))
+    L = phase_period(ArithmeticTerms(seq)) or 1
+    windows = []
+    for _ in range(draw(st.integers(1, 5))):
+        top, gap = draw(st.integers(0, 6)), draw(st.integers(1, 3))
+        stop = top + gap + draw(st.sampled_from([0, 1, 2, 40, 62, 63, 64, 65, 66, 67, 90]))
+        bottom = draw(st.one_of(st.none(), st.integers(-1, top - 1)))
+        v = draw(st.sampled_from([1, 3, 2 ** 20 + 1]))
+        for shift in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
+            m = shift * L
+            windows.append(({top + gap + m: 1}, stop + m, top + m,
+                            None if bottom is None else bottom + m, v))
+    return seq, windows
+
+
+def _walked(walk):
+    try:
+        return list(walk)
+    except ValueError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_windows())
+@example((ArithmeticSequence.from_ratios([1, 3]),     # q_1 = 1 passes, q_3 = 1 raises
+          [({2: 1}, 2, 0, None, 1), ({4: 1}, 4, 2, None, 1)]))
+def test_shared_heads_equal_unshared(case):
+    """Windows walked through one `walks` dict give what the kernel gives
+    for each alone, errors included."""
+    seq, windows = case
+    walks = {}
+    for digits, stop, top, bottom, v in windows:
+        alone = _walked((top - k, head, P, *norm_bounds(head, v, P))
+                        for k, head, P in enclosure_heads(seq, digits, stop, top, bottom, v))
+        assert _walked(shared_heads(seq, digits, stop, top, bottom, v, walks)) == alone
 
 
 @pytest.mark.parametrize("head,v,bounds", [

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import enclosure_reference
 from json_mutation import DELETE, VALUES, json_paths, mutate
-from thinset import witness
-from thinset.core import RatInterval
+from thinset import core, witness
+from thinset.core import CircleInterval, RatInterval, enclosure_heads, norm_bounds
 from thinset.ideals import IdealDescriptor, Outcome, non_snt_witness
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerms,
                                ScaledGeometric, parse_sequence, parse_terms,
@@ -717,3 +717,61 @@ def test_block_sums_match_fraction_reference(request):
                                                              ref.upper_bound)
     for check in witness._index_checks(plan):
         assert check.norm_interval == enclosure_reference.dist_interval(check.interval)
+
+
+# ---------------------------------------------------------------------------
+# Walks shared within one build against walks made one call at a time
+# ---------------------------------------------------------------------------
+
+SHARED_REQUESTS = [("th6", "dyadic", "3*2^n"), ("th1", "dyadic", "3*2^n"),
+                   ("th1", "dyadic", "u_n"), ("th2", "dyadic", "5*2^n"),
+                   ("th1", "geometric:3", "u_n"), ("th2", "geometric:3", "2*3^n"),
+                   ("th1", "geometric:5", "7*5^n"), ("th2", "geometric:5", "23*5^n"),
+                   ("th6", "[2,3,5]", "u_n"), ("th1", "[2,3,5]", "u_n"),
+                   ("th6", "factorial", "n!"), ("th1", "factorial", "n!")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SHARED_REQUESTS), st.integers(0, 7))
+@example(("th1", "dyadic", "u_n"), 4)       # stop - top below the walk horizon
+@example(("th1", "[2,3,5]", "u_n"), 5)
+@example(("th2", "geometric:5", "23*5^n"), 40)
+def test_shared_walks_equal_unshared(request, count):
+    tag, seq_text, terms_text = request
+    seq = parse_sequence(seq_text)
+    plan = plan_witness(tag, seq, parse_terms(terms_text, seq),
+                        SUMMABLE if tag == "th1" else DENSITY, count)
+    cert = build_and_verify(plan)
+    stops = [p.k for p in plan.indices[1:]] + [plan.closing_k]
+    assert len(cert.checks) == count
+    for check, p, stop in zip(cert.checks, plan.indices, stops):
+        [(_, head, P)] = enclosure_heads(seq, {p.k + 1: p.digit}, stop, p.k, v=p.v)
+        lo, hi = norm_bounds(head, p.v, P)
+        assert check.interval == CircleInterval.from_head(head, p.v, P)
+        assert check.norm_interval == RatInterval(Fraction(lo, 2 * P), Fraction(hi, 2 * P))
+    if tag != "th6":
+        # without a shared dict every block walks on its own
+        assert cert.blocks == tuple(witness._block_checks(plan))
+        exact = enclosure_reference.block_checks(plan)
+        assert len(exact) == len(cert.blocks) == max(count - 1, 0)
+        for block, ref in zip(cert.blocks, exact):
+            assert block.lower_bound <= ref.lower_bound <= ref.upper_bound <= block.upper_bound
+
+
+def test_shared_walks_are_counted(monkeypatch):
+    walks = []
+    kernel = core.enclosure_heads
+    monkeypatch.setattr(core, "enclosure_heads",
+                        lambda *args, **kw: walks.append(args) or kernel(*args, **kw))
+    seq = ArithmeticSequence.geometric(5)
+    plan = plan_witness("th2", seq, ScaledGeometric(23, 5), DENSITY, 40)
+    witness._index_checks(plan)
+    witness._block_checks(plan)
+    assert len(walks) == 40 + 39
+    walks.clear()
+    assert build_and_verify(plan).passed and len(walks) <= 4
+    # n! has no period, so every index check walks once
+    walks.clear()
+    fact = ArithmeticSequence.factorial()
+    plan = plan_witness("th6", fact, ArithmeticTerms(fact), DENSITY, 8)
+    assert build_and_verify(plan).passed and len(walks) == len(plan.indices) == 8
