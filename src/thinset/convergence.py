@@ -29,8 +29,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._exact_text import exact_fraction, exact_str
-from .core import (CircleRational, DigitExpansion, SIN_UPPER, _partial_sum,
-                   reconstruct_exact, support)
+from .core import (CircleRational, DigitExpansion, SIN_UPPER, _TRUNCATION_BITS,
+                   _partial_sum, reconstruct_exact, support)
 from .ideals import (IdealDescriptor, Outcome, Progression, SetDescriptor,
                      UnionSet, Verdict, ideal_member, translation_invariant_in)
 from .sequences import (ArithmeticTerms, TermSequence, _divisibility_of,
@@ -40,7 +40,6 @@ DEFAULT_DEPTH = 100_000
 DEFAULT_EPS_GRID = (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 64))
 _CYCLE_STATE_CAP = 400_000     # largest den*period whose cycle is reported
 _FACTOR_BOUND = 400_000        # trial-division limit when factoring d for n!
-_TRUNCATION_BITS = 1 << 27     # largest bits(u_K) a truncation at K may need
 
 PointLike = Union[CircleRational, DigitExpansion]
 
@@ -627,17 +626,13 @@ class SummabilityReport:
         }
 
 
-DIVERGENCE_RAMP = Fraction(3)
-DIVERGENCE_RAMP_DEPTH = 10_000
-
-
 _SUM_BLOCK = 128     # consecutive terms summed into one p/q before it meets L
 
 
 def nset_partial_sums(x: PointLike, terms: TermSequence, weights: WeightRule,
-                      depth: int = DIVERGENCE_RAMP_DEPTH,
-                      ramp: Fraction = DIVERGENCE_RAMP) -> SummabilityReport:
-    """Exact partial sums of r_n * ||a_n x|| with envelope bracketing.
+                      depth: int = 10_000) -> SummabilityReport:
+    """Exact partial sums of r_n * ||a_n x|| with envelope bracketing, and
+    what the walk proves of the whole sum.
 
     r_n*||a_n x|| = r_n*m_n/den with the floor m_n = min(t_n, den - t_n).
     The floors come from one stopping walk of the residues (see _Residues),
@@ -651,6 +646,12 @@ def nset_partial_sums(x: PointLike, terms: TermSequence, weights: WeightRule,
     the reduced answer; one fraction over the product of the n**s would be
     about ln(mark) - 1 times as long (237k against 28.9k bits at mark 10^4,
     s = 2).
+
+    The classification proves bounded after a zero residue (every later term
+    is 0), for r_n = 1/n**s with s >= 2, and for an explicit list, which has
+    no weight past its end.  With s <= 1 it proves divergent once the walk
+    finds a repeating period: a zero would have stopped the walk, so ||a_n
+    x|| >= 1/den from there on, and the sum of r_n/den diverges.
     """
     exact = _resolve_exact(x)
     if exact is None:
@@ -688,14 +689,11 @@ def nset_partial_sums(x: PointLike, terms: TermSequence, weights: WeightRule,
             total += p // g * L // (q // g)
         checkpoints.append((mark, Fraction(total, L * den)))
         old, done = L, mark
-    norm_sum = checkpoints[-1][1]
-    if num == 0 or norm_sum == 0:
-        classification = "bounded-evidence"
-    elif norm_sum >= ramp and depth >= DIVERGENCE_RAMP_DEPTH:
-        classification = "divergent-evidence"
-    else:
-        classification = "inconclusive"
-    return SummabilityReport(weights, depth, norm_sum, tuple(checkpoints),
+    zero = num == 0 or walk.repeat is not None and walk.repeat[1] == 0
+    bounded = zero or weights.kind == "explicit" or weights.exponent >= 2
+    classification = ("bounded-evidence" if bounded else "divergent-evidence"
+                      if walk.repeat is not None else "inconclusive")
+    return SummabilityReport(weights, depth, checkpoints[-1][1], tuple(checkpoints),
                              classification)
 
 

@@ -19,6 +19,7 @@ if TYPE_CHECKING:
     from .ideals import SetDescriptor
 
 SIN_UPPER = Fraction(22, 7)   # rational majorant of pi in the sine envelope
+_TRUNCATION_BITS = 1 << 27     # largest bits(u_K) a partial sum or truncation at K may need
 
 
 class DomainError(ValueError):
@@ -211,14 +212,19 @@ def expand(x: CircleRational, seq: ArithmeticSequence, depth: int) -> DigitExpan
 
 def _partial_sum(e: DigitExpansion, depth: int) -> tuple[int, int]:
     """(N, top), x_depth = N/u_top with top the last digit index <= depth (0
-    for none), by Horner's rule over the gaps' ratio products, none past q_top."""
+    for none), by Horner's rule over the gaps' ratio products, none past q_top;
+    refused first when bits(u_top) >= top - 1 is past _TRUNCATION_BITS."""
     if depth < 1:
         raise DomainError("depth must be >= 1")
     if e.depth is not None and depth > e.depth:
         raise InsufficientDigitsError(
             f"depth {depth} exceeds stored depth {e.depth}")
+    indices = sorted(n for n in e.digits if n <= depth)
+    if indices and (top := indices[-1]) - 1 > _TRUNCATION_BITS:
+        raise DomainError(f"a digit at index {top} needs u_{top} of at least {top - 1} "
+                          f"bits, more than _TRUNCATION_BITS = {_TRUNCATION_BITS}")
     N = top = 0
-    for n in sorted(n for n in e.digits if n <= depth):
+    for n in indices:
         N, top = N * e.seq.ratio_product(top, n) + e.digits[n], n
     return N, top
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -37,12 +38,11 @@ from .core import CircleInterval, DigitExpansion, RatInterval, SIN_UPPER, shared
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
                      Verdict, descriptor_from_json, non_snt_witness)
 from .sequences import (ArithmeticSequence, ArithmeticTerms, TermSequence,
-                        _divisibility_of, _strip, multiplier_chain,
-                        phase_period, terms_from_json)
+                        _divisibility_of, _strip, multiplier_chain, terms_from_json)
 
 TAGS = ("th6", "th1", "th2")
 TARGET_BAND = RatInterval(Fraction(1, 4), Fraction(7, 8))
-SCAN_WINDOW = 200_000    # most terms a seek may pass where v_n grows with n
+_COFACTOR_BITS = 1 << 21   # largest bound on bits(v_n) of a cofactor the planner forms
 _BLOCK_WINDOW = 48     # exact head terms per block; the rest goes in a tail bound
 _BLOCK_BITS = 64       # block bounds are multiples of 2**-(_BLOCK_BITS + bits(j_from))
 
@@ -52,8 +52,8 @@ class UnsupportedIdealError(ValueError):
 
 
 class SequenceNotAbsorbingError(RuntimeError):
-    """The chain indices provably never reach the required ones, or not
-    within the scan window, so the divergence hypothesis has no evidence."""
+    """The chain indices provably never reach the required ones, or only where
+    v_n may pass _COFACTOR_BITS, so the divergence hypothesis has no evidence."""
 
 
 class CertificateFormatError(ValueError):
@@ -214,7 +214,6 @@ class _Index(NamedTuple):
     cofactor: Callable  # (n, k) -> a_n/u_k
     quasi: Callable = lambda: None   # (T, S, n0, R) or None, see `_valuations`
     monotone: bool = True            # k_n <= k_{n+1}, as a_n | a_{n+1}
-    windowed: bool = True            # v_n grows with n, so SCAN_WINDOW applies
 
 
 def _chain_index(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
@@ -222,56 +221,54 @@ def _chain_index(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
     of a finite ratio list) is decomposed term by term up to its end, whose
     ValueError it raises; as k_n need not be monotone, `least` names the
     next n to check.  `u_n` on its own chain has k_n = n and v_n = 1."""
-    kind, chain, period = seq.spec[0], multiplier_chain(terms), phase_period(terms)
-    if chain is None or (isinstance(terms, ArithmeticTerms)
-                         and terms.seq.spec[0] == "ratios-finite"):
+    if multiplier_chain(terms) is None or (isinstance(terms, ArithmeticTerms)
+                                           and terms.seq.spec[0] == "ratios-finite"):
         d = lambda n: decompose(seq, terms.term(n))
         return _Index(lambda L, after: after + 1, lambda n: d(n).k, lambda n, k: d(n).v,
                       monotone=False)
     if isinstance(terms, ArithmeticTerms) and terms.seq == seq:
-        return _Index(lambda L, after: max(L, after + 1), lambda n: n, lambda n, k: 1,
-                      windowed=False)
-    if kind != "factorial":
-        ratios = seq.spec[1] if kind.startswith("ratios") else (seq.geometric_base,)
-        return _valuations(seq, ratios, kind != "ratios-finite", False, terms)
-    # the least B >= 2 prime to every multiplier is a prime, so v_B(a_n) =
-    # v_B(a_1) for every n, and no k! with B**(v_B(a_1) + 1) | k! divides a_n
-    M = math.prod(chain[1](n) for n in range(1, period + 1))
-    B = next(p for p in itertools.count(2) if math.gcd(p, M) == 1)
-    cap = _divisibility_of(ArithmeticTerms(seq)).least([(B, _strip(chain[0], B)[0] + 1)]) - 1
-    return _valuations(seq, range(1, cap + 1), False, True, terms)
+        return _Index(lambda L, after: max(L, after + 1), lambda n: n, lambda n, k: 1)
+    return _valuations(seq, terms)
 
 
-def _valuations(seq, ratios, cyclic: bool, capped: bool, terms) -> _Index:
+def _valuations(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
     """k_n and v_n from valuations over a coprime basis, never forming a_n:
     u_k | a_n exactly when v_b(u_k) <= v_b(a_n) for every b of the basis.
     v_b(a_n) and `least` come from the kernel `sequences._divisibility_of`.
+    * Cut: a_n's primes divide supply = a_1*m(1)***m(P), so a ratio r = q_j
+      not dividing supply**bits(r) bounds every k_n below j, and the ratios
+      stop just before the first one (n! terms: supply = 0, which every r
+      divides).  A cycled period or a finite list is checked whole first.
     * Chain: v_b(u_k) = (k // L)*Q + v_b(u_{k mod L}), Q = v_b(u_L), over
-      L `cyclic` ratios; or v_b(u_k), k <= L, on a finite list, whose end
-      raises as `decompose` would unless it is a `capped` cut of k!.
+      an uncut period of L ratios; else v_b(u_k), k <= L, and k_n = L asks
+      for q_{L+1}, which raises past a finite list's end as decompose does.
+    The basis covers a_1, the multipliers and the ratios kept, all made of
+    primes of supply, so it has at most one element per such prime.
     v_n stays bounded exactly when each b of the terms rises at the least
     slope V/Q, V = v_b gained per period of P multipliers.  quasi: k_b(n) =
     max{k : v_b(u_k) <= v_b(a_n)} gains L per Q, so k_b(n + P*m) = k_b(n) +
     L*m*V/Q once Q/gcd(Q, V) divides m; and k_b(n) is within L of
     L*(v_b(a_1) + j*V)/Q, j = (n-1) // P (with j + 1 above), so from n0 on
     k_n = min_b k_b(n) lies among the least slopes."""
+    kind, kernel = seq.spec[0], _divisibility_of(terms)
+    listed = seq.spec[1] if kind.startswith("ratios") else (seq.geometric_base,)
+    end = len(listed) if kind == "ratios-finite" else None     # where a finite list ends
+    if kind != "factorial":
+        seq.ratio_product(0, len(listed) + (end is None))    # raises what seq.q raises there
+    supply = 0 if kernel.mults is None else kernel.first * math.prod(kernel.mults)
+    ratios = list(itertools.takewhile(lambda r: pow(supply, r.bit_length(), r) == 0,
+                                      itertools.count(1) if kind == "factorial" else listed))
     L = len(ratios)
-    seq.ratio_product(0, L + cyclic)                # raises what seq.q raises there
-    kernel = _divisibility_of(terms)
+    cyclic = end is None and kind != "factorial" and L == len(listed)
     basis, period, vals = kernel.basis(ratios), kernel.period, kernel.vals
     cp = {b: list(itertools.accumulate((_strip(r, b)[0] for r in ratios), initial=0))
           for b in basis}
     bounding = [b for b in basis if cp[b][-1]]      # the rest never bound k_n
-
-    def chain(k):                                   # [v_b(u_k) for b in basis]
-        f, r = divmod(k, L) if cyclic else (0, k)
-        return [f * cp[b][-1] + cp[b][r] for b in basis]
+    widths = [b.bit_length() for b in basis]
 
     def least(target, after):
-        if target > L and not cyclic:
-            if capped:
-                return None
-            seq.q(L + 1)                            # raises: the list ends
+        if target > L and not cyclic:   # u_target divides no term, or seq.q raises past the end
+            return None if end is None or target <= end else seq.q(end + 1)
         f, r = divmod(target, L) if cyclic else (0, target)
         n = kernel.least([(b, f * cp[b][-1] + cp[b][r]) for b in bounding])
         return None if n is None else max(n, after + 1)
@@ -283,15 +280,24 @@ def _valuations(seq, ratios, cyclic: bool, capped: bool, terms) -> _Index:
             ks.append(A // c[-1] * L + bisect.bisect_right(c, A % c[-1], 0, L) - 1 if cyclic
                       else bisect.bisect_right(c, A) - 1)
         k = min(ks)
-        if k == L and not (cyclic or capped):
-            seq.q(L + 1)                            # raises, as decompose does
+        if k == L and not cyclic:
+            seq.q(L + 1)                            # raises past a list's end, as decompose does
         return k
 
     def cofactor(n, k):
+        # bits(prod b**e_b) <= sum e_b*bits(b), bits(n!) <= n*bits(n): checked first
+        f, r = divmod(k, L) if cyclic else (0, k)
+        uk = [f * c[-1] + c[r] for c in cp.values()]    # [v_b(u_k) for b in basis]
+        es = list(map(operator.sub, vals(n, basis), uk)) if period else None
+        size = sum(map(operator.mul, es, widths)) if period else n * n.bit_length()
+        if size > _COFACTOR_BITS:
+            raise SequenceNotAbsorbingError(
+                f"the next admissible index, n={n}, has a cofactor v_n of up to "
+                f"{size} bits, more than _COFACTOR_BITS = {_COFACTOR_BITS}")
         if period:
-            return math.prod(b ** (A - C) for b, A, C in zip(basis, vals(n, basis), chain(k)))
+            return math.prod(map(pow, basis, es))
         v = math.factorial(n)
-        for p, e in zip(basis, chain(k)):
+        for p, e in zip(basis, uk):
             v = v >> e if p == 2 else v // p ** e
         return v
 
@@ -313,8 +319,7 @@ def _valuations(seq, ratios, cyclic: bool, capped: bool, terms) -> _Index:
         T, S = period * m, L * m * low.numerator // low.denominator
         return T, S, n0, {index(n) % S for n in range(n0, n0 + T)}
 
-    windowed = any(V[b] and slope.get(b) != low for b in basis)
-    return _Index(least, index, cofactor, quasi, True, windowed)
+    return _Index(least, index, cofactor, quasi)
 
 
 def _seek(index: _Index, after: int, K: int, W: Optional[SetDescriptor]):
@@ -324,8 +329,8 @@ def _seek(index: _Index, after: int, K: int, W: Optional[SetDescriptor]):
     divides no term for the target L, or, with k_n quasi-linear, when the
     members of W past k_{n0} have residues mod S (base*w mod S on a
     Geometric W) that repeat without meeting R: every k_n up to n0 is at
-    most k_{n0}, and every later one has its residue in R.  Refused by the
-    window when k_n is `windowed` and the hit lies past SCAN_WINDOW terms."""
+    most k_{n0}, and every later one has its residue in R.  Refused by size
+    when the hit's cofactor may pass _COFACTOR_BITS (see `_valuations`)."""
     target = K if W is None else W.next_member(K)
     n = after
     while True:
@@ -334,10 +339,6 @@ def _seek(index: _Index, after: int, K: int, W: Optional[SetDescriptor]):
             raise SequenceNotAbsorbingError(
                 f"u_{target} divides no term a_n, so every chain index k_n "
                 f"is below {target}: no admissible index after n={after}")
-        if index.windowed and n - after > SCAN_WINDOW:
-            raise SequenceNotAbsorbingError(
-                f"no admissible index within {SCAN_WINDOW} terms after "
-                f"n={after}: the seek stops at its scan window (SCAN_WINDOW)")
         k = index.index(n)
         if k == target or k > target and (W is None or W.contains(k)):
             return n, k, index.cofactor(n, k)
@@ -370,8 +371,8 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
     valuations (periodic chains and multipliers; Legendre's formula for
     n!), or by decomposing a finite list of terms.  A request is refused by
     proof when u_L divides no term, or when quasi-linear k_n never meet the
-    witness set; SCAN_WINDOW caps, by arithmetic, how far past the previous
-    index a seek may go where the cofactor v_n grows with n."""
+    witness set; and by size when the next index's cofactor v_n, bounded
+    from its valuations before it is formed, may pass _COFACTOR_BITS."""
     if tag not in TAGS:
         raise ValueError(f"unknown certificate tag {tag!r}")
     if count < 0:

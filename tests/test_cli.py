@@ -39,7 +39,7 @@ def test_parser_serves_successive_calls(capsys):
         cli.build_parser.cache_clear()
         fresh.append(run_cli(capsys, *argv))
     assert [code for code, _, _ in fresh] == [EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_PASS,
-                                              EXIT_USAGE, EXIT_FAIL, EXIT_INCONCLUSIVE]
+                                              EXIT_USAGE, EXIT_FAIL, EXIT_FAIL]
     assert [run_cli(capsys, *argv) for argv in calls] == fresh
     assert cli.build_parser() is cli.build_parser()
 
@@ -117,7 +117,9 @@ def test_nset(capsys):
     code, doc, _ = run_cli(capsys, "nset", "--x", "1/3", "--a", "2^n",
                            "--weights", "1/n", "--depth", "100",
                            "--ideal", "density")
-    assert code == EXIT_INCONCLUSIVE   # depth too small for the ramp
+    # the residues of 2^n/3 repeat without a zero: ||a_n x|| = 1/3 for every
+    # n, and the sum of 1/n diverges
+    assert code == EXIT_FAIL and doc["classification"] == "divergent-evidence"
     assert doc["ideal_link"]["outcome"] == "Member"
 
 
@@ -223,17 +225,23 @@ def test_malformed_expansion_is_usage_error(tmp_path, capsys):
             assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("depth", [10 ** 700, 10 ** 19])
+@pytest.mark.parametrize("depth", [10 ** 700, 10 ** 19, None])
 def test_huge_truncation_depth_is_usage_error(tmp_path, capsys, depth):
     # the dyadic 1/3 point truncated at `depth`: u_depth = 2**depth, so
-    # the walk is refused by the size bound before any integer is formed
-    doc = {"sequence": {"kind": "dyadic"}, "digits": {"2": "1", "4": "1"}, "depth": depth}
+    # the walk is refused by the size bound before any integer is formed;
+    # with no depth, the exact point 2**-(10**19) is refused the same way
+    # by reconstruct and converge, before u_(10**19) is formed
+    digits = {"2": "1", "4": "1"} if depth else {str(10 ** 19): "1"}
+    doc = {"sequence": {"kind": "dyadic"}, "digits": digits, "depth": depth}
     path = tmp_path / "e.json"
     path.write_text(json.dumps(doc))
-    for extra in ([], ["--ideal", "density"]):
+    converge = ["converge", "--json-in", str(path), "--a", "2^n", "--depth", "100"]
+    calls = [converge, converge + ["--ideal", "density"]]
+    if depth is None:
+        calls.append(["reconstruct", "--json-in", str(path)])
+    for argv in calls:
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "converge", "--json-in", str(path), "--a", "2^n",
-                                 "--depth", "100", *extra)
+        code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1
         assert code == EXIT_USAGE and out is None
         assert err.startswith("error:") and "_TRUNCATION_BITS" in err

@@ -175,6 +175,25 @@ class TestNset:
         with int_digit_limit(0):
             assert texts == [str(v) for v in values]
 
+    @pytest.mark.parametrize("x,terms,weights,depth,label", [
+        # 2^n*x is an integer from n = 20 on: the whole sum is the partial one
+        ("349525/1048576", "2^n", "1", 10_000, "bounded-evidence"),
+        ("1/3", "2^n", "1/n^2", 10_000, "bounded-evidence"),
+        ("1/3", "2^n", "[1,1,1,1,1]", 5, "bounded-evidence"),
+        # the residues repeat without a zero, so ||a_n x|| >= 1/den for ever
+        ("1/3", "2^n", "1/n", 100, "divergent-evidence"),
+        ("5/7", "3*2^n", "1", 10, "divergent-evidence"),
+        # 2 has order 100 mod 101: the walk reaches depth 50 before it repeats
+        ("1/101", "2^n", "1/n", 50, "inconclusive"),
+        ("1/3", "[1,2,4,8]", "1/n", 4, "inconclusive"),
+    ])
+    def test_classification_is_a_proof(self, x, terms, weights, depth, label):
+        rep = nset_partial_sums(CircleRational.parse(x), parse_terms(terms),
+                                WeightRule.parse(weights), depth)
+        assert rep.classification == label
+        if x == "349525/1048576":
+            assert rep.norm_sum == Fraction(3378745, 524288)
+
     def test_truncated_point_rejected(self):
         seq = ArithmeticSequence.dyadic()
         from thinset.core import expand

@@ -133,25 +133,32 @@ class TestPlanning:
         assert time.perf_counter() - start < 0.01
         assert "window" not in str(info.value)
 
-    def test_window_refusal(self):
-        # th2 6^n over dyadic: k_n = n and v_n = 3^n, so the third index needs
-        # n = 10 + 21*3^10, past the window; arithmetic finds it, no walk
+    def test_cofactor_bound_refusal(self):
+        # th2 6^n over dyadic: k_n = n and v_n = 3^n, so the third index is
+        # n = 10 + 21*3^10, whose cofactor bound 2*n bits passes
+        # _COFACTOR_BITS; arithmetic finds it and refuses before forming v_n
         start = time.perf_counter()
         with pytest.raises(SequenceNotAbsorbingError,
-                           match="within 200000 terms after n=10") as info:
+                           match=r"n=1240039, .* more than _COFACTOR_BITS = 2097152"):
             plan_witness("th2", ArithmeticSequence.dyadic(),
                          ScaledGeometric(1, 6), DENSITY, 4)
         assert time.perf_counter() - start < 1
-        assert "scan window" in str(info.value)
-        # the second index is n = 10, nine terms after n = 1: a window of nine
-        # reaches it and one of eight does not
-        with mock.patch.object(witness, "SCAN_WINDOW", 9):
+        # the second index is n = 10, with v_n = 3^10 bounded by 20 bits: a
+        # bound of 20 admits it and one of 19 does not
+        with mock.patch.object(witness, "_COFACTOR_BITS", 20):
             plan = plan_witness("th2", ArithmeticSequence.dyadic(),
                                 ScaledGeometric(1, 6), DENSITY, 1)
             assert [p["n"] for p in plan.growth_log] == [1, 10]
-        with mock.patch.object(witness, "SCAN_WINDOW", 8), \
-                pytest.raises(SequenceNotAbsorbingError, match="within 8 terms after n=1"):
+        with mock.patch.object(witness, "_COFACTOR_BITS", 19), \
+                pytest.raises(SequenceNotAbsorbingError, match="n=10, .* up to 20 bits"):
             plan_witness("th2", ArithmeticSequence.dyadic(), ScaledGeometric(1, 6), DENSITY, 1)
+
+    def test_cut_keeps_the_period_check(self):
+        # 5 = q_2 bounds k_n below 2 for 3*2^n, yet q_3 = 1 of the period is
+        # refused first, as a walk over the period would refuse it
+        with pytest.raises(ValueError, match="q_3 must be >= 2, got 1"):
+            plan_witness("th6", ArithmeticSequence.from_ratios([2, 5, 1]),
+                         ScaledGeometric(3, 2), DENSITY, 2)
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
@@ -365,7 +372,6 @@ def planned(plan):
     return [(e["n"], e["k"], int(e["v"])) for e in plan.growth_log]
 
 
-@mock.patch.object(witness, "SCAN_WINDOW", WINDOW)
 def assert_matches_reference(tag, seq_text, terms_text, count):
     seq = parse_sequence(seq_text)
     terms = parse_terms(terms_text, seq)
@@ -472,6 +478,7 @@ def kernel_chain(text):
 @example("[4,6]", ScaledGeometric(5, 36), [1, 2, 3, 4], 9)          # uneven slopes
 @example("geometric:6", ScaledGeometric(3 ** 10, 12), [1, 9, 10], 12)  # k_n = 2n, then n + 10
 @example("finite", parse_terms("n!"), [5, 20], 13)                # u_12 | 20!: past the end
+@example("finite", ArithmeticTerms(parse_sequence("dyadic")), [1], 13)  # cut at q_2, u_13 past the end
 def test_chain_index_matches_reference(seq_text, terms, ns, L):
     seq = kernel_chain(seq_text)
     index = witness._chain_index(seq, terms)
@@ -505,6 +512,32 @@ def test_chain_index_matches_reference(seq_text, terms, ns, L):
         ks = [decompose(seq, terms.term(n)).k for n in range(n0, n0 + 3 * T)]
         assert all(b == a + S for a, b in zip(ks, ks[T:]))
         assert {k % S for k in ks} == R
+
+
+def first_primes(count):
+    sieve, primes = [True] * 20000, []       # the 2000th prime is 17389
+    for p in range(2, len(sieve)):
+        if sieve[p]:
+            primes.append(p)
+            sieve[p * p::p] = [False] * len(range(p * p, len(sieve), p))
+    return primes[:count]
+
+
+@pytest.mark.parametrize("ratios,terms", [
+    (first_primes(2000), ArithmeticTerms(parse_sequence("[6]"))),    # q_3 = 5: cut at 2
+    ([2, 3, 6, 4, 9] * 400, ScaledGeometric(5, 6)),                 # every ratio supplied
+])
+def test_chain_index_on_2000_ratios(ratios, terms):
+    # only the ratios before the first one that no term supplies enter the
+    # basis, and it has one element per prime of the terms
+    seq = ArithmeticSequence.from_ratios(ratios)
+    start = time.perf_counter()
+    index = witness._chain_index(seq, terms)
+    assert time.perf_counter() - start < 0.02
+    for n in (1, 2, 7, 50, 300):
+        d = decompose(seq, terms.term(n))
+        k = index.index(n)
+        assert (k, index.cofactor(n, k)) == (d.k, d.v)
 
 
 @settings(max_examples=150, deadline=None)
@@ -545,9 +578,10 @@ def test_factorial_terms_at_count_5_and_6():
     assert time.perf_counter() - start < 5
     assert [p.n for p in plan.indices] == [6, 18, 66, 514, 4098]
     assert plan.closing_k == 65536
-    # the next hit is n = 2**20 + 2, more than the window past n = 65538
+    # the next hit is n = 2**20 + 2, and bits(n!) <= n*bits(n) passes the bound
     start = time.perf_counter()
-    with pytest.raises(SequenceNotAbsorbingError, match="within 200000 terms after n=65538"):
+    with pytest.raises(SequenceNotAbsorbingError,
+                       match=r"n=1048578, .* up to 22020138 bits, more than _COFACTOR_BITS"):
         plan_witness("th6", dyadic, terms, DENSITY, 6)
     assert time.perf_counter() - start < 5
 
