@@ -145,7 +145,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ideal", required=True)
     p.add_argument("--set")
     p.add_argument("--json-in")
-    p.add_argument("--cutoff", type=int, default=None)
 
     p = sub.add_parser("converge", help="convergence evidence for ||a_n x|| -> 0")
     p.add_argument("--x")
@@ -211,10 +210,7 @@ def run(args) -> int:
         return EXIT_PASS
 
     if args.command == "ideal-member":
-        ideal = parse_ideal(args.ideal)
-        s = _parse_set(args)
-        cutoff = args.cutoff if args.cutoff is not None else _default_depth(args)
-        verdict = ideal_member(ideal, s, cutoff)
+        verdict = ideal_member(parse_ideal(args.ideal), _parse_set(args))
         _emit(verdict.to_json())
         return _OUTCOME_EXIT[verdict.outcome]
 

@@ -31,8 +31,8 @@ from typing import Optional, Sequence, Union
 from ._exact_text import exact_fraction, exact_str
 from .core import (CircleRational, DigitExpansion, SIN_UPPER, _TRUNCATION_BITS,
                    _partial_sum, reconstruct_exact, support)
-from .ideals import (IdealDescriptor, Outcome, Progression, SetDescriptor,
-                     UnionSet, Verdict, ideal_member, translation_invariant_in)
+from .ideals import (IdealDescriptor, Outcome, Progression, Verdict, ideal_member,
+                     translation_invariant_in)
 from .sequences import (ArithmeticTerms, TermSequence, _divisibility_of,
                         multiplier_chain, phase_period)
 
@@ -221,14 +221,14 @@ def _walked_cycle(num: int, den: int, terms: TermSequence, mu: int,
     ε-walk's pass `walked` (see _eps_stats): with the residues t_h ..
     t_{h+lam-1} of one period, the norm at mu + j is the one at
     h + ((mu - h + j) mod lam).  A walk that reached its depth first goes on
-    from where it stopped until the states repeat."""
+    from where it stopped until the states repeat, and its last lam residues
+    are the period's: it yields every position, as it has no quiet runs."""
     h, lam, residues = walked
     if lam is None:
         walk = _Residues(num, den, terms, start=(h, residues[-1]), stop=True)
-        for _ in walk:
-            pass
-        h, t, lam = walk.repeat
-        residues = [t for _, t in _Residues(num, den, terms, h + lam - 1, start=(h, t))]
+        residues = [t for _, t in walk]
+        h, _, lam = walk.repeat
+        residues = residues[-lam:]
     k = (mu - h) % lam
     return _Cycle(mu, lam, tuple(min(t, den - t) for t in residues[k:] + residues[:k]))
 
@@ -411,23 +411,21 @@ def classical_convergence(x: PointLike, terms: TermSequence, depth: int = DEFAUL
     return ConvergenceReport(depth, tuple(stats), verdict)
 
 
-def _exceptional_descriptor(cycle: _Cycle, floor: int) -> SetDescriptor:
-    """Progression union covering the cycle positions whose norm floor is
-    >= floor, for a floor at most the cycle's largest."""
-    parts = [Progression(cycle.mu + j, cycle.period)
-             for j, norm in enumerate(cycle.norms) if norm >= floor]
-    return parts[0] if len(parts) == 1 else UnionSet(parts)
+def _exceptional_descriptor(cycle: _Cycle, floor: int) -> Progression:
+    """The cycle positions whose norm floor is >= floor, for a floor at most
+    the cycle's largest: one periodic progression from the first of them."""
+    js = [j for j, norm in enumerate(cycle.norms) if norm >= floor]
+    return Progression(cycle.mu + js[0], cycle.period, [j - js[0] for j in js])
 
 
-def membership_by_support(e: DigitExpansion, ideal: IdealDescriptor,
-                          cutoff: int = DEFAULT_DEPTH) -> Verdict:
+def membership_by_support(e: DigitExpansion, ideal: IdealDescriptor) -> Verdict:
     """Sufficient rule: support in the ideal and shift-invariantly so.
 
     The rule is one-directional; failure to apply is Inconclusive, never
     NotMember.
     """
     supp = support(e)
-    member = ideal_member(ideal, supp, cutoff)
+    member = ideal_member(ideal, supp)
     if member.outcome is Outcome.MEMBER:
         invariant = translation_invariant_in(ideal, supp)
         if invariant.outcome is Outcome.MEMBER:
@@ -450,7 +448,7 @@ def ideal_convergence(x: PointLike, terms: TermSequence, ideal: IdealDescriptor,
         raise ValueError("eps must be >= 0")
     if isinstance(x, DigitExpansion) and x.symbolic_support is not None \
             and isinstance(terms, ArithmeticTerms) and terms.seq == x.seq:
-        by_support = membership_by_support(x, ideal, depth)
+        by_support = membership_by_support(x, ideal)
         if by_support.outcome is Outcome.MEMBER:
             return by_support
     exact = _resolve_exact(x)
@@ -479,7 +477,7 @@ def ideal_convergence(x: PointLike, terms: TermSequence, ideal: IdealDescriptor,
         else:   # never-integral: every norm is at least 1/d
             witness_eps = min(eps, Fraction(1, exact.den))
             descriptor = Progression(1, 1)
-        in_ideal = ideal_member(ideal, descriptor, depth)
+        in_ideal = ideal_member(ideal, descriptor)
         if in_ideal.outcome is Outcome.NOT_MEMBER:
             diagnostics["witness_eps"] = witness_eps
             diagnostics["exceptional_set"] = descriptor.to_json()

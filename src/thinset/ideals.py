@@ -1,12 +1,14 @@
 """Symbolic subsets of the naturals, densities, and ideal membership verdicts.
 
 Verdicts are three-valued.  Member/NotMember are only ever produced by a
-certified symbolic rule or an exact computation; prefix scans alone yield
-Inconclusive so that no finite amount of evidence is mistaken for a theorem.
+certified symbolic rule or an exact computation: ideal membership is read off
+the set's certified counting class, and a prefix scan (`density_estimate`)
+decides nothing, so that no finite amount of evidence is mistaken for a theorem.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -40,7 +42,9 @@ class Verdict:
         return {
             "outcome": self.outcome.value,
             "certificate": self.certificate,
-            "diagnostics": {k: exact_str(v) for k, v in self.diagnostics.items()},
+            # descriptors and None are JSON already; numbers keep their exact text
+            "diagnostics": {k: v if v is None or isinstance(v, dict) else exact_str(v)
+                            for k, v in self.diagnostics.items()},
         }
 
 
@@ -121,33 +125,45 @@ class FiniteSet(SetDescriptor):
 
 @dataclass(frozen=True)
 class Progression(SetDescriptor):
-    """{start + k*step : k >= 0}."""
+    """{start + j + k*step : j in offsets, k >= 0}, the offsets increasing
+    from 0 and below step: a periodic set from its first member on."""
 
     start: int
     step: int
+    offsets: tuple[int, ...] = (0,)
 
     def __post_init__(self):
+        object.__setattr__(self, "offsets", offsets := tuple(self.offsets))
         if self.start < 1 or self.step < 1:
             raise ValueError("need start >= 1 and step >= 1")
+        if offsets[:1] != (0,) or offsets[-1] >= self.step or any(
+                a >= b for a, b in zip(offsets, offsets[1:])):
+            raise ValueError("offsets must increase from 0 and stay below step")
 
     def iter_members(self) -> Iterator[int]:
-        return itertools.count(self.start, self.step)
+        return (base + j for base in itertools.count(self.start, self.step)
+                for j in self.offsets)
 
     def count_upto(self, n: int) -> int:
         if n < self.start:
             return 0
-        return (n - self.start) // self.step + 1
+        periods, rest = divmod(n - self.start, self.step)
+        return periods * len(self.offsets) + bisect.bisect_right(self.offsets, rest)
 
     def contains(self, n: int) -> bool:
-        return n >= self.start and (n - self.start) % self.step == 0
+        return self.count_upto(n) > self.count_upto(n - 1)
 
     def growth(self) -> Growth:
         # sum over start + k*step of n**(-s) dominates a harmonic tail for s <= 1
-        return Growth("linear", Fraction(1, self.step), "progression-divergence")
+        return Growth("linear", Fraction(len(self.offsets), self.step),
+                      "progression-divergence")
 
     def to_json(self) -> dict:
-        return {"type": "progression", "start": exact_str(self.start),
-                "step": exact_str(self.step)}
+        doc = {"type": "progression", "start": exact_str(self.start),
+               "step": exact_str(self.step)}
+        if len(self.offsets) > 1:
+            doc["offsets"] = [exact_str(j) for j in self.offsets]
+        return doc
 
 
 @dataclass(frozen=True)
@@ -267,14 +283,6 @@ class UnionSet(SetDescriptor):
         return None
 
     def growth(self) -> Growth:
-        # kept outside the dataclass fields, so == and hash do not see it
-        cached = self.__dict__.get("_growth")
-        if cached is None:
-            cached = self._combined_growth()
-            object.__setattr__(self, "_growth", cached)
-        return cached
-
-    def _combined_growth(self) -> Growth:
         parts = [p.growth() for p in self.parts]
         kinds = {g.kind for g in parts}
         if "linear" not in kinds:
@@ -287,12 +295,6 @@ class UnionSet(SetDescriptor):
         return Growth("linear", density, "divergent-part")
 
     def _certified_disjoint(self) -> bool:
-        """Pairwise `certified_disjoint` over the parts.  Progressions sharing
-        one step are disjoint exactly when their starts differ modulo it,
-        which a single pass checks."""
-        step = getattr(self.parts[0], "step", None)
-        if all(isinstance(p, Progression) and p.step == step for p in self.parts):
-            return len({p.start % step for p in self.parts}) == len(self.parts)
         return all(certified_disjoint(a, b)
                    for a, b in itertools.combinations(self.parts, 2))
 
@@ -307,7 +309,11 @@ def descriptor_from_json(doc: dict) -> SetDescriptor:
     if t == "finite":
         return FiniteSet([exact_int(e) for e in doc["elements"]])
     if t == "progression":
-        return Progression(exact_int(doc["start"]), exact_int(doc["step"]))
+        offsets = doc.get("offsets", [0])
+        if not isinstance(offsets, list):   # a string would be read digit by digit
+            raise ValueError("offsets must be a list")
+        return Progression(exact_int(doc["start"]), exact_int(doc["step"]),
+                           [exact_int(j) for j in offsets])
     if t == "geometric":
         return Geometric(exact_int(doc["base"]))
     if t == "shifted":
@@ -324,12 +330,11 @@ def certified_disjoint(a: SetDescriptor, b: SetDescriptor) -> bool:
     if isinstance(b, FiniteSet):
         return certified_disjoint(b, a)
     if isinstance(a, Progression) and isinstance(b, Progression):
-        # a common element solves start_a + i*d_a = start_b + j*d_b
+        # a common element solves start_a + j + i*d_a = start_b + j' + i'*d_b,
+        # and classes equal mod gcd(d_a, d_b) meet in a progression (CRT)
         g = math.gcd(a.step, b.step)
-        if (a.start - b.start) % g != 0:
-            return True
-        # compatible congruences intersect in a progression beyond both starts
-        return False
+        return {(a.start + j) % g for j in a.offsets}.isdisjoint(
+            (b.start + j) % g for j in b.offsets)
     return False
 
 
@@ -435,9 +440,12 @@ def density_estimate(s: SetDescriptor, cutoff: int = DEFAULT_CUTOFF,
     return DensityEstimate(cutoff, min(ratios), max(ratios), s.growth().density)
 
 
-def _class_verdict(ideal: IdealDescriptor, g: Growth) -> Optional[Verdict]:
-    """The ideal's rule on a certified counting class; None where the class
-    decides nothing (a density ideal and no certified density)."""
+def ideal_member(ideal: IdealDescriptor, s: SetDescriptor,
+                 cutoff: int = DEFAULT_CUTOFF) -> Verdict:
+    """Membership of the described set in the described ideal, read off the
+    set's certified counting class, which decides every ideal here.
+    `cutoff` is not read; it stays for callers that pass it positionally."""
+    g = s.growth()
     if ideal.kind == "fin":
         if g.kind == "finite":
             return Verdict(Outcome.MEMBER, "finite")
@@ -447,24 +455,11 @@ def _class_verdict(ideal: IdealDescriptor, g: Growth) -> Optional[Verdict]:
         if g.kind == "linear":
             return Verdict(Outcome.NOT_MEMBER, g.proof)
         return Verdict(Outcome.MEMBER, g.proof)
-    if g.density == 0:
+    if g.kind != "linear":      # O(log n) counts have density zero
         return Verdict(Outcome.MEMBER, "density-zero")
     if g.density is not None:
         return Verdict(Outcome.NOT_MEMBER, "positive-density", {"density": g.density})
-    return None
-
-
-def ideal_member(ideal: IdealDescriptor, s: SetDescriptor,
-                 cutoff: int = DEFAULT_CUTOFF) -> Verdict:
-    """Three-valued membership of the described set in the described ideal,
-    read off the set's certified counting class."""
-    verdict = _class_verdict(ideal, s.growth())
-    if verdict is not None:
-        return verdict
-    est = density_estimate(s, cutoff)
-    return Verdict(Outcome.INCONCLUSIVE, None,
-                   {"prefix_lower": est.lower, "prefix_upper": est.upper,
-                    "cutoff": cutoff})
+    return Verdict(Outcome.NOT_MEMBER, "positive-lower-density")  # >= c*n from some n, c > 0
 
 
 # Why a member's shifts stay members: fin members are finite, prefix counts
@@ -477,8 +472,7 @@ _SHIFT_INVARIANCE = {"fin": "finite-shifts-finite",
 
 def translation_invariant_in(ideal: IdealDescriptor, s: SetDescriptor) -> Verdict:
     """Whether every integer shift of the set stays in the ideal."""
-    verdict = _class_verdict(ideal, s.growth())
-    if verdict is None or not verdict.is_member:
+    if not ideal_member(ideal, s).is_member:
         raise ValueError("set must be a certified member of the ideal first")
     return Verdict(Outcome.MEMBER, _SHIFT_INVARIANCE[ideal.kind])
 

@@ -318,7 +318,8 @@ def _coprime_basis(nums) -> list[int]:
             g = math.gcd(a, b)
             if g > 1:
                 del basis[i]
-                todo += [c for c in (g, a // g, b // g) if c > 1]
+                # the whole power of g leaves each, so a prime power splits in one pass
+                todo += [c for c in (g, _strip(a, g)[1], _strip(b, g)[1]) if c > 1]
                 break
         else:
             basis.append(a)

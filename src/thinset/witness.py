@@ -292,8 +292,8 @@ def _valuations(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
         size = sum(map(operator.mul, es, widths)) if period else n * n.bit_length()
         if size > _COFACTOR_BITS:
             raise SequenceNotAbsorbingError(
-                f"the next admissible index, n={n}, has a cofactor v_n of up to "
-                f"{size} bits, more than _COFACTOR_BITS = {_COFACTOR_BITS}")
+                f"the next admissible index, n={exact_str(n)}, has a cofactor v_n of "
+                f"up to {exact_str(size)} bits, more than _COFACTOR_BITS = {_COFACTOR_BITS}")
         if period:
             return math.prod(map(pow, basis, es))
         v = math.factorial(n)
@@ -337,8 +337,8 @@ def _seek(index: _Index, after: int, K: int, W: Optional[SetDescriptor]):
         n = index.least(target, n)
         if n is None:
             raise SequenceNotAbsorbingError(
-                f"u_{target} divides no term a_n, so every chain index k_n "
-                f"is below {target}: no admissible index after n={after}")
+                f"u_{exact_str(target)} divides no term a_n, so every chain index k_n is "
+                f"below {exact_str(target)}: no admissible index after n={exact_str(after)}")
         k = index.index(n)
         if k == target or k > target and (W is None or W.contains(k)):
             return n, k, index.cofactor(n, k)
@@ -351,9 +351,10 @@ def _seek(index: _Index, after: int, K: int, W: Optional[SetDescriptor]):
             while target > bound and target % S not in R:
                 if target % S in seen:
                     raise SequenceNotAbsorbingError(
-                        f"no chain index k_n after n={after} lies in the witness set "
-                        f"{{{W.base}^j}}: k_(n+{T}) = k_n + {S} from n={n0} on, and "
-                        f"the members' residues mod {S} repeat without meeting them")
+                        f"no chain index k_n after n={exact_str(after)} lies in the "
+                        f"witness set {{{exact_str(W.base)}^j}}: k_(n+{exact_str(T)}) = "
+                        f"k_n + {exact_str(S)} from n={exact_str(n0)} on, and the "
+                        f"members' residues mod {exact_str(S)} repeat without meeting them")
                 seen.add(target % S)
                 target = W.next_member(target + 1)
 

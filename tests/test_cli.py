@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +11,7 @@ from thinset import cli
 from thinset.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE,
                          main)
 from thinset.core import DigitExpansion
-from thinset.ideals import IdealDescriptor
+from thinset.ideals import IdealDescriptor, Progression, descriptor_from_json
 from thinset.sequences import ArithmeticSequence, ScaledGeometric
 from thinset.witness import build_and_verify, plan_witness
 
@@ -71,13 +72,9 @@ def test_density(capsys):
 
 
 def test_cutoff_below_one_is_usage_error(capsys):
-    overlapping = ('{"type": "union", "parts": [{"type": "progression", "start": "1", '
-                   '"step": "2"}, {"type": "progression", "start": "1", "step": "4"}]}')
-    for argv in (["density", "--set", "progression:1,2"],
-                 ["ideal-member", "--ideal", "density", "--set", overlapping]):
-        code, doc, err = run_cli(capsys, *argv, "--cutoff", "0")
-        assert (code, doc) == (EXIT_USAGE, None)
-        assert "cutoff must be >= 1" in err
+    code, doc, err = run_cli(capsys, "density", "--set", "progression:1,2", "--cutoff", "0")
+    assert (code, doc) == (EXIT_USAGE, None)
+    assert "cutoff must be >= 1" in err
 
 
 def test_ideal_member_exit_codes(capsys):
@@ -97,6 +94,19 @@ def test_converge_ideal(capsys):
                            "--ideal", "density", "--depth", "1000")
     assert code == EXIT_FAIL
     assert doc["outcome"] == "NotMember"
+
+
+def test_converge_ideal_writes_json_native_diagnostics(capsys):
+    # no position up to depth 1 reaches 1/8 (7/1009 is the first norm), yet
+    # the cycle of 7^n mod 1009 does: the set is an object, the last position null
+    code, doc, _ = run_cli(capsys, "converge", "--x", "1/1009", "--a", "7^n",
+                           "--ideal", "density", "--depth", "1")
+    assert (code, doc["outcome"]) == (EXIT_FAIL, "NotMember")
+    d = doc["diagnostics"]
+    assert (d["exceptional_count"], d["last_exceptional"]) == ("0", None)
+    s = descriptor_from_json(d["exceptional_set"])
+    assert isinstance(s, Progression) and s.step == 252     # the order of 7 mod 1009
+    assert s.growth().density == Fraction(len(s.offsets), s.step) > 0
 
 
 def test_converge_depth_zero_is_usage_error(capsys):
@@ -165,6 +175,17 @@ def test_witness_fin_usage_error(capsys):
     code, doc, err = run_cli(capsys, "witness", "th6", "--seq", "dyadic",
                              "--a", "2^n", "--ideal", "fin", "--count", "2")
     assert code == EXIT_USAGE and doc is None and "error" in err
+
+
+def test_witness_refusal_names_a_huge_index(capsys):
+    # the next th2 index of 2*6^n over 3^n has 133 177 digits, past the
+    # interpreter's int-to-string limit; its refusal still names it
+    start = time.perf_counter()
+    code, doc, err = run_cli(capsys, "witness", "th2", "--seq", "geometric:3",
+                             "--a", "2*6^n", "--ideal", "density", "--count", "3")
+    assert time.perf_counter() - start < 1
+    assert (code, doc) == (EXIT_USAGE, None)
+    assert "_COFACTOR_BITS" in err and "digits" not in err
 
 
 def test_usage_errors(capsys):

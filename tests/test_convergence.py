@@ -1,17 +1,20 @@
 import contextlib
+import itertools
 import json
 import sys
 from fractions import Fraction
 
 import pytest
 
+import cycle_reference
+from thinset import convergence
 from thinset._exact_text import exact_str
 from thinset.convergence import (WeightRule, classical_convergence,
                                  ideal_convergence, membership_by_support,
                                  nset_partial_sums, weight_ideal_link)
 from thinset.core import CircleRational, DigitExpansion
 from thinset.ideals import (Geometric, IdealDescriptor, Outcome, Progression,
-                            Shifted)
+                            Shifted, descriptor_from_json)
 from thinset.sequences import ArithmeticSequence, ArithmeticTerms, parse_terms
 
 DENSITY = IdealDescriptor.density()
@@ -110,6 +113,24 @@ class TestIdealConvergence:
         v = ideal_convergence(e, ArithmeticTerms(seq), DENSITY, depth=100)
         assert v.outcome is Outcome.MEMBER
         assert v.certificate == "support-rule"
+
+
+    def test_cycle_resume_walks_once(self, monkeypatch):
+        # 7 has order 252 mod 1009, so the depth-10 walk stops before the
+        # period, and the cycle comes from one resumed walk
+        walks = []
+        real = convergence._Residues.__iter__
+        monkeypatch.setattr(convergence._Residues, "__iter__",
+                            lambda walk: walks.append(walk.start) or real(walk))
+        terms = parse_terms("7^n")
+        v = ideal_convergence(CircleRational(1, 1009), terms, DENSITY, depth=10)
+        assert v.certificate == "periodic-recurrence"
+        assert walks == [None, (10, 7 ** 10 % 1009)]    # the eps walk, then the resume
+        mu, period, cycle = cycle_reference.detect_cycle(1, 1009, terms)
+        s = descriptor_from_json(v.diagnostics["exceptional_set"])
+        assert s.step == period
+        assert list(itertools.takewhile(lambda n: n < mu + period, s.iter_members())) == \
+            [mu + j for j, m in enumerate(cycle) if m >= v.diagnostics["witness_eps"]]
 
 
 class TestMembershipBySupport:

@@ -18,7 +18,7 @@ from thinset.convergence import (_FACTOR_BOUND, DEFAULT_EPS_GRID, WeightRule,
                                  classical_convergence, ideal_convergence,
                                  nset_partial_sums)
 from thinset.core import CircleRational, DigitExpansion, reconstruct_exact
-from thinset.ideals import IdealDescriptor, Outcome, Progression, UnionSet
+from thinset.ideals import IdealDescriptor, Outcome, Progression, descriptor_from_json
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms,
                                ExplicitTerms, ScaledGeometric, _Divisibility,
                                _divisibility_of, multiplier_chain, parse_sequence,
@@ -321,13 +321,17 @@ def test_eps_stats_match_brute_walk(name, num, den, data):
         assert (d["exceptional_count"], d["last_exceptional"],
                 d["exceptional_prefix_density"]) == expected(eps)
         if v.certificate == "periodic-recurrence":
-            # the cycle positions whose norm reaches the witness eps
+            # the positions from the cycle's start on whose norm reaches the
+            # witness eps, against the brute walk to the depth and one period
             mu, period, cycle = cycle_reference.detect_cycle(x.num, x.den, terms)
             witness = min(eps, max(cycle))
-            parts = [Progression(mu + j, period) for j, m in enumerate(cycle) if m >= witness]
             assert d["witness_eps"] == witness
-            assert d["exceptional_set"] == \
-                (parts[0] if len(parts) == 1 else UnionSet(parts)).to_json()
+            s = descriptor_from_json(d["exceptional_set"])
+            top = max(depth, mu + period)
+            walk = brute_norms(terms, x.num, x.den, top)
+            assert s.step == period
+            assert list(itertools.takewhile(lambda m: m <= top, s.iter_members())) == \
+                [n for n in range(mu, top + 1) if walk[n - 1] >= witness * x.den]
 
 
 def test_zero_residue_followed_by_nonzero_is_walked():

@@ -1,11 +1,15 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms,
                                ExplicitTerms, ScaledGeometric,
-                               multiplier_chain, parse_sequence, parse_terms,
-                               phase_period, terms_from_json)
+                               _coprime_basis, _strip, multiplier_chain,
+                               parse_sequence, parse_terms, phase_period,
+                               terms_from_json)
 
 
 def test_dyadic_values():
@@ -189,3 +193,20 @@ def test_terms_json_round_trip():
               ExplicitTerms([1, 4, 9])):
         back = terms_from_json(t.to_json())
         assert [back.term(n) for n in (1, 2, 3)] == [t.term(n) for n in (1, 2, 3)]
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 40), min_size=len(SMALL_PRIMES),
+                         max_size=len(SMALL_PRIMES)), min_size=1, max_size=6))
+def test_coprime_basis_of_prime_power_products(exponents):
+    nums = [math.prod(p ** e for p, e in zip(SMALL_PRIMES, es)) for es in exponents]
+    basis = _coprime_basis(nums)
+    assert all(b > 1 for b in basis)
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(basis, 2))
+    for n in nums:
+        for b in basis:
+            n = _strip(n, b)[1]
+        assert n == 1

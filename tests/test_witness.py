@@ -413,6 +413,7 @@ TERMS = st.one_of(st.just("u_n"), st.builds("{}*{}^n".format, st.integers(1, 40)
 @example("th6", "dyadic", "2*4^n", 2)          # k_n = 1 + 2n is never a power of 2
 @example("th1", "geometric:5", "10*3^n", 2)    # k_n = 1 for every n
 @example("th6", "factorial", "u_n", 5)
+@example("th2", "geometric:3", "2*6^n", 3)     # a refusal naming a 133 177-digit n
 def test_jump_planner_matches_scan(tag, seq_text, terms_text, count):
     assert_matches_reference(tag, seq_text, terms_text, count)
 
@@ -538,6 +539,15 @@ def test_chain_index_on_2000_ratios(ratios, terms):
         d = decompose(seq, terms.term(n))
         k = index.index(n)
         assert (k, index.cofactor(n, k)) == (d.k, d.v)
+
+
+def test_chain_index_on_a_huge_prime_power():
+    # the basis of 2 and 2^16000 is {2}, found in one split, not 16000
+    seq = ArithmeticSequence.from_ratios([2 ** 16000])
+    start = time.perf_counter()
+    index = witness._chain_index(seq, parse_terms("2^n", seq))
+    assert time.perf_counter() - start < 0.005
+    assert [index.index(n) for n in (1, 15999, 16000, 48000)] == [0, 0, 1, 3]
 
 
 @settings(max_examples=150, deadline=None)
