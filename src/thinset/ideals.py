@@ -302,16 +302,20 @@ class UnionSet(SetDescriptor):
         return {"type": "union", "parts": [p.to_json() for p in self.parts]}
 
 
+def _json_list(value, name: str) -> list:
+    if not isinstance(value, list):     # a string would be read digit by digit
+        raise ValueError(f"{name} must be a list")
+    return value
+
+
 @decoder("set descriptor")
 def descriptor_from_json(doc: dict) -> SetDescriptor:
     """Inverse of `to_json`; a malformed document raises ValueError."""
     t = doc["type"]
     if t == "finite":
-        return FiniteSet([exact_int(e) for e in doc["elements"]])
+        return FiniteSet([exact_int(e) for e in _json_list(doc["elements"], "elements")])
     if t == "progression":
-        offsets = doc.get("offsets", [0])
-        if not isinstance(offsets, list):   # a string would be read digit by digit
-            raise ValueError("offsets must be a list")
+        offsets = _json_list(doc.get("offsets", [0]), "offsets")
         return Progression(exact_int(doc["start"]), exact_int(doc["step"]),
                            [exact_int(j) for j in offsets])
     if t == "geometric":

@@ -483,25 +483,19 @@ def _rat(f: Fraction) -> str:
 
 @dataclass(frozen=True)
 class WitnessCertificate:
+    """Only the claims, the plan and `passed`, are written.  The derived rest
+    is None in a decoded certificate unless its document stores it, as ones
+    written before did, for `verify` to diff.  Equality is on the claims."""
+
     plan: WitnessPlan
-    expansion: DigitExpansion
-    checks: tuple[IndexCheck, ...]
-    support_verdict: Optional[Verdict]
-    blocks: tuple[BlockCheck, ...]
+    expansion: Optional[DigitExpansion] = field(compare=False)
+    checks: Optional[tuple[IndexCheck, ...]] = field(compare=False)
+    support_verdict: Optional[Verdict] = field(compare=False)
+    blocks: Optional[tuple[BlockCheck, ...]] = field(compare=False)
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.plan.tag,
-            "plan": self.plan.to_json(),
-            "digits": {exact_str(n): exact_str(c)
-                       for n, c in sorted(self.expansion.digits.items())},
-            "checks": [c.to_json() for c in self.checks],
-            "support": (self.support_verdict.to_json()
-                        if self.support_verdict is not None else None),
-            "blocks": [b.to_json() for b in self.blocks],
-            "pass": self.passed,
-        }
+        return {"theorem": self.plan.tag, "plan": self.plan.to_json(), "pass": self.passed}
 
     @classmethod
     @decoder("certificate", CertificateFormatError)
@@ -509,7 +503,9 @@ class WitnessCertificate:
         plan = WitnessPlan.from_json(doc["plan"])
         if doc["theorem"] != plan.tag:
             raise CertificateFormatError("theorem differs from the plan's tag")
-        # stored digits are data for `verify` to diff, not a symbolic claim
+        if not doc.keys() & {"digits", "checks", "support", "blocks"}:
+            return cls(plan, None, None, None, None, _flag(doc["pass"]))
+        # derived fields are data for `verify` to diff, not a symbolic claim
         digits = {exact_int(n): exact_int(c) for n, c in doc["digits"].items()}
         expansion = DigitExpansion(plan.seq, digits, None)
         checks = tuple(IndexCheck.from_json(c) for c in doc["checks"])
@@ -673,29 +669,39 @@ def _contains_exact(stored: BlockCheck, low: int, high: int, den: int) -> bool:
 
 def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     """Re-derive the plan from its request (tag, chain, terms, ideal and
-    count), rebuild the certificate from it and diff against the stored one.
-    The stored indices, closing index and witness set must equal the
-    re-derived ones.  Stored enclosures (intervals, norm intervals, block
-    bounds) may be equal to or strictly wider than the recomputed ones
-    (noted), but never narrower or disjoint; every other recomputed field
-    must match.  The one exception is a block whose stored bounds are
-    narrower than the dyadic ones, as certificates written before the bounds
-    were dyadic store them: that block passes, noted, only if its stored
-    bounds contain the block's exact sum."""
+    count) and rebuild the certificate: the stored indices, closing index,
+    witness set and pass flag must equal the re-derived ones, and stored
+    derived fields are diffed by `_diff_derived`.  The report holds the
+    rebuilt certificate as "recomputed", None if the plan is not re-derived."""
     report: dict = {"mismatches": [], "notes": []}
     mismatch, note = report["mismatches"].append, report["notes"].append
-    stored_plan = cert.plan
     try:
-        plan = plan_witness(stored_plan.tag, stored_plan.seq, stored_plan.terms,
-                            stored_plan.ideal, len(stored_plan.indices))
+        plan = plan_witness(cert.plan.tag, cert.plan.seq, cert.plan.terms,
+                            cert.plan.ideal, len(cert.plan.indices))
     except (ValueError, SequenceNotAbsorbingError) as exc:
         mismatch(f"plan cannot be re-derived: {exc}")
-        report.update(ok=False, recomputed_pass=False)
+        report.update(ok=False, recomputed_pass=False, recomputed=None)
         return False, report
-    fields = _differing(stored_plan, plan, ("indices", "closing_k", "witness_set"))
-    if fields:
+    if fields := _differing(cert.plan, plan, ("indices", "closing_k", "witness_set")):
         mismatch(f"plan: stored {', '.join(fields)} differ from the re-derived plan")
     fresh = build_and_verify(plan)
+    if cert.checks is not None:
+        _diff_derived(cert, fresh, mismatch, note)
+    if cert.passed != fresh.passed:
+        mismatch(f"overall pass stored={cert.passed}, recomputed={fresh.passed}")
+    ok = not report["mismatches"]
+    report.update(ok=ok, recomputed_pass=fresh.passed, recomputed=fresh)
+    return ok, report
+
+
+def _diff_derived(cert: WitnessCertificate, fresh: WitnessCertificate, mismatch, note):
+    """Stored enclosures (intervals, norm intervals, block bounds) may be
+    equal to or strictly wider than the recomputed ones (noted), but never
+    narrower or disjoint; every other derived field must match.  The one
+    exception is a block whose stored bounds are narrower than the dyadic
+    ones, as certificates written before the bounds were dyadic store them:
+    that block passes, noted, only if its stored bounds contain the block's
+    exact sum."""
     for n, c in sorted(fresh.expansion.digits.items()):
         stored = cert.expansion.digits.get(n)
         if stored != c:
@@ -729,7 +735,7 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
         elif (stored.lower_bound <= recomputed.lower_bound
               and recomputed.upper_bound <= stored.upper_bound):
             note(f"block {stored.index}: recomputed bounds are strictly tighter")
-        elif _contains_exact(stored, *_exact_block_bounds(plan, stored.index)):
+        elif _contains_exact(stored, *_exact_block_bounds(fresh.plan, stored.index)):
             note(f"block {stored.index}: stored bounds are narrower than the "
                  f"dyadic ones and contain the exact sum")
         else:
@@ -738,9 +744,3 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
         mismatch("block count differs from plan")
     if cert.support_verdict != fresh.support_verdict:   # outcome and certificate tag
         mismatch("support verdict differs from the recomputed one")
-    if cert.passed != fresh.passed:
-        mismatch(f"overall pass stored={cert.passed}, recomputed={fresh.passed}")
-    ok = not report["mismatches"]
-    report["ok"] = ok
-    report["recomputed_pass"] = fresh.passed
-    return ok, report

@@ -1,0 +1,23 @@
+"""Certificate documents in the full format, which `WitnessCertificate.to_json`
+wrote before a certificate held only its claims: the theorem, the plan and
+`pass`, with the digits, index checks, support verdict and block checks that
+follow from the plan between them, in that key order.  `verify` still
+decodes such documents and diffs their derived fields, so the tests that
+tamper with those fields write them with `full_document`."""
+
+from thinset._exact_text import exact_str
+
+
+def full_document(cert) -> dict:
+    """The full document of a built certificate."""
+    claims = cert.to_json()
+    support = cert.support_verdict
+    return {
+        "theorem": claims["theorem"],
+        "plan": claims["plan"],
+        "digits": {exact_str(n): exact_str(c) for n, c in sorted(cert.expansion.digits.items())},
+        "checks": [c.to_json() for c in cert.checks],
+        "support": support.to_json() if support is not None else None,
+        "blocks": [b.to_json() for b in cert.blocks],
+        "pass": claims["pass"],
+    }

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from full_certificate import full_document
 from json_mutation import DELETE, VALUES, json_paths, mutate
 from thinset import cli
 from thinset.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE,
@@ -13,7 +14,7 @@ from thinset.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE,
 from thinset.core import DigitExpansion
 from thinset.ideals import IdealDescriptor, Progression, descriptor_from_json
 from thinset.sequences import ArithmeticSequence, ScaledGeometric
-from thinset.witness import build_and_verify, plan_witness
+from thinset.witness import WitnessCertificate, build_and_verify, plan_witness
 
 
 def run_cli(capsys, *argv):
@@ -139,10 +140,18 @@ def test_witness_and_verify(tmp_path, capsys):
                            "--a", "3*2^n", "--ideal", "density",
                            "--count", "4", "--out", str(out))
     assert code == EXIT_PASS
-    assert doc["pass"] is True
+    assert list(doc) == ["theorem", "plan", "pass"] and doc["pass"] is True
     code, report, _ = run_cli(capsys, "verify", "--json-in", str(out))
     assert code == EXIT_PASS
     assert report["ok"] and report["recomputed_pass"]
+    # the report explains the pass with the rebuilt checks and support verdict
+    assert [c["i"] for c in report["checks"]] == [1, 2, 3, 4]
+    assert all(c["pass"] and c["target"] == ["1/4", "7/8"] for c in report["checks"])
+    assert report["blocks"] == [] and report["support"]["outcome"] == "Member"
+    # a full document, as written before, verifies with the same report
+    out.write_text(json.dumps(full_document(build_and_verify(
+        WitnessCertificate.from_json(doc).plan))))
+    assert run_cli(capsys, "verify", "--json-in", str(out)) == (code, report, "")
 
 
 def test_th2_first_index_at_k_zero(tmp_path, capsys):
@@ -153,9 +162,12 @@ def test_th2_first_index_at_k_zero(tmp_path, capsys):
                            "--count", "3", "--out", str(out))
     assert code == EXIT_PASS and doc["pass"] is True
     assert [p["k"] for p in doc["plan"]["indices"]] == [0, 18, 237]
-    assert (doc["blocks"][0]["from"], doc["blocks"][0]["majorant"]) == (0, "44/7")
     code, report, _ = run_cli(capsys, "verify", "--json-in", str(out))
     assert code == EXIT_PASS and report["ok"]
+    blocks = report["blocks"]
+    assert (blocks[0]["from"], blocks[0]["majorant"]) == (0, "44/7")
+    assert len(blocks) == 2 and all(b["pass"] for b in blocks)
+    assert report["support"] is None
 
 
 def test_malformed_certificate_is_usage_error(tmp_path, capsys):
@@ -164,6 +176,7 @@ def test_malformed_certificate_is_usage_error(tmp_path, capsys):
                            "--a", "3*2^n", "--ideal", "density",
                            "--count", "3", "--out", str(path))
     assert code == EXIT_PASS
+    doc = full_document(build_and_verify(WitnessCertificate.from_json(doc).plan))
     doc["digits"] = []
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "verify", "--json-in", str(path))
@@ -204,6 +217,16 @@ def test_malformed_set_descriptor_is_usage_error(capsys):
                                  "--set", spec)
         assert code == EXIT_USAGE and doc is None
         assert err.startswith("error:")
+
+
+def test_string_in_place_of_a_list_is_usage_error(capsys):
+    # read character by character, "123" would be the set {1, 2, 3} (Member)
+    for spec in ('{"type": "finite", "elements": "123"}',
+                 '{"type": "progression", "start": "1", "step": "3", "offsets": "01"}'):
+        code, doc, err = run_cli(capsys, "ideal-member", "--ideal", "density",
+                                 "--set", spec)
+        assert code == EXIT_USAGE and doc is None
+        assert err.startswith("error:") and "must be a list" in err
 
 
 def test_thinset_depth_env(monkeypatch, capsys):
@@ -287,10 +310,15 @@ def test_edited_ratio_is_usage_error(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def th6_doc():
+def th6_cert():
     plan = plan_witness("th6", ArithmeticSequence.dyadic(), ScaledGeometric(3, 2),
                         IdealDescriptor.density(), 3)
-    return build_and_verify(plan).to_json()
+    return build_and_verify(plan)
+
+
+@pytest.fixture(scope="module")
+def th6_doc(th6_cert):
+    return full_document(th6_cert)
 
 
 def test_pinned_malformed_inputs_are_usage_errors(tmp_path, capsys, th6_doc):
@@ -365,9 +393,11 @@ def fail_document(command, doc):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_fuzzed_json_inputs_keep_the_exit_contract(tmp_path, capsys, th6_doc, data):
+def test_fuzzed_json_inputs_keep_the_exit_contract(tmp_path, capsys, th6_cert, th6_doc,
+                                                   data):
     command, extra, doc = data.draw(st.sampled_from([
         ("verify", [], th6_doc),
+        ("verify", [], th6_cert.to_json()),
         ("reconstruct", [], EXPANSION),
         ("converge", ["--a", "2^n", "--depth", "40"], EXPANSION),
         ("converge", ["--a", "2^n", "--depth", "40", "--ideal", "density"], EXPANSION),

@@ -17,6 +17,7 @@ from thinset._exact_text import (_SAFE_DIGITS, _SPLIT_BITS, decoder,
                                  exact_fraction, exact_int, exact_str)
 from thinset.ideals import IdealDescriptor
 from thinset.sequences import ArithmeticSequence, parse_terms
+from full_certificate import full_document
 from json_mutation import json_paths, mutate
 from thinset.sequences import parse_sequence
 from thinset.witness import (CertificateFormatError, WitnessCertificate,
@@ -123,7 +124,7 @@ def th1_doc():
     s = parse_sequence("dyadic")
     plan = plan_witness("th1", s, parse_terms("3*2^n", s),
                         IdealDescriptor.summable(), 3)
-    return build_and_verify(plan).to_json()
+    return full_document(build_and_verify(plan))
 
 
 # rational fields that once decoded false as 0 and true as 1, and verified
@@ -169,7 +170,7 @@ def certificate_doc(request):
     s = parse_sequence(seq)
     plan = plan_witness(tag, s, parse_terms(terms, s), IdealDescriptor.from_json(
         {"type": ideal}), 3)
-    return build_and_verify(plan).to_json()
+    return full_document(build_and_verify(plan))
 
 
 @pytest.mark.parametrize("value", [1.5, 2.0, True], ids=repr)

@@ -289,6 +289,15 @@ def test_progression_refuses_bad_offsets():
                                                 "step": "3"}
 
 
+def test_finite_set_refuses_a_string_of_elements():
+    # a string is iterable too, and "123" would be read as the set {1, 2, 3}
+    for elements in ("123", {"1": "1"}, "1"):
+        with pytest.raises(ValueError, match="elements must be a list"):
+            descriptor_from_json({"type": "finite", "elements": elements})
+    assert descriptor_from_json({"type": "finite", "elements": ["1", "2", "3"]}) == \
+        FiniteSet([1, 2, 3])
+
+
 # ---------------------------------------------------------------------------
 # The counting-class kernel against brute-force counting
 # ---------------------------------------------------------------------------

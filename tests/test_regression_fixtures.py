@@ -2,11 +2,14 @@
 
 `tests/fixtures/regression.json` holds the documents these cases produced
 before the enclosure kernel was unified and before block bounds were dyadic,
-so it is also the corpus of certificates in the old, exact block format.
-Every document must come back byte-identical except the bounds of th1/th2
-blocks: each block keeps its index, range, majorant and `pass` flag, and its
-recomputed dyadic bounds contain the stored ones to within
-majorant * 2**-(_BLOCK_BITS - 10).  The one exception is the upper bound of
+so it is also the corpus of certificates in the old, exact block format,
+and of full certificate documents, which store the derived digits, checks,
+support and blocks besides the claims.  A fresh certificate writes only the
+claims (theorem, plan and `pass`), which must equal the stored ones; the
+derived fields it holds in memory must equal the stored ones too, except
+the bounds of th1/th2 blocks: each block keeps its index, range, majorant
+and `pass` flag, and its recomputed dyadic bounds contain the stored ones
+to within majorant * 2**-(_BLOCK_BITS - 10).  The one exception is the upper bound of
 th2 blocks on bases other than 2, which a kernel before the unification
 stored wider; it may only exceed the recomputed one.  Every stored
 certificate still verifies, its th1/th2 blocks through the exact fallback.
@@ -24,6 +27,7 @@ from fractions import Fraction
 import pytest
 
 import enclosure_reference
+from full_certificate import full_document
 
 from thinset.convergence import classical_convergence, ideal_convergence
 from thinset.core import CircleRational, DigitExpansion, expand
@@ -68,11 +72,11 @@ CONVERGENCE_CASES = [
 ]
 
 
-def _cert_doc(case):
+def _cert(case):
     tag, seq, terms, ideal, count = case
     s = parse_sequence(seq)
-    plan = plan_witness(tag, s, parse_terms(terms, s), parse_ideal(ideal), count)
-    return build_and_verify(plan).to_json()
+    return build_and_verify(plan_witness(tag, s, parse_terms(terms, s),
+                                         parse_ideal(ideal), count))
 
 
 def _convergence_docs(case):
@@ -91,7 +95,8 @@ def _convergence_docs(case):
 
 
 def write_fixtures():
-    doc = {"certificates": [{"case": list(c), "doc": _cert_doc(c)} for c in CERT_CASES],
+    doc = {"certificates": [{"case": list(c), "doc": full_document(_cert(c))}
+                            for c in CERT_CASES],
            "convergence": [{"case": list(c), "docs": _convergence_docs(c)}
                            for c in CONVERGENCE_CASES]}
     FIXTURES.parent.mkdir(exist_ok=True)
@@ -119,17 +124,18 @@ def _assert_blocks_agree(fresh_blocks, old_blocks, wider_upper: bool):
 @pytest.mark.parametrize("case", CERT_CASES, ids=lambda c: "-".join(map(str, c)))
 def test_certificate_matches_fixture(case, stored):
     old = next(e["doc"] for e in stored["certificates"] if e["case"] == list(case))
-    fresh = _cert_doc(case)
-    base = parse_sequence(case[1]).geometric_base
-    old_blocks, fresh_blocks = old.pop("blocks"), fresh.pop("blocks")
-    _assert_blocks_agree(fresh_blocks, old_blocks, case[0] == "th2" and base != 2)
+    cert = _cert(case)
     # certificates no longer write growth_log; the stored ones keep it
-    old_log = old["plan"].pop("growth_log")
-    assert fresh == old
-    old["blocks"], old["plan"]["growth_log"] = old_blocks, old_log
+    plan = {k: v for k, v in old["plan"].items() if k != "growth_log"}
+    assert cert.to_json() == {"theorem": old["theorem"], "plan": plan, "pass": old["pass"]}
+    derived = full_document(cert)
+    for key in ("digits", "checks", "support"):
+        assert derived[key] == old[key], key
+    base = parse_sequence(case[1]).geometric_base
+    _assert_blocks_agree(derived["blocks"], old["blocks"], case[0] == "th2" and base != 2)
     ok, report = verify_certificate(WitnessCertificate.from_json(old))
     assert ok and report["recomputed_pass"], report
-    if old_blocks:
+    if old["blocks"]:
         assert any("exact sum" in n for n in report["notes"]), report
 
 

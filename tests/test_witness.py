@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import re
@@ -11,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import enclosure_reference
+from full_certificate import full_document
 from json_mutation import DELETE, VALUES, json_paths, mutate
-from thinset import core, witness
+from thinset import convergence, core, ideals, witness
+from thinset._exact_text import exact_fraction
 from thinset.core import CircleInterval, RatInterval, enclosure_heads, norm_bounds
 from thinset.ideals import IdealDescriptor, Outcome, non_snt_witness
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerms,
@@ -226,13 +229,14 @@ class TestVerifyCertificate:
     def test_round_trip_passes(self):
         cert = self.make_cert()
         doc = json.loads(json.dumps(cert.to_json()))
+        assert list(doc) == ["theorem", "plan", "pass"]
         back = WitnessCertificate.from_json(doc)
         ok, report = verify_certificate(back)
         assert ok and report["recomputed_pass"]
 
     def test_tampered_digit_rejected(self):
         cert = self.make_cert()
-        doc = json.loads(json.dumps(cert.to_json()))
+        doc = json.loads(json.dumps(full_document(cert)))
         # move a digit to a wrong position: structurally valid, wrong content
         (first, val), *rest = sorted(doc["digits"].items(), key=lambda kv: int(kv[0]))
         del doc["digits"][first]
@@ -243,7 +247,7 @@ class TestVerifyCertificate:
 
     def test_widened_interval_noted(self):
         cert = self.make_cert()
-        doc = json.loads(json.dumps(cert.to_json()))
+        doc = json.loads(json.dumps(full_document(cert)))
         doc["checks"][0]["interval"] = ["1/4", "7/8"]
         ok, report = verify_certificate(WitnessCertificate.from_json(doc))
         assert ok
@@ -251,16 +255,25 @@ class TestVerifyCertificate:
 
     def test_narrowed_interval_rejected(self):
         cert = self.make_cert()
-        doc = json.loads(json.dumps(cert.to_json()))
+        doc = json.loads(json.dumps(full_document(cert)))
         doc["checks"][0]["interval"] = ["1/2", "1/2"]
         ok, report = verify_certificate(WitnessCertificate.from_json(doc))
         assert not ok
+
+    @pytest.mark.parametrize("key", ["digits", "checks"])
+    def test_full_document_needs_its_digits_and_checks(self, key):
+        # a document with some derived fields is not read as the claims
+        # alone, which would ignore the fields it does store
+        doc = full_document(self.make_cert())
+        del doc[key]
+        with pytest.raises(CertificateFormatError, match=repr(key)):
+            WitnessCertificate.from_json(doc)
 
     def test_malformed_rejected(self):
         with pytest.raises(CertificateFormatError):
             WitnessCertificate.from_json({"theorem": "th6"})
         cert = self.make_cert()
-        doc = json.loads(json.dumps(cert.to_json()))
+        doc = json.loads(json.dumps(full_document(cert)))
         doc["checks"][0]["norm_interval"] = "oops"
         with pytest.raises(CertificateFormatError):
             WitnessCertificate.from_json(doc)
@@ -274,7 +287,17 @@ def _narrow_block_upper(doc):
     doc["blocks"][-1]["upper_bound"] = doc["blocks"][-1]["lower_bound"]
 
 
+def _renumber_first_index(doc):
+    doc["plan"]["indices"][0].update(n=999)
+    if "checks" in doc:     # so that the plan diff alone can tell
+        doc["checks"][0].update(n=999)
+
+
+# these edit claims, which every document holds; the other mutations edit
+# the derived fields of a full document
+CLAIM_MUTATIONS = ("flip-pass", "relabel-terms", "renumber-first-index")
 MUTATIONS = {
+    "flip-pass": lambda d: d.update({"pass": False}),
     "narrow-norm-interval": lambda d: d["checks"][0].update(norm_interval=["1/2", "1/2"]),
     "drop-all-blocks": lambda d: d.update(blocks=[]),
     "drop-some-blocks": lambda d: d.update(blocks=d["blocks"][:2]),
@@ -287,26 +310,39 @@ MUTATIONS = {
     "retarget-check": lambda d: d["checks"][1].update(target=["1/8", "7/8"]),
     "relabel-terms": lambda d: d["plan"].update(
         terms={"kind": "scaled-geometric", "scale": "5", "base": "7"}),
-    "renumber-first-index": lambda d: (d["plan"]["indices"][0].update(n=999),
-                                       d["checks"][0].update(n=999)),
+    "renumber-first-index": _renumber_first_index,
 }
 
 
 @pytest.fixture(scope="module")
-def th1_doc():
+def th1_cert():
     plan = plan_witness("th1", ArithmeticSequence.dyadic(),
                         ScaledGeometric(3, 2), SUMMABLE, 6)
-    return build_and_verify(plan).to_json()
+    return build_and_verify(plan)
+
+
+@pytest.fixture(scope="module")
+def th1_doc(th1_cert):
+    return full_document(th1_cert)
+
+
+def _assert_rejected(original, mutation):
+    doc = json.loads(json.dumps(original))
+    ok, _ = verify_certificate(WitnessCertificate.from_json(doc))
+    assert ok
+    mutation(doc)
+    ok, report = verify_certificate(WitnessCertificate.from_json(doc))
+    assert not ok and report["mismatches"]
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_verify_rejects_mutated_certificate(name, th1_doc):
-    doc = json.loads(json.dumps(th1_doc))
-    ok, _ = verify_certificate(WitnessCertificate.from_json(doc))
-    assert ok
-    MUTATIONS[name](doc)
-    ok, report = verify_certificate(WitnessCertificate.from_json(doc))
-    assert not ok and report["mismatches"]
+    _assert_rejected(th1_doc, MUTATIONS[name])
+
+
+@pytest.mark.parametrize("name", CLAIM_MUTATIONS)
+def test_verify_rejects_mutated_claims(name, th1_cert):
+    _assert_rejected(th1_cert.to_json(), MUTATIONS[name])
 
 
 def test_verify_notes_wider_block_and_norm(th1_doc):
@@ -322,8 +358,9 @@ def test_verify_notes_wider_block_and_norm(th1_doc):
 def test_verify_rejects_th6_forgeries():
     plan = plan_witness("th6", ArithmeticSequence.dyadic(),
                         ScaledGeometric(3, 2), DENSITY, 6)
-    doc = build_and_verify(plan).to_json()
-    for name in ("relabel-terms", "renumber-first-index"):
+    cert = build_and_verify(plan)
+    for doc, name in itertools.product((cert.to_json(), full_document(cert)),
+                                       ("relabel-terms", "renumber-first-index")):
         forged = json.loads(json.dumps(doc))
         MUTATIONS[name](forged)
         ok, report = verify_certificate(WitnessCertificate.from_json(forged))
@@ -619,7 +656,7 @@ def test_count_40_th2_certificate_holds_each_fact_once():
     assert (closing["i"], closing["k"]) == (41, plan.closing_k)
     cert = build_and_verify(plan)
     doc = cert.to_json()
-    assert "growth_log" not in doc["plan"] and len(json.dumps(doc)) < 30720
+    assert "growth_log" not in doc["plan"] and len(json.dumps(doc)) < 8192
     old = dict(doc, plan=dict(doc["plan"], growth_log=[{"i": 1, "satisfied": []}]))
     assert WitnessCertificate.from_json(old) == WitnessCertificate.from_json(doc)
 
@@ -632,19 +669,23 @@ def plan_request(plan):
     return plan.tag, plan.seq, plan.terms, plan.ideal, len(plan.indices)
 
 
+def document(cert, full: bool) -> dict:
+    return full_document(cert) if full else cert.to_json()
+
+
 @functools.cache
-def passing_certificate(tag):
+def passing_certificate(tag, full=False):
     seq, terms, ideal = {"th6": ("dyadic", "3*2^n", DENSITY),
                          "th1": ("dyadic", "3*2^n", SUMMABLE),
                          "th2": ("geometric:3", "2*3^n", DENSITY)}[tag]
     plan = plan_witness(tag, parse_sequence(seq), parse_terms(terms), ideal, 3)
-    return json.dumps(build_and_verify(plan).to_json())
+    return json.dumps(document(build_and_verify(plan), full))
 
 
 @settings(max_examples=200, deadline=None)
-@given(tag=st.sampled_from(["th6", "th1", "th2"]), data=st.data())
-def test_single_field_mutation_is_rejected_or_true(tag, data):
-    original = json.loads(passing_certificate(tag))
+@given(tag=st.sampled_from(["th6", "th1", "th2"]), full=st.booleans(), data=st.data())
+def test_single_field_mutation_is_rejected_or_true(tag, full, data):
+    original = json.loads(passing_certificate(tag, full))
     path = data.draw(st.sampled_from(list(json_paths(original))))
     doc = mutate(original, path, data.draw(st.sampled_from(VALUES + [DELETE])))
     try:
@@ -659,7 +700,22 @@ def test_single_field_mutation_is_rejected_or_true(tag, data):
     # the certificate the planner builds for the request it now makes
     request = plan_request(cert.plan)
     if request != plan_request(WitnessCertificate.from_json(original).plan):
-        assert build_and_verify(plan_witness(*request)).to_json() == doc
+        assert document(build_and_verify(plan_witness(*request)), full) == doc
+
+
+@pytest.mark.parametrize("tag", ["th6", "th2"])
+def test_claims_decode_forms_no_fraction(tag, monkeypatch):
+    # both plans are over the density ideal, which has no exponent to decode
+    claims, full = (json.loads(passing_certificate(tag, f)) for f in (False, True))
+    calls = []
+    for module in (core, convergence, ideals, witness):
+        monkeypatch.setattr(module, "exact_fraction", lambda text, kernel=exact_fraction:
+                            calls.append(text) or kernel(text))
+    cert = WitnessCertificate.from_json(claims)
+    assert calls == [] and cert.passed
+    assert cert.expansion is cert.checks is cert.support_verdict is cert.blocks is None
+    WitnessCertificate.from_json(full)
+    assert calls    # the enclosures of a full document are Fractions
 
 
 @pytest.mark.parametrize("edit", [
@@ -678,7 +734,7 @@ def test_theorem_and_pass_edits_are_rejected(edit):
                                   ("blocks", 0, "pass")])
 @pytest.mark.parametrize("value", [1, 0, "true", None])
 def test_pass_flags_must_be_json_booleans(path, value):
-    original = json.loads(passing_certificate("th1"))
+    original = json.loads(passing_certificate("th1", full=True))
     assert WitnessCertificate.from_json(original).passed
     with pytest.raises(CertificateFormatError, match="JSON boolean"):
         WitnessCertificate.from_json(mutate(original, path, value))
@@ -687,7 +743,7 @@ def test_pass_flags_must_be_json_booleans(path, value):
 @pytest.mark.parametrize("value", ["no", True])
 def test_wraparound_edits_are_rejected(value):
     # the first check of the th6 certificate is one arc that does not wrap
-    original = json.loads(passing_certificate("th6"))
+    original = json.loads(passing_certificate("th6", full=True))
     assert original["checks"][0]["wraparound"] is False
     with pytest.raises(CertificateFormatError, match="wraparound"):
         WitnessCertificate.from_json(mutate(original, ("checks", 0, "wraparound"), value))
@@ -699,7 +755,7 @@ def test_wraparound_edits_are_rejected(value):
     ([["1/4", "3/4"]], False),
 ])
 def test_wraparound_follows_the_parts(parts, wraps):
-    check = json.loads(passing_certificate("th6"))["checks"][0]
+    check = json.loads(passing_certificate("th6", full=True))["checks"][0]
     del check["interval"]
     check["intervals"] = parts
     decoded = witness.IndexCheck.from_json(dict(check, wraparound=wraps))
