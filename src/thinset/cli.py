@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from ._exact_text import exact_fraction, exact_int, exact_str
@@ -52,21 +51,6 @@ def _emit(doc: dict, path=None) -> None:
         with open(path, "w") as fh:
             fh.write(text)
     sys.stdout.write(text + "\n")
-
-
-def _default_depth(args, fallback: int = DEFAULT_DEPTH) -> int:
-    if getattr(args, "depth", None) is not None:
-        return args.depth
-    env = os.environ.get("THINSET_DEPTH")
-    if env:
-        try:
-            depth = exact_int(env)
-        except ValueError:
-            raise UsageError(f"THINSET_DEPTH must be an integer, got {env!r}")
-        if depth < 1:
-            raise UsageError("THINSET_DEPTH must be >= 1")
-        return depth
-    return fallback
 
 
 def _load_json(path: str) -> dict:
@@ -130,7 +114,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("expand", help="digit expansion of a rational")
     p.add_argument("--x", required=True)
     p.add_argument("--seq", required=True)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=64)
 
     p = sub.add_parser("reconstruct", help="rational value of a digit expansion")
     p.add_argument("--json-in", required=True)
@@ -139,7 +123,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("density", help="density estimate of a set")
     p.add_argument("--set")
     p.add_argument("--json-in")
-    p.add_argument("--cutoff", type=int, default=None)
+    p.add_argument("--cutoff", type=int, default=DEFAULT_DEPTH)
 
     p = sub.add_parser("ideal-member", help="three-valued ideal membership")
     p.add_argument("--ideal", required=True)
@@ -152,7 +136,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a", required=True)
     p.add_argument("--seq")
     p.add_argument("--ideal")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--eps", default="1/8")
 
     p = sub.add_parser("nset", help="weighted summability partial sums")
@@ -161,7 +145,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a", required=True)
     p.add_argument("--seq")
     p.add_argument("--weights", default="1/n")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=10_000)
     p.add_argument("--ideal", help="also report the weight/ideal link")
 
     p = sub.add_parser("witness", help="build and verify a witness certificate")
@@ -182,10 +166,9 @@ def run(args) -> int:
     if args.command == "expand":
         seq = parse_sequence(args.seq)
         x = CircleRational.parse(args.x)
-        depth = _default_depth(args, 64)
-        e = expand(x, seq, depth)
+        e = expand(x, seq, args.depth)
         doc = e.to_json()
-        doc["digit_list"] = [e.digit(n) for n in range(1, depth + 1)]
+        doc["digit_list"] = [e.digit(n) for n in range(1, args.depth + 1)]
         _emit(doc)
         return EXIT_PASS
 
@@ -202,8 +185,7 @@ def run(args) -> int:
 
     if args.command == "density":
         s = _parse_set(args)
-        cutoff = args.cutoff if args.cutoff is not None else _default_depth(args)
-        est = density_estimate(s, cutoff)
+        est = density_estimate(s, args.cutoff)
         _emit({"cutoff": est.cutoff, "lower": exact_str(est.lower),
                "upper": exact_str(est.upper),
                "exact": None if est.exact is None else exact_str(est.exact)})
@@ -218,16 +200,13 @@ def run(args) -> int:
         seq = parse_sequence(args.seq) if args.seq else None
         terms = parse_terms(args.a, seq)
         x = _parse_point(args)
-        depth = _default_depth(args)
         eps = exact_fraction(args.eps)
-        if eps <= 0:    # every norm is >= 0, so its exceptional set proves nothing
-            raise UsageError("eps must be > 0")
         if args.ideal:
             verdict = ideal_convergence(x, terms, parse_ideal(args.ideal),
-                                        depth, eps)
+                                        args.depth, eps)
             _emit(verdict.to_json())
             return _OUTCOME_EXIT[verdict.outcome]
-        report = classical_convergence(x, terms, depth, [eps])
+        report = classical_convergence(x, terms, args.depth, [eps])
         _emit(report.to_json())
         return _OUTCOME_EXIT[report.verdict.outcome]
 
@@ -236,8 +215,7 @@ def run(args) -> int:
         terms = parse_terms(args.a, seq)
         x = _parse_point(args)
         weights = WeightRule.parse(args.weights)
-        depth = args.depth if args.depth is not None else _default_depth(args, 10_000)
-        report = nset_partial_sums(x, terms, weights, depth)
+        report = nset_partial_sums(x, terms, weights, args.depth)
         doc = report.to_json()
         if args.ideal:
             doc["ideal_link"] = weight_ideal_link(

@@ -175,8 +175,7 @@ class _Residues:
             return
         if period is not None:
             depth = min(depth, n + period)
-        elif not (isinstance(terms, ArithmeticTerms)
-                  and terms.seq.spec[0] == "ratios-finite"):
+        elif not (isinstance(terms, ArithmeticTerms) and terms.seq.finite):
             return
         for k in range(n, depth):
             mult(k)
@@ -395,8 +394,8 @@ def classical_convergence(x: PointLike, terms: TermSequence, depth: int = DEFAUL
     """Pointwise convergence evidence for ||a_n x|| -> 0."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if any(Fraction(eps) < 0 for eps in eps_grid):
-        raise ValueError("eps must be >= 0")
+    if any(Fraction(eps) <= 0 for eps in eps_grid):    # every norm is >= 0
+        raise ValueError("eps must be > 0")
     exact = _resolve_exact(x)
     if exact is not None:
         stats, walked = _eps_stats(exact, terms, depth, eps_grid)
@@ -444,8 +443,8 @@ def ideal_convergence(x: PointLike, terms: TermSequence, ideal: IdealDescriptor,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     eps = Fraction(eps)
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if eps <= 0:    # every norm is >= 0, so its exceptional set would prove nothing
+        raise ValueError("eps must be > 0")
     if isinstance(x, DigitExpansion) and x.symbolic_support is not None \
             and isinstance(terms, ArithmeticTerms) and terms.seq == x.seq:
         by_support = membership_by_support(x, ideal)

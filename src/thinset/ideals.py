@@ -434,12 +434,11 @@ class DensityEstimate:
             raise ValueError("estimate bounds out of order")
 
 
-def density_estimate(s: SetDescriptor, cutoff: int = DEFAULT_CUTOFF,
-                     window: int = 4) -> DensityEstimate:
-    """Min/max of prefix ratios at cutoff/window ... cutoff."""
+def density_estimate(s: SetDescriptor, cutoff: int = DEFAULT_CUTOFF) -> DensityEstimate:
+    """Min/max of prefix ratios at cutoff/4, 2*cutoff/4, 3*cutoff/4 and cutoff."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    points = sorted({max(1, cutoff * i // window) for i in range(1, window + 1)})
+    points = sorted({max(1, cutoff * i // 4) for i in range(1, 5)})
     ratios = [prefix_density(s, n) for n in points]
     return DensityEstimate(cutoff, min(ratios), max(ratios), s.growth().density)
 

@@ -12,18 +12,24 @@ import itertools
 import math
 import operator
 import re
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ._exact_text import decoder, exact_int, exact_str
 
 
 class ArithmeticSequence:
-    """u_n chain defined by its ratio function; every u_n and every ratio
-    product comes from a closed form in `spec`, and nothing is cached."""
+    """u_n chain read off its `spec`: `ratios` is one period of ratios (the
+    whole list when `finite`), or None on the factorial chain (q_n = n).
+    Every u_n and every ratio product comes from a closed form, and nothing
+    is cached."""
 
-    def __init__(self, ratio_fn: Callable[[int], int], spec: tuple):
-        self._ratio_fn = ratio_fn
+    def __init__(self, spec: tuple):
         self.spec = spec
+        kind = spec[0]
+        self.finite = kind == "ratios-finite"
+        self.ratios: Optional[tuple[int, ...]] = (
+            None if kind == "factorial" else (2,) if kind == "dyadic"
+            else (spec[1],) if kind == "geometric" else spec[1])
 
     def __repr__(self) -> str:
         return f"ArithmeticSequence({self.spec!r})"
@@ -38,7 +44,12 @@ class ArithmeticSequence:
         """Ratio q_n for n >= 1, from the closed form, so any index is cheap."""
         if n < 1:
             raise ValueError("ratio index must be >= 1")
-        qn = self._ratio_fn(n)
+        ratios = self.ratios
+        if ratios is None:
+            return n
+        if self.finite and n > len(ratios):
+            raise ValueError(f"only {len(ratios)} ratios available, wanted q_{n}")
+        qn = ratios[(n - 1) % len(ratios)]
         if n == 1 and qn < 1:
             raise ValueError(f"q_1 must be >= 1, got {qn}")
         if n >= 2 and qn < 2:
@@ -59,10 +70,9 @@ class ArithmeticSequence:
         among its first L ratios (L+1 from q_1: q_{L+1} is q_1 or past a list)."""
         if not 0 <= a <= b:
             raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
-        kind = self.spec[0]
-        if kind == "factorial":
+        ratios = self.ratios
+        if ratios is None:
             return math.factorial(b) if a == 0 else math.perm(b, b - a)
-        ratios = (self.geometric_base,) if kind in ("dyadic", "geometric") else self.spec[1]
         L, s = len(ratios), a % len(ratios)
         for n in range(a + 1, min(b, max(a, 1) + L) + 1):
             self.q(n)
@@ -75,44 +85,31 @@ class ArithmeticSequence:
 
     @classmethod
     def dyadic(cls) -> "ArithmeticSequence":
-        return cls(lambda n: 2, ("dyadic",))
+        return cls(("dyadic",))
 
     @classmethod
     def factorial(cls) -> "ArithmeticSequence":
-        return cls(lambda n: n, ("factorial",))
+        return cls(("factorial",))
 
     @classmethod
     def geometric(cls, base: int) -> "ArithmeticSequence":
         if base < 2:
             raise ValueError("geometric base must be >= 2")
-        return cls(lambda n: base, ("geometric", base))
+        return cls(("geometric", base))
 
     @classmethod
     def from_ratios(cls, ratios: Sequence[int], cycle: bool = True) -> "ArithmeticSequence":
-        ratios = list(ratios)
+        ratios = tuple(ratios)
         if not ratios:
             raise ValueError("ratio list must be nonempty")
-        if cycle:
-            fn = lambda n: ratios[(n - 1) % len(ratios)]
-            return cls(fn, ("ratios", tuple(ratios)))
-
-        def bounded(n: int) -> int:
-            if n > len(ratios):
-                raise ValueError(f"only {len(ratios)} ratios available, wanted q_{n}")
-            return ratios[n - 1]
-
-        return cls(bounded, ("ratios-finite", tuple(ratios)))
+        return cls(("ratios" if cycle else "ratios-finite", ratios))
 
     @property
     def geometric_base(self) -> Optional[int]:
         """Base b when u_n = b^n, else None."""
-        if self.spec[0] == "geometric":
-            return self.spec[1]
-        if self.spec == ("dyadic",):
-            return 2
-        if (self.spec[0] == "ratios" and len(set(self.spec[1])) == 1
-                and self.spec[1][0] >= 2):
-            return self.spec[1][0]
+        ratios = self.ratios
+        if ratios and not self.finite and len(set(ratios)) == 1 and ratios[0] >= 2:
+            return ratios[0]
         return None
 
     def to_json(self) -> dict:
@@ -252,11 +249,8 @@ def phase_period(terms: TermSequence) -> Optional[int]:
     if isinstance(terms, ScaledGeometric):
         return 1
     if isinstance(terms, ArithmeticTerms):
-        spec = terms.seq.spec
-        if spec[0] in ("dyadic", "geometric"):
-            return 1
-        if spec[0] == "ratios":
-            return len(spec[1])
+        seq = terms.seq
+        return None if seq.finite or seq.ratios is None else len(seq.ratios)
     return None
 
 
@@ -421,8 +415,8 @@ def _divisibility_of(terms: TermSequence) -> Optional[_Divisibility]:
     first, mult = chain
     if period := phase_period(terms):
         return _Divisibility(first, [mult(n) for n in range(1, period + 1)])
-    if terms.seq.spec[0] == "ratios-finite":
-        return _Divisibility(first, terms.seq.spec[1][1:], False)
+    if terms.seq.finite:
+        return _Divisibility(first, terms.seq.ratios[1:], False)
     return _Divisibility(first, None)
 
 

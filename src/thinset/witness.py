@@ -24,7 +24,6 @@ of the digit pattern, not just for the finite truncation it stores.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -37,8 +36,8 @@ from .convergence import BlockCheck, membership_by_support
 from .core import CircleInterval, DigitExpansion, RatInterval, SIN_UPPER, shared_heads
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
                      Verdict, descriptor_from_json, non_snt_witness)
-from .sequences import (ArithmeticSequence, ArithmeticTerms, TermSequence,
-                        _divisibility_of, _strip, multiplier_chain, terms_from_json)
+from .sequences import (ArithmeticSequence, ArithmeticTerms, TermSequence, _Divisibility,
+                        _divisibility_of, multiplier_chain, terms_from_json)
 
 TAGS = ("th6", "th1", "th2")
 TARGET_BAND = RatInterval(Fraction(1, 4), Fraction(7, 8))
@@ -191,8 +190,8 @@ def _gap_threshold(seq: ArithmeticSequence, lo: int, bound: int) -> int:
     dyadic chain, is checked first.  A finite list that falls short raises
     what `seq.q` raises past its end."""
     d = (bound - 1).bit_length() + (lo == 0)
-    if seq.spec[0] == "ratios-finite":
-        d = min(d, len(seq.spec[1]) - lo)
+    if seq.finite:
+        d = min(d, len(seq.ratios) - lo)
         if seq.ratio_product(lo, lo + d) < bound:
             seq.q(lo + d + 1)
     short = d - 1                               # below bound at short, not at d
@@ -222,7 +221,7 @@ def _chain_index(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
     ValueError it raises; as k_n need not be monotone, `least` names the
     next n to check.  `u_n` on its own chain has k_n = n and v_n = 1."""
     if multiplier_chain(terms) is None or (isinstance(terms, ArithmeticTerms)
-                                           and terms.seq.spec[0] == "ratios-finite"):
+                                           and terms.seq.finite):
         d = lambda n: decompose(seq, terms.term(n))
         return _Index(lambda L, after: after + 1, lambda n: d(n).k, lambda n, k: d(n).v,
                       monotone=False)
@@ -234,60 +233,55 @@ def _chain_index(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
 def _valuations(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
     """k_n and v_n from valuations over a coprime basis, never forming a_n:
     u_k | a_n exactly when v_b(u_k) <= v_b(a_n) for every b of the basis.
-    v_b(a_n) and `least` come from the kernel `sequences._divisibility_of`.
+    Both sides ask the kernel `sequences._Divisibility`: v_b(a_n) and
+    `least` over the terms (`_divisibility_of`), and v_b(u_k) over the chain.
     * Cut: a_n's primes divide supply = a_1*m(1)***m(P), so a ratio r = q_j
       not dividing supply**bits(r) bounds every k_n below j, and the ratios
       stop just before the first one (n! terms: supply = 0, which every r
       divides).  A cycled period or a finite list is checked whole first.
-    * Chain: v_b(u_k) = (k // L)*Q + v_b(u_{k mod L}), Q = v_b(u_L), over
-      an uncut period of L ratios; else v_b(u_k), k <= L, and k_n = L asks
-      for q_{L+1}, which raises past a finite list's end as decompose does.
+    * Chain: u_k = q_1***q_k is term k + 1 of the kernel's chain 1, q_1,
+      q_2, ... over the L ratios kept, cycled when they are an uncut
+      period; else k <= L, and k_n = L asks for q_{L+1}, which raises past
+      a finite list's end as decompose does.
     The basis covers a_1, the multipliers and the ratios kept, all made of
     primes of supply, so it has at most one element per such prime.
     v_n stays bounded exactly when each b of the terms rises at the least
-    slope V/Q, V = v_b gained per period of P multipliers.  quasi: k_b(n) =
-    max{k : v_b(u_k) <= v_b(a_n)} gains L per Q, so k_b(n + P*m) = k_b(n) +
-    L*m*V/Q once Q/gcd(Q, V) divides m; and k_b(n) is within L of
-    L*(v_b(a_1) + j*V)/Q, j = (n-1) // P (with j + 1 above), so from n0 on
-    k_n = min_b k_b(n) lies among the least slopes."""
-    kind, kernel = seq.spec[0], _divisibility_of(terms)
-    listed = seq.spec[1] if kind.startswith("ratios") else (seq.geometric_base,)
-    end = len(listed) if kind == "ratios-finite" else None     # where a finite list ends
-    if kind != "factorial":
+    slope V/Q, V = v_b gained per period of P multipliers and Q = v_b(u_L).
+    quasi: k_b(n) = max{k : v_b(u_k) <= v_b(a_n)} gains L per Q, so
+    k_b(n + P*m) = k_b(n) + L*m*V/Q once Q/gcd(Q, V) divides m; and k_b(n)
+    is within L of L*(v_b(a_1) + j*V)/Q, j = (n-1) // P (with j + 1 above),
+    so from n0 on k_n = min_b k_b(n) lies among the least slopes."""
+    kernel, listed = _divisibility_of(terms), seq.ratios
+    end = len(listed) if seq.finite else None     # where a finite list ends
+    if listed is not None:
         seq.ratio_product(0, len(listed) + (end is None))    # raises what seq.q raises there
     supply = 0 if kernel.mults is None else kernel.first * math.prod(kernel.mults)
     ratios = list(itertools.takewhile(lambda r: pow(supply, r.bit_length(), r) == 0,
-                                      itertools.count(1) if kind == "factorial" else listed))
+                                      itertools.count(1) if listed is None else listed))
     L = len(ratios)
-    cyclic = end is None and kind != "factorial" and L == len(listed)
+    cyclic = end is None and listed is not None and L == len(listed)
+    chain = _Divisibility(1, ratios, cyclic)
     basis, period, vals = kernel.basis(ratios), kernel.period, kernel.vals
-    cp = {b: list(itertools.accumulate((_strip(r, b)[0] for r in ratios), initial=0))
-          for b in basis}
-    bounding = [b for b in basis if cp[b][-1]]      # the rest never bound k_n
+    Q = {b: chain[b][1][-1] for b in basis}
+    bounding = [b for b in basis if Q[b]]       # the rest never bound k_n
     widths = [b.bit_length() for b in basis]
 
     def least(target, after):
         if target > L and not cyclic:   # u_target divides no term, or seq.q raises past the end
             return None if end is None or target <= end else seq.q(end + 1)
-        f, r = divmod(target, L) if cyclic else (0, target)
-        n = kernel.least([(b, f * cp[b][-1] + cp[b][r]) for b in bounding])
+        n = kernel.least(zip(bounding, chain.vals(target + 1, bounding)))
         return None if n is None else max(n, after + 1)
 
     def index(n):                                   # min_b max{k : v_b(u_k) <= v_b(a_n)}
-        ks = [] if cyclic else [L]
-        for b, A in zip(bounding, vals(n, bounding)):
-            c = cp[b]
-            ks.append(A // c[-1] * L + bisect.bisect_right(c, A % c[-1], 0, L) - 1 if cyclic
-                      else bisect.bisect_right(c, A) - 1)
-        k = min(ks)
+        ms = [chain.least([(b, A + 1)]) for b, A in zip(bounding, vals(n, bounding))]
+        k = min((L if m is None else m - 2 for m in ms), default=L)
         if k == L and not cyclic:
             seq.q(L + 1)                            # raises past a list's end, as decompose does
         return k
 
     def cofactor(n, k):
         # bits(prod b**e_b) <= sum e_b*bits(b), bits(n!) <= n*bits(n): checked first
-        f, r = divmod(k, L) if cyclic else (0, k)
-        uk = [f * c[-1] + c[r] for c in cp.values()]    # [v_b(u_k) for b in basis]
+        uk = chain.vals(k + 1, basis)               # [v_b(u_k) for b in basis]
         es = list(map(operator.sub, vals(n, basis), uk)) if period else None
         size = sum(map(operator.mul, es, widths)) if period else n * n.bit_length()
         if size > _COFACTOR_BITS:
@@ -305,16 +299,16 @@ def _valuations(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
         return _Index(least, index, cofactor)
     a1 = {b: kernel[b][0] for b in basis}
     V = {b: kernel[b][1][-1] for b in basis}      # v_b gained per period
-    slope = {b: Fraction(V[b], cp[b][-1]) for b in bounding}
+    slope = {b: Fraction(V[b], Q[b]) for b in bounding}
     low = min(slope.values(), default=0)
 
     def quasi():
         if not cyclic or not low:                   # k_n bounded: `least` proves it
             return None
         group = [b for b in slope if slope[b] == low]
-        m = math.lcm(*(cp[b][-1] // math.gcd(cp[b][-1], V[b]) for b in group))
-        top = Fraction(a1[group[0]] + V[group[0]], cp[group[0]][-1]) + 2
-        n0 = 1 + period * max([math.ceil((top - Fraction(a1[b], cp[b][-1])) / (slope[b] - low))
+        m = math.lcm(*(Q[b] // math.gcd(Q[b], V[b]) for b in group))
+        top = Fraction(a1[group[0]] + V[group[0]], Q[group[0]]) + 2
+        n0 = 1 + period * max([math.ceil((top - Fraction(a1[b], Q[b])) / (slope[b] - low))
                                for b in slope if slope[b] > low] + [0])
         T, S = period * m, L * m * low.numerator // low.denominator
         return T, S, n0, {index(n) % S for n in range(n0, n0 + T)}

@@ -229,13 +229,14 @@ def test_string_in_place_of_a_list_is_usage_error(capsys):
         assert err.startswith("error:") and "must be a list" in err
 
 
-def test_thinset_depth_env(monkeypatch, capsys):
-    monkeypatch.setenv("THINSET_DEPTH", "12")
+def test_expand_depth_default_and_flag(capsys):
     code, doc, _ = run_cli(capsys, "expand", "--x", "1/3", "--seq", "dyadic")
     assert code == EXIT_PASS
+    assert len(doc["digit_list"]) == 64
+    code, doc, _ = run_cli(capsys, "expand", "--x", "1/3", "--seq", "dyadic", "--depth", "12")
+    assert code == EXIT_PASS
     assert len(doc["digit_list"]) == 12
-    monkeypatch.setenv("THINSET_DEPTH", "junk")
-    code, _, err = run_cli(capsys, "expand", "--x", "1/3", "--seq", "dyadic")
+    code, _, err = run_cli(capsys, "expand", "--x", "1/3", "--seq", "dyadic", "--depth", "junk")
     assert code == EXIT_USAGE
 
 

@@ -77,14 +77,15 @@ class TestClassical:
         assert counts == sorted(counts)
 
 
-@pytest.mark.parametrize("eps", [Fraction(-1), Fraction(-1, 10 ** 9)])
+@pytest.mark.parametrize("eps", [Fraction(-1), Fraction(-1, 10 ** 9), Fraction(0)])
 def test_negative_eps_is_refused(eps):
-    # ||a_n x|| >= eps holds for every n once eps < 0, so it witnesses nothing;
-    # eps = 0 is still taken, as tests/fixtures/regression.json records it
-    x, terms = CircleRational.parse("1/3"), parse_terms("2^n")
-    with pytest.raises(ValueError, match="eps must be >= 0"):
+    # ||a_n x|| >= eps holds for every n once eps <= 0, so it witnesses
+    # nothing; at eps = 0 this case would be NotMember by periodic-recurrence
+    # with a witness_eps of 0
+    x, terms = CircleRational.parse("5/7"), parse_terms("3*2^n")
+    with pytest.raises(ValueError, match="eps must be > 0"):
         classical_convergence(x, terms, 100, [Fraction(1, 4), eps])
-    with pytest.raises(ValueError, match="eps must be >= 0"):
+    with pytest.raises(ValueError, match="eps must be > 0"):
         ideal_convergence(x, terms, DENSITY, 100, eps)
 
 

@@ -49,7 +49,7 @@ CERT_CASES = [
     ("th2", "geometric:3", "7*3^n", "summable", 6),
 ]
 
-EPS_GRID = ["1/4", "1/8", "1/64", "0"]
+EPS_GRID = ["1/4", "1/8", "1/64"]
 EXPLICIT = [3, 5, 12, 40, 96, 250, 700, 1800, 5000, 11111]
 
 # (sequence, x, truncation K or None for the exact point, terms)
@@ -87,10 +87,9 @@ def _convergence_docs(case):
     depth = len(EXPLICIT) if terms == "explicit" else 300
     grid = [Fraction(e) for e in EPS_GRID]
     docs = {"classical": classical_convergence(point, a, depth, grid).to_json()}
-    for eps in ("1/8", "0"):
-        for ideal in ("density", "summable"):
-            docs[f"ideal {ideal} eps={eps}"] = ideal_convergence(
-                point, a, parse_ideal(ideal), depth, Fraction(eps)).to_json()
+    for ideal in ("density", "summable"):
+        docs[f"ideal {ideal} eps=1/8"] = ideal_convergence(
+            point, a, parse_ideal(ideal), depth, Fraction(1, 8)).to_json()
     return docs
 
 

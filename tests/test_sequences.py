@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms,
@@ -96,20 +96,54 @@ def _outcome(f, *args):
         return type(exc).__name__, str(exc)
 
 
+def _listed(ratios, cycle, n):
+    """q_n read off the list (n on the factorial chain, ratios None), or
+    None where q_n is invalid: q_1 < 1, a later q_n < 2, or past a finite
+    list."""
+    if ratios is None:
+        return n
+    if not cycle and n > len(ratios):
+        return None
+    r = ratios[(n - 1) % len(ratios)]
+    return r if r >= (1 if n == 1 else 2) else None
+
+
 @settings(max_examples=300, deadline=None)
-@given(ratios=st.lists(st.integers(2, 12), min_size=1, max_size=5),
+@given(ratios=st.none() | st.lists(st.integers(2, 12), min_size=1, max_size=5),
        bad=st.none() | st.tuples(st.integers(0, 4), st.integers(-1, 1)),
        cycle=st.booleans(), data=st.data())
+@example(ratios=[1, 3], bad=None, cycle=True, data=None)
+@example(ratios=[1, 3], bad=None, cycle=False, data=None)
 def test_u_and_ratio_product_match_running_product(ratios, bad, cycle, data):
-    if bad is not None:
-        ratios[bad[0] % len(ratios)] = bad[1]
-    seq = ArithmeticSequence.from_ratios(ratios, cycle=cycle)
-    top = 3 * len(ratios) + 2
+    if ratios is None:
+        seq, top = ArithmeticSequence.factorial(), 20
+    else:
+        if bad is not None:
+            ratios[bad[0] % len(ratios)] = bad[1]
+        seq, top = ArithmeticSequence.from_ratios(ratios, cycle=cycle), 3 * len(ratios) + 2
+    # each q_n raises at its own index and no earlier: q_1 = 1 is allowed, a
+    # later 1 (q_3 = q_1 = 1 on the cycled [1, 3]) or a q_n past a finite list
+    # raises when it is asked for
+    listed = [_listed(ratios, cycle, n) for n in range(1, top + 1)]
+    for n, r in enumerate(listed, 1):
+        if r is None:
+            with pytest.raises(ValueError):
+                seq.q(n)
+        else:
+            assert seq.q(n) == r
     for n in range(top + 1):
         assert _outcome(seq.u, n) == _outcome(_walk, seq, 0, n)
-    a = data.draw(st.integers(0, top))
-    b = data.draw(st.integers(a, top))
+    a = data.draw(st.integers(0, top)) if data else 0
+    b = data.draw(st.integers(a, top)) if data else top
     assert _outcome(seq.ratio_product, a, b) == _outcome(_walk, seq, a, b)
+    # u_n = b**n for every n only on a valid constant chain
+    base = listed[0] if ratios and cycle and len(set(listed)) == 1 else None
+    assert seq.geometric_base == base
+    # the multipliers q_{n+1} of u_n repeat with the period, when there is one
+    period = phase_period(ArithmeticTerms(seq))
+    assert period == (len(ratios) if ratios and cycle else None)
+    if period:
+        assert listed[period + 1:] == listed[1:-period]
 
 
 @pytest.mark.parametrize("seq", [ArithmeticSequence.dyadic(), ArithmeticSequence.factorial(),
