@@ -14,16 +14,27 @@ Three certificate families are produced, identified by wire tags:
 * ``th2`` - prime-power chain u_n = p**n with unit digits, targets
   ||a_{n_i} x|| > (p-1)/p**2, plus harmonic block bounds.
 
-Each index check is an exact rational interval computation: head value
-from the planned digits plus an explicit tail enclosure.  Each block bound
-is a dyadic fixed-point number rounded outward from the same enclosures, so
-it encloses the block's exact sum without forming that sum's denominator.
-Either way a passing certificate is rigorous for the infinite continuation
-of the digit pattern, not just for the finite truncation it stores.
+The builder's index checks are exact rational interval computations: head
+value from the planned digits plus an explicit tail enclosure.  Each block
+bound is a dyadic fixed-point number rounded outward from the same
+enclosures, so it encloses the block's exact sum without forming that sum's
+denominator.  Either way a passing certificate is rigorous for the infinite
+continuation of the digit pattern, not just for the finite truncation it
+stores.
+
+`verify_certificate` shares none of that code with the builder.  It checks
+each stored claim against the construction's lemmas (`_check_claims`):
+index order; u_k*v = a_n from valuations, with q_{k+1} not dividing v; the
+witness set re-derived from the ideal, with every k in it (and k_i >= 2**i
+for th1); the digit pivot {c*v/q_{k+1}} in [1/4, 3/4]; the gap
+u_{k_{i+1}}/u_{k_i} >= 8*v_i, by which the later digits add at most 1/8;
+th2's unit digits and gaps; and the support verdict.  The block majorants
+hold by lemma once the indices increase and every digit is below its ratio.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -36,8 +47,8 @@ from .convergence import BlockCheck, membership_by_support
 from .core import CircleInterval, DigitExpansion, RatInterval, SIN_UPPER, shared_heads
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
                      Verdict, descriptor_from_json, non_snt_witness)
-from .sequences import (ArithmeticSequence, ArithmeticTerms, TermSequence, _Divisibility,
-                        _divisibility_of, multiplier_chain, terms_from_json)
+from .sequences import (ArithmeticSequence, ArithmeticTerms, TermSequence, _coprime_basis,
+                        _Divisibility, _divisibility_of, multiplier_chain, terms_from_json)
 
 TAGS = ("th6", "th1", "th2")
 TARGET_BAND = RatInterval(Fraction(1, 4), Fraction(7, 8))
@@ -203,14 +214,21 @@ def _gap_threshold(seq: ArithmeticSequence, lo: int, bound: int) -> int:
     return lo + d
 
 
+def _check_chain(seq: ArithmeticSequence) -> None:
+    """Raise what `seq.q` raises for any ratio of the chain: one period of a
+    cycled list and q_1 again, or a whole finite list (none on n!)."""
+    if seq.ratios is not None:
+        seq.ratio_product(0, len(seq.ratios) + (not seq.finite))
+
+
 # ---------------------------------------------------------------------------
 # Chain index k_n = max{k : u_k | a_n}
 # ---------------------------------------------------------------------------
 
 class _Index(NamedTuple):
     least: Callable     # (L, after) -> least n > after with u_L | a_n, None if none
-    index: Callable     # n -> k_n
-    cofactor: Callable  # (n, k) -> a_n/u_k
+    index: Callable     # n -> (k_n, a): a is what `cofactor` reads of a_n
+    cofactor: Callable  # (n, k, a) -> a_n/u_k
     quasi: Callable = lambda: None   # (T, S, n0, R) or None, see `_valuations`
     monotone: bool = True            # k_n <= k_{n+1}, as a_n | a_{n+1}
 
@@ -222,11 +240,14 @@ def _chain_index(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
     next n to check.  `u_n` on its own chain has k_n = n and v_n = 1."""
     if multiplier_chain(terms) is None or (isinstance(terms, ArithmeticTerms)
                                            and terms.seq.finite):
-        d = lambda n: decompose(seq, terms.term(n))
-        return _Index(lambda L, after: after + 1, lambda n: d(n).k, lambda n, k: d(n).v,
+        def index(n):
+            d = decompose(seq, terms.term(n))
+            return d.k, d
+        return _Index(lambda L, after: after + 1, index, lambda n, k, d: d.v,
                       monotone=False)
     if isinstance(terms, ArithmeticTerms) and terms.seq == seq:
-        return _Index(lambda L, after: max(L, after + 1), lambda n: n, lambda n, k: 1)
+        return _Index(lambda L, after: max(L, after + 1), lambda n: (n, None),
+                      lambda n, k, a: 1)
     return _valuations(seq, terms)
 
 
@@ -253,8 +274,7 @@ def _valuations(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
     so from n0 on k_n = min_b k_b(n) lies among the least slopes."""
     kernel, listed = _divisibility_of(terms), seq.ratios
     end = len(listed) if seq.finite else None     # where a finite list ends
-    if listed is not None:
-        seq.ratio_product(0, len(listed) + (end is None))    # raises what seq.q raises there
+    _check_chain(seq)
     supply = 0 if kernel.mults is None else kernel.first * math.prod(kernel.mults)
     ratios = list(itertools.takewhile(lambda r: pow(supply, r.bit_length(), r) == 0,
                                       itertools.count(1) if listed is None else listed))
@@ -266,23 +286,40 @@ def _valuations(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
     bounding = [b for b in basis if Q[b]]       # the rest never bound k_n
     widths = [b.bit_length() for b in basis]
 
+    def past(n):
+        # n!: the bound n*bits(n) grows with n, so no later hit could be formed either
+        if (size := n * n.bit_length()) > _COFACTOR_BITS:
+            raise SequenceNotAbsorbingError(
+                f"the next admissible index is at or past n={exact_str(n)}, where a "
+                f"cofactor v_n may have up to {exact_str(size)} bits, more than "
+                f"_COFACTOR_BITS = {_COFACTOR_BITS}")
+
     def least(target, after):
         if target > L and not cyclic:   # u_target divides no term, or seq.q raises past the end
             return None if end is None or target <= end else seq.q(end + 1)
-        n = kernel.least(zip(bounding, chain.vals(target + 1, bounding)))
-        return None if n is None else max(n, after + 1)
+        needs = list(zip(bounding, chain.vals(target + 1, bounding)))
+        if not period and (e := max((e for _, e in needs), default=0)) > _COFACTOR_BITS:
+            past(e)                         # v_p(n!) < n: refused before Legendre's bisection
+        n = kernel.least(needs)
+        if n is None:
+            return None
+        n = max(n, after + 1)
+        if not period:
+            past(n)
+        return n
 
     def index(n):                                   # min_b max{k : v_b(u_k) <= v_b(a_n)}
-        ms = [chain.least([(b, A + 1)]) for b, A in zip(bounding, vals(n, bounding))]
+        a = vals(n, basis)                          # [v_b(a_n) for b in basis], for `cofactor`
+        ms = [chain.least([(b, A + 1)]) for b, A in zip(basis, a) if Q[b]]
         k = min((L if m is None else m - 2 for m in ms), default=L)
         if k == L and not cyclic:
             seq.q(L + 1)                            # raises past a list's end, as decompose does
-        return k
+        return k, a
 
-    def cofactor(n, k):
+    def cofactor(n, k, a):
         # bits(prod b**e_b) <= sum e_b*bits(b), bits(n!) <= n*bits(n): checked first
         uk = chain.vals(k + 1, basis)               # [v_b(u_k) for b in basis]
-        es = list(map(operator.sub, vals(n, basis), uk)) if period else None
+        es = list(map(operator.sub, a, uk)) if period else None
         size = sum(map(operator.mul, es, widths)) if period else n * n.bit_length()
         if size > _COFACTOR_BITS:
             raise SequenceNotAbsorbingError(
@@ -311,7 +348,7 @@ def _valuations(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
         n0 = 1 + period * max([math.ceil((top - Fraction(a1[b], Q[b])) / (slope[b] - low))
                                for b in slope if slope[b] > low] + [0])
         T, S = period * m, L * m * low.numerator // low.denominator
-        return T, S, n0, {index(n) % S for n in range(n0, n0 + T)}
+        return T, S, n0, {index(n)[0] % S for n in range(n0, n0 + T)}
 
     return _Index(least, index, cofactor, quasi)
 
@@ -324,7 +361,8 @@ def _seek(index: _Index, after: int, K: int, W: Optional[SetDescriptor]):
     members of W past k_{n0} have residues mod S (base*w mod S on a
     Geometric W) that repeat without meeting R: every k_n up to n0 is at
     most k_{n0}, and every later one has its residue in R.  Refused by size
-    when the hit's cofactor may pass _COFACTOR_BITS (see `_valuations`)."""
+    when the hit's cofactor may pass _COFACTOR_BITS, and on n! terms as soon
+    as `least` names an n whose bound n*bits(n) passes it (see `_valuations`)."""
     target = K if W is None else W.next_member(K)
     n = after
     while True:
@@ -333,15 +371,15 @@ def _seek(index: _Index, after: int, K: int, W: Optional[SetDescriptor]):
             raise SequenceNotAbsorbingError(
                 f"u_{exact_str(target)} divides no term a_n, so every chain index k_n is "
                 f"below {exact_str(target)}: no admissible index after n={exact_str(after)}")
-        k = index.index(n)
+        k, a = index.index(n)
         if k == target or k > target and (W is None or W.contains(k)):
-            return n, k, index.cofactor(n, k)
+            return n, k, index.cofactor(n, k, a)
         if not index.monotone:
             continue
         target, seen = W.next_member(k + 1), set()
         if isinstance(W, Geometric) and (quasi := index.quasi()):
             T, S, n0, R = quasi
-            bound = index.index(n0)
+            bound = index.index(n0)[0]
             while target > bound and target % S not in R:
                 if target % S in seen:
                     raise SequenceNotAbsorbingError(
@@ -661,30 +699,231 @@ def _contains_exact(stored: BlockCheck, low: int, high: int, den: int) -> bool:
             and high * hi.denominator <= hi.numerator * den)
 
 
-def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
-    """Re-derive the plan from its request (tag, chain, terms, ideal and
-    count) and rebuild the certificate: the stored indices, closing index,
-    witness set and pass flag must equal the re-derived ones, and stored
-    derived fields are diffed by `_diff_derived`.  The report holds the
-    rebuilt certificate as "recomputed", None if the plan is not re-derived."""
-    report: dict = {"mismatches": [], "notes": []}
-    mismatch, note = report["mismatches"].append, report["notes"].append
+# ---------------------------------------------------------------------------
+# Checking a certificate's claims against the construction's lemmas
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _lemma(fails: list, name: str):
+    """`fail(what)`, which records "plan: <name>: <what>".  A ValueError, as
+    `seq.q` and `terms.term` raise for a ratio or term past a list's end,
+    fails the lemma with its message."""
+    def fail(what):
+        fails.append(f"plan: {name}: {what}")
     try:
-        plan = plan_witness(cert.plan.tag, cert.plan.seq, cert.plan.terms,
-                            cert.plan.ideal, len(cert.plan.indices))
-    except (ValueError, SequenceNotAbsorbingError) as exc:
-        mismatch(f"plan cannot be re-derived: {exc}")
-        report.update(ok=False, recomputed_pass=False, recomputed=None)
-        return False, report
-    if fields := _differing(cert.plan, plan, ("indices", "closing_k", "witness_set")):
-        mismatch(f"plan: stored {', '.join(fields)} differ from the re-derived plan")
-    fresh = build_and_verify(plan)
-    if cert.checks is not None:
-        _diff_derived(cert, fresh, mismatch, note)
-    if cert.passed != fresh.passed:
-        mismatch(f"overall pass stored={cert.passed}, recomputed={fresh.passed}")
+        yield fail
+    except ValueError as exc:
+        fail(exc)
+
+
+def _reaches(seq: ArithmeticSequence, lo: int, hi: int, bound: int) -> bool:
+    """Whether u_hi/u_lo = q_{lo+1}***q_hi >= bound, for lo < hi.  Every
+    ratio but q_1 is >= 2, so more than bits(bound - 1) of them reach the
+    bound unformed; a shorter product is formed when bits(largest ratio) per
+    ratio keeps it within _COFACTOR_BITS."""
+    seq.q(hi)                                       # raises past a finite list's end
+    if hi - lo > (bound - 1).bit_length():
+        return True
+    top = hi if seq.ratios is None else max(seq.ratios)
+    if (hi - lo) * top.bit_length() > _COFACTOR_BITS:
+        raise ValueError(f"u_{exact_str(hi)}/u_{exact_str(lo)} may have more than "
+                         f"_COFACTOR_BITS = {_COFACTOR_BITS} bits")
+    return seq.ratio_product(lo, hi) >= bound
+
+
+def _factorial_within(k: int, supply: int) -> Optional[int]:
+    """k!, or None when some j <= k has a prime that does not divide supply,
+    the product of a term's primes: that prime divides k! and no term."""
+    for j in range(2, k + 1):
+        if pow(supply, j.bit_length(), j):
+            return None
+    return math.factorial(k)
+
+
+def _factorial_identity(seq: ArithmeticSequence, n: int, k: int, v: int) -> Optional[str]:
+    """Why u_k*v != n! over a list of ratios, or None.  n! is formed when its
+    bound n*bits(n) is within _COFACTOR_BITS, as the planner forms v_n, and
+    u_k >= 2**(k-1) only when it may equal n!/v and stays within that bound."""
+    if (size := n * n.bit_length()) > _COFACTOR_BITS:
+        return (f"n! may have up to {exact_str(size)} bits, more than "
+                f"_COFACTOR_BITS = {_COFACTOR_BITS}")
+    rest, r = divmod(math.factorial(n), v)
+    if r or k > rest.bit_length():
+        return "u_k*v != a_n"
+    if k * max(seq.ratios).bit_length() > _COFACTOR_BITS:
+        return f"u_k may have more than _COFACTOR_BITS = {_COFACTOR_BITS} bits"
+    return None if seq.u(k) == rest else "u_k*v != a_n"
+
+
+def _term_identity(seq: ArithmeticSequence, terms: TermSequence, rows) -> list[str]:
+    """The rows (i, n, k, v) with u_k*v != a_n, each as "index i: why".
+    u_n on its own chain needs n = k and v = 1; n! over a list of ratios is
+    compared by `_factorial_identity`.  Otherwise both sides factor over one
+    coprime basis of the terms' a_1 and multipliers (or a listed a_n) and
+    the chain's ratios (or k! on the factorial chain), so the identity holds
+    exactly when v = prod b**e_b with e_b = v_b(a_n) - v_b(u_k) >= 0,
+    valuations that `_Divisibility` reads off without forming a_n or u_k.
+    The product is formed only when its lower bound 2**sum(e_b*(bits(b) - 1))
+    is below 2**bits(v), so it has fewer than 2*bits(v) bits."""
+    if isinstance(terms, ArithmeticTerms) and terms.seq == seq:
+        return [f"index {i}: u_n on its own chain needs n = k and v = 1"
+                for i, n, k, v in rows if (n, v) != (k, 1)]
+    kernel = _divisibility_of(terms)                # None on an explicit list
+    if kernel is not None and kernel.mults is None:
+        return [f"index {i}: {why}" for i, n, k, v in rows
+                if (why := _factorial_identity(seq, n, k, v))]
+    if isinstance(terms, ArithmeticTerms):
+        _check_chain(terms.seq)
+    chain = None if seq.ratios is None else _Divisibility(1, seq.ratios, not seq.finite)
+    why, sides = {}, []
+    for i, n, k, v in rows:
+        if kernel is not None:
+            if isinstance(terms, ArithmeticTerms) and terms.seq.finite:
+                terms.seq.q(n)                      # a_n = u_n of the list needs its q_n
+            a = (kernel, n)
+        elif (value := terms.term(n)) >= 1:
+            a = (_Divisibility(value, (), False), 1)
+        else:
+            raise ValueError(f"index {i}: the term a_n is below 1")
+        if chain is not None:
+            if k:
+                seq.q(k)                            # u_k needs q_k of a finite list
+            u = (chain, k + 1)
+        elif (uk := _factorial_within(k, a[0].first * math.prod(a[0].mults))) is None:
+            why[i] = "k! has a prime that divides no term"
+            continue
+        else:
+            u = (_Divisibility(uk, (), False), 1)
+        sides.append((i, v, a, u))
+    basis = _coprime_basis({x for _, _, a, u in sides for K, _ in (a, u)
+                            for x in (K.first, *K.mults)})
+    for i, v, (A, n), (U, m) in sides:
+        es = list(map(operator.sub, A.vals(n, basis), U.vals(m, basis)))
+        if (min(es, default=0) < 0
+                or sum(e * (b.bit_length() - 1) for b, e in zip(basis, es)) >= v.bit_length()
+                or math.prod(map(pow, basis, es)) != v):
+            why[i] = "u_k*v != a_n"
+    return [f"index {i}: {w}" for i, w in sorted(why.items())]
+
+
+def _check_claims(plan: WitnessPlan) -> list[str]:
+    """Each lemma of the construction that the plan's claims fail, as
+    "plan: <lemma>: <what>"; [] when they all hold.  With k_{count+1} =
+    closing_k, the lemmas are:
+    * chain: every ratio is one (q_1 >= 1, the rest >= 2), and th2's chain
+      is u_n = p**n;
+    * index order: i = 1..count, n >= 1, v >= 1, and n and k increase
+      strictly up to closing_k; the lemmas below are tried only past it;
+    * term identity: u_k*v = a_n (see `_term_identity`);
+    * cofactor: q_{k+1} does not divide v;
+    * witness set: for th6/th1 the stored set is non_snt_witness(ideal),
+      re-derived, and every k_i lies in it, with k_i >= 2**i for th1; th2
+      stores none;
+    * digit (th6/th1): with q = q_{k+1}, 1 <= c < q and q <= 4*(c*v mod q)
+      <= 3q, and the stored l, l_prime and m are the ones (q, v) gives;
+    * gap (th6/th1): u_{k_{i+1}}/u_{k_i} >= 8*v_i.  The digits past
+      k_{i+1}, each below its ratio, add at most 1/u_{k_{i+1}} to x, so at
+      most 1/8 to a_{n_i}*x, and {a_{n_i} x} lies in [1/4, 7/8];
+    * th2 digit and th2 gap: each digit is 1, k_{i+1} >= k_i + (2n_i + 1)v_i
+      and u_{k_{i+1}}/u_{k_i} > v_i*p**2, so ||a_{n_i} x|| > (p - 1)/p**2;
+    * support (th6/th1): `membership_by_support` of the digits is Member.
+    The block majorants (th1/th2) hold by lemma: for j in (k_{i-1}, k_i],
+    ||u_j x|| <= u_j/u_{k_i} <= 2**-(k_i - j), so a block's sum is below
+    2*(22/7)/max(k_{i-1}, 1) once the indices increase and each digit is
+    below its ratio."""
+    fails: list[str] = []
+    tag, seq, idx = plan.tag, plan.seq, plan.indices
+    ks = [p.k for p in idx] + [plan.closing_k]
+    with _lemma(fails, "chain") as fail:
+        if tag not in TAGS:
+            fail(f"unknown certificate tag {tag!r}")
+        elif tag == "th2" and seq.geometric_base is None:
+            fail("th2 needs a constant-ratio chain u_n = p**n")
+        _check_chain(seq)
+    with _lemma(fails, "index order") as fail:
+        if [p.i for p in idx] != list(range(1, len(idx) + 1)):
+            fail("the indices are not numbered 1..count")
+        if min(ks) < 0 or any(p.n < 1 or p.v < 1 for p in idx):
+            fail("every n and v must be >= 1, and every k >= 0")
+        elif any(a >= b for a, b in itertools.pairwise(p.n for p in idx)):
+            fail("n does not increase strictly")
+        elif any(a >= b for a, b in itertools.pairwise(ks)):
+            fail("k does not increase strictly up to closing_k")
+    if fails:
+        return fails
+    with _lemma(fails, "term identity") as fail:
+        for why in _term_identity(seq, plan.terms, [(p.i, p.n, p.k, p.v) for p in idx]):
+            fail(why)
+    with _lemma(fails, "cofactor") as fail:
+        for p in idx:
+            if p.v % seq.q(p.k + 1) == 0:
+                fail(f"index {p.i}: q_(k+1) divides v")
+    if tag == "th2":
+        base = seq.geometric_base
+        with _lemma(fails, "witness set") as fail:
+            if plan.witness_set is not None:
+                fail("th2 stores no witness set")
+        with _lemma(fails, "th2 digit") as fail:
+            for p in idx:
+                if p.digit != 1 or p.choice is not None:
+                    fail(f"index {p.i}: the digit is not 1")
+        with _lemma(fails, "th2 gap") as fail:
+            for p, k in zip(idx, ks[1:]):
+                if k < p.k + (2 * p.n + 1) * p.v:
+                    fail(f"index {p.i}: the next k is below k + (2n + 1)*v")
+                elif not _reaches(seq, p.k, k, p.v * base * base + 1):
+                    fail(f"index {p.i}: u_k'/u_k <= v*p^2 for the next index k'")
+        return fails
+    W = non_snt_witness(plan.ideal)
+    with _lemma(fails, "witness set") as fail:
+        if W is None:
+            fail(f"ideal {plan.ideal.kind!r} has no infinite shift-invariant member")
+        elif plan.witness_set != W:
+            fail("the stored witness_set is not the ideal's")
+        for i, k in enumerate(ks, start=1):
+            if W is not None and not W.contains(k):
+                fail(f"k_{i} = {exact_str(k)} is not in it")
+            if tag == "th1" and k.bit_length() <= i:
+                fail(f"k_{i} = {exact_str(k)} is below 2^{i}")
+    with _lemma(fails, "digit") as fail:
+        for p in idx:
+            q, c = seq.q(p.k + 1), p.digit
+            l = p.v % q
+            if p.choice is None or (p.choice.l, p.choice.l_prime, p.choice.m) != (
+                    l, q - l, 2 * min(l, q - l)):
+                fail(f"index {p.i}: l, l_prime and m are not those of q_(k+1) and v")
+            if not (1 <= c < q and q <= 4 * (c * p.v % q) <= 3 * q):
+                fail(f"index {p.i}: c*v/q_(k+1) mod 1 is outside [1/4, 3/4]")
+    with _lemma(fails, "gap") as fail:
+        for p, k in zip(idx, ks[1:]):
+            if not _reaches(seq, p.k, k, 8 * p.v):
+                fail(f"index {p.i}: u_k'/u_k < 8*v for the next index k'")
+    with _lemma(fails, "support") as fail:
+        verdict = membership_by_support(_assemble_expansion(plan), plan.ideal)
+        if verdict.outcome is not Outcome.MEMBER:
+            fail(f"the digit support is {verdict.outcome.value} in the ideal, not Member")
+    return fails
+
+
+def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
+    """Check each stored claim against the construction's lemmas
+    (`_check_claims`), calling no planner and walking no enclosure: every
+    failed lemma is a mismatch that begins with "plan", and so is a stored
+    pass that disagrees with the claims.  A certificate that meets the
+    lemmas is a proof, greedy or not.  A document that stores derived fields
+    too, as written before, is diffed against `build_and_verify` of its own
+    plan, once the claims hold; that build is the report's "recomputed",
+    else None."""
+    report: dict = {"mismatches": _check_claims(cert.plan), "notes": []}
+    passed = not report["mismatches"]
+    fresh = None
+    if cert.checks is not None and passed:
+        fresh = build_and_verify(cert.plan)
+        _diff_derived(cert, fresh, report["mismatches"].append, report["notes"].append)
+    if cert.passed != passed:
+        report["mismatches"].append(f"overall pass stored={cert.passed}, recomputed={passed}")
     ok = not report["mismatches"]
-    report.update(ok=ok, recomputed_pass=fresh.passed, recomputed=fresh)
+    report.update(ok=ok, recomputed_pass=passed, recomputed=fresh)
     return ok, report
 
 

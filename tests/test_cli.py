@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -13,7 +14,8 @@ from thinset.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE,
                          main)
 from thinset.core import DigitExpansion
 from thinset.ideals import IdealDescriptor, Progression, descriptor_from_json
-from thinset.sequences import ArithmeticSequence, ScaledGeometric
+from thinset.sequences import (ArithmeticSequence, ScaledGeometric, parse_sequence,
+                               parse_terms)
 from thinset.witness import WitnessCertificate, build_and_verify, plan_witness
 
 
@@ -383,6 +385,50 @@ SET = {"type": "union", "parts": [
     {"type": "finite", "elements": ["3", "5"]}]}
 
 
+# claims-only documents with a 700-digit n, k or v: each is a mismatch at
+# once, and the fuzzer mutates them too
+HUGE = "1" + "0" * 699
+
+
+def huge_documents() -> dict:
+    requests = [("th6", "dyadic", "3*2^n"), ("th2", "geometric:3", "2*3^n"),
+                ("th6", "dyadic", "n!")]
+    docs = {}
+    for (tag, seq, terms), key in itertools.product(requests, ["n", "k", "v"]):
+        plan = plan_witness(tag, parse_sequence(seq), parse_terms(terms),
+                            IdealDescriptor.density(), 3)
+        doc = build_and_verify(plan).to_json()
+        doc["plan"]["indices"][-1][key] = HUGE
+        docs[f"{tag} {terms} {key}"] = doc
+    return docs
+
+
+HUGE_DOCUMENTS = huge_documents()
+
+
+@pytest.mark.parametrize("argv", [
+    ("witness", "th6", "--seq", "[2,3]", "--a", "n!", "--ideal", "density", "--count", "1"),
+    ("witness", "th6", "--seq", "[6,4]", "--a", "n!", "--ideal", "density", "--count", "3"),
+    ("witness", "th1", "--seq", "[2,3]", "--a", "n!", "--ideal", "density", "--count", "3"),
+] + [pytest.param(("verify", doc), id=f"verify {name}") for name, doc in HUGE_DOCUMENTS.items()])
+def test_pinned_inputs_answer_within_a_second(tmp_path, capsys, argv):
+    # n! terms whose k_n never meet W are refused by size (64), not walked
+    # forever; a 700-digit claim is a mismatch (1)
+    if argv[0] == "verify":
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(argv[1]))
+        argv = ("verify", "--json-in", str(path))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    if argv[0] == "witness":
+        assert (code, out) == (EXIT_USAGE, None)
+        assert "at or past n=" in err and "_COFACTOR_BITS" in err
+    else:
+        assert code == EXIT_FAIL and not out["ok"] and out["mismatches"][0].startswith("plan")
+        assert "checks" not in out
+
+
 def fail_document(command, doc):
     if command == "verify":
         return not (doc["ok"] and doc["recomputed_pass"])
@@ -399,6 +445,8 @@ def test_fuzzed_json_inputs_keep_the_exit_contract(tmp_path, capsys, th6_cert, t
     command, extra, doc = data.draw(st.sampled_from([
         ("verify", [], th6_doc),
         ("verify", [], th6_cert.to_json()),
+        ("verify", [], HUGE_DOCUMENTS["th6 3*2^n n"]),
+        ("verify", [], HUGE_DOCUMENTS["th6 n! v"]),
         ("reconstruct", [], EXPANSION),
         ("converge", ["--a", "2^n", "--depth", "40"], EXPANSION),
         ("converge", ["--a", "2^n", "--depth", "40", "--ideal", "density"], EXPANSION),

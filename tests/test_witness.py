@@ -1,9 +1,13 @@
+import contextlib
 import functools
 import itertools
 import json
 import math
+import pathlib
 import re
+import signal
 import time
+from dataclasses import astuple
 from fractions import Fraction
 from unittest import mock
 
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 import enclosure_reference
 from full_certificate import full_document
 from json_mutation import DELETE, VALUES, json_paths, mutate
-from thinset import convergence, core, ideals, witness
+from thinset import convergence, core, ideals, sequences, witness
 from thinset._exact_text import exact_fraction
 from thinset.core import CircleInterval, RatInterval, enclosure_heads, norm_bounds
 from thinset.ideals import IdealDescriptor, Outcome, non_snt_witness
@@ -289,7 +293,7 @@ def _narrow_block_upper(doc):
 
 def _renumber_first_index(doc):
     doc["plan"]["indices"][0].update(n=999)
-    if "checks" in doc:     # so that the plan diff alone can tell
+    if "checks" in doc:     # so that the claims check alone can tell
         doc["checks"][0].update(n=999)
 
 
@@ -364,6 +368,184 @@ def test_verify_rejects_th6_forgeries():
         forged = json.loads(json.dumps(doc))
         MUTATIONS[name](forged)
         ok, report = verify_certificate(WitnessCertificate.from_json(forged))
+        assert not ok and report["mismatches"][0].startswith("plan")
+
+
+# ---------------------------------------------------------------------------
+# The claims checker: one forgery per lemma, valid certificates the planner
+# would not pick, faulty builders, and no planner or enclosure code reached
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def claims_text(tag, seq_text, terms_text, count, ideal=DENSITY):
+    seq = parse_sequence(seq_text)
+    plan = plan_witness(tag, seq, parse_terms(terms_text, seq), ideal, count)
+    return json.dumps(build_and_verify(plan).to_json())
+
+
+def claims(*request) -> dict:
+    return json.loads(claims_text(*request))
+
+
+def _index(doc, position, **fields):
+    doc["plan"]["indices"][position].update(fields)
+
+
+# (request, edit, lemma, text): each edit fails the named lemma, with text in
+# its mismatch; the first request's indices are (n, k, v) = (2, 2, 3), (8,
+# 8, 3), (16, 16, 3), (32, 32, 3), closing_k 64
+TH6 = ("th6", "dyadic", "3*2^n", 4)
+FORGERIES = {
+    "chain": (TH6, lambda d: d["plan"].update(
+        sequence={"kind": "ratios", "ratios": ["2", "1"]}), "chain", "q_2 must be >= 2"),
+    "th2 over a cycled list": (("th2", "geometric:3", "2*3^n", 3), lambda d: d["plan"].update(
+        sequence={"kind": "ratios", "ratios": ["3", "9"]}), "chain", "constant-ratio"),
+    "renumbered": (TH6, lambda d: _index(d, 0, i=2), "index order", "numbered"),
+    "closing below": (TH6, lambda d: d["plan"].update(closing_k=32), "index order",
+                      "up to closing_k"),
+    "zero v": (TH6, lambda d: _index(d, 1, v="0"), "index order", ">= 1"),
+    "next term": (TH6, lambda d: _index(d, 1, n=9), "term identity", "index 2"),
+    "other v": (TH6, lambda d: _index(d, 1, v="5"), "term identity", "index 2"),
+    "v on its own chain": (("th6", "[2,3,5]", "u_n", 3), lambda d: _index(d, 2, v="6"),
+                           "term identity", "own chain"),
+    "n!/v is not u_k": (("th6", "dyadic", "n!", 3), lambda d: _index(d, 0, v="15"),
+                        "term identity", "index 1"),
+    "v absorbs q_(k+1)": (TH6, lambda d: _index(d, 1, k=7, v="6"), "cofactor", "index 2"),
+    "other witness set": (TH6, lambda d: d["plan"].update(
+        witness_set={"type": "geometric", "base": "4"}), "witness set", "not the ideal's"),
+    "fin": (TH6, lambda d: d["plan"].update(ideal={"type": "fin"}), "witness set",
+            "'fin' has no infinite"),
+    "k outside W": (("th1", "dyadic", "3*2^n", 3, SUMMABLE), lambda d: _index(d, 1, n=3, k=3),
+                    "witness set", "k_2 = 3 is below 2^2"),
+    "th2 witness set": (("th2", "geometric:3", "2*3^n", 3), lambda d: d["plan"].update(
+        witness_set={"type": "geometric", "base": "2"}), "witness set", "stores no witness set"),
+    "l": (TH6, lambda d: _index(d, 0, l="3"), "digit", "l, l_prime and m"),
+    "pivot": (("th6", "[2,3,5]", "u_n", 3), lambda d: _index(d, 0, digit="1"), "digit",
+              "outside [1/4, 3/4]"),
+    "gap": (("th6", "dyadic", "2^n", 4), lambda d: _index(d, 1, n=4, k=4), "gap", "index 1"),
+    "th2 digit": (("th2", "geometric:3", "2*3^n", 3), lambda d: _index(d, 0, digit="2"),
+                  "th2 digit", "index 1"),
+    "th2 gap": (("th2", "geometric:3", "2*3^n", 3), lambda d: d["plan"].update(closing_k=186),
+                "th2 gap", "index 3: the next k is below k + (2n + 1)*v"),
+    "support": (TH6, lambda d: d["plan"].update(
+        witness_set={"type": "progression", "start": "1", "step": "1"}), "support",
+                "Inconclusive"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGERIES))
+def test_each_lemma_rejects_its_forgery(name):
+    # no forgery fails the block majorants, which hold by lemma once the
+    # indices increase and the digits are below their ratios; nor n's order
+    # alone, nor th2's u_k'/u_k > v*p^2 alone: the gap and identity give
+    # a_n' > a_n, and k' >= k + (2n + 1)*v gives p^(k' - k) > v*p^2
+    request, edit, lemma, text = FORGERIES[name]
+    doc = claims(*request)
+    assert verify_certificate(WitnessCertificate.from_json(doc))[0]
+    edit(doc)
+    ok, report = verify_certificate(WitnessCertificate.from_json(doc))
+    assert not ok and not report["recomputed_pass"] and report["recomputed"] is None
+    assert all(m.startswith("plan") for m in report["mismatches"][:-1])
+    assert any(m.startswith(f"plan: {lemma}: ") and text in m for m in report["mismatches"]), \
+        report["mismatches"]
+
+
+def test_gap_forgery_fails_the_gap_alone():
+    # k = 4 at n = 4 is in W and 2^4 = u_4*1, yet u_4/u_2 = 4 < 8*v
+    doc = claims("th6", "dyadic", "2^n", 4)
+    _index(doc, 1, n=4, k=4)
+    _, report = verify_certificate(WitnessCertificate.from_json(doc))
+    assert report["mismatches"] == [
+        "plan: gap: index 1: u_k'/u_k < 8*v for the next index k'",
+        "overall pass stored=True, recomputed=False"]
+
+
+def test_a_certificate_the_planner_would_not_pick_verifies():
+    # th6 3*2^n over the dyadic chain, skipping the power of two k = 8
+    doc = claims(*TH6[:3], 5)
+    indices = doc["plan"]["indices"]
+    doc["plan"]["indices"] = [dict(p, i=i) for i, p in
+                              enumerate(indices[:1] + indices[2:], start=1)]
+    cert = WitnessCertificate.from_json(doc)
+    assert [p.k for p in cert.plan.indices] == [2, 16, 32, 64] and cert.plan.closing_k == 128
+    ok, report = verify_certificate(cert)
+    assert ok and report["recomputed_pass"] and report["mismatches"] == []
+    assert build_and_verify(cert.plan).passed       # the builder agrees
+
+
+def test_verify_rejects_the_certificates_of_faulty_builders():
+    # gap threshold 2*v': th6 2^n picks k = 2, 4, 8, 16, and {a_n x} of the
+    # first index is in [1/2, 3/4], so the build passes; the gap lemma does not
+    gap = witness._gap_threshold
+    with mock.patch.object(witness, "_gap_threshold",
+                           lambda seq, lo, bound: gap(seq, lo, bound // 4)):
+        cert = build_and_verify(plan_witness("th6", ArithmeticSequence.dyadic(),
+                                             ScaledGeometric(1, 2), DENSITY, 4))
+    assert cert.passed and [p.k for p in cert.plan.indices] == [2, 4, 8, 16]
+    ok, report = verify_certificate(WitnessCertificate.from_json(cert.to_json()))
+    assert not ok and report["mismatches"][0].startswith("plan: gap: index 1:")
+    # digit 1 wherever q_(k+1) = 5, a pivot of 1/5, passes the band [0, 1]
+    choice = witness.digit_choice
+    seq = parse_sequence("[2,3,5]")
+    with mock.patch.object(witness, "digit_choice",
+                           lambda q, v: witness.DigitChoice(*astuple(choice(q, v))[:3], 1)), \
+            mock.patch.object(witness, "TARGET_BAND", RatInterval(Fraction(0), Fraction(1))):
+        cert = build_and_verify(plan_witness("th6", seq, parse_terms("u_n", seq), DENSITY, 3))
+    assert cert.passed and [p.digit for p in cert.plan.indices] == [1, 1, 1]
+    ok, report = verify_certificate(WitnessCertificate.from_json(cert.to_json()))
+    assert not ok and [m for m in report["mismatches"] if m.startswith("plan: digit")] == [
+        "plan: digit: index 1: c*v/q_(k+1) mod 1 is outside [1/4, 3/4]",
+        "plan: digit: index 3: c*v/q_(k+1) mod 1 is outside [1/4, 3/4]"]
+
+
+# the certificates the certify benchmark writes, one per slot kind
+CERTIFY_REQUESTS = [
+    ("th6", "dyadic", "3*2^n", 16, DENSITY), ("th6", "dyadic", "7*2^n", 17, SUMMABLE),
+    ("th6", "factorial", "n!", 14, DENSITY), ("th6", "[2,3,5]", "u_n", 12, SUMMABLE),
+    ("th1", "dyadic", "5*2^n", 8, SUMMABLE), ("th2", "geometric:2", "9*2^n", 12, DENSITY),
+    ("th2", "geometric:3", "17*3^n", 20, SUMMABLE), ("th2", "geometric:5", "23*5^n", 40, DENSITY),
+]
+
+
+def test_verify_reaches_no_planner_or_enclosure_code(monkeypatch):
+    docs = [claims(*request) for request in CERTIFY_REQUESTS]
+    fixtures = json.loads((pathlib.Path(__file__).parent / "fixtures" / "regression.json")
+                          .read_text())["certificates"]
+    docs += [{key: e["doc"][key] for key in ("theorem", "plan", "pass")} for e in fixtures]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verify reached planner or enclosure code")
+    for module, name in [(witness, "plan_witness"), (witness, "_seek"),
+                         (witness, "_chain_index"), (witness, "_valuations"),
+                         (witness, "_gap_threshold"), (witness, "shared_heads"),
+                         (core, "shared_heads"), (core, "enclosure_heads")]:
+        monkeypatch.setattr(module, name, unreachable)
+    for doc in docs:
+        ok, report = verify_certificate(WitnessCertificate.from_json(doc))
+        assert ok and report["recomputed_pass"], (doc["plan"]["tag"], report["mismatches"])
+
+
+HUGE = "1" + "0" * 699
+
+
+@pytest.mark.parametrize("request_", [TH6, ("th2", "geometric:3", "2*3^n", 3),
+                                      ("th6", "dyadic", "n!", 3)], ids=lambda r: r[0] + r[2])
+@pytest.mark.parametrize("position", [0, -1])
+@pytest.mark.parametrize("key", ["n", "k", "v", "closing_k"])
+def test_verify_is_bounded_by_the_claims(request_, position, key):
+    # a 700-digit n, k, v or closing_k: no u_k, a_n or ratio product past
+    # _COFACTOR_BITS is formed, so the answer comes at once
+    doc = claims(*request_)
+    if key == "closing_k":
+        doc["plan"]["closing_k"] = HUGE if position else "1" + HUGE
+    else:
+        _index(doc, position, **{key: HUGE})
+    start = time.perf_counter()
+    ok, report = verify_certificate(WitnessCertificate.from_json(doc))
+    assert time.perf_counter() - start < 1
+    if key == "closing_k" and request_[0] == "th2":
+        assert ok       # true: a later next digit only shrinks the tail
+    else:
         assert not ok and report["mismatches"][0].startswith("plan")
 
 
@@ -527,8 +709,8 @@ def test_chain_index_matches_reference(seq_text, terms, ns, L):
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 index.index(n)
             continue
-        k = index.index(n)
-        assert (k, index.cofactor(n, k)) == (d.k, d.v)
+        k, a = index.index(n)
+        assert (k, index.cofactor(n, k, a)) == (d.k, d.v)
     try:
         u = seq.u(L)
     except ValueError as exc:
@@ -574,8 +756,8 @@ def test_chain_index_on_2000_ratios(ratios, terms):
     assert time.perf_counter() - start < 0.02
     for n in (1, 2, 7, 50, 300):
         d = decompose(seq, terms.term(n))
-        k = index.index(n)
-        assert (k, index.cofactor(n, k)) == (d.k, d.v)
+        k, a = index.index(n)
+        assert (k, index.cofactor(n, k, a)) == (d.k, d.v)
 
 
 def test_chain_index_on_a_huge_prime_power():
@@ -584,7 +766,7 @@ def test_chain_index_on_a_huge_prime_power():
     start = time.perf_counter()
     index = witness._chain_index(seq, parse_terms("2^n", seq))
     assert time.perf_counter() - start < 0.005
-    assert [index.index(n) for n in (1, 15999, 16000, 48000)] == [0, 0, 1, 3]
+    assert [index.index(n)[0] for n in (1, 15999, 16000, 48000)] == [0, 0, 1, 3]
 
 
 @settings(max_examples=150, deadline=None)
@@ -633,6 +815,71 @@ def test_factorial_terms_at_count_5_and_6():
     assert time.perf_counter() - start < 5
 
 
+class Late(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise Late in the body once `seconds` of wall time have passed."""
+    def late(signum, frame):
+        raise Late(f"no answer within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+DEADLINE_CHAINS = ["dyadic", "geometric:3", "[2,3]", "[6,4]", "[2,5,3]", "factorial"]
+DEADLINE_TERMS = st.one_of(
+    st.sampled_from(["n!", "u_n"]),
+    st.builds("{}*{}^n".format, st.integers(1, 40), st.sampled_from([2, 3, 4, 5, 6, 12])),
+    st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=6, unique=True).map(
+        lambda values: "[" + ",".join(map(str, sorted(values))) + "]"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tag=st.sampled_from(witness.TAGS), seq_text=st.sampled_from(DEADLINE_CHAINS),
+       terms_text=DEADLINE_TERMS, count=st.integers(0, 4))
+@example("th6", "[2,3]", "n!", 1)       # k_n = 2*v_3(n!) + 1 is odd, never in W
+@example("th6", "[6,4]", "n!", 3)       # k_n = 2^j needs v_2(n!) = 3*2^(j-1): skipped
+@example("th1", "[2,3]", "n!", 3)
+def test_every_planner_request_ends(tag, seq_text, terms_text, count):
+    # a plan, or a refusal by proof or by size, and never no answer
+    seq = parse_sequence(seq_text)
+    with deadline(2):
+        try:
+            plan_witness(tag, seq, parse_terms(terms_text, seq),
+                         SUMMABLE if tag == "th1" else DENSITY, count)
+        except (SequenceNotAbsorbingError, ValueError):
+            pass
+
+
+def test_factorial_refusal_comes_before_the_bisection():
+    # th2 n! over 4^n: the third index needs v_2(n!) >= 2*K with K of about
+    # 270 000 bits, so n > 2*K passes _COFACTOR_BITS; refused before
+    # Legendre's bisection over such an exponent is tried
+    start = time.perf_counter()
+    with pytest.raises(SequenceNotAbsorbingError, match="at or past n="):
+        plan_witness("th2", ArithmeticSequence.geometric(4), parse_terms("n!"), DENSITY, 3)
+    assert time.perf_counter() - start < 1
+
+
+def test_each_hit_reads_the_terms_valuations_once(monkeypatch):
+    # per selected index: v_b(u_L) for `least`, v_b(a_n) for `index`, handed
+    # on to `cofactor`, and v_b(u_k) there: three kernel reads, not four
+    reads = []
+    kernel = sequences._Divisibility.vals
+    monkeypatch.setattr(sequences._Divisibility, "vals",
+                        lambda self, n, bs: reads.append(n) or kernel(self, n, bs))
+    plan = plan_witness("th2", ArithmeticSequence.geometric(5), ScaledGeometric(23, 5),
+                        DENSITY, 20)
+    assert len(plan.growth_log) == 21 and len(reads) == 3 * 21
+
+
 @pytest.mark.parametrize("tag,ideal", [("th6", DENSITY), ("th1", SUMMABLE)])
 def test_count_40_plans_builds_and_verifies(tag, ideal):
     plan = plan_witness(tag, ArithmeticSequence.dyadic(), ScaledGeometric(3, 2),
@@ -665,8 +912,39 @@ def test_count_40_th2_certificate_holds_each_fact_once():
 # Single-field mutations of passing certificates
 # ---------------------------------------------------------------------------
 
-def plan_request(plan):
-    return plan.tag, plan.seq, plan.terms, plan.ideal, len(plan.indices)
+def meets_reference_conditions(plan) -> bool:
+    """Whether the plan's own indices meet the conditions `reference_scan`
+    selects on, with (k, v) from `decompose` of a_n and closing_k as the
+    next k: n and k increase, k in the witness set and k >= 2^i (th1),
+    u_k' >= 8*u_k*v (th6/th1) or k' >= k + (2n+1)v (th2); plus the digit,
+    {c*v/q_(k+1)} in [1/4, 3/4] with 1 <= c < q_(k+1), or 1 for th2.  Every
+    number is formed, so the plan must be small."""
+    tag, seq, rows = plan.tag, plan.seq, plan.indices
+    ks = [p.k for p in rows] + [plan.closing_k]
+    if ([p.i for p in rows] != list(range(1, len(rows) + 1))
+            or any(a >= b for a, b in zip(ks, ks[1:]))
+            or any(a.n >= b.n for a, b in zip(rows, rows[1:]))):
+        return False
+    for p in rows:
+        d = decompose(seq, plan.terms.term(p.n))
+        if (d.k, d.v) != (p.k, p.v):
+            return False
+    if tag == "th2":
+        return (seq.geometric_base is not None and plan.witness_set is None
+                and all(p.digit == 1 and k >= p.k + (2 * p.n + 1) * p.v
+                        for p, k in zip(rows, ks[1:])))
+    witness = non_snt_witness(plan.ideal)
+    if witness is None or plan.witness_set != witness:
+        return False
+    for i, k in enumerate(ks, start=1):
+        if not witness.contains(k) or (tag == "th1" and k < 2 ** i):
+            return False
+    for p, k in zip(rows, ks[1:]):
+        q = seq.q(p.k + 1)
+        if (seq.u(k) < 8 * seq.u(p.k) * p.v or not 1 <= p.digit < q
+                or not Fraction(1, 4) <= Fraction(p.digit * p.v % q, q) <= Fraction(3, 4)):
+            return False
+    return True
 
 
 def document(cert, full: bool) -> dict:
@@ -696,11 +974,9 @@ def test_single_field_mutation_is_rejected_or_true(tag, full, data):
     if not ok:
         assert report["mismatches"]
         return
-    # a mutation that verifies asks for the same plan, or is, field for field,
-    # the certificate the planner builds for the request it now makes
-    request = plan_request(cert.plan)
-    if request != plan_request(WitnessCertificate.from_json(original).plan):
-        assert document(build_and_verify(plan_witness(*request)), full) == doc
+    # a mutation that verifies is true: its claims meet the conditions the
+    # reference scan selects on, whether or not the planner would pick them
+    assert cert.passed and meets_reference_conditions(cert.plan)
 
 
 @pytest.mark.parametrize("tag", ["th6", "th2"])
