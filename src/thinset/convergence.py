@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from ._exact_text import exact_fraction, exact_str
 from .core import (CircleRational, DigitExpansion, SIN_UPPER, _TRUNCATION_BITS,
@@ -34,12 +34,15 @@ from .core import (CircleRational, DigitExpansion, SIN_UPPER, _TRUNCATION_BITS,
 from .ideals import (IdealDescriptor, Outcome, Progression, Verdict, ideal_member,
                      translation_invariant_in)
 from .sequences import (ArithmeticTerms, TermSequence, _divisibility_of,
-                        multiplier_chain, phase_period)
+                        multiplier_chain, multipliers, phase_period)
 
 DEFAULT_DEPTH = 100_000
 DEFAULT_EPS_GRID = (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 64))
 _CYCLE_STATE_CAP = 400_000     # largest den*period whose cycle is reported
 _FACTOR_BOUND = 400_000        # trial-division limit when factoring d for n!
+_BLOCK_CAP = 4096              # most positions of a residue block
+_BLOCK_BITS = 1 << 23          # most bits of the residues of a block
+_FIRST_BLOCK = 16              # fewest positions from a block's start to the save point ending it
 
 PointLike = Union[CircleRational, DigitExpansion]
 
@@ -50,7 +53,11 @@ PointLike = Union[CircleRational, DigitExpansion]
 
 class _Residues:
     """The walk (n, t_n), t_n = a_n*num mod den, for n = start .. depth (for
-    ever when depth is None), incrementally on a multiplier chain.
+    ever when depth is None), on a multiplier chain, a block at a time:
+    blocks() yields (n, [t_n, t_{n+1}, ...]) of at most _BLOCK_CAP positions
+    and about _BLOCK_BITS bits, formed in a tight t = t*m % den loop over
+    the multipliers of sequences.multipliers (a periodic chain's one
+    period, cycled, else blocks that double in length).  Memory is O(block).
 
     start = (n0, t_n0) resumes a chain walk at n0.  With stop=True a chain
     walk ends once the rest is fixed, and sets repeat = (h, t_h, lam): the
@@ -59,28 +66,28 @@ class _Residues:
     With multipliers of period P the state (t_n, n mod P) fixes the rest,
     and each state is compared with the one saved at the last power of two
     (Brent, BIT 20, 1980): the first repeat gives the least period lam of
-    the states, within 2*max(mu, lam) + lam steps and O(1) memory.
+    the states, within 2*max(mu, lam) + lam steps.  A block ends on the
+    first save point _FIRST_BLOCK or more positions on (the start is a
+    block of its own; a walk with no save points stops early only where its
+    tight loop does), and one `mark in` the positions of the mark's phase
+    checks each part of it between two save points.  The period is asked
+    for after the start: a bad ratio of a cycled list raises there.
 
     With quiet > 0 (at most den) a stopping walk may leave out positions
-    whose residue is below quiet.  After a residue below quiet, a product
-    t_n = t_{n-1}*m(n-1) still below quiet is left unreduced, and so is
-    each later t_n*m(n)*...*m(p-1) that the sum of bit_length(m - 1) =
-    ceil(log2 m) keeps below 2**b <= quiet, b = bit_length(quiet) - 1.
-    The walk steps over all of these positions and forms one product at the
-    first position past the run.  With multipliers of period P, a run that
-    has stepped P of them, of product M and bit sum C, jumps the w whole
-    periods that keep the sum within b and n within the depth at once: t
-    times M**w (a shift when M is a power of two), C*w bits, n + P*w.  Any
-    P consecutive multipliers are a rotation of those P, so the jump asks
-    for none, and a bad ratio of a cycled list raises within the P asked
-    first, as in a full walk.  A run thus asks for at most 2P + 1
-    multipliers, whatever its length.  n! and finite lists have no period
-    and step every position, so a finite list is asked for each ratio that
-    a full walk asks for.  Which positions are yielded depends on the state
-    alone, and the mark is saved at the first yielded n from its save point
-    on; as every multiplier is >= 2, the yielded positions cannot wind twice
-    round the state cycle before they repeat, so repeat holds the same least
-    period.
+    whose residue is below quiet: a product t_n*m(n) below 2**b <= quiet,
+    b = bit_length(quiet) - 1, ends the block's tight loop unreduced, and so
+    is each later t_n*m(n)*...*m(p-1) that the sum of bit_length(m - 1) =
+    ceil(log2 m) keeps below 2**b.  The walk steps over these positions and
+    starts the next block at the first position past the run.  With
+    multipliers of period P, a run that has stepped P of them, of product M
+    and bit sum C, jumps the w whole periods that keep the sum within b and
+    n within the depth at once: t times M**w (a shift when M is a power of
+    two), C*w bits, n + P*w; the cycled period stays in phase.  n! and
+    finite lists step every position.  Which positions are yielded depends
+    on the state alone, and the mark is saved at the first yielded n from
+    its save point on; as every multiplier is >= 2, the yielded positions
+    cannot wind twice round the state cycle before they repeat, so repeat
+    holds the same least period.
     """
 
     def __init__(self, num: int, den: int, terms: TermSequence,
@@ -91,94 +98,108 @@ class _Residues:
         self.repeat: Optional[tuple[int, int, int]] = None
 
     def __iter__(self):
-        num, den, depth, terms = self.num, self.den, self.depth, self.terms
-        n0, t = self.start or (1, None)
-        if depth is not None and depth < n0:
-            return
+        for n, block in self.blocks():
+            yield from zip(itertools.count(n), block)
+
+    def blocks(self):
+        num, den, terms = self.num, self.den, self.terms
+        n, t = self.start or (1, None)
+        end = math.inf if self.depth is None else self.depth
         chain = multiplier_chain(terms)
         if chain is None:
-            for n in itertools.count(n0) if depth is None else range(n0, depth + 1):
-                yield n, terms.term(n) * num % den
+            for n, k in _spans(n, end):
+                yield n, [terms.term(j) * num % den for j in range(n, n + k)]
             return
-        first, mult = chain
+        if n > end:
+            return
         if t is None:
-            t = (first % den) * num % den
-        # a finite chain has no multiplier past its last term, so only the
-        # n that are walked ask for one
-        steps = itertools.count(n0 + 1) if depth is None else range(n0 + 1, depth + 1)
-        yield n0, t
-        if not self.stop:
-            for n in steps:
-                t = t * mult(n - 1) % den
-                yield n, t
-            return
-        period = phase_period(terms)
-        if not t:
-            self._zero_from(n0, mult, period)
-            return
-        # the saved state is referenced, never copied; with no period it
-        # stays None, which no residue equals
-        mark, mark_n, save_at = (t, n0, 2 * n0) if period else (None, 0, 0)
-        quiet = self.quiet
-        b = quiet.bit_length() - 1
-        n = n0
-        while n != depth:
-            if t >= quiet:
-                t = t * mult(n) % den
-                n += 1
-            else:
-                t *= mult(n)
-                n += 1
-                if t < quiet:   # still quiet, so unreduced: step over the run
-                    ms, bits = [], t.bit_length()
-                    ms_from = bits      # bits before the multipliers in ms
-                    while bits <= b:
-                        if len(ms) == period:
-                            # ms is one period, of product M and bit sum C:
-                            # jump the w more periods that keep bits <= b
-                            C = bits - ms_from
-                            w = (b - bits) // C
-                            if depth is not None:
-                                w = min(w, (depth - n) // period)
-                            if w > 0:
-                                M = math.prod(ms)
-                                t = (t << (M.bit_length() - 1) * (w + 1) if M & (M - 1) == 0
-                                     else t * M ** (w + 1))
-                                ms, n, bits = [], n + w * period, bits + w * C
-                                ms_from = bits
-                        if n == depth:
-                            return
-                        ms.append(mult(n))
-                        n += 1
-                        bits += (ms[-1] - 1).bit_length()
-                    t *= _tree_product(ms)
-                t %= den
-                if period and n > save_at:     # the first yielded n >= save_at
-                    save_at = n
-            if t == mark and (n - mark_n) % period == 0:
-                self.repeat = (mark_n, mark, n - mark_n)
-                return
-            yield n, t
-            if not t:
-                self._zero_from(n, mult, period)
-                return
-            if n == save_at:
-                mark, mark_n, save_at = t, n, 2 * n
+            t = (chain[0] % den) * num % den
+        period, stop = phase_period(terms), self.stop
+        lo = 1 << max(self.quiet.bit_length() - 1, 0) if stop else 0    # 2**b
+        b = lo.bit_length() - 1
+        mark, mark_n, save_at = None, 0, n if stop and period else end
+        cap = min(_BLOCK_CAP, _BLOCK_BITS // den.bit_length() + 1)
+        block, first, stream, run = [t], n, None, False
+        while True:
+            s = save_at     # the block ends on a save point (at n itself for the start)
+            while n < s < n + _FIRST_BLOCK:
+                s *= 2
+            k = min(cap, end - n, s - n)
+            if k:
+                if stream is None:
+                    stream = (itertools.cycle(multipliers(terms, n, min(period, end - n)))
+                              if period else itertools.chain.from_iterable(
+                                  multipliers(terms, j, k) for j, k in _spans(n, end - 1)))
+                for m in itertools.islice(stream, k):
+                    if t < lo:
+                        t *= m
+                        if t < lo:      # still quiet, so unreduced: step over the run
+                            run = True
+                            break
+                        t %= den
+                    else:
+                        t = t * m % den
+                    block.append(t)
+            i = 0
+            while i < len(block):   # the part of the block up to the next save point
+                j = min(len(block), save_at - first + 1)
+                if mark is not None:
+                    s = i + (mark_n - first - i) % period
+                    phase = block[s:j:period]
+                    if mark in phase:
+                        i = s + phase.index(mark) * period
+                        self.repeat = (mark_n, mark, first + i - mark_n)
+                        if i:
+                            yield first, block[:i]
+                        return
+                if first + j - 1 == save_at:
+                    mark, mark_n, save_at = block[j - 1], save_at, 2 * save_at
+                i = j
+            if block:
+                yield first, block
+                n = first + len(block) - 1
+                if stop and not block[-1]:  # so is every later residue, but ask for
+                    # the multipliers of a full walk that can fail: one period
+                    # of a cycled list, or a finite list to its end
+                    self.repeat = (n, 0, 1)
+                    if end < math.inf and (period or terms.seq.finite):
+                        multipliers(terms, n, min(end, n + (period or end)) - n)
+                    return
+                if n == end:
+                    return
+            block, first = [], n + 1
+            if run:
+                run, n = False, n + 1
+                ms, bits = [], t.bit_length()
+                ms_from = bits      # bits before the multipliers in ms
+                while bits <= b:
+                    if len(ms) == period:
+                        # ms is one period, of product M and bit sum C:
+                        # jump the w more periods that keep bits <= b
+                        C = bits - ms_from
+                        w = min((b - bits) // C, (end - n) // period)
+                        if w > 0:
+                            M = math.prod(ms)
+                            t = (t << (M.bit_length() - 1) * (w + 1) if M & (M - 1) == 0
+                                 else t * M ** (w + 1))
+                            ms, n, bits = [], n + w * period, bits + w * C
+                            ms_from = bits
+                    if n == end:
+                        return
+                    ms.append(next(stream))
+                    n += 1
+                    bits += (ms[-1] - 1).bit_length()
+                t = t * _tree_product(ms) % den
+                save_at = max(save_at, n)   # the first yielded n >= save_at
+                block, first = [t], n
 
-    def _zero_from(self, n: int, mult, period: Optional[int]) -> None:
-        """Stop at the zero residue t_n.  Every later residue is 0, but a full
-        walk would still ask for the later multipliers, so ask for those that
-        can fail: one period of a cycled list, or a finite list to its end."""
-        self.repeat = (n, 0, 1)
-        depth, terms = self.depth, self.terms
-        if depth is None:
-            return
-        if period is not None:
-            depth = min(depth, n + period)
-        elif not (isinstance(terms, ArithmeticTerms) and terms.seq.finite):
-            return
-        for k in range(n, depth):
-            mult(k)
+
+def _spans(n: int, last) -> Iterator[tuple[int, int]]:
+    """(n, k) for blocks n .. n+k-1 up to last, k doubling from 1 to _BLOCK_CAP."""
+    k = 1
+    while n <= last:
+        yield n, min(k, last - n + 1)
+        n, k = n + k, min(2 * k, _BLOCK_CAP)
 
 
 def _tree_product(xs: list[int]) -> int:
@@ -225,7 +246,7 @@ def _walked_cycle(num: int, den: int, terms: TermSequence, mu: int,
     h, lam, residues = walked
     if lam is None:
         walk = _Residues(num, den, terms, start=(h, residues[-1]), stop=True)
-        residues = [t for _, t in walk]
+        residues = [t for _, block in walk.blocks() for t in block]
         h, _, lam = walk.repeat
         residues = residues[-lam:]
     k = (mu - h) % lam
@@ -318,13 +339,23 @@ def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
     (see _Residues), and one more walk over that period h .. h+lam-1 counts
     each of its positions for the floor((depth - h)/lam) later ones that
     repeat it.  It steps over runs of residues below the smallest
-    ceil(eps*den), which reach no eps.
+    ceil(eps*den), which reach no eps.  The exact walk is classified a
+    block at a time: min(t, den - t) >= f exactly when f <= t < den - f + 1,
+    so bisect_right over the floors and these bounds, clamped to den//2 + 1
+    so that they stay sorted when f > den/2, puts t in a class j, of level
+    min(j, 2L - j) for L floors.  bytes.count and bytes.rfind read each
+    class's count and last position over up to _BLOCK_CAP positions at once,
+    class 0 where the walk stepped.
 
     The pass is (h, lam, residues): the period's start, length and residues
     t_h .. t_{h+lam-1}, kept where den*period is within _CYCLE_STATE_CAP; or,
     from a walk that reached its depth first, (n, None, [t_n]) at its last
-    yielded position.
+    yielded position; None for a truncation.
     """
+    grid = sorted(set(Fraction(e) for e in eps_grid), reverse=True)
+    if len(grid) > 127:     # more classes than a byte holds: the grid in parts
+        parts = [_eps_stats(x, terms, depth, grid[i:i + 127]) for i in range(0, len(grid), 127)]
+        return [s for stats, _ in parts for s in stats], parts[0][1]
     if isinstance(x, CircleRational):
         num, den, widths = x.num, x.den, None
     else:
@@ -333,48 +364,64 @@ def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
                              f"more than _TRUNCATION_BITS = {_TRUNCATION_BITS}")
         N, top = _partial_sum(x, x.depth)
         num, den = N * x.seq.ratio_product(top, x.depth), x.seq.u(x.depth)
-        widths = terms.terms_upto(depth)
-    grid = sorted(set(Fraction(e) for e in eps_grid), reverse=True)
+        widths = list(itertools.takewhile(lambda w: 2 * w < den, terms.terms_upto(depth)))
     # an integer norm floor m reaches eps exactly when m >= ceil(eps*den); these
     # floors ascend with eps, so m reaches the `level` smallest eps, with
     # level = bisect_right(floors, m)
     floors = [-(-e.numerator * den // e.denominator) for e in reversed(grid)]
-    hits = [0] * (len(grid) + 1)        # positions per level
-    at = [0] * (len(grid) + 1)          # last position per level, 0 for none
-    lim = den
-    # an exact residue below the smallest floor reaches no eps, so the walk
-    # may step over runs of them
-    quiet = min([*floors, den]) if widths is None else 0
-    walk = _Residues(num, den, terms, depth, stop=widths is None, quiet=quiet)
-    for n, t in walk:
-        if widths is not None:
-            w = next(widths)
-            if 2 * w >= den:
-                break
-            lim = den - w
-            if t > lim:
-                continue
-        level = bisect.bisect_right(floors, min(t, lim - t))
-        hits[level] += 1
-        at[level] = n
-    walked = n, None, [t]
-    if walk.repeat is not None:
-        start, t, lam = walk.repeat
-        period = _Residues(num, den, terms, start + lam - 1, start=(start, t))
+    L, mid = len(floors), den // 2 + 1
+    table = [min(f, mid) for f in floors] + [max(den - f + 1, mid) for f in reversed(floors)]
+    hits = [0] * (L + 1)        # positions per level
+    at = [0] * (L + 1)          # last position per level, 0 for none
+
+    def tally(h: int, classes: bytes, reps: int = 1, shift: int = 0) -> None:
+        for j in range(1, 2 * L):
+            if count := classes.count(j):
+                level = min(j, 2 * L - j)
+                hits[level] += count * reps
+                at[level] = max(at[level], h + classes.rfind(j) + shift)
+
+    walk = walked = None
+    if widths is not None:
+        for (n, t), w in zip(_Residues(num, den, terms, len(widths)), widths):
+            if t <= den - w:
+                level = bisect.bisect_right(floors, min(t, den - w - t))
+                hits[level] += 1
+                at[level] = n
+    else:
+        # residues below the smallest floor reach no eps: runs of them are stepped over
+        quiet = min([*floors, den])
+        walk = _Residues(num, den, terms, depth, stop=True, quiet=quiet)
+        base, classes = 1, bytearray()
+        for n, block in walk.blocks():
+            if n + len(block) - base > _BLOCK_CAP:
+                tally(base, classes)
+                base, classes = n, bytearray()
+            classes += bytes(n - base - len(classes))
+            classes += bytes(map(bisect.bisect_right, itertools.repeat(table), block))
+        tally(base, classes)
+        walked = n + len(block) - 1, None, block[-1:]
+    if walk is not None and walk.repeat is not None and (walk.repeat[1] or not quiet):
+        start, t, lam = walk.repeat      # a zero period is below quiet, so it reaches no eps
         phases = phase_period(terms)
-        if phases is not None and den * phases <= _CYCLE_STATE_CAP:
-            period = list(period)
-            walked = start, lam, [t for _, t in period]
-        for h, t in period:
+        keep = phases is not None and den * phases <= _CYCLE_STATE_CAP
+        residues = []
+        for h, block in _Residues(num, den, terms, start + lam - 1, start=(start, t)).blocks():
+            if keep:
+                residues += block
+            # (depth - p)//lam is reps for p <= depth - reps*lam, one less after
             reps = (depth - h) // lam
-            if reps:
-                level = bisect.bisect_right(floors, min(t, den - t))
-                hits[level] += reps
-                at[level] = max(at[level], h + reps * lam)
+            cut = depth - reps * lam - h + 1
+            classes = bytes(map(bisect.bisect_right, itertools.repeat(table), block))
+            tally(h, classes[:cut], reps, reps * lam)
+            if reps > 1:
+                tally(h + cut, classes[cut:], reps - 1, (reps - 1) * lam)
+        if keep:
+            walked = start, lam, residues
     stats = []
-    for i, eps in enumerate(grid):      # eps is reached from level len(grid) - i on
-        count = sum(hits[len(grid) - i:])
-        stats.append(EpsilonStats(eps, count, max(at[len(grid) - i:]) or None,
+    for i, eps in enumerate(grid):      # eps is reached from level L - i on
+        count = sum(hits[L - i:])
+        stats.append(EpsilonStats(eps, count, max(at[L - i:]) or None,
                                   Fraction(count, depth),
                                   definite_only=widths is not None))
     return stats, walked
@@ -632,9 +679,9 @@ def nset_partial_sums(x: PointLike, terms: TermSequence, weights: WeightRule,
     what the walk proves of the whole sum.
 
     r_n*||a_n x|| = r_n*m_n/den with the floor m_n = min(t_n, den - t_n).
-    The floors come from one stopping walk of the residues (see _Residues),
-    whose last period repeats up to depth; after a zero residue that period
-    is the zero.  The sum up to a checkpoint is P/(L*den), with P an integer
+    The floors come from the blocks of one stopping walk of the residues
+    (see _Residues), whose last period repeats up to depth; after a zero
+    residue that period is the zero.  The sum up to a checkpoint is P/(L*den), with P an integer
     and L*r_n an integer for every n up to it: L = lcm(1..mark)**s for
     r_n = 1/n**s, the lcm of the denominators of an explicit list.  Each
     block of _SUM_BLOCK consecutive terms is summed into an unreduced p/q,
@@ -661,7 +708,7 @@ def nset_partial_sums(x: PointLike, terms: TermSequence, weights: WeightRule,
     num, den = exact.num, exact.den
     marks = sorted({10 ** k for k in range(1, 20) if 10 ** k < depth} | {depth})
     walk = _Residues(num, den, terms, depth, stop=True)
-    walked = [min(t, den - t) for _, t in walk]
+    walked = [min(t, den - t) for _, block in walk.blocks() for t in block]
     period = walked[-walk.repeat[2]:] if walk.repeat is not None else []
     floors = itertools.chain(walked, itertools.islice(itertools.cycle(period),
                                                       depth - len(walked)))

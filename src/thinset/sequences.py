@@ -244,6 +244,19 @@ def multiplier_chain(terms: TermSequence):
     return None
 
 
+def multipliers(terms: TermSequence, n: int, k: int) -> Sequence[int]:
+    """mult(n), ..., mult(n+k-1) of the chain above: the period rotated to n
+    and cycled, a range for n!, a slice of a finite list.  It raises the
+    first error of mult(n), ..., mult(n+k-1), found within one period."""
+    if isinstance(terms, ScaledGeometric):
+        return [terms.base] * k
+    seq = terms.seq
+    if seq.ratios is None:
+        return range(n + 1, n + k + 1)
+    head = [seq.q(j) for j in range(n + 1, n + 1 + min(k, len(seq.ratios)))]
+    return list(itertools.islice(itertools.cycle(head), k))
+
+
 def phase_period(terms: TermSequence) -> Optional[int]:
     """Period of the multiplier function above, when finite."""
     if isinstance(terms, ScaledGeometric):

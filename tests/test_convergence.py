@@ -120,8 +120,8 @@ class TestIdealConvergence:
         # 7 has order 252 mod 1009, so the depth-10 walk stops before the
         # period, and the cycle comes from one resumed walk
         walks = []
-        real = convergence._Residues.__iter__
-        monkeypatch.setattr(convergence._Residues, "__iter__",
+        real = convergence._Residues.blocks
+        monkeypatch.setattr(convergence._Residues, "blocks",
                             lambda walk: walks.append(walk.start) or real(walk))
         terms = parse_terms("7^n")
         v = ideal_convergence(CircleRational(1, 1009), terms, DENSITY, depth=10)

@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,8 @@ from thinset.core import CircleRational, DigitExpansion, reconstruct_exact
 from thinset.ideals import IdealDescriptor, Outcome, Progression, descriptor_from_json
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms,
                                ExplicitTerms, ScaledGeometric, _Divisibility,
-                               _divisibility_of, multiplier_chain, parse_sequence,
-                               parse_terms, phase_period)
+                               _divisibility_of, multiplier_chain, multipliers,
+                               parse_sequence, parse_terms, phase_period)
 
 IDEALS = (IdealDescriptor.fin(), IdealDescriptor.density(),
           IdealDescriptor.summable())
@@ -272,9 +273,23 @@ WALK_TERMS = {
 }
 
 
+def block_edges(top: int) -> list[int]:
+    """The last position of each block of a stopping walk from n = 1 with no
+    quiet run, up to past top: the start alone, then each time the first
+    save point (a power of two) at least _FIRST_BLOCK positions on, or
+    _BLOCK_CAP positions on if that is nearer."""
+    edges, save = [1], 2
+    while edges[-1] < top:
+        while save < edges[-1] + convergence._FIRST_BLOCK:
+            save *= 2
+        edges.append(min(edges[-1] + convergence._BLOCK_CAP, save))
+    return edges
+
+
 def landmark_depths(terms, num: int, den: int, top: int) -> list[int]:
-    """Depths just before the cycle's start, at its first repeat and next to
-    powers of two (where the walk saves its state), up to top."""
+    """Depths just before the cycle's start, at its first repeat, next to
+    powers of two (where the walk saves its state) and next to block edges,
+    up to top."""
     if phase_period(terms) is not None:
         mu, period, _ = cycle_reference.detect_cycle(num, den, terms)
         marks = [mu - 1, mu + period - 1, mu + period, mu + period + 1]
@@ -282,6 +297,7 @@ def landmark_depths(terms, num: int, den: int, top: int) -> list[int]:
         zero = next((n for n in range(1, top + 1) if terms.term(n) * num % den == 0), top)
         marks = [zero - 1, zero, zero + 1]
     marks += [2 ** j + s for j in range(1, top.bit_length()) for s in (-1, 1)]
+    marks += [e + s for e in block_edges(top) for s in (-1, 0, 1)]
     return sorted({d for d in marks if 1 <= d <= top})
 
 
@@ -404,12 +420,12 @@ def test_one_walk_pass_per_call(monkeypatch):
     """A classical or an ideal call walks the residues at most twice: the
     ε-walk and its one-period re-walk.  The cycle's start takes no walk."""
     starts = []
-    walk = convergence._Residues.__iter__
+    walk = convergence._Residues.blocks
 
     def counted(self):
         starts.append(self.start)
         return walk(self)
-    monkeypatch.setattr(convergence._Residues, "__iter__", counted)
+    monkeypatch.setattr(convergence._Residues, "blocks", counted)
     terms = ArithmeticTerms(parse_sequence("[2,3,5]"))
     x = CircleRational(640, 699)
     report = classical_convergence(x, terms, 10 ** 4)
@@ -422,6 +438,73 @@ def test_one_walk_pass_per_call(monkeypatch):
     # the re-walk starts past the cycle's start, so no walk looked for it
     mu = report.verdict.diagnostics["cycle_start"]
     assert mu > 1 and starts[1][0] >= mu
+
+
+# first repeats next to block edges (see block_edges): with the states saved
+# at 16, 32, 64 and 128, each x = 1/d repeats first at the position keyed
+EDGE_REPEATS = {32: (257, "2^n"), 33: (2 * 3 ** 17, "3^n"),
+                64: (65537, "2^n"), 65: (2 * 3 ** 33, "3^n"),
+                128: (641, "2^n"), 129: (2 * 3 ** 65, "3^n"),
+                192: (2 ** 70 * 641, "2^n"), 193: (145295143558111, "2^n")}
+# eps >= 1/2 puts floors at and past d/2, and eps = 2 a floor past d
+EDGE_GRIDS = (DEFAULT_EPS_GRID, (Fraction(1, 2),), (Fraction(1, 64), Fraction(3, 4), Fraction(2)))
+
+
+@pytest.mark.parametrize("cap", [convergence._BLOCK_CAP, 64])
+def test_walk_at_block_edges(monkeypatch, cap):
+    """Zero residues and first repeats on either side of each block edge up
+    to 250, the cap's own edge included (1, 32, 64, 128, 192, ... under a
+    cap of 64): the stats on EDGE_GRIDS against the brute walk, and the
+    repeat's period and the cycle against the state dict."""
+    monkeypatch.setattr(convergence, "_BLOCK_CAP", cap)
+    edges = [e for e in block_edges(250)[1:] if e < 250]
+    # 1/2^k under 2^n and 1/k! under n! reach the zero residue at n = k
+    points = [(d, spec) for e in edges for k in (e, e + 1)
+              for d, spec in ((2 ** k, "2^n"), (math.factorial(k), "n!"))]
+    points += EDGE_REPEATS.values()
+    depth, zeros, repeats = 260, set(), set()
+    for den, spec in points:
+        x, terms = CircleRational(1, den), parse_terms(spec)
+        norms = brute_norms(terms, 1, den, depth)
+        for grid in EDGE_GRIDS:
+            for s in classical_convergence(x, terms, depth, grid).stats:
+                hits = [n for n, m in enumerate(norms, 1)
+                        if m * s.eps.denominator >= s.eps.numerator * den]
+                assert (s.exceptional_count, s.last_exceptional) == \
+                    (len(hits), hits[-1] if hits else None), (den, spec, s.eps)
+        walk = convergence._Residues(1, den, terms, depth, stop=True)
+        for _ in walk:
+            pass
+        h, t, lam = walk.repeat
+        if t == 0:
+            assert (h, lam) == (norms.index(0) + 1, 1)
+            zeros.add(h)
+            continue
+        mu, period, cycle = cycle_reference.detect_cycle(1, den, terms)
+        assert lam == period
+        repeats.add(h + lam)
+        _, found = rational_pass(x, terms, depth)
+        if found is not None:   # den*period within the cycle cap
+            assert (found.mu, found.period) == (mu, period)
+            assert tuple(Fraction(m, den) for m in found.norms) == cycle
+    sides = {e + s for e in edges for s in (0, 1)}
+    assert sides <= zeros and sides <= repeats
+
+
+def test_long_walk_memory_is_one_block():
+    # the residues of 749957*2^n mod 1162729 repeat with period 290682, and
+    # den*period is past the cycle cap: the eps-walk at depth 10^7 walks
+    # 817 034 positions and re-walks one period, about 1.1 M in all, and
+    # holds one block of residues at a time
+    tracemalloc.start()
+    try:
+        v = ideal_convergence(CircleRational(749957, 1162729), parse_terms("2^n"),
+                              IdealDescriptor.density(), depth=10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (v.outcome, v.certificate) == (Outcome.NOT_MEMBER, "never-integral")
+    assert peak < 4 * 2 ** 20
 
 
 def test_cycle_count_is_depth_independent():
@@ -565,17 +648,26 @@ def test_quiet_walk_keeps_the_least_period():
 
 @pytest.fixture
 def asked(monkeypatch):
-    """The multipliers the residue walks ask for, in order."""
+    """The positions n of the multipliers m(n) that the residue walks ask
+    for, in order: every one that the block API hands out, used or not."""
     seen = []
 
-    def counted(terms):
-        chain = multiplier_chain(terms)
-        if chain is None:
-            return None
-        first, mult = chain
-        return first, lambda n: seen.append(n) or mult(n)
-    monkeypatch.setattr(convergence, "multiplier_chain", counted)
+    def counted(terms, n, k):
+        block = multipliers(terms, n, k)
+        seen.extend(range(n, n + len(block)))
+        return block
+    monkeypatch.setattr(convergence, "multipliers", counted)
     return seen
+
+
+def test_zero_stop_asks_for_few_multipliers(asked):
+    # n! reaches the zero residue of 1/720 at n = 6: its multiplier blocks
+    # double from one, so the walk asks for at most twice the positions it
+    # walked, whatever the depth
+    walk = convergence._Residues(1, 720, parse_terms("n!"), 10 ** 9, stop=True)
+    walked = [n for n, _ in walk]
+    assert walked == [1, 2, 3, 4, 5, 6]
+    assert 0 < len(asked) <= 2 * len(walked)
 
 
 def test_quiet_runs_jump_whole_periods(asked):
