@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from ._exact_text import decoder, exact_fraction, exact_int, exact_str
+from ._exact_text import decoder, exact_int, exact_str
 from .convergence import BlockCheck, membership_by_support
 from .core import CircleInterval, DigitExpansion, RatInterval, SIN_UPPER, shared_heads
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
@@ -478,36 +478,6 @@ class IndexCheck:
             doc["target_min"] = _rat(self.target_min)
         return doc
 
-    @classmethod
-    @decoder("index check", CertificateFormatError)
-    def from_json(cls, doc: dict) -> "IndexCheck":
-        raw = [doc["interval"]] if "interval" in doc else doc["intervals"]
-        parts = tuple(_interval(pair) for pair in raw)
-        target = _interval(doc["target"]) if "target" in doc else None
-        target_min = exact_fraction(doc["target_min"]) if "target_min" in doc else None
-        # an arc wraps past 1 when it is stored in two parts, or is the whole circle
-        wraparound = _flag(doc["wraparound"], "wraparound")
-        whole = len(parts) == 1 and (parts[0].lo, parts[0].hi) == (0, 1)
-        if wraparound != (len(parts) == 2 or whole):
-            raise CertificateFormatError("wraparound disagrees with the interval's parts")
-        return cls(exact_int(doc["i"]), exact_int(doc["n"]),
-                   CircleInterval(parts, wraparound),
-                   _interval(doc["norm_interval"]), target, target_min,
-                   _flag(doc["pass"]))
-
-
-def _interval(pair) -> RatInterval:
-    lo, hi = pair
-    return RatInterval(exact_fraction(lo), exact_fraction(hi))
-
-
-def _flag(value, name: str = "pass") -> bool:
-    """A flag such as `pass`: a JSON boolean and nothing else."""
-    if not isinstance(value, bool):
-        raise CertificateFormatError(
-            f"{name} must be a JSON boolean, not {type(value).__name__}")
-    return value
-
 
 def _rat(f: Fraction) -> str:
     return f"{exact_str(f.numerator)}/{exact_str(f.denominator)}"
@@ -515,9 +485,12 @@ def _rat(f: Fraction) -> str:
 
 @dataclass(frozen=True)
 class WitnessCertificate:
-    """Only the claims, the plan and `passed`, are written.  The derived rest
-    is None in a decoded certificate unless its document stores it, as ones
-    written before did, for `verify` to diff.  Equality is on the claims."""
+    """Only the claims, the plan and `passed`, are written and read.  Any
+    document decodes to its claims: `theorem`, `plan` and `pass`; other
+    keys, such as the `digits`, `checks`, `support` and `blocks` that
+    certificates written before stored, are ignored.  The derived rest is
+    held by a built certificate and is None in a decoded one.  Equality is
+    on the claims."""
 
     plan: WitnessPlan
     expansion: Optional[DigitExpansion] = field(compare=False)
@@ -535,23 +508,10 @@ class WitnessCertificate:
         plan = WitnessPlan.from_json(doc["plan"])
         if doc["theorem"] != plan.tag:
             raise CertificateFormatError("theorem differs from the plan's tag")
-        if not doc.keys() & {"digits", "checks", "support", "blocks"}:
-            return cls(plan, None, None, None, None, _flag(doc["pass"]))
-        # derived fields are data for `verify` to diff, not a symbolic claim
-        digits = {exact_int(n): exact_int(c) for n, c in doc["digits"].items()}
-        expansion = DigitExpansion(plan.seq, digits, None)
-        checks = tuple(IndexCheck.from_json(c) for c in doc["checks"])
-        support = (Verdict(Outcome(doc["support"]["outcome"]),
-                           doc["support"].get("certificate"),
-                           doc["support"].get("diagnostics", {}))
-                   if doc.get("support") else None)
-        blocks = tuple(
-            BlockCheck(exact_int(b["index"]), exact_int(b["from"]), exact_int(b["to"]),
-                       exact_fraction(b["upper_bound"]),
-                       exact_fraction(b["lower_bound"]), exact_fraction(b["majorant"]),
-                       _flag(b["pass"]))
-            for b in doc.get("blocks", ()))
-        return cls(plan, expansion, checks, support, blocks, _flag(doc["pass"]))
+        if not isinstance(passed := doc["pass"], bool):     # true, not 1 or "true"
+            raise CertificateFormatError(
+                f"pass must be a JSON boolean, not {type(passed).__name__}")
+        return cls(plan, None, None, None, None, passed)
 
 
 def _assemble_expansion(plan: WitnessPlan) -> DigitExpansion:
@@ -620,7 +580,7 @@ def _block_checks(plan: WitnessPlan, walks: Optional[dict] = None) -> list[Block
     factor 2 of the lower bound is exact.  No common denominator of the
     weights is formed, and since 2**E > 2**_BLOCK_BITS * j_from the
     _BLOCK_WINDOW + 2 roundings keep each bound within about
-    majorant * 2**-59 of the block's exact sum (`_exact_block_bounds`).
+    majorant * 2**-59 of the block's exact sum.
     """
     blocks = []
     for index, j_from, j_to, walk, tail in _block_walks(plan, walks):
@@ -642,31 +602,6 @@ def _block_checks(plan: WitnessPlan, walks: Optional[dict] = None) -> list[Block
     return blocks
 
 
-def _exact_block_bounds(plan: WitnessPlan, index: int) -> tuple[int, int, int]:
-    """(low, high, den): the exact lower and upper bounds low/den and
-    high/den of block `index`, the pair that its dyadic bounds enclose and
-    that certificates written before the bounds were dyadic store.
-
-    The sum stays unreduced, so no gcd is ever taken.  Every P of the walk
-    divides M = P_top * q_{bottom+1}***q_top, as stepping k down only adds
-    q_{k+1} and trims ratios off the top, so the terms share the scale
-    1/(2*M) and each costs a product by its j."""
-    _, _, top, walk, tail = next(b for b in _block_walks(plan) if b[0] == index)
-    walk = list(walk)
-    (_, _, P_top, _, _), bottom = walk[0], top - walk[-1][0]
-    M = P_top * plan.seq.ratio_product(bottom, top)
-    low = high = 0
-    den = 1
-    for d, _, P, lo, hi in walk:
-        j, scale = top - d, den * (M // P)
-        low, high, den = low * j + lo * scale, high * j + hi * scale, den * j
-    den *= 2 * M
-    if tail:
-        high, den, low = high * tail + den, den * tail, low * tail
-    return (2 * SIN_UPPER.denominator * low, SIN_UPPER.numerator * high,
-            SIN_UPPER.denominator * den)
-
-
 def build_and_verify(plan: WitnessPlan) -> WitnessCertificate:
     """Assemble the planned point and verify every target exactly.
 
@@ -686,17 +621,6 @@ def build_and_verify(plan: WitnessPlan) -> WitnessCertificate:
                    or support_verdict.outcome is Outcome.MEMBER))
     return WitnessCertificate(plan, e, tuple(checks), support_verdict,
                               tuple(blocks), passed)
-
-
-def _differing(stored, fresh, fields: tuple[str, ...]) -> list[str]:
-    return [f for f in fields if getattr(stored, f) != getattr(fresh, f)]
-
-
-def _contains_exact(stored: BlockCheck, low: int, high: int, den: int) -> bool:
-    """Whether the stored bounds contain [low/den, high/den], with den > 0."""
-    lo, hi = stored.lower_bound, stored.upper_bound
-    return (lo.numerator * den <= low * lo.denominator
-            and high * hi.denominator <= hi.numerator * den)
 
 
 # ---------------------------------------------------------------------------
@@ -910,70 +834,11 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     (`_check_claims`), calling no planner and walking no enclosure: every
     failed lemma is a mismatch that begins with "plan", and so is a stored
     pass that disagrees with the claims.  A certificate that meets the
-    lemmas is a proof, greedy or not.  A document that stores derived fields
-    too, as written before, is diffed against `build_and_verify` of its own
-    plan, once the claims hold; that build is the report's "recomputed",
-    else None."""
-    report: dict = {"mismatches": _check_claims(cert.plan), "notes": []}
-    passed = not report["mismatches"]
-    fresh = None
-    if cert.checks is not None and passed:
-        fresh = build_and_verify(cert.plan)
-        _diff_derived(cert, fresh, report["mismatches"].append, report["notes"].append)
+    lemmas is a proof, greedy or not.  Nothing is built.  `notes` is always
+    empty; it is kept so that the report's keys and text stay stable."""
+    mismatches = _check_claims(cert.plan)
+    passed = not mismatches
     if cert.passed != passed:
-        report["mismatches"].append(f"overall pass stored={cert.passed}, recomputed={passed}")
-    ok = not report["mismatches"]
-    report.update(ok=ok, recomputed_pass=passed, recomputed=fresh)
-    return ok, report
-
-
-def _diff_derived(cert: WitnessCertificate, fresh: WitnessCertificate, mismatch, note):
-    """Stored enclosures (intervals, norm intervals, block bounds) may be
-    equal to or strictly wider than the recomputed ones (noted), but never
-    narrower or disjoint; every other derived field must match.  The one
-    exception is a block whose stored bounds are narrower than the dyadic
-    ones, as certificates written before the bounds were dyadic store them:
-    that block passes, noted, only if its stored bounds contain the block's
-    exact sum."""
-    for n, c in sorted(fresh.expansion.digits.items()):
-        stored = cert.expansion.digits.get(n)
-        if stored != c:
-            mismatch(f"digit at index {n}: stored {stored}, recomputed {c}")
-    for n in cert.expansion.digits:
-        if n not in fresh.expansion.digits:
-            mismatch(f"unexpected stored digit at index {n}")
-    for stored, recomputed in zip(cert.checks, fresh.checks):
-        if stored == recomputed:
-            continue
-        fields = _differing(stored, recomputed,
-                            ("i", "n", "target", "target_min", "passed"))
-        if fields:
-            mismatch(f"check {stored.i}: stored {', '.join(fields)} differ "
-                     f"from recomputed")
-        elif not all(any(sp.contains_interval(part) for sp in stored.interval.parts)
-                     for part in recomputed.interval.parts):
-            mismatch(f"check {stored.i}: recomputed interval outside stored enclosure")
-        elif not stored.norm_interval.contains_interval(recomputed.norm_interval):
-            mismatch(f"check {stored.i}: recomputed norm interval outside stored one")
-        else:
-            note(f"check {stored.i}: recomputed interval is strictly tighter")
-    if len(cert.checks) != len(fresh.checks):
-        mismatch("check count differs from plan")
-    for stored, recomputed in zip(cert.blocks, fresh.blocks):
-        if stored == recomputed:
-            continue
-        if _differing(stored, recomputed,
-                      ("index", "j_from", "j_to", "majorant", "passed")):
-            mismatch(f"block {stored.index} inconsistent")
-        elif (stored.lower_bound <= recomputed.lower_bound
-              and recomputed.upper_bound <= stored.upper_bound):
-            note(f"block {stored.index}: recomputed bounds are strictly tighter")
-        elif _contains_exact(stored, *_exact_block_bounds(fresh.plan, stored.index)):
-            note(f"block {stored.index}: stored bounds are narrower than the "
-                 f"dyadic ones and contain the exact sum")
-        else:
-            mismatch(f"block {stored.index}: stored bounds exclude the exact sum")
-    if len(cert.blocks) != len(fresh.blocks):
-        mismatch("block count differs from plan")
-    if cert.support_verdict != fresh.support_verdict:   # outcome and certificate tag
-        mismatch("support verdict differs from the recomputed one")
+        mismatches.append(f"overall pass stored={cert.passed}, recomputed={passed}")
+    ok = not mismatches
+    return ok, {"mismatches": mismatches, "notes": [], "ok": ok, "recomputed_pass": passed}

@@ -1,9 +1,9 @@
 """Certificate documents in the full format, which `WitnessCertificate.to_json`
 wrote before a certificate held only its claims: the theorem, the plan and
 `pass`, with the digits, index checks, support verdict and block checks that
-follow from the plan between them, in that key order.  `verify` still
-decodes such documents and diffs their derived fields, so the tests that
-tamper with those fields write them with `full_document`."""
+follow from the plan between them, in that key order.  Such a document
+decodes to its claims and its derived keys are never read; the tests that
+show this write them with `full_document`."""
 
 from thinset._exact_text import exact_str
 

@@ -178,8 +178,7 @@ def test_malformed_certificate_is_usage_error(tmp_path, capsys):
                            "--a", "3*2^n", "--ideal", "density",
                            "--count", "3", "--out", str(path))
     assert code == EXIT_PASS
-    doc = full_document(build_and_verify(WitnessCertificate.from_json(doc).plan))
-    doc["digits"] = []
+    doc["plan"]["indices"][0] = []          # a list where an object belongs
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "verify", "--json-in", str(path))
     assert code == EXIT_USAGE and out is None
@@ -324,12 +323,13 @@ def th6_doc(th6_cert):
     return full_document(th6_cert)
 
 
-def test_pinned_malformed_inputs_are_usage_errors(tmp_path, capsys, th6_doc):
-    # parent exits: 1 (IndexError), 64, 1 (RecursionError)
-    zero = json.loads(json.dumps(th6_doc))
-    zero["checks"][0]["norm_interval"] = "0"
-    pole = json.loads(json.dumps(th6_doc))
-    pole["checks"][0]["norm_interval"] = ["1/0", "1/2"]
+def test_pinned_malformed_inputs_are_usage_errors(tmp_path, capsys, th6_cert):
+    # "0" where the list of indices belongs, a summable ideal's exponent 1/0,
+    # and a document nested too deeply to parse (RecursionError)
+    zero = json.loads(json.dumps(th6_cert.to_json()))
+    zero["plan"]["indices"] = "0"
+    pole = json.loads(json.dumps(th6_cert.to_json()))
+    pole["plan"]["ideal"] = {"type": "summable", "exponent": "1/0"}
     texts = [json.dumps(zero), json.dumps(pole), "[" * 100_000 + "]" * 100_000]
     for text in texts:
         path = tmp_path / "c.json"
@@ -359,17 +359,6 @@ def test_retagged_certificate_is_usage_error(tmp_path, capsys, th6_doc):
     code, out, err = run_cli(capsys, "verify", "--json-in", str(path))
     assert code == EXIT_USAGE and out is None
     assert err.startswith("error:")
-
-
-@pytest.mark.parametrize("value", ["no", True])
-def test_wraparound_edit_is_usage_error(tmp_path, capsys, th6_doc, value):
-    doc = json.loads(json.dumps(th6_doc))
-    doc["checks"][0]["wraparound"] = value
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "verify", "--json-in", str(path))
-    assert code == EXIT_USAGE and out is None
-    assert "wraparound" in err
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 against brute-force oracles on small cases."""
 
 import itertools
+import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import time
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cycle_reference
+import thinset
 from thinset import convergence, witness
 from thinset._exact_text import exact_str
 from thinset.convergence import (_FACTOR_BOUND, DEFAULT_EPS_GRID, WeightRule,
@@ -491,20 +496,44 @@ def test_walk_at_block_edges(monkeypatch, cap):
     assert sides <= zeros and sides <= repeats
 
 
+# the call of test_long_walk_memory_is_one_block, run in a fresh interpreter:
+# it prints the outcome, the certificate and how far the call raised the
+# process's peak resident set, VmHWM in kB.  Unlike ru_maxrss, which keeps
+# the peak of the process that exec'd it, VmHWM starts afresh at exec.
+LONG_WALK = """
+import json, re
+from thinset.convergence import ideal_convergence
+from thinset.core import CircleRational
+from thinset.ideals import IdealDescriptor
+from thinset.sequences import parse_terms
+def peak():
+    with open("/proc/self/status") as status:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+x, terms, ideal = CircleRational(749957, 1162729), parse_terms("2^n"), IdealDescriptor.density()
+ideal_convergence(x, terms, ideal, depth=100)
+before = peak()
+v = ideal_convergence(x, terms, ideal, depth=10 ** 7)
+print(json.dumps([v.outcome.value, v.certificate, peak() - before]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="the peak resident set is read from Linux's /proc")
 def test_long_walk_memory_is_one_block():
     # the residues of 749957*2^n mod 1162729 repeat with period 290682, and
     # den*period is past the cycle cap: the eps-walk at depth 10^7 walks
     # 817 034 positions and re-walks one period, about 1.1 M in all, and
-    # holds one block of residues at a time
-    tracemalloc.start()
-    try:
-        v = ideal_convergence(CircleRational(749957, 1162729), parse_terms("2^n"),
-                              IdealDescriptor.density(), depth=10 ** 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (v.outcome, v.certificate) == (Outcome.NOT_MEMBER, "never-integral")
-    assert peak < 4 * 2 ** 20
+    # holds one block of residues at a time.  A walk that held every
+    # residue would raise the peak by about 40 MiB (28-byte ints and list
+    # slots); one block at a time raises it by less than 4 MiB
+    src = pathlib.Path(thinset.__file__).parents[1]
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run([sys.executable, "-c", LONG_WALK], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    outcome, certificate, grown = json.loads(run.stdout)
+    assert (outcome, certificate) == (Outcome.NOT_MEMBER.value, "never-integral")
+    assert grown < 4 * 2 ** 10
 
 
 def test_cycle_count_is_depth_independent():

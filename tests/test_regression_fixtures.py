@@ -1,18 +1,17 @@
 """Regression fixtures: certificates and convergence reports pinned as JSON.
 
 `tests/fixtures/regression.json` holds the documents these cases produced
-before the enclosure kernel was unified and before block bounds were dyadic,
-so it is also the corpus of certificates in the old, exact block format,
-and of full certificate documents, which store the derived digits, checks,
-support and blocks besides the claims.  A fresh certificate writes only the
-claims (theorem, plan and `pass`), which must equal the stored ones; the
+before the enclosure kernel was unified and before block bounds were dyadic:
+full certificate documents, which store the derived digits, checks, support
+and exact block sums besides the claims.  A fresh certificate writes only
+the claims (theorem, plan and `pass`), which must equal the stored ones; the
 derived fields it holds in memory must equal the stored ones too, except
 the bounds of th1/th2 blocks: each block keeps its index, range, majorant
 and `pass` flag, and its recomputed dyadic bounds contain the stored ones
 to within majorant * 2**-(_BLOCK_BITS - 10).  The one exception is the upper bound of
 th2 blocks on bases other than 2, which a kernel before the unification
 stored wider; it may only exceed the recomputed one.  Every stored
-certificate still verifies, its th1/th2 blocks through the exact fallback.
+certificate still verifies: `verify` reads a document as its claims.
 
 Rewrite the fixtures (only on purpose; a rewrite stores dyadic bounds and
 so loses the old-format corpus) with
@@ -26,7 +25,6 @@ from fractions import Fraction
 
 import pytest
 
-import enclosure_reference
 from full_certificate import full_document
 
 from thinset.convergence import classical_convergence, ideal_convergence
@@ -134,44 +132,6 @@ def test_certificate_matches_fixture(case, stored):
     _assert_blocks_agree(derived["blocks"], old["blocks"], case[0] == "th2" and base != 2)
     ok, report = verify_certificate(WitnessCertificate.from_json(old))
     assert ok and report["recomputed_pass"], report
-    if old["blocks"]:
-        assert any("exact sum" in n for n in report["notes"]), report
-
-
-def _step(text: str, sign: int) -> str:
-    """A stored bound moved by sign times the smallest step over its own
-    denominator."""
-    value = Fraction(text)
-    return str(value + Fraction(sign, value.denominator))
-
-
-@pytest.mark.parametrize("case", [c for c in CERT_CASES if c[0] != "th6"],
-                         ids=lambda c: "-".join(map(str, c)))
-def test_old_format_block_bounds_are_checked_exactly(case, stored):
-    """Each stored bound moved by the smallest step over its own denominator:
-    outward it verifies with a note, inward it is rejected where it was the
-    exact sum.  Only the wider upper bounds of th2 on bases other than 2 may
-    move inward and still hold the exact sum."""
-    old = next(e["doc"] for e in stored["certificates"] if e["case"] == list(case))
-    plan = WitnessCertificate.from_json(old).plan
-    wider_upper = case[0] == "th2" and plan.seq.geometric_base != 2
-    for b, ref in enumerate(enclosure_reference.block_checks(plan)):
-        assert Fraction(old["blocks"][b]["lower_bound"]) == ref.lower_bound
-        assert (Fraction(old["blocks"][b]["upper_bound"]) == ref.upper_bound
-                or wider_upper)
-        for key in ("lower_bound", "upper_bound"):
-            for sign in (1, -1):
-                doc = json.loads(json.dumps(old))
-                block = doc["blocks"][b]
-                value = Fraction(block[key])
-                moved = value + Fraction(sign, value.denominator)
-                block[key] = str(moved)
-                holds = (moved <= ref.lower_bound if key == "lower_bound"
-                         else ref.upper_bound <= moved)
-                ok, report = verify_certificate(WitnessCertificate.from_json(doc))
-                assert ok is holds, (b, key, sign, report)
-                said = report["notes"] if ok else report["mismatches"]
-                assert any(m.startswith(f"block {ref.index}:") for m in said)
 
 
 @pytest.mark.parametrize("case", CONVERGENCE_CASES,
