@@ -5,8 +5,8 @@ witness constructions."""
 from .core import (CircleInterval, CircleRational, DigitExpansion, DomainError,
                    InsufficientDigitsError, RatInterval, SIN_UPPER, expand,
                    reconstruct, reconstruct_exact, support)
-from .convergence import (BlockCheck, ConvergenceReport, SummabilityReport,
-                          WeightRule, classical_convergence, ideal_convergence,
+from .convergence import (ConvergenceReport, SummabilityReport, WeightRule,
+                          classical_convergence, ideal_convergence,
                           membership_by_support, nset_partial_sums,
                           weight_ideal_link)
 from .ideals import (FiniteSet, Geometric, Growth, IdealDescriptor, Outcome,
@@ -17,8 +17,8 @@ from .ideals import (FiniteSet, Geometric, Growth, IdealDescriptor, Outcome,
 from .sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerms,
                         ScaledGeometric, TermSequence, parse_sequence,
                         parse_terms, terms_from_json)
-from .witness import (CertificateFormatError, Decomposition, DigitChoice,
-                      PlannedIndex, SequenceNotAbsorbingError,
+from .witness import (BlockCheck, CertificateFormatError, Decomposition,
+                      DigitChoice, PlannedIndex, SequenceNotAbsorbingError,
                       UnsupportedIdealError, WitnessCertificate, WitnessPlan,
                       build_and_verify, decompose, digit_choice, plan_witness,
                       verify_certificate)

@@ -21,7 +21,8 @@ from .ideals import (Outcome, density_estimate, descriptor_from_json,
                      ideal_member, parse_ideal)
 from .sequences import parse_sequence, parse_terms
 from .witness import (SequenceNotAbsorbingError, WitnessCertificate,
-                      build_and_verify, plan_witness, verify_certificate)
+                      build_and_verify, enclosure_report, plan_witness,
+                      verify_certificate)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -237,11 +238,11 @@ def run(args) -> int:
     if args.command == "verify":
         cert = WitnessCertificate.from_json(_load_json(args.json_in))
         ok, report = verify_certificate(cert)
-        if report["recomputed_pass"]:   # the checked claims, as a build of them encloses them
-            fresh = build_and_verify(cert.plan)
-            report.update(checks=[c.to_json() for c in fresh.checks],
-                          blocks=[b.to_json() for b in fresh.blocks],
-                          support=fresh.support_verdict and fresh.support_verdict.to_json())
+        if report["recomputed_pass"]:   # the checked claims, as their enclosures explain them
+            checks, blocks, support = enclosure_report(cert.plan)
+            report.update(checks=[c.to_json() for c in checks],
+                          blocks=[b.to_json() for b in blocks],
+                          support=support and support.to_json())
         _emit(report)
         return EXIT_PASS if ok and report["recomputed_pass"] else EXIT_FAIL
 

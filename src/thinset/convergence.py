@@ -611,25 +611,6 @@ class WeightRule:
 
 
 @dataclass(frozen=True)
-class BlockCheck:
-    """Certified enclosure of one block of the weighted upper-envelope sum."""
-
-    index: int
-    j_from: int           # block covers j_from < j <= j_to
-    j_to: int
-    upper_bound: Fraction     # certified >= sum_block r_j*(22/7)*||a_j x||
-    lower_bound: Fraction     # certified <= the same sum
-    majorant: Fraction
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {"index": self.index, "from": self.j_from, "to": self.j_to,
-                "upper_bound": exact_str(self.upper_bound),
-                "lower_bound": exact_str(self.lower_bound),
-                "majorant": exact_str(self.majorant), "pass": self.passed}
-
-
-@dataclass(frozen=True)
 class SummabilityReport:
     weights: WeightRule
     depth: int

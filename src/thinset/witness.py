@@ -14,22 +14,22 @@ Three certificate families are produced, identified by wire tags:
 * ``th2`` - prime-power chain u_n = p**n with unit digits, targets
   ||a_{n_i} x|| > (p-1)/p**2, plus harmonic block bounds.
 
-The builder's index checks are exact rational interval computations: head
-value from the planned digits plus an explicit tail enclosure.  Each block
-bound is a dyadic fixed-point number rounded outward from the same
-enclosures, so it encloses the block's exact sum without forming that sum's
-denominator.  Either way a passing certificate is rigorous for the infinite
-continuation of the digit pattern, not just for the finite truncation it
-stores.
-
-`verify_certificate` shares none of that code with the builder.  It checks
-each stored claim against the construction's lemmas (`_check_claims`):
+One check decides `pass`, for the builder and for `verify_certificate`
+alike: each claim against the construction's lemmas (`_check_claims`):
 index order; u_k*v = a_n from valuations, with q_{k+1} not dividing v; the
 witness set re-derived from the ideal, with every k in it (and k_i >= 2**i
 for th1); the digit pivot {c*v/q_{k+1}} in [1/4, 3/4]; the gap
 u_{k_{i+1}}/u_{k_i} >= 8*v_i, by which the later digits add at most 1/8;
 th2's unit digits and gaps; and the support verdict.  The block majorants
 hold by lemma once the indices increase and every digit is below its ratio.
+A passing certificate is thus rigorous for the infinite continuation of the
+digit pattern, not just for a finite truncation.
+
+`enclosure_report` explains a pass and decides nothing: exact rational
+interval checks per index (head value from the planned digits plus an
+explicit tail enclosure) and per-block bounds, each a dyadic fixed-point
+number rounded outward from the same enclosures, so it encloses the
+block's exact sum without forming that sum's denominator.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from ._exact_text import decoder, exact_int, exact_str
-from .convergence import BlockCheck, membership_by_support
+from .convergence import membership_by_support
 from .core import CircleInterval, DigitExpansion, RatInterval, SIN_UPPER, shared_heads
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
                      Verdict, descriptor_from_json, non_snt_witness)
@@ -484,19 +484,32 @@ def _rat(f: Fraction) -> str:
 
 
 @dataclass(frozen=True)
+class BlockCheck:
+    """Certified enclosure of one block of the weighted upper-envelope sum."""
+
+    index: int
+    j_from: int           # block covers j_from < j <= j_to
+    j_to: int
+    upper_bound: Fraction     # certified >= sum_block r_j*(22/7)*||u_j x||
+    lower_bound: Fraction     # certified <= the same sum
+    majorant: Fraction
+    passed: bool
+
+    def to_json(self) -> dict:
+        return {"index": self.index, "from": self.j_from, "to": self.j_to,
+                "upper_bound": exact_str(self.upper_bound),
+                "lower_bound": exact_str(self.lower_bound),
+                "majorant": exact_str(self.majorant), "pass": self.passed}
+
+
+@dataclass(frozen=True)
 class WitnessCertificate:
-    """Only the claims, the plan and `passed`, are written and read.  Any
-    document decodes to its claims: `theorem`, `plan` and `pass`; other
+    """The claims: the plan, and `passed`, whether it meets the lemmas.
+    Any document decodes to its claims: `theorem`, `plan` and `pass`; other
     keys, such as the `digits`, `checks`, `support` and `blocks` that
-    certificates written before stored, are ignored.  The derived rest is
-    held by a built certificate and is None in a decoded one.  Equality is
-    on the claims."""
+    certificates written before stored, are ignored."""
 
     plan: WitnessPlan
-    expansion: Optional[DigitExpansion] = field(compare=False)
-    checks: Optional[tuple[IndexCheck, ...]] = field(compare=False)
-    support_verdict: Optional[Verdict] = field(compare=False)
-    blocks: Optional[tuple[BlockCheck, ...]] = field(compare=False)
     passed: bool
 
     def to_json(self) -> dict:
@@ -511,7 +524,7 @@ class WitnessCertificate:
         if not isinstance(passed := doc["pass"], bool):     # true, not 1 or "true"
             raise CertificateFormatError(
                 f"pass must be a JSON boolean, not {type(passed).__name__}")
-        return cls(plan, None, None, None, None, passed)
+        return cls(plan, passed)
 
 
 def _assemble_expansion(plan: WitnessPlan) -> DigitExpansion:
@@ -602,25 +615,26 @@ def _block_checks(plan: WitnessPlan, walks: Optional[dict] = None) -> list[Block
     return blocks
 
 
-def build_and_verify(plan: WitnessPlan) -> WitnessCertificate:
-    """Assemble the planned point and verify every target exactly.
-
-    A failing check never raises; it is recorded with its offending interval
-    and flips the certificate's overall pass flag.
-    """
-    e = _assemble_expansion(plan)
-    walks: dict = {}    # this call's kernel walks, one per distinct window
+def enclosure_report(plan: WitnessPlan) -> tuple[list[IndexCheck], list[BlockCheck],
+                                                   Optional[Verdict]]:
+    """(checks, blocks, support) of the planned point: an exact enclosure
+    per index, a dyadic bound per block (th1/th2) and the support verdict
+    (th6/th1).  They explain a pass and decide none; the walks are shared
+    within the call (see core.shared_heads)."""
+    walks: dict = {}
     checks = _index_checks(plan, walks)
-    support_verdict = None
-    if plan.tag in ("th6", "th1"):
-        support_verdict = membership_by_support(e, plan.ideal)
     blocks = _block_checks(plan, walks) if plan.tag in ("th1", "th2") else []
-    passed = (all(c.passed for c in checks)
-              and all(b.passed for b in blocks)
-              and (support_verdict is None
-                   or support_verdict.outcome is Outcome.MEMBER))
-    return WitnessCertificate(plan, e, tuple(checks), support_verdict,
-                              tuple(blocks), passed)
+    support = None
+    if plan.tag in ("th6", "th1"):
+        support = membership_by_support(_assemble_expansion(plan), plan.ideal)
+    return checks, blocks, support
+
+
+def build_and_verify(plan: WitnessPlan) -> WitnessCertificate:
+    """The certificate of the plan, which passes when no lemma of
+    `_check_claims` fails, the check `verify_certificate` makes.  A failing
+    lemma never raises; it clears the pass flag."""
+    return WitnessCertificate(plan, not _check_claims(plan))
 
 
 # ---------------------------------------------------------------------------

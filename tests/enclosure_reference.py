@@ -5,8 +5,9 @@ one j at a time."""
 from fractions import Fraction
 
 from thinset import witness
-from thinset.convergence import BlockCheck, WeightRule
+from thinset.convergence import WeightRule
 from thinset.core import SIN_UPPER, CircleInterval, RatInterval, enclosure_heads
+from thinset.witness import BlockCheck
 
 
 def norm_range(part: RatInterval) -> RatInterval:

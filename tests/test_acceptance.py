@@ -15,9 +15,9 @@ from thinset.convergence import WeightRule, ideal_convergence, \
 from thinset.core import (CircleRational, RatInterval, expand, reconstruct)
 from thinset.ideals import Geometric, IdealDescriptor, Outcome, Shifted
 from thinset.sequences import ArithmeticSequence, ScaledGeometric
-from thinset.witness import (WitnessCertificate, build_and_verify,
-                             decompose, digit_choice, plan_witness,
-                             verify_certificate)
+from thinset.witness import (WitnessCertificate, _assemble_expansion,
+                             build_and_verify, decompose, digit_choice,
+                             enclosure_report, plan_witness, verify_certificate)
 
 DENSITY = IdealDescriptor.density()
 TARGET = RatInterval(Fraction(1, 4), Fraction(7, 8))
@@ -72,11 +72,13 @@ def test_2_digit_choice_inequality():
 
 def test_3_th6_reproduction(certificates):
     cert = certificates["th6"]
-    ok = cert.passed and len(cert.checks) == 16
-    ok = ok and all(c.interval.within(TARGET) for c in cert.checks)
+    checks, _, _ = enclosure_report(cert.plan)
+    point = _assemble_expansion(cert.plan)
+    ok = cert.passed and len(checks) == 16
+    ok = ok and all(c.interval.within(TARGET) for c in checks)
     ok = ok and membership_by_support(
-        cert.expansion, DENSITY).outcome is Outcome.MEMBER
-    v = ideal_convergence(cert.expansion, ScaledGeometric(3, 2), DENSITY,
+        point, DENSITY).outcome is Outcome.MEMBER
+    v = ideal_convergence(point, ScaledGeometric(3, 2), DENSITY,
                           depth=100_000, eps=Fraction(1, 8))
     ok = ok and v.outcome is not Outcome.NOT_MEMBER
     density = v.diagnostics["exceptional_prefix_density"]
@@ -88,16 +90,18 @@ def test_4_th2_reproduction(certificates):
     ok = True
     for p in (2, 3, 5):
         cert = certificates[f"th2-p{p}"]
+        checks, _, _ = enclosure_report(cert.plan)
         floor = Fraction(p - 1, p * p)
-        ok = ok and cert.passed and len(cert.checks) == 12
-        ok = ok and all(c.norm_interval.lo > floor for c in cert.checks)
+        ok = ok and cert.passed and len(checks) == 12
+        ok = ok and all(c.norm_interval.lo > floor for c in checks)
     report("4 th2-norm-floor", ok)
 
 
 def test_5_th1_block_bounds(certificates):
     cert = certificates["th1"]
-    ok = cert.passed and len(cert.blocks) > 0
-    for b in cert.blocks:
+    _, blocks, _ = enclosure_report(cert.plan)
+    ok = cert.passed and len(blocks) > 0
+    for b in blocks:
         majorant = 2 * Fraction(22, 7) * Fraction(1, b.j_from)
         ok = ok and b.upper_bound <= majorant and b.majorant == majorant
     report("5 th1-block-bounds", ok)

@@ -5,7 +5,7 @@ before the enclosure kernel was unified and before block bounds were dyadic:
 full certificate documents, which store the derived digits, checks, support
 and exact block sums besides the claims.  A fresh certificate writes only
 the claims (theorem, plan and `pass`), which must equal the stored ones; the
-derived fields it holds in memory must equal the stored ones too, except
+derived fields of its enclosure report must equal the stored ones too, except
 the bounds of th1/th2 blocks: each block keeps its index, range, majorant
 and `pass` flag, and its recomputed dyadic bounds contain the stored ones
 to within majorant * 2**-(_BLOCK_BITS - 10).  The one exception is the upper bound of

@@ -9,7 +9,7 @@ import re
 import signal
 import tempfile
 import time
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from fractions import Fraction
 from unittest import mock
 
@@ -30,7 +30,7 @@ from thinset.sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerm
 from thinset.witness import (CertificateFormatError, SequenceNotAbsorbingError,
                              UnsupportedIdealError, WitnessCertificate,
                              build_and_verify, decompose, digit_choice,
-                             plan_witness, verify_certificate)
+                             enclosure_report, plan_witness, verify_certificate)
 
 DENSITY = IdealDescriptor.density()
 SUMMABLE = IdealDescriptor.summable()
@@ -185,36 +185,35 @@ class TestBuildAndVerify:
     def test_th6_intervals_inside_target(self):
         plan = plan_witness("th6", ArithmeticSequence.dyadic(),
                             ScaledGeometric(1, 2), DENSITY, 4)
-        cert = build_and_verify(plan)
-        assert cert.passed
-        for c in cert.checks:
+        assert build_and_verify(plan).passed
+        checks, _, support = enclosure_report(plan)
+        for c in checks:
             assert c.interval.within(TARGET)
-        assert cert.support_verdict.outcome is Outcome.MEMBER
+        assert support.outcome is Outcome.MEMBER
 
     def test_th6_digit_positions(self):
         plan = plan_witness("th6", ArithmeticSequence.dyadic(),
                             ScaledGeometric(3, 2), DENSITY, 4)
-        cert = build_and_verify(plan)
-        assert set(cert.expansion.digits) == {p.k + 1 for p in plan.indices}
+        point = witness._assemble_expansion(plan)
+        assert set(point.digits) == {p.k + 1 for p in plan.indices}
 
     def test_th2_norm_floor(self):
         for p in (2, 3):
             plan = plan_witness("th2", ArithmeticSequence.geometric(p),
                                 ScaledGeometric(3, p), DENSITY, 5)
-            cert = build_and_verify(plan)
-            assert cert.passed
+            assert build_and_verify(plan).passed
+            checks, blocks, _ = enclosure_report(plan)
             floor = Fraction(p - 1, p * p)
-            for c in cert.checks:
+            for c in checks:
                 assert c.norm_interval.lo > floor
-            assert cert.blocks and all(b.passed for b in cert.blocks)
+            assert blocks and all(b.passed for b in blocks)
 
     def test_th1_blocks_under_majorant(self):
         plan = plan_witness("th1", ArithmeticSequence.dyadic(),
                             ScaledGeometric(3, 2), SUMMABLE, 5)
-        cert = build_and_verify(plan)
-        assert cert.passed
+        assert build_and_verify(plan).passed
         ks = [p.k for p in plan.indices]
-        for b in cert.blocks:
+        for b in enclosure_report(plan)[1]:
             assert b.majorant == 2 * Fraction(22, 7) * Fraction(1, b.j_from)
             assert b.j_from in ks
             assert b.lower_bound <= b.upper_bound <= b.majorant
@@ -222,8 +221,7 @@ class TestBuildAndVerify:
     def test_count_zero_vacuous_pass(self):
         plan = plan_witness("th6", ArithmeticSequence.dyadic(),
                             ScaledGeometric(1, 2), DENSITY, 0)
-        cert = build_and_verify(plan)
-        assert cert.passed and cert.checks == ()
+        assert build_and_verify(plan).passed and enclosure_report(plan)[0] == []
 
 
 class TestVerifyCertificate:
@@ -359,7 +357,7 @@ def test_derived_keys_are_never_read(name):
         edited += doc != full
         cert = WitnessCertificate.from_json(doc)
         assert cert == WitnessCertificate.from_json(claims)
-        assert cert.expansion is cert.checks is cert.support_verdict is cert.blocks is None
+        assert [f.name for f in fields(cert)] == ["plan", "passed"]
         code, out = verify_output(json.dumps(claims))
         assert code == 0 and json.loads(out)["ok"]
         assert verify_output(json.dumps(doc)) == (code, out)
@@ -465,19 +463,29 @@ def test_a_certificate_the_planner_would_not_pick_verifies():
     assert [p.k for p in cert.plan.indices] == [2, 16, 32, 64] and cert.plan.closing_k == 128
     ok, report = verify_certificate(cert)
     assert ok and report["recomputed_pass"] and report["mismatches"] == []
-    assert build_and_verify(cert.plan).passed       # the builder agrees
+    assert build_and_verify(cert.plan) == cert      # the builder agrees
+    checks, blocks, support = enclosure_report(cert.plan)     # and so do the enclosures
+    assert all(c.passed for c in checks + blocks) and support.outcome is Outcome.MEMBER
+
+
+def _forged_pass(cert):
+    """The certificate's document with `pass` set to true by hand, decoded."""
+    doc = json.loads(json.dumps(cert.to_json()))
+    doc["pass"] = True
+    return WitnessCertificate.from_json(doc)
 
 
 def test_verify_rejects_the_certificates_of_faulty_builders():
     # gap threshold 2*v': th6 2^n picks k = 2, 4, 8, 16, and {a_n x} of the
-    # first index is in [1/2, 3/4], so the build passes; the gap lemma does not
+    # first index is in [1/2, 3/4], so its enclosure passes; the gap lemma
+    # does not, and the builder writes pass: false
     gap = witness._gap_threshold
     with mock.patch.object(witness, "_gap_threshold",
                            lambda seq, lo, bound: gap(seq, lo, bound // 4)):
         cert = build_and_verify(plan_witness("th6", ArithmeticSequence.dyadic(),
                                              ScaledGeometric(1, 2), DENSITY, 4))
-    assert cert.passed and [p.k for p in cert.plan.indices] == [2, 4, 8, 16]
-    ok, report = verify_certificate(WitnessCertificate.from_json(cert.to_json()))
+    assert not cert.passed and [p.k for p in cert.plan.indices] == [2, 4, 8, 16]
+    ok, report = verify_certificate(_forged_pass(cert))
     assert not ok and report["mismatches"][0].startswith("plan: gap: index 1:")
     # digit 1 wherever q_(k+1) = 5, a pivot of 1/5, passes the band [0, 1]
     choice = witness.digit_choice
@@ -486,8 +494,8 @@ def test_verify_rejects_the_certificates_of_faulty_builders():
                            lambda q, v: witness.DigitChoice(*astuple(choice(q, v))[:3], 1)), \
             mock.patch.object(witness, "TARGET_BAND", RatInterval(Fraction(0), Fraction(1))):
         cert = build_and_verify(plan_witness("th6", seq, parse_terms("u_n", seq), DENSITY, 3))
-    assert cert.passed and [p.digit for p in cert.plan.indices] == [1, 1, 1]
-    ok, report = verify_certificate(WitnessCertificate.from_json(cert.to_json()))
+    assert not cert.passed and [p.digit for p in cert.plan.indices] == [1, 1, 1]
+    ok, report = verify_certificate(_forged_pass(cert))
     assert not ok and [m for m in report["mismatches"] if m.startswith("plan: digit")] == [
         "plan: digit: index 1: c*v/q_(k+1) mod 1 is outside [1/4, 3/4]",
         "plan: digit: index 3: c*v/q_(k+1) mod 1 is outside [1/4, 3/4]"]
@@ -502,21 +510,70 @@ CERTIFY_REQUESTS = [
 ]
 
 
-def test_verify_reaches_no_planner_or_enclosure_code(monkeypatch):
-    docs = [claims(*request) for request in CERTIFY_REQUESTS]
-    docs += [{key: doc[key] for key in ("theorem", "plan", "pass")}
-             for doc in fixture_certificates()]
+def certify_and_fixture_claims() -> list:
+    """The claims of the certify requests' certificates and of the fixtures."""
+    return [claims(*request) for request in CERTIFY_REQUESTS] + [
+        {key: doc[key] for key in ("theorem", "plan", "pass")} for doc in fixture_certificates()]
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("verify reached planner or enclosure code")
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("reached planner or enclosure code")
+
+
+ENCLOSURE_CODE = [(witness, "shared_heads"), (core, "shared_heads"),
+                  (core, "enclosure_heads"), (core, "norm_bounds")]
+
+
+def test_verify_reaches_no_planner_or_enclosure_code(monkeypatch):
+    docs = certify_and_fixture_claims()
     for module, name in [(witness, "plan_witness"), (witness, "_seek"),
                          (witness, "_chain_index"), (witness, "_valuations"),
-                         (witness, "_gap_threshold"), (witness, "shared_heads"),
-                         (core, "shared_heads"), (core, "enclosure_heads")]:
+                         (witness, "_gap_threshold")] + ENCLOSURE_CODE:
         monkeypatch.setattr(module, name, unreachable)
     for doc in docs:
         ok, report = verify_certificate(WitnessCertificate.from_json(doc))
         assert ok and report["recomputed_pass"], (doc["plan"]["tag"], report["mismatches"])
+
+
+def test_build_reaches_no_enclosure_code(monkeypatch):
+    # the fixtures' pass flags were written by a builder that walked enclosures
+    certs = [WitnessCertificate.from_json(doc) for doc in certify_and_fixture_claims()]
+    for module, name in ENCLOSURE_CODE:
+        monkeypatch.setattr(module, name, unreachable)
+    for cert in certs:
+        assert cert.passed and build_and_verify(cert.plan) == cert
+
+
+# th6 10^n over geometric:10 with the first digit 5 made 8: a pivot of 4/5
+DIGIT_8 = (("th6", "geometric:10", "10^n", 3), lambda d: _index(d, 0, digit="8"))
+AGREEMENT = {**{" ".join(map(str, r[:4])): (r, None) for r in CERTIFY_REQUESTS},
+             **{f"forged {name}": (r, edit) for name, (r, edit, _, _) in FORGERIES.items()},
+             "forged digit 8": DIGIT_8}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT))
+def test_builder_and_verify_agree(name):
+    request, edit = AGREEMENT[name]
+    doc = claims(*request)
+    if edit is not None:
+        edit(doc)
+    plan = WitnessCertificate.from_json(doc).plan
+    cert = build_and_verify(plan)
+    assert cert.passed == verify_certificate(cert)[1]["recomputed_pass"] == (edit is None)
+
+
+def test_enclosures_that_hold_decide_no_pass():
+    # {a_n x} of the forged digit 8 lies near 4/5, inside [1/4, 7/8], and
+    # every enclosure holds; the digit lemma does not, and neither does pass
+    request, edit = DIGIT_8
+    doc = claims(*request)
+    edit(doc)
+    plan = WitnessCertificate.from_json(doc).plan
+    checks, _, support = enclosure_report(plan)
+    assert all(c.passed for c in checks) and support.outcome is Outcome.MEMBER
+    assert witness._check_claims(plan) == [
+        "plan: digit: index 1: c*v/q_(k+1) mod 1 is outside [1/4, 3/4]"]
+    assert not build_and_verify(plan).passed
 
 
 HUGE = "1" + "0" * 699
@@ -852,6 +909,28 @@ def test_every_planner_request_ends(tag, seq_text, terms_text, count):
             pass
 
 
+@settings(max_examples=100, deadline=None)
+@given(tag=st.sampled_from(witness.TAGS), seq_text=st.sampled_from(DEADLINE_CHAINS),
+       terms_text=DEADLINE_TERMS, count=st.integers(0, 4))
+@example("th2", "geometric:3", "2*3^n", 4)
+@example("th1", "dyadic", "n!", 4)
+def test_lemmas_imply_the_enclosures(tag, seq_text, terms_text, count):
+    # every planner plan meets the lemmas, and every enclosure of its report
+    # holds: the report, walked apart from them, checks them
+    seq = parse_sequence(seq_text)
+    with deadline(2):
+        try:
+            plan = plan_witness(tag, seq, parse_terms(terms_text, seq),
+                                SUMMABLE if tag == "th1" else DENSITY, count)
+        except (SequenceNotAbsorbingError, ValueError):
+            return
+    assert witness._check_claims(plan) == []
+    checks, blocks, support = enclosure_report(plan)
+    assert len(checks) == count and all(c.passed for c in checks + blocks)
+    assert len(blocks) == (0 if tag == "th6" else max(count - 1, 0))
+    assert (support is None if tag == "th2" else support.outcome is Outcome.MEMBER)
+
+
 def test_factorial_refusal_comes_before_the_bisection():
     # th2 n! over 4^n: the third index needs v_2(n!) >= 2*K with K of about
     # 270 000 bits, so n > 2*K passes _COFACTOR_BITS; refused before
@@ -985,7 +1064,7 @@ def test_claims_decode_forms_no_fraction(tag, monkeypatch):
     for doc in (claims, full):      # the enclosures of a full document are not read
         cert = WitnessCertificate.from_json(doc)
         assert calls == [] and cert.passed
-        assert cert.expansion is cert.checks is cert.support_verdict is cert.blocks is None
+        assert [f.name for f in fields(cert)] == ["plan", "passed"]
 
 
 @pytest.mark.parametrize("edit", [
@@ -1082,20 +1161,20 @@ def test_shared_walks_equal_unshared(request, count):
     seq = parse_sequence(seq_text)
     plan = plan_witness(tag, seq, parse_terms(terms_text, seq),
                         SUMMABLE if tag == "th1" else DENSITY, count)
-    cert = build_and_verify(plan)
+    checks, blocks, _ = enclosure_report(plan)
     stops = [p.k for p in plan.indices[1:]] + [plan.closing_k]
-    assert len(cert.checks) == count
-    for check, p, stop in zip(cert.checks, plan.indices, stops):
+    assert len(checks) == count
+    for check, p, stop in zip(checks, plan.indices, stops):
         [(_, head, P)] = enclosure_heads(seq, {p.k + 1: p.digit}, stop, p.k, v=p.v)
         lo, hi = norm_bounds(head, p.v, P)
         assert check.interval == CircleInterval.from_head(head, p.v, P)
         assert check.norm_interval == RatInterval(Fraction(lo, 2 * P), Fraction(hi, 2 * P))
     if tag != "th6":
         # without a shared dict every block walks on its own
-        assert cert.blocks == tuple(witness._block_checks(plan))
+        assert blocks == witness._block_checks(plan)
         exact = enclosure_reference.block_checks(plan)
-        assert len(exact) == len(cert.blocks) == max(count - 1, 0)
-        for block, ref in zip(cert.blocks, exact):
+        assert len(exact) == len(blocks) == max(count - 1, 0)
+        for block, ref in zip(blocks, exact):
             assert block.lower_bound <= ref.lower_bound <= ref.upper_bound <= block.upper_bound
 
 
@@ -1110,9 +1189,12 @@ def test_shared_walks_are_counted(monkeypatch):
     witness._block_checks(plan)
     assert len(walks) == 40 + 39
     walks.clear()
-    assert build_and_verify(plan).passed and len(walks) <= 4
+    checks, blocks, _ = enclosure_report(plan)
+    assert all(c.passed for c in checks + blocks) and len(walks) <= 4
     # n! has no period, so every index check walks once
     walks.clear()
     fact = ArithmeticSequence.factorial()
     plan = plan_witness("th6", fact, ArithmeticTerms(fact), DENSITY, 8)
-    assert build_and_verify(plan).passed and len(walks) == len(plan.indices) == 8
+    checks, _, support = enclosure_report(plan)
+    assert all(c.passed for c in checks) and support.outcome is Outcome.MEMBER
+    assert len(walks) == len(plan.indices) == 8
