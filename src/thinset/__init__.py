@@ -2,9 +2,9 @@
 certified verdicts, convergence evidence reports, and certificate-producing
 witness constructions."""
 
-from .core import (CircleInterval, CircleRational, DigitExpansion, DomainError,
-                   InsufficientDigitsError, RatInterval, SIN_UPPER, expand,
-                   reconstruct, reconstruct_exact, support)
+from .core import (CircleRational, DigitExpansion, DomainError,
+                   InsufficientDigitsError, SIN_UPPER, expand, reconstruct,
+                   reconstruct_exact, support)
 from .convergence import (ConvergenceReport, SummabilityReport, WeightRule,
                           classical_convergence, ideal_convergence,
                           membership_by_support, nset_partial_sums,

@@ -1,8 +1,8 @@
-"""Exact circle arithmetic: points of [0,1), digit expansions, rational intervals.
+"""Exact circle arithmetic: points of [0,1), digit expansions, and the
+enclosure kernel that puts {v*u_k*x} on an arc [head, head + v]/P mod 1.
 
-Everything is computed over exact rationals; there is no floating point
-anywhere.  Mod-1 intervals that cross the 0/1 seam are kept as an explicit
-two-part union instead of being widened.
+Everything is computed over exact integers and rationals; there is no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -42,12 +42,6 @@ def _gcd(a: int, b: int) -> int:
     return math.gcd(a, b >> s) << min(s, t)
 
 
-def as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, CircleRational):
-        return x.frac()
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class CircleRational:
     """Reduced rational point of the circle, with value in [0,1)."""
@@ -65,7 +59,7 @@ class CircleRational:
 
     @classmethod
     def from_fraction(cls, x: RationalLike) -> "CircleRational":
-        f = as_fraction(x)
+        f = x.frac() if isinstance(x, CircleRational) else Fraction(x)
         f -= f.__floor__()
         return cls(f.numerator, f.denominator)
 
@@ -78,55 +72,6 @@ class CircleRational:
 
     def __str__(self) -> str:
         return f"{exact_str(self.num)}/{exact_str(self.den)}"
-
-
-@dataclass(frozen=True)
-class RatInterval:
-    """Closed interval with exact rational endpoints."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
-            object.__setattr__(self, "lo", Fraction(self.lo))
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval {self}")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, x: RationalLike) -> bool:
-        return self.lo <= as_fraction(x) <= self.hi
-
-    def contains_interval(self, other: "RatInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def __str__(self) -> str:
-        return f"[{exact_str(self.lo)}, {exact_str(self.hi)}]"
-
-
-@dataclass(frozen=True)
-class CircleInterval:
-    """Enclosure of a circle point: one interval, or two when it wraps past 1."""
-
-    parts: tuple[RatInterval, ...]
-    wraparound: bool = False
-
-    def within(self, target: RatInterval) -> bool:
-        return all(target.contains_interval(p) for p in self.parts)
-
-    @classmethod
-    def from_head(cls, head: int, v: int, P: int) -> "CircleInterval":
-        """The arc [head, head + v]/P mod 1, for 0 <= head < P."""
-        if v >= P:
-            return cls((RatInterval(Fraction(0), Fraction(1)),), True)
-        if head + v <= P:
-            return cls((RatInterval(Fraction(head, P), Fraction(head + v, P)),))
-        return cls((RatInterval(Fraction(head, P), Fraction(1)),
-                    RatInterval(Fraction(0), Fraction(head + v - P, P))), True)
 
 
 @dataclass(frozen=True)
@@ -210,23 +155,30 @@ def expand(x: CircleRational, seq: ArithmeticSequence, depth: int) -> DigitExpan
     return DigitExpansion(seq, digits, depth)
 
 
+def _horner(seq: ArithmeticSequence, digits: Mapping[int, int], low: int) -> tuple[int, int]:
+    """(N, top), N = sum c_n*q_{n+1}***q_top over the digits c_n, each at an
+    index past low, with top the last index (low for none), by Horner's rule
+    over the gaps' ratio products, none past q_top."""
+    N = 0
+    for n in sorted(digits):
+        N, low = N * seq.ratio_product(low, n) + digits[n], n
+    return N, low
+
+
 def _partial_sum(e: DigitExpansion, depth: int) -> tuple[int, int]:
     """(N, top), x_depth = N/u_top with top the last digit index <= depth (0
-    for none), by Horner's rule over the gaps' ratio products, none past q_top;
-    refused first when bits(u_top) >= top - 1 is past _TRUNCATION_BITS."""
+    for none), by `_horner`; refused first when bits(u_top) >= top - 1 is
+    past _TRUNCATION_BITS."""
     if depth < 1:
         raise DomainError("depth must be >= 1")
     if e.depth is not None and depth > e.depth:
         raise InsufficientDigitsError(
             f"depth {depth} exceeds stored depth {e.depth}")
-    indices = sorted(n for n in e.digits if n <= depth)
-    if indices and (top := indices[-1]) - 1 > _TRUNCATION_BITS:
+    digits = {n: c for n, c in e.digits.items() if n <= depth}
+    if digits and (top := max(digits)) - 1 > _TRUNCATION_BITS:
         raise DomainError(f"a digit at index {top} needs u_{top} of at least {top - 1} "
                           f"bits, more than _TRUNCATION_BITS = {_TRUNCATION_BITS}")
-    N = top = 0
-    for n in indices:
-        N, top = N * e.seq.ratio_product(top, n) + e.digits[n], n
-    return N, top
+    return _horner(e.seq, digits, 0)
 
 
 def reconstruct(e: DigitExpansion, depth: int) -> CircleRational:
@@ -254,7 +206,7 @@ def support(e: DigitExpansion) -> "SetDescriptor":
     return FiniteSet(sorted(e.digits))
 
 
-_TAIL_BITS = 64   # the head grows until the tail weight is at most 2**-_TAIL_BITS
+_TAIL_BITS = 64   # the head reaches until the tail weight is at most 2**-_TAIL_BITS
 
 
 def enclosure_heads(seq: ArithmeticSequence, digits: Mapping[int, int], stop: int,
@@ -267,26 +219,34 @@ def enclosure_heads(seq: ArithmeticSequence, digits: Mapping[int, int], stop: in
 
     With P = q_{k+1}***q_r and N = sum_{k<n<=r} c_n*q_{n+1}***q_r, v*u_k*x is
     an integer plus v*N/P plus v times a tail in [0, 1/P].  Only ratios enter,
-    never u_k: r runs past the last given digit and on until v/P is at most
-    2**-_TAIL_BITS, or to `stop`.  Stepping k down multiplies q_{k+1} into P
+    never u_k.  At top, r is cut in one step: r = stop when the ratios up to
+    stop fall short of cap = v*2**_TAIL_BITS (more than bits(cap - 1) of them,
+    all but q_1 >= 2, reach it unformed), else the last given digit or
+    `seq.reach(top, cap)`, whichever is later; P is `ratio_product(top, r)`
+    and N comes by Horner's rule.  Stepping k down multiplies q_{k+1} into P
     and trims the ratios past the last digit that the bound no longer needs.
+    Over a finite list every ratio up to stop must exist.
     """
     if v < 1:
         raise DomainError("multiplier must be >= 1")
-    if any(not top < n <= stop for n in digits):
-        raise DomainError(f"digits must lie in ({top}, {stop}]")
+    if stop < top or any(not top < n <= stop for n in digits):
+        raise DomainError(f"need top <= stop, with digits in ({top}, {stop}]")
+    if seq.finite and stop > top:
+        seq.q(stop)                         # raises past the list's end
     last = max(digits, default=0)
     cap = v << _TAIL_BITS
-    r, P, N = top, 1, 0
+    if stop - top <= (cap - 1).bit_length() and (P := seq.ratio_product(top, stop)) < cap:
+        r = stop
+    else:
+        r = max(last, seq.reach(top, cap))
+        P = seq.ratio_product(top, r)
+    N, n = _horner(seq, digits, top)
+    N *= seq.ratio_product(n, r)
     for k in range(top, top - 1 if bottom is None else bottom, -1):
         if k < top:
             P *= seq.q(k + 1)
             while r > last and P // (q := seq.q(r)) >= cap:
                 P, N, r = P // q, N // q, r - 1
-        while r < stop and (r < last or P < cap):
-            r += 1
-            q = seq.q(r)
-            P, N = P * q, N * q + digits.get(r, 0)
         yield k, v * N % P, P
 
 

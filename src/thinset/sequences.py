@@ -81,6 +81,25 @@ class ArithmeticSequence:
         P = math.prod(ratios) if reps else 1     # a power of two is shifted, not raised
         return head << (P.bit_length() - 1) * reps if P & (P - 1) == 0 else P ** reps * head
 
+    def reach(self, lo: int, bound: int) -> int:
+        """Least k with q_{lo+1} * ... * q_k >= bound >= 2, by bisection over
+        `ratio_product`.  Every ratio past q_1 is >= 2, so d = bits(bound - 1)
+        of them reach bound (one more from q_1), and d itself, the answer on a
+        dyadic chain, is checked first.  A finite list that falls short raises
+        what `q` raises past its end."""
+        d = (bound - 1).bit_length() + (lo == 0)
+        if self.finite:
+            d = min(d, len(self.ratios) - lo)
+            if self.ratio_product(lo, lo + d) < bound:
+                self.q(lo + d + 1)
+        short = d - 1                               # below bound at short, not at d
+        if self.ratio_product(lo, lo + short) >= bound:
+            short, d = 0, short
+        while d - short > 1:
+            mid = (short + d) // 2
+            short, d = (mid, d) if self.ratio_product(lo, lo + mid) < bound else (short, mid)
+        return lo + d
+
     # -- constructors -------------------------------------------------
 
     @classmethod

@@ -25,11 +25,11 @@ hold by lemma once the indices increase and every digit is below its ratio.
 A passing certificate is thus rigorous for the infinite continuation of the
 digit pattern, not just for a finite truncation.
 
-`enclosure_report` explains a pass and decides nothing: exact rational
-interval checks per index (head value from the planned digits plus an
-explicit tail enclosure) and per-block bounds, each a dyadic fixed-point
-number rounded outward from the same enclosures, so it encloses the
-block's exact sum without forming that sum's denominator.
+`enclosure_report` explains a pass and decides nothing: exact integer
+checks per index (an arc from the planned digits plus an explicit tail
+enclosure, against the band or th2's floor) and per-block bounds, each a
+dyadic fixed-point number rounded outward from the same enclosures, so it
+encloses the block's exact sum without forming that sum's denominator.
 """
 
 from __future__ import annotations
@@ -44,14 +44,13 @@ from typing import Callable, NamedTuple, Optional
 
 from ._exact_text import decoder, exact_int, exact_str
 from .convergence import membership_by_support
-from .core import CircleInterval, DigitExpansion, RatInterval, SIN_UPPER, shared_heads
+from .core import DigitExpansion, SIN_UPPER, _gcd, shared_heads
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
                      Verdict, descriptor_from_json, non_snt_witness)
 from .sequences import (ArithmeticSequence, ArithmeticTerms, TermSequence, _coprime_basis,
                         _Divisibility, _divisibility_of, multiplier_chain, terms_from_json)
 
 TAGS = ("th6", "th1", "th2")
-TARGET_BAND = RatInterval(Fraction(1, 4), Fraction(7, 8))
 _COFACTOR_BITS = 1 << 21   # largest bound on bits(v_n) of a cofactor the planner forms
 _BLOCK_WINDOW = 48     # exact head terms per block; the rest goes in a tail bound
 _BLOCK_BITS = 64       # block bounds are multiples of 2**-(_BLOCK_BITS + bits(j_from))
@@ -192,26 +191,6 @@ class WitnessPlan:
             witness_set=(descriptor_from_json(doc["witness_set"])
                          if doc.get("witness_set") else None),
         )
-
-
-def _gap_threshold(seq: ArithmeticSequence, lo: int, bound: int) -> int:
-    """Least k with q_{lo+1} * ... * q_k >= bound >= 2, by bisection over
-    `ratio_product`.  Every ratio past q_1 is >= 2, so d = bits(bound - 1)
-    of them reach bound (one more from q_1), and d itself, the answer on a
-    dyadic chain, is checked first.  A finite list that falls short raises
-    what `seq.q` raises past its end."""
-    d = (bound - 1).bit_length() + (lo == 0)
-    if seq.finite:
-        d = min(d, len(seq.ratios) - lo)
-        if seq.ratio_product(lo, lo + d) < bound:
-            seq.q(lo + d + 1)
-    short = d - 1                               # below bound at short, not at d
-    if seq.ratio_product(lo, lo + short) >= bound:
-        short, d = 0, short
-    while d - short > 1:
-        mid = (short + d) // 2
-        short, d = (mid, d) if seq.ratio_product(lo, lo + mid) < bound else (short, mid)
-    return lo + d
 
 
 def _check_chain(seq: ArithmeticSequence) -> None:
@@ -430,7 +409,7 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
         else:
             K = 2 ** i if tag == "th1" else 0
             if selected:
-                K = max(K, _gap_threshold(seq, pk, 8 * pv))
+                K = max(K, seq.reach(pk, 8 * pv))
         selected.append(_seek(index, pn, K, witness_set))
 
     closing_k = selected[count][1]
@@ -451,36 +430,44 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
 
 @dataclass(frozen=True)
 class IndexCheck:
+    """{a_{n_i} x} lies on the arc [head, head + v]/P mod 1, so ||a_{n_i} x||
+    lies in [lo, hi]/(2P) (`core.norm_bounds`).  `passed` is the arc inside
+    the band [1/4, 7/8] (th6/th1), or for th2 over u_n = base**n the least
+    norm above (base - 1)/base**2, decided in integers."""
+
     i: int
     n: int
-    interval: CircleInterval           # enclosure of {a_{n_i} x}
-    norm_interval: RatInterval         # enclosure of ||a_{n_i} x||
-    target: Optional[RatInterval]      # band targets (th6/th1)
-    target_min: Optional[Fraction]     # strict lower target (th2)
+    head: int
+    v: int
+    P: int
+    lo: int
+    hi: int
     passed: bool
+    base: Optional[int] = None      # th2 only
 
     def to_json(self) -> dict:
-        doc = {
-            "i": self.i,
-            "n": self.n,
-            "wraparound": self.interval.wraparound,
-            "norm_interval": [_rat(self.norm_interval.lo), _rat(self.norm_interval.hi)],
-            "pass": self.passed,
-        }
-        parts = [[_rat(p.lo), _rat(p.hi)] for p in self.interval.parts]
-        if len(parts) == 1:
-            doc["interval"] = parts[0]
+        head, end, P = self.head, self.head + self.v, self.P
+        whole = self.v >= P
+        doc = {"i": self.i, "n": self.n, "wraparound": whole or end > P,
+               "norm_interval": [_rat(self.lo, 2 * P), _rat(self.hi, 2 * P)],
+               "pass": self.passed}
+        if whole:
+            doc["interval"] = ["0/1", "1/1"]
+        elif end <= P:
+            doc["interval"] = [_rat(head, P), _rat(end, P)]
+        else:                               # wraps past 1: two parts
+            doc["intervals"] = [[_rat(head, P), "1/1"], ["0/1", _rat(end - P, P)]]
+        if self.base is None:
+            doc["target"] = ["1/4", "7/8"]
         else:
-            doc["intervals"] = parts
-        if self.target is not None:
-            doc["target"] = [_rat(self.target.lo), _rat(self.target.hi)]
-        if self.target_min is not None:
-            doc["target_min"] = _rat(self.target_min)
+            doc["target_min"] = _rat(self.base - 1, self.base * self.base)
         return doc
 
 
-def _rat(f: Fraction) -> str:
-    return f"{exact_str(f.numerator)}/{exact_str(f.denominator)}"
+def _rat(num: int, den: int) -> str:
+    """num/den in lowest terms, for num >= 0 and den > 0."""
+    g = _gcd(num, den)
+    return f"{exact_str(num // g)}/{exact_str(den // g)}"
 
 
 @dataclass(frozen=True)
@@ -534,24 +521,18 @@ def _assemble_expansion(plan: WitnessPlan) -> DigitExpansion:
 
 
 def _index_checks(plan: WitnessPlan, walks: Optional[dict] = None) -> list[IndexCheck]:
+    base = plan.seq.geometric_base if plan.tag == "th2" else None
     checks = []
     # the digit after index i sits past chain index stop_i
     stops = [p.k for p in plan.indices[1:]] + [plan.closing_k]
     for p, stop in zip(plan.indices, stops):
         [(_, head, P, lo, hi)] = shared_heads(plan.seq, {p.k + 1: p.digit}, stop,
                                               p.k, v=p.v, walks=walks)
-        enclosure = CircleInterval.from_head(head, p.v, P)
-        norm = RatInterval(Fraction(lo, 2 * P), Fraction(hi, 2 * P))
-        if plan.tag in ("th6", "th1"):
-            passed = enclosure.within(TARGET_BAND)
-            checks.append(IndexCheck(p.i, p.n, enclosure, norm,
-                                     TARGET_BAND, None, passed))
-        else:
-            base = plan.seq.geometric_base
-            floor_norm = Fraction(base - 1, base * base)
-            passed = norm.lo > floor_norm
-            checks.append(IndexCheck(p.i, p.n, enclosure, norm,
-                                     None, floor_norm, passed))
+        if base is None:        # [head, head + v]/P inside [1/4, 7/8]
+            passed = head + p.v <= P and 4 * head >= P and 8 * (head + p.v) <= 7 * P
+        else:                   # lo/(2P) > (base - 1)/base**2
+            passed = lo * base * base > 2 * P * (base - 1)
+        checks.append(IndexCheck(p.i, p.n, head, p.v, P, lo, hi, passed, base))
     return checks
 
 

@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+from enclosure_reference import arc
 from thinset.convergence import WeightRule, ideal_convergence, \
     membership_by_support, nset_partial_sums
-from thinset.core import (CircleRational, RatInterval, expand, reconstruct)
+from thinset.core import (CircleRational, expand, reconstruct)
 from thinset.ideals import Geometric, IdealDescriptor, Outcome, Shifted
 from thinset.sequences import ArithmeticSequence, ScaledGeometric
 from thinset.witness import (WitnessCertificate, _assemble_expansion,
@@ -20,7 +21,7 @@ from thinset.witness import (WitnessCertificate, _assemble_expansion,
                              enclosure_report, plan_witness, verify_certificate)
 
 DENSITY = IdealDescriptor.density()
-TARGET = RatInterval(Fraction(1, 4), Fraction(7, 8))
+TARGET = (Fraction(1, 4), Fraction(7, 8))
 
 
 def report(name, ok):
@@ -75,7 +76,8 @@ def test_3_th6_reproduction(certificates):
     checks, _, _ = enclosure_report(cert.plan)
     point = _assemble_expansion(cert.plan)
     ok = cert.passed and len(checks) == 16
-    ok = ok and all(c.interval.within(TARGET) for c in checks)
+    ok = ok and all(TARGET[0] <= lo and hi <= TARGET[1]
+                    for c in checks for lo, hi in arc(c.head, c.v, c.P))
     ok = ok and membership_by_support(
         point, DENSITY).outcome is Outcome.MEMBER
     v = ideal_convergence(point, ScaledGeometric(3, 2), DENSITY,
@@ -93,7 +95,7 @@ def test_4_th2_reproduction(certificates):
         checks, _, _ = enclosure_report(cert.plan)
         floor = Fraction(p - 1, p * p)
         ok = ok and cert.passed and len(checks) == 12
-        ok = ok and all(c.norm_interval.lo > floor for c in checks)
+        ok = ok and all(Fraction(c.lo, 2 * c.P) > floor for c in checks)
     report("4 th2-norm-floor", ok)
 
 

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from enclosure_reference import dist_interval
+from enclosure_reference import arc, dist_interval, step_heads
 from thinset.convergence import WeightRule, nset_partial_sums
-from thinset.core import (CircleInterval, CircleRational, DigitExpansion,
-                          DomainError, InsufficientDigitsError, RatInterval,
-                          SIN_UPPER, _gcd, enclosure_heads, expand, norm_bounds,
-                          reconstruct, reconstruct_exact, shared_heads, support)
+from thinset.core import (CircleRational, DigitExpansion, DomainError,
+                          InsufficientDigitsError, SIN_UPPER, _gcd, enclosure_heads,
+                          expand, norm_bounds, reconstruct, reconstruct_exact,
+                          shared_heads, support)
 from thinset.ideals import FiniteSet, Geometric
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerms,
                                parse_sequence, phase_period)
@@ -286,8 +286,8 @@ def dist_to_int(x: Fraction) -> Fraction:
 
 
 def arcs(seq, digits, stop, top, bottom=None, v=1):
-    """`enclosure_heads` as circle intervals."""
-    return [(k, CircleInterval.from_head(head, v, P))
+    """`enclosure_heads` as arcs of Fraction pairs."""
+    return [(k, arc(head, v, P))
             for k, head, P in enclosure_heads(seq, digits, stop, top, bottom, v)]
 
 
@@ -324,16 +324,13 @@ class TestFracScaled:
         # width 4/8 spans through 1
         e = expand(CircleRational.parse("5/8"), ArithmeticSequence.dyadic(), 3)
         enc = enclose_ax(4, e, 3)
-        assert not enc.wraparound
-        assert enc.parts == (RatInterval(Fraction(1, 2), Fraction(1)),)
+        assert enc == ((Fraction(1, 2), Fraction(1)),)     # one part: no wrap
 
     def test_true_wraparound(self):
         # head {3*5/8} = 7/8 plus width 3/8 crosses the seam
         e = expand(CircleRational.parse("5/8"), ArithmeticSequence.dyadic(), 3)
         enc = enclose_ax(3, e, 3)
-        assert enc.wraparound
-        assert enc.parts == (RatInterval(Fraction(7, 8), Fraction(1)),
-                             RatInterval(Fraction(0), Fraction(1, 4)))
+        assert enc == ((Fraction(7, 8), Fraction(1)), (Fraction(0), Fraction(1, 4)))
 
     def test_enclosure_contains_true_value(self):
         seq = ArithmeticSequence.dyadic()
@@ -343,12 +340,12 @@ class TestFracScaled:
             for a in (1, 3, 5):
                 enc = enclose_ax(a, trunc, k)
                 true = a * x.frac() % 1
-                assert any(p.contains(true) for p in enc.parts)
+                assert any(lo <= true <= hi for lo, hi in enc)
 
     def test_whole_circle_when_tail_dominates(self):
         e = expand(CircleRational.parse("1/2"), ArithmeticSequence.dyadic(), 2)
         enc = enclose_ax(8, e, 2)
-        assert enc.parts[0] == RatInterval(Fraction(0), Fraction(1))
+        assert enc[0] == (Fraction(0), Fraction(1))
 
     def test_norm_interval(self):
         e = expand(CircleRational.parse("5/8"), ArithmeticSequence.dyadic(), 3)
@@ -409,31 +406,74 @@ def test_sparse_enclosure_contains_every_completion(case):
     assert [k for k, _ in walked] == list(range(top, bottom, -1))
     for k, enc in walked:
         assert [(k, enc)] == arcs(seq, given_, stop, k, v=v)
-        whole = enc.parts == (RatInterval(Fraction(0), Fraction(1)),)
-        assert enc.wraparound == (whole or len(enc.parts) == 2)
         for x in points:
             value = v * seq.u(k) * x % 1    # 0 and 1 are one circle point
-            assert any(p.contains(value) or p.contains(value + 1) for p in enc.parts)
+            assert any(lo <= value <= hi or lo <= value + 1 <= hi for lo, hi in enc)
+
+
+STEP_CHAINS = [ArithmeticSequence.dyadic(), ArithmeticSequence.geometric(3),
+               ArithmeticSequence.from_ratios([2, 3, 5]), ArithmeticSequence.from_ratios([2, 7]),
+               ArithmeticSequence.factorial(),
+               ArithmeticSequence.from_ratios([2, 3, 5, 7, 11, 13] * 30, cycle=False),
+               ArithmeticSequence.from_ratios([1] + [2] * 150, cycle=False)]
+
+
+@st.composite
+def step_cases(draw):
+    """A window on a chain, with every ratio up to stop in a finite list."""
+    seq = draw(st.sampled_from(STEP_CHAINS))
+    end = len(seq.ratios) if seq.finite else 400
+    top = draw(st.integers(0, 60))
+    stop = min(end, top + draw(st.one_of(st.integers(0, 4), st.integers(0, 300))))
+    bottom = draw(st.one_of(st.none(), st.integers(-1, top - 1)))
+    v = draw(st.one_of(st.integers(1, 8), st.integers(1, 10 ** 40)))
+    return seq, _digits(draw, seq, top, stop, 4), stop, top, bottom, v
+
+
+@settings(max_examples=400, deadline=None)
+@given(step_cases())
+@example((ArithmeticSequence.dyadic(), {}, 68, 5, None, 1))       # 63 ratios fall short of 2**64
+@example((ArithmeticSequence.dyadic(), {}, 69, 5, None, 1))       # 64 reach it at stop
+@example((ArithmeticSequence.dyadic(), {}, 70, 5, None, 1))       # 65 reach it unformed
+@example((ArithmeticSequence.factorial(), {3: 2}, 60, 0, -1, 1))  # q_1 = 1 from the top
+@example((STEP_CHAINS[-1], {}, 64, 0, None, 1))   # q_1 = 1: 64 ratios fall short of 2**64
+@example((STEP_CHAINS[-1], {}, 65, 0, None, 1))   # 65 reach it
+@example((ArithmeticSequence.dyadic(), {90: 1}, 90, 2, 0, 3))     # the last digit past the cap
+def test_enclosure_heads_equal_step_reference(case):
+    """The one-step cut gives what the walk one ratio at a time gives."""
+    seq, digits, stop, top, bottom, v = case
+    assert (list(enclosure_heads(seq, digits, stop, top, bottom, v))
+            == list(step_heads(seq, digits, stop, top, bottom, v)))
+
+
+def test_enclosure_heads_need_every_ratio_up_to_stop():
+    # the walk would stop at q_64 = 2**64; a finite list must still reach stop
+    seq = ArithmeticSequence.from_ratios([2] * 70, cycle=False)
+    assert list(step_heads(seq, {}, 72, 0)) == [(0, 0, 2 ** 64)]
+    with pytest.raises(ValueError, match="only 70 ratios"):
+        list(enclosure_heads(seq, {}, 72, 0))
+    with pytest.raises(DomainError):
+        list(enclosure_heads(seq, {}, 3, 4))
 
 
 def test_sparse_enclosure_branches():
     seq = ArithmeticSequence.geometric(3)
     # tail weight 5/9 >= 1 fails, head {5*2/3} = 1/3: one arc
     [(_, one)] = arcs(seq, {1: 2}, 2, 0, v=5)
-    assert one.parts == (RatInterval(Fraction(1, 3), Fraction(8, 9)),)
+    assert one == ((Fraction(1, 3), Fraction(8, 9)),)
     # head {5*(2/3 + 2/9)} = 4/9 with width 5/9 reaches 1 exactly: no wrap
     [(_, edge)] = arcs(seq, {1: 2, 2: 2}, 2, 0, v=5)
-    assert edge.parts == (RatInterval(Fraction(4, 9), Fraction(1)),) and not edge.wraparound
+    assert edge == ((Fraction(4, 9), Fraction(1)),)
     # v*u_k*x with v = 7: head {7*2/3} = 2/3, width 7/9 wraps past 1
     [(_, wrap)] = arcs(seq, {1: 2}, 2, 0, v=7)
-    assert wrap.wraparound and wrap.parts == (
-        RatInterval(Fraction(2, 3), Fraction(1)), RatInterval(Fraction(0), Fraction(4, 9)))
+    assert wrap == ((Fraction(2, 3), Fraction(1)), (Fraction(0), Fraction(4, 9)))
     # v >= q_1*q_2: the whole circle
     [(_, whole)] = arcs(seq, {1: 2}, 2, 0, v=9)
-    assert whole.wraparound and whole.parts == (RatInterval(Fraction(0), Fraction(1)),)
+    assert whole == ((Fraction(0), Fraction(1)),)
     # the head keeps its digits exact and the tail drops below 2**-64
     [(_, deep)] = arcs(seq, {1: 1}, 10 ** 6, 0)
-    assert deep.parts[0].lo == Fraction(1, 3) and deep.parts[0].width <= Fraction(1, 2 ** 64)
+    [(lo, hi)] = deep
+    assert lo == Fraction(1, 3) and hi - lo <= Fraction(1, 2 ** 64)
 
 
 @st.composite
@@ -489,8 +529,8 @@ def test_norm_bounds_branches(head, v, bounds):
     P = 8
     assert norm_bounds(head, v, P) == bounds
     lo, hi = bounds
-    reference = dist_interval(CircleInterval.from_head(head, v, P))
-    assert reference == RatInterval(Fraction(lo, 2 * P), Fraction(hi, 2 * P))
+    reference = dist_interval(arc(head, v, P))
+    assert reference == (Fraction(lo, 2 * P), Fraction(hi, 2 * P))
 
 
 @settings(max_examples=300, deadline=None)
@@ -499,26 +539,26 @@ def test_norm_bounds_branches(head, v, bounds):
 def test_norm_bounds_match_fraction_reference(case):
     head, v, P = case
     lo, hi = norm_bounds(head, v, P)
-    reference = dist_interval(CircleInterval.from_head(head, v, P))
-    assert reference == RatInterval(Fraction(lo, 2 * P), Fraction(hi, 2 * P))
+    reference = dist_interval(arc(head, v, P))
+    assert reference == (Fraction(lo, 2 * P), Fraction(hi, 2 * P))
 
 
-def sin_envelope(x: Fraction) -> RatInterval:
+def sin_envelope(x: Fraction) -> tuple[Fraction, Fraction]:
     """The [2*||x||, (22/7)*||x||] bracket of a one-term summability report."""
     report = nset_partial_sums(CircleRational.from_fraction(x), ExplicitTerms([1]),
                                WeightRule.power(0), depth=1)
-    return RatInterval(report.sin_lower, report.sin_upper)
+    return report.sin_lower, report.sin_upper
 
 
 def test_sin_envelope():
-    env = sin_envelope(Fraction(1, 2))
-    assert env.lo == 1
-    assert env.hi == SIN_UPPER / 2
-    assert sin_envelope(Fraction(0)).hi == 0
+    lo, hi = sin_envelope(Fraction(1, 2))
+    assert lo == 1
+    assert hi == SIN_UPPER / 2
+    assert sin_envelope(Fraction(0))[1] == 0
     # the bracket really contains |sin(pi x)| at a spot check
     val = abs(math.sin(math.pi / 3))
-    env = sin_envelope(Fraction(1, 3))
-    assert float(env.lo) <= val <= float(env.hi)
+    lo, hi = sin_envelope(Fraction(1, 3))
+    assert float(lo) <= val <= float(hi)
 
 
 def test_support():

@@ -22,7 +22,7 @@ from full_certificate import full_document
 from json_mutation import DELETE, VALUES, json_paths, mutate
 from thinset import cli, convergence, core, ideals, sequences, witness
 from thinset._exact_text import exact_fraction
-from thinset.core import CircleInterval, RatInterval, enclosure_heads, norm_bounds
+from thinset.core import enclosure_heads, norm_bounds
 from thinset.ideals import IdealDescriptor, Outcome, non_snt_witness
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerms,
                                ScaledGeometric, parse_sequence, parse_terms,
@@ -34,7 +34,12 @@ from thinset.witness import (CertificateFormatError, SequenceNotAbsorbingError,
 
 DENSITY = IdealDescriptor.density()
 SUMMABLE = IdealDescriptor.summable()
-TARGET = RatInterval(Fraction(1, 4), Fraction(7, 8))
+
+
+def within_band(check):
+    """The check's arc inside [1/4, 7/8], by the Fraction reference."""
+    return all(Fraction(1, 4) <= lo and hi <= Fraction(7, 8)
+               for lo, hi in enclosure_reference.arc(check.head, check.v, check.P))
 
 
 class TestDecompose:
@@ -188,7 +193,7 @@ class TestBuildAndVerify:
         assert build_and_verify(plan).passed
         checks, _, support = enclosure_report(plan)
         for c in checks:
-            assert c.interval.within(TARGET)
+            assert within_band(c)
         assert support.outcome is Outcome.MEMBER
 
     def test_th6_digit_positions(self):
@@ -205,7 +210,7 @@ class TestBuildAndVerify:
             checks, blocks, _ = enclosure_report(plan)
             floor = Fraction(p - 1, p * p)
             for c in checks:
-                assert c.norm_interval.lo > floor
+                assert Fraction(c.lo, 2 * c.P) > floor
             assert blocks and all(b.passed for b in blocks)
 
     def test_th1_blocks_under_majorant(self):
@@ -479,20 +484,19 @@ def test_verify_rejects_the_certificates_of_faulty_builders():
     # gap threshold 2*v': th6 2^n picks k = 2, 4, 8, 16, and {a_n x} of the
     # first index is in [1/2, 3/4], so its enclosure passes; the gap lemma
     # does not, and the builder writes pass: false
-    gap = witness._gap_threshold
-    with mock.patch.object(witness, "_gap_threshold",
-                           lambda seq, lo, bound: gap(seq, lo, bound // 4)):
+    reach = ArithmeticSequence.reach
+    with mock.patch.object(ArithmeticSequence, "reach",
+                           lambda seq, lo, bound: reach(seq, lo, bound // 4)):
         cert = build_and_verify(plan_witness("th6", ArithmeticSequence.dyadic(),
                                              ScaledGeometric(1, 2), DENSITY, 4))
     assert not cert.passed and [p.k for p in cert.plan.indices] == [2, 4, 8, 16]
     ok, report = verify_certificate(_forged_pass(cert))
     assert not ok and report["mismatches"][0].startswith("plan: gap: index 1:")
-    # digit 1 wherever q_(k+1) = 5, a pivot of 1/5, passes the band [0, 1]
+    # digit 1 wherever q_(k+1) = 5, a pivot of 1/5
     choice = witness.digit_choice
     seq = parse_sequence("[2,3,5]")
     with mock.patch.object(witness, "digit_choice",
-                           lambda q, v: witness.DigitChoice(*astuple(choice(q, v))[:3], 1)), \
-            mock.patch.object(witness, "TARGET_BAND", RatInterval(Fraction(0), Fraction(1))):
+                           lambda q, v: witness.DigitChoice(*astuple(choice(q, v))[:3], 1)):
         cert = build_and_verify(plan_witness("th6", seq, parse_terms("u_n", seq), DENSITY, 3))
     assert not cert.passed and [p.digit for p in cert.plan.indices] == [1, 1, 1]
     ok, report = verify_certificate(_forged_pass(cert))
@@ -528,7 +532,7 @@ def test_verify_reaches_no_planner_or_enclosure_code(monkeypatch):
     docs = certify_and_fixture_claims()
     for module, name in [(witness, "plan_witness"), (witness, "_seek"),
                          (witness, "_chain_index"), (witness, "_valuations"),
-                         (witness, "_gap_threshold")] + ENCLOSURE_CODE:
+                         (ArithmeticSequence, "reach")] + ENCLOSURE_CODE:
         monkeypatch.setattr(module, name, unreachable)
     for doc in docs:
         ok, report = verify_certificate(WitnessCertificate.from_json(doc))
@@ -835,9 +839,9 @@ def test_gap_threshold_matches_definition(seq_text, lo, bits, salt):
             prod *= seq.q(k)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            witness._gap_threshold(seq, lo, bound)
+            seq.reach(lo, bound)
         return
-    assert witness._gap_threshold(seq, lo, bound) == k
+    assert seq.reach(lo, bound) == k
 
 
 def test_gap_threshold_at_factorial_count_6_size():
@@ -846,7 +850,7 @@ def test_gap_threshold_at_factorial_count_6_size():
     f = math.factorial(65538)
     bound = 8 * (f >> (f & -f).bit_length() - 1)
     start = time.perf_counter()
-    k = witness._gap_threshold(ArithmeticSequence.dyadic(), 65536, bound)
+    k = ArithmeticSequence.dyadic().reach(65536, bound)
     assert time.perf_counter() - start < 0.1
     assert k == 65536 + (bound - 1).bit_length()
 
@@ -1136,7 +1140,51 @@ def test_block_sums_match_fraction_reference(request):
         assert ref.lower_bound - dyadic.lower_bound <= slack
         assert dyadic.upper_bound - ref.upper_bound <= slack
     for check in witness._index_checks(plan):
-        assert check.norm_interval == enclosure_reference.dist_interval(check.interval)
+        arc = enclosure_reference.arc(check.head, check.v, check.P)
+        assert enclosure_reference.dist_interval(arc) == \
+            (Fraction(check.lo, 2 * check.P), Fraction(check.hi, 2 * check.P))
+
+
+def claimed_plan(tag, seq_text, ks, vs, digits):
+    """A plan that claims (k, v, digit) per index, with closing_k = ks[-1]."""
+    indices = tuple(witness.PlannedIndex(i, i, k, v, c) for i, (k, v, c)
+                    in enumerate(zip(ks, vs, digits), start=1))
+    return witness.WitnessPlan(tag, parse_sequence(seq_text), ScaledGeometric(1, 2),
+                               DENSITY, indices, ks[-1], None)
+
+
+@st.composite
+def claimed_plans(draw):
+    """Plans with any increasing chain indices, cofactors and digits, so
+    that their index checks may fail as well as pass."""
+    tag = draw(st.sampled_from(["th6", "th1", "th2"]))
+    seq_text = draw(st.sampled_from(["dyadic", "geometric:3", "geometric:5"] if tag == "th2"
+                                    else ["dyadic", "geometric:3", "[2,3,5]", "factorial"]))
+    seq = parse_sequence(seq_text)
+    ks = sorted(draw(st.sets(st.integers(0, 150), min_size=2, max_size=5)))
+    vs = [draw(st.one_of(st.integers(1, 40), st.integers(1, 10 ** 30))) for _ in ks[1:]]
+    return claimed_plan(tag, seq_text, ks, vs,
+                        [draw(st.integers(0, seq.q(k + 1) - 1)) for k in ks[:-1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(claimed_plans())
+@example(claimed_plan("th6", "geometric:3", [0, 1], [1], [2]))     # [2/3, 1]: the edge
+@example(claimed_plan("th6", "geometric:3", [0, 2], [7], [2]))     # [2/3, 13/9]: wraps
+@example(claimed_plan("th2", "geometric:3", [0, 2], [7], [2]))
+@example(claimed_plan("th6", "geometric:4", [0, 2], [1], [1]))     # [1/4, 5/16]: the band's edges
+@example(claimed_plan("th6", "geometric:8", [0, 1], [1], [6]))     # [3/4, 7/8]
+@example(claimed_plan("th2", "geometric:3", [0, 2], [1], [2]))     # least norm 2/9, the floor
+def test_index_checks_match_fraction_reference(plan):
+    """Each index check's document, `pass` included, is what Fraction arcs
+    on the step reference's enclosure give."""
+    stops = [p.k for p in plan.indices[1:]] + [plan.closing_k]
+    base = plan.seq.geometric_base if plan.tag == "th2" else None
+    for check, p, stop in zip(witness._index_checks(plan), plan.indices, stops):
+        [(_, head, P)] = enclosure_reference.step_heads(plan.seq, {p.k + 1: p.digit},
+                                                        stop, p.k, v=p.v)
+        assert check.to_json() == enclosure_reference.index_check_document(
+            p.i, p.n, head, p.v, P, base)
 
 
 # ---------------------------------------------------------------------------
@@ -1166,9 +1214,8 @@ def test_shared_walks_equal_unshared(request, count):
     assert len(checks) == count
     for check, p, stop in zip(checks, plan.indices, stops):
         [(_, head, P)] = enclosure_heads(seq, {p.k + 1: p.digit}, stop, p.k, v=p.v)
-        lo, hi = norm_bounds(head, p.v, P)
-        assert check.interval == CircleInterval.from_head(head, p.v, P)
-        assert check.norm_interval == RatInterval(Fraction(lo, 2 * P), Fraction(hi, 2 * P))
+        assert (check.head, check.v, check.P) == (head, p.v, P)
+        assert (check.lo, check.hi) == norm_bounds(head, p.v, P)
     if tag != "th6":
         # without a shared dict every block walks on its own
         assert blocks == witness._block_checks(plan)
