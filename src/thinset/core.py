@@ -1,5 +1,5 @@
-"""Exact circle arithmetic: points of [0,1), digit expansions, and the
-enclosure kernel that puts {v*u_k*x} on an arc [head, head + v]/P mod 1.
+"""Exact circle arithmetic: points of [0,1) and digit expansions over a
+divisibility chain.
 
 Everything is computed over exact integers and rationals; there is no
 floating point anywhere.
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from ._exact_text import decoder, exact_fraction, exact_int, exact_str
 from .sequences import ArithmeticSequence, ArithmeticTerms, phase_period
@@ -204,88 +204,3 @@ def support(e: DigitExpansion) -> "SetDescriptor":
         return e.symbolic_support
     from .ideals import FiniteSet
     return FiniteSet(sorted(e.digits))
-
-
-_TAIL_BITS = 64   # the head reaches until the tail weight is at most 2**-_TAIL_BITS
-
-
-def enclosure_heads(seq: ArithmeticSequence, digits: Mapping[int, int], stop: int,
-                    top: int, bottom: Optional[int] = None, v: int = 1
-                    ) -> Iterator[tuple[int, int, int]]:
-    """(k, head, P) for k = top, top-1, ..., bottom+1 (top alone by default):
-    {v*u_k*x} lies in [head, head + v]/P mod 1, with 0 <= head < P, for
-    every x whose digits in (k, stop] are `digits` (zero where none is
-    given) and whose later digits are any admissible tail.
-
-    With P = q_{k+1}***q_r and N = sum_{k<n<=r} c_n*q_{n+1}***q_r, v*u_k*x is
-    an integer plus v*N/P plus v times a tail in [0, 1/P].  Only ratios enter,
-    never u_k.  At top, r is cut in one step: r = stop when the ratios up to
-    stop fall short of cap = v*2**_TAIL_BITS (more than bits(cap - 1) of them,
-    all but q_1 >= 2, reach it unformed), else the last given digit or
-    `seq.reach(top, cap)`, whichever is later; P is `ratio_product(top, r)`
-    and N comes by Horner's rule.  Stepping k down multiplies q_{k+1} into P
-    and trims the ratios past the last digit that the bound no longer needs.
-    Over a finite list every ratio up to stop must exist.
-    """
-    if v < 1:
-        raise DomainError("multiplier must be >= 1")
-    if stop < top or any(not top < n <= stop for n in digits):
-        raise DomainError(f"need top <= stop, with digits in ({top}, {stop}]")
-    if seq.finite and stop > top:
-        seq.q(stop)                         # raises past the list's end
-    last = max(digits, default=0)
-    cap = v << _TAIL_BITS
-    if stop - top <= (cap - 1).bit_length() and (P := seq.ratio_product(top, stop)) < cap:
-        r = stop
-    else:
-        r = max(last, seq.reach(top, cap))
-        P = seq.ratio_product(top, r)
-    N, n = _horner(seq, digits, top)
-    N *= seq.ratio_product(n, r)
-    for k in range(top, top - 1 if bottom is None else bottom, -1):
-        if k < top:
-            P *= seq.q(k + 1)
-            while r > last and P // (q := seq.q(r)) >= cap:
-                P, N, r = P // q, N // q, r - 1
-        yield k, v * N % P, P
-
-
-def shared_heads(seq: ArithmeticSequence, digits: Mapping[int, int], stop: int,
-                 top: int, bottom: Optional[int] = None, v: int = 1,
-                 walks: Optional[dict] = None) -> Iterator[tuple[int, int, int, int, int]]:
-    """(top - k, head, P, lo, hi) per (k, head, P) of `enclosure_heads`, with
-    (lo, hi) = norm_bounds(head, v, P), walked once per key of `walks`.
-
-    The kernel reads only q_{low+1} .. q_high, with low = bottom + 1 (top
-    alone by default) and high = max(last digit, top) + bits(v*2**_TAIL_BITS)
-    + 1, and a stop past high + 1 acts as high + 1.  Over ratios of period L
-    the walk is thus fixed by low mod L, by top, the digits and the clipped
-    stop relative to low, and by v.  A window from below L keys apart (q_1
-    alone may be 1); without a period, or without `walks`, every window is
-    walked anew."""
-    if walks is None or not (L := phase_period(ArithmeticTerms(seq))):
-        for k, head, P in enclosure_heads(seq, digits, stop, top, bottom, v):
-            yield top - k, head, P, *norm_bounds(head, v, P)
-        return
-    low = top if bottom is None else bottom + 1
-    high = max(max(digits, default=0), top) + (v << _TAIL_BITS).bit_length() + 1
-    key = (min(low, L + low % L), top - low, v, min(stop, high + 1) - low,
-           tuple(sorted((n - low, c) for n, c in digits.items())))
-    if key not in walks:
-        walks[key] = list(shared_heads(seq, digits, stop, top, bottom, v))
-    yield from walks[key]
-
-
-def norm_bounds(head: int, v: int, P: int) -> tuple[int, int]:
-    """Numerators over 2P of the least and the greatest ||t|| for t in the
-    arc [head, head + v]/P mod 1, with 0 <= head < P."""
-    end = head + v
-    if v >= P:                       # the whole circle
-        return 0, P
-    if end > P:                      # wraps past 1, so it holds an integer
-        return 0, min(P, 2 * max(P - head, end - P))
-    if 2 * end <= P:                 # inside [0, 1/2]
-        return 2 * head, 2 * end
-    if 2 * head >= P:                # inside [1/2, 1]
-        return 2 * (P - end), 2 * (P - head)
-    return 2 * min(head, P - end), P     # straddles 1/2

@@ -25,11 +25,10 @@ hold by lemma once the indices increase and every digit is below its ratio.
 A passing certificate is thus rigorous for the infinite continuation of the
 digit pattern, not just for a finite truncation.
 
-`enclosure_report` explains a pass and decides nothing: exact integer
-checks per index (an arc from the planned digits plus an explicit tail
-enclosure, against the band or th2's floor) and per-block bounds, each a
-dyadic fixed-point number rounded outward from the same enclosures, so it
-encloses the block's exact sum without forming that sum's denominator.
+The same check explains a pass: one row per lemma instance, holding the
+numbers that lemma compared (the pivot and the arc or floor that the gap
+lemma gives per index, the majorant per block), and the support verdict.
+`verify_certificate` reports them whenever the claims hold.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import Callable, NamedTuple, Optional
 
 from ._exact_text import decoder, exact_int, exact_str
 from .convergence import membership_by_support
-from .core import DigitExpansion, SIN_UPPER, _gcd, shared_heads
+from .core import DigitExpansion, SIN_UPPER
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
                      Verdict, descriptor_from_json, non_snt_witness)
 from .sequences import (ArithmeticSequence, ArithmeticTerms, TermSequence, _coprime_basis,
@@ -52,8 +51,6 @@ from .sequences import (ArithmeticSequence, ArithmeticTerms, TermSequence, _copr
 
 TAGS = ("th6", "th1", "th2")
 _COFACTOR_BITS = 1 << 21   # largest bound on bits(v_n) of a cofactor the planner forms
-_BLOCK_WINDOW = 48     # exact head terms per block; the rest goes in a tail bound
-_BLOCK_BITS = 64       # block bounds are multiples of 2**-(_BLOCK_BITS + bits(j_from))
 
 
 class UnsupportedIdealError(ValueError):
@@ -160,7 +157,7 @@ class WitnessPlan:
     ideal: IdealDescriptor
     indices: tuple[PlannedIndex, ...]
     closing_k: int          # chain index where the next digit would go; the
-                            # tail enclosure of the last check starts here
+                            # last index's gap lemma reaches up to it
     witness_set: Optional[SetDescriptor]
     # the selection log, in memory only: {"i", "n", "k", "v"} per selected
     # index, the closing one included; not written, so a decoded plan has none
@@ -429,67 +426,6 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IndexCheck:
-    """{a_{n_i} x} lies on the arc [head, head + v]/P mod 1, so ||a_{n_i} x||
-    lies in [lo, hi]/(2P) (`core.norm_bounds`).  `passed` is the arc inside
-    the band [1/4, 7/8] (th6/th1), or for th2 over u_n = base**n the least
-    norm above (base - 1)/base**2, decided in integers."""
-
-    i: int
-    n: int
-    head: int
-    v: int
-    P: int
-    lo: int
-    hi: int
-    passed: bool
-    base: Optional[int] = None      # th2 only
-
-    def to_json(self) -> dict:
-        head, end, P = self.head, self.head + self.v, self.P
-        whole = self.v >= P
-        doc = {"i": self.i, "n": self.n, "wraparound": whole or end > P,
-               "norm_interval": [_rat(self.lo, 2 * P), _rat(self.hi, 2 * P)],
-               "pass": self.passed}
-        if whole:
-            doc["interval"] = ["0/1", "1/1"]
-        elif end <= P:
-            doc["interval"] = [_rat(head, P), _rat(end, P)]
-        else:                               # wraps past 1: two parts
-            doc["intervals"] = [[_rat(head, P), "1/1"], ["0/1", _rat(end - P, P)]]
-        if self.base is None:
-            doc["target"] = ["1/4", "7/8"]
-        else:
-            doc["target_min"] = _rat(self.base - 1, self.base * self.base)
-        return doc
-
-
-def _rat(num: int, den: int) -> str:
-    """num/den in lowest terms, for num >= 0 and den > 0."""
-    g = _gcd(num, den)
-    return f"{exact_str(num // g)}/{exact_str(den // g)}"
-
-
-@dataclass(frozen=True)
-class BlockCheck:
-    """Certified enclosure of one block of the weighted upper-envelope sum."""
-
-    index: int
-    j_from: int           # block covers j_from < j <= j_to
-    j_to: int
-    upper_bound: Fraction     # certified >= sum_block r_j*(22/7)*||u_j x||
-    lower_bound: Fraction     # certified <= the same sum
-    majorant: Fraction
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {"index": self.index, "from": self.j_from, "to": self.j_to,
-                "upper_bound": exact_str(self.upper_bound),
-                "lower_bound": exact_str(self.lower_bound),
-                "majorant": exact_str(self.majorant), "pass": self.passed}
-
-
-@dataclass(frozen=True)
 class WitnessCertificate:
     """The claims: the plan, and `passed`, whether it meets the lemmas.
     Any document decodes to its claims: `theorem`, `plan` and `pass`; other
@@ -520,102 +456,11 @@ def _assemble_expansion(plan: WitnessPlan) -> DigitExpansion:
     return DigitExpansion(plan.seq, digits, None, symbolic_support=symbolic)
 
 
-def _index_checks(plan: WitnessPlan, walks: Optional[dict] = None) -> list[IndexCheck]:
-    base = plan.seq.geometric_base if plan.tag == "th2" else None
-    checks = []
-    # the digit after index i sits past chain index stop_i
-    stops = [p.k for p in plan.indices[1:]] + [plan.closing_k]
-    for p, stop in zip(plan.indices, stops):
-        [(_, head, P, lo, hi)] = shared_heads(plan.seq, {p.k + 1: p.digit}, stop,
-                                              p.k, v=p.v, walks=walks)
-        if base is None:        # [head, head + v]/P inside [1/4, 7/8]
-            passed = head + p.v <= P and 4 * head >= P and 8 * (head + p.v) <= 7 * P
-        else:                   # lo/(2P) > (base - 1)/base**2
-            passed = lo * base * base > 2 * P * (base - 1)
-        checks.append(IndexCheck(p.i, p.n, head, p.v, P, lo, hi, passed, base))
-    return checks
-
-
-def _block_walks(plan: WitnessPlan, walks: Optional[dict] = None):
-    """(index, j_from, j_to, walk, tail) per gap between consecutive selected
-    chain indices, with r_j = 1/j.  The block's sum of r_j*||u_j x|| over
-    j_from < j <= j_to lies in [sum lo/(2*P*j), sum hi/(2*P*j) + 1/tail]
-    over the (j_to - j, head, P, lo, hi) of its walk; tail = 0 stands for no
-    tail term.
-
-    The walk is the block's head: the last _BLOCK_WINDOW j before its right
-    edge, enclosed by walking the kernel down from that edge, which puts
-    ||u_j x|| in [lo, hi]/(2*P).  Everything earlier goes into the tail term,
-    using ||u_j x|| <= u_j/u_{k_i} <= 2**-(k_i - j).  The walk is lazy, so a
-    block whose walk is not read costs nothing, and blocks whose windows
-    agree share it through `walks` (see core.shared_heads)."""
-    ks = [p.k for p in plan.indices] + [plan.closing_k]
-    for idx in range(1, len(plan.indices)):
-        j_from, j_to = ks[idx - 1], ks[idx]
-        head_from = max(j_from, j_to - _BLOCK_WINDOW)
-        walk = shared_heads(plan.seq, {j_to + 1: plan.indices[idx].digit}, ks[idx + 1],
-                            j_to, head_from, walks=walks)
-        # j in (j_from, head_from]: each norm <= 2**-(j_to - j), and the
-        # geometric sum of those is < 2 * 2**-_BLOCK_WINDOW; with the weight
-        # r_{j_from+1} that adds 1/tail
-        tail = (j_from + 1) << (_BLOCK_WINDOW - 1) if head_from > j_from else 0
-        yield idx + 1, j_from, j_to, walk, tail
-
-
-def _block_checks(plan: WitnessPlan, walks: Optional[dict] = None) -> list[BlockCheck]:
-    """Certified enclosures of sum_{block} r_j*(22/7)*||u_j x|| per gap
-    between consecutive selected chain indices (see `_block_walks`), each
-    against the majorant 2*(22/7)*r_{j_from}, with r_1 in place of r_0 for a
-    block that starts at k = 0.
-
-    Each bound is a dyadic m/2**E with E = _BLOCK_BITS + bits(j_from),
-    rounded outward term by term (Moore 1966): each lo/(2*P*j) is rounded
-    down, each hi/(2*P*j), the tail term and the factor 22/7 up, and the
-    factor 2 of the lower bound is exact.  No common denominator of the
-    weights is formed, and since 2**E > 2**_BLOCK_BITS * j_from the
-    _BLOCK_WINDOW + 2 roundings keep each bound within about
-    majorant * 2**-59 of the block's exact sum.
-    """
-    blocks = []
-    for index, j_from, j_to, walk, tail in _block_walks(plan, walks):
-        E = _BLOCK_BITS + max(j_from, 1).bit_length()
-        low = high = 0
-        for d, _, P, lo, hi in walk:
-            scale = 2 * P * (j_to - d)
-            low += (lo << E) // scale
-            high -= (-hi << E) // scale
-        if tail:
-            high -= -(1 << E) // tail
-        lower = Fraction(2 * low, 1 << E)
-        upper = Fraction(-(-SIN_UPPER.numerator * high // SIN_UPPER.denominator),
-                         1 << E)
-        majorant = Fraction(2 * SIN_UPPER.numerator,
-                            SIN_UPPER.denominator * max(j_from, 1))
-        blocks.append(BlockCheck(index, j_from, j_to, upper, lower,
-                                 majorant, upper <= majorant))
-    return blocks
-
-
-def enclosure_report(plan: WitnessPlan) -> tuple[list[IndexCheck], list[BlockCheck],
-                                                   Optional[Verdict]]:
-    """(checks, blocks, support) of the planned point: an exact enclosure
-    per index, a dyadic bound per block (th1/th2) and the support verdict
-    (th6/th1).  They explain a pass and decide none; the walks are shared
-    within the call (see core.shared_heads)."""
-    walks: dict = {}
-    checks = _index_checks(plan, walks)
-    blocks = _block_checks(plan, walks) if plan.tag in ("th1", "th2") else []
-    support = None
-    if plan.tag in ("th6", "th1"):
-        support = membership_by_support(_assemble_expansion(plan), plan.ideal)
-    return checks, blocks, support
-
-
 def build_and_verify(plan: WitnessPlan) -> WitnessCertificate:
     """The certificate of the plan, which passes when no lemma of
     `_check_claims` fails, the check `verify_certificate` makes.  A failing
     lemma never raises; it clears the pass flag."""
-    return WitnessCertificate(plan, not _check_claims(plan))
+    return WitnessCertificate(plan, not _check_claims(plan).fails)
 
 
 # ---------------------------------------------------------------------------
@@ -725,10 +570,85 @@ def _term_identity(seq: ArithmeticSequence, terms: TermSequence, rows) -> list[s
     return [f"index {i}: {w}" for i, w in sorted(why.items())]
 
 
-def _check_claims(plan: WitnessPlan) -> list[str]:
+@dataclass(slots=True)
+class IndexRow:
+    """The digit and gap lemmas at one index, as the numbers they compared:
+    the pivot {c*v/q} = pivot/q with q = q_{k+1}, and whether the gap lemma
+    held.  th6/th1: the later digits add at most 1/8, so {a_{n_i} x} lies on
+    the arc [pivot/q, pivot/q + 1/8], against the band [1/4, 7/8].  th2, where
+    q = p: they add less than 1/p**2, so ||a_{n_i} x|| is above the floor
+    min(pivot, p - pivot)/p - 1/p**2, against (p - 1)/p**2."""
+
+    i: int
+    n: int
+    pivot: int
+    q: int
+    gap: bool
+    th2: bool
+
+    @property
+    def passed(self) -> bool:
+        q, pivot = self.q, self.pivot
+        if self.th2:                # over p**2: floor >= (p - 1)/p**2
+            return self.gap and q * min(pivot, q - pivot) - 1 >= q - 1
+        return self.gap and q <= 4 * pivot and 8 * pivot + q <= 7 * q
+
+    def to_json(self) -> dict:
+        q, rho = self.q, Fraction(self.pivot, self.q)
+        doc = {"i": self.i, "n": self.n, "pivot": exact_str(rho)}
+        if self.th2:
+            doc.update(norm_floor=exact_str(min(rho, 1 - rho) - Fraction(1, q * q)),
+                       target_min=exact_str(Fraction(q - 1, q * q)))
+        else:
+            doc.update(interval=[exact_str(rho), exact_str(rho + Fraction(1, 8))],
+                       target=["1/4", "7/8"])
+        doc["pass"] = self.passed
+        return doc
+
+
+@dataclass(slots=True)
+class BlockRow:
+    """The block lemma for j_from < j <= j_to, the chain indices of two
+    consecutive selected indices: with every digit below its ratio, ||u_j x||
+    <= u_j/u_{j_to} <= 2**-(j_to - j), so the block's sum of
+    r_j*(22/7)*||u_j x||, r_j = 1/j, is at most the majorant
+    2*(22/7)*r_{max(j_from, 1)}.  `passed` is that premise on the digits."""
+
+    index: int
+    j_from: int
+    j_to: int
+    passed: bool
+
+    @property
+    def majorant(self) -> Fraction:
+        return 2 * SIN_UPPER / max(self.j_from, 1)
+
+    def to_json(self) -> dict:
+        return {"index": self.index, "from": self.j_from, "to": self.j_to,
+                "majorant": exact_str(self.majorant), "pass": self.passed}
+
+
+def _block_rows(ks: list[int], below: bool) -> list[BlockRow]:
+    """A `BlockRow` per two consecutive selected chain indices, numbered from 2."""
+    return [BlockRow(i, a, b, below) for i, (a, b) in enumerate(itertools.pairwise(ks), 2)]
+
+
+class Claims(NamedTuple):
+    """What `_check_claims` finds: the failed lemmas, and the rows of the
+    lemmas it compared, one per index and one per block (th1/th2), with
+    the support verdict (th6/th1)."""
+
+    fails: list
+    checks: list
+    blocks: list
+    support: Optional[Verdict]
+
+
+def _check_claims(plan: WitnessPlan) -> Claims:
     """Each lemma of the construction that the plan's claims fail, as
-    "plan: <lemma>: <what>"; [] when they all hold.  With k_{count+1} =
-    closing_k, the lemmas are:
+    "plan: <lemma>: <what>" in `fails`, [] when they all hold, and the rows
+    of the lemmas tried (see `Claims`).  With k_{count+1} = closing_k, the
+    lemmas are:
     * chain: every ratio is one (q_1 >= 1, the rest >= 2), and th2's chain
       is u_n = p**n;
     * index order: i = 1..count, n >= 1, v >= 1, and n and k increase
@@ -751,6 +671,7 @@ def _check_claims(plan: WitnessPlan) -> list[str]:
     2*(22/7)/max(k_{i-1}, 1) once the indices increase and each digit is
     below its ratio."""
     fails: list[str] = []
+    checks: list[IndexRow] = []
     tag, seq, idx = plan.tag, plan.seq, plan.indices
     ks = [p.k for p in idx] + [plan.closing_k]
     with _lemma(fails, "chain") as fail:
@@ -769,7 +690,7 @@ def _check_claims(plan: WitnessPlan) -> list[str]:
         elif any(a >= b for a, b in itertools.pairwise(ks)):
             fail("k does not increase strictly up to closing_k")
     if fails:
-        return fails
+        return Claims(fails, checks, [], None)
     with _lemma(fails, "term identity") as fail:
         for why in _term_identity(seq, plan.terms, [(p.i, p.n, p.k, p.v) for p in idx]):
             fail(why)
@@ -777,6 +698,7 @@ def _check_claims(plan: WitnessPlan) -> list[str]:
         for p in idx:
             if p.v % seq.q(p.k + 1) == 0:
                 fail(f"index {p.i}: q_(k+1) divides v")
+
     if tag == "th2":
         base = seq.geometric_base
         with _lemma(fails, "witness set") as fail:
@@ -788,11 +710,13 @@ def _check_claims(plan: WitnessPlan) -> list[str]:
                     fail(f"index {p.i}: the digit is not 1")
         with _lemma(fails, "th2 gap") as fail:
             for p, k in zip(idx, ks[1:]):
-                if k < p.k + (2 * p.n + 1) * p.v:
-                    fail(f"index {p.i}: the next k is below k + (2n + 1)*v")
-                elif not _reaches(seq, p.k, k, p.v * base * base + 1):
-                    fail(f"index {p.i}: u_k'/u_k <= v*p^2 for the next index k'")
-        return fails
+                why = ("the next k is below k + (2n + 1)*v" if k < p.k + (2 * p.n + 1) * p.v
+                       else None if _reaches(seq, p.k, k, p.v * base * base + 1)
+                       else "u_k'/u_k <= v*p^2 for the next index k'")
+                if why:
+                    fail(f"index {p.i}: {why}")
+                checks.append(IndexRow(p.i, p.n, p.digit * p.v % base, base, not why, True))
+        return Claims(fails, checks, _block_rows(ks[:-1], all(p.digit < base for p in idx)), None)
     W = non_snt_witness(plan.ideal)
     with _lemma(fails, "witness set") as fail:
         if W is None:
@@ -804,6 +728,7 @@ def _check_claims(plan: WitnessPlan) -> list[str]:
                 fail(f"k_{i} = {exact_str(k)} is not in it")
             if tag == "th1" and k.bit_length() <= i:
                 fail(f"k_{i} = {exact_str(k)} is below 2^{i}")
+    pivots = []                                     # (c*v mod q, q) per index
     with _lemma(fails, "digit") as fail:
         for p in idx:
             q, c = seq.q(p.k + 1), p.digit
@@ -811,29 +736,43 @@ def _check_claims(plan: WitnessPlan) -> list[str]:
             if p.choice is None or (p.choice.l, p.choice.l_prime, p.choice.m) != (
                     l, q - l, 2 * min(l, q - l)):
                 fail(f"index {p.i}: l, l_prime and m are not those of q_(k+1) and v")
-            if not (1 <= c < q and q <= 4 * (c * p.v % q) <= 3 * q):
+            pivot = c * p.v % q
+            pivots.append((pivot, q))
+            if not (1 <= c < q and q <= 4 * pivot <= 3 * q):
                 fail(f"index {p.i}: c*v/q_(k+1) mod 1 is outside [1/4, 3/4]")
+    gaps = []
     with _lemma(fails, "gap") as fail:
         for p, k in zip(idx, ks[1:]):
-            if not _reaches(seq, p.k, k, 8 * p.v):
+            gaps.append(_reaches(seq, p.k, k, 8 * p.v))
+            if not gaps[-1]:
                 fail(f"index {p.i}: u_k'/u_k < 8*v for the next index k'")
+    checks += [IndexRow(p.i, p.n, pivot, q, gap, False)
+               for p, (pivot, q), gap in zip(idx, pivots, gaps)]
+    support = None
     with _lemma(fails, "support") as fail:
-        verdict = membership_by_support(_assemble_expansion(plan), plan.ideal)
-        if verdict.outcome is not Outcome.MEMBER:
-            fail(f"the digit support is {verdict.outcome.value} in the ideal, not Member")
-    return fails
+        support = membership_by_support(_assemble_expansion(plan), plan.ideal)
+        if support.outcome is not Outcome.MEMBER:
+            fail(f"the digit support is {support.outcome.value} in the ideal, not Member")
+    if tag == "th6":
+        return Claims(fails, checks, [], support)
+    below = len(pivots) == len(idx) and all(p.digit < q for p, (_, q) in zip(idx, pivots))
+    return Claims(fails, checks, _block_rows(ks[:-1], below), support)
 
 
 def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     """Check each stored claim against the construction's lemmas
-    (`_check_claims`), calling no planner and walking no enclosure: every
-    failed lemma is a mismatch that begins with "plan", and so is a stored
-    pass that disagrees with the claims.  A certificate that meets the
-    lemmas is a proof, greedy or not.  Nothing is built.  `notes` is always
-    empty; it is kept so that the report's keys and text stay stable."""
-    mismatches = _check_claims(cert.plan)
+    (`_check_claims`), calling no planner: every failed lemma is a mismatch
+    that begins with "plan", and so is a stored pass that disagrees with the
+    claims.  A certificate that meets the lemmas is a proof, greedy or not.
+    Nothing is built.  When the claims hold, the report also holds the rows
+    that explain the pass, as `checks`, `blocks` and `support` (`Claims`)."""
+    claims = _check_claims(cert.plan)
+    mismatches = claims.fails
     passed = not mismatches
     if cert.passed != passed:
         mismatches.append(f"overall pass stored={cert.passed}, recomputed={passed}")
     ok = not mismatches
-    return ok, {"mismatches": mismatches, "notes": [], "ok": ok, "recomputed_pass": passed}
+    report = {"mismatches": mismatches, "ok": ok, "recomputed_pass": passed}
+    if passed:
+        report.update(checks=claims.checks, blocks=claims.blocks, support=claims.support)
+    return ok, report

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from enclosure_reference import arc
+from enclosure_reference import arc, block_checks, dist_interval, index_heads, within_rows
 from thinset.convergence import WeightRule, ideal_convergence, \
     membership_by_support, nset_partial_sums
 from thinset.core import (CircleRational, expand, reconstruct)
@@ -18,7 +18,7 @@ from thinset.ideals import Geometric, IdealDescriptor, Outcome, Shifted
 from thinset.sequences import ArithmeticSequence, ScaledGeometric
 from thinset.witness import (WitnessCertificate, _assemble_expansion,
                              build_and_verify, decompose, digit_choice,
-                             enclosure_report, plan_witness, verify_certificate)
+                             plan_witness, verify_certificate)
 
 DENSITY = IdealDescriptor.density()
 TARGET = (Fraction(1, 4), Fraction(7, 8))
@@ -71,13 +71,21 @@ def test_2_digit_choice_inequality():
     report("2 digit-choice-inequality", ok)
 
 
+def rows(cert):
+    """The lemma rows of the certificate's verify report, and whether the
+    reference enclosures lie within them."""
+    _, rep = verify_certificate(cert)
+    return rep["checks"], rep["blocks"], within_rows(cert.plan, rep["checks"], rep["blocks"])
+
+
 def test_3_th6_reproduction(certificates):
     cert = certificates["th6"]
-    checks, _, _ = enclosure_report(cert.plan)
+    checks, _, within = rows(cert)
     point = _assemble_expansion(cert.plan)
-    ok = cert.passed and len(checks) == 16
+    ok = cert.passed and len(checks) == 16 and within
+    ok = ok and all(c.passed for c in checks)
     ok = ok and all(TARGET[0] <= lo and hi <= TARGET[1]
-                    for c in checks for lo, hi in arc(c.head, c.v, c.P))
+                    for p, head, P in index_heads(cert.plan) for lo, hi in arc(head, p.v, P))
     ok = ok and membership_by_support(
         point, DENSITY).outcome is Outcome.MEMBER
     v = ideal_convergence(point, ScaledGeometric(3, 2), DENSITY,
@@ -92,20 +100,22 @@ def test_4_th2_reproduction(certificates):
     ok = True
     for p in (2, 3, 5):
         cert = certificates[f"th2-p{p}"]
-        checks, _, _ = enclosure_report(cert.plan)
+        checks, _, within = rows(cert)
         floor = Fraction(p - 1, p * p)
-        ok = ok and cert.passed and len(checks) == 12
-        ok = ok and all(Fraction(c.lo, 2 * c.P) > floor for c in checks)
+        ok = ok and cert.passed and len(checks) == 12 and within
+        ok = ok and all(c.passed for c in checks)
+        ok = ok and all(dist_interval(arc(head, q.v, P))[0] > floor
+                        for q, head, P in index_heads(cert.plan))
     report("4 th2-norm-floor", ok)
 
 
 def test_5_th1_block_bounds(certificates):
     cert = certificates["th1"]
-    _, blocks, _ = enclosure_report(cert.plan)
-    ok = cert.passed and len(blocks) > 0
-    for b in blocks:
+    _, blocks, within = rows(cert)
+    ok = cert.passed and len(blocks) > 0 and within
+    for b, ref in zip(blocks, block_checks(cert.plan)):
         majorant = 2 * Fraction(22, 7) * Fraction(1, b.j_from)
-        ok = ok and b.upper_bound <= majorant and b.majorant == majorant
+        ok = ok and b.passed and ref.upper_bound <= majorant and b.majorant == majorant
     report("5 th1-block-bounds", ok)
 
 

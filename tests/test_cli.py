@@ -7,9 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from enclosure_reference import arc, block_checks, dist_interval, index_heads
 from full_certificate import full_document
 from json_mutation import DELETE, VALUES, json_paths, mutate
-from thinset import cli
+from thinset import cli, witness
 from thinset.cli import (EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE,
                          main)
 from thinset.core import DigitExpansion
@@ -146,10 +147,17 @@ def test_witness_and_verify(tmp_path, capsys):
     code, report, _ = run_cli(capsys, "verify", "--json-in", str(out))
     assert code == EXIT_PASS
     assert report["ok"] and report["recomputed_pass"]
-    # the report explains the pass with the rebuilt checks and support verdict
+    assert list(report) == ["mismatches", "ok", "recomputed_pass", "checks", "blocks",
+                            "support"]
+    # the report explains the pass with the lemma rows and support verdict
     assert [c["i"] for c in report["checks"]] == [1, 2, 3, 4]
     assert all(c["pass"] and c["target"] == ["1/4", "7/8"] for c in report["checks"])
     assert report["blocks"] == [] and report["support"]["outcome"] == "Member"
+    # each row's arc, from the digit's pivot, holds the reference's enclosure
+    plan = WitnessCertificate.from_json(doc).plan
+    for c, (p, head, P) in zip(report["checks"], index_heads(plan), strict=True):
+        lo, hi = map(Fraction, c["interval"])
+        assert all(lo <= a and b <= hi for a, b in arc(head, p.v, P))
     # a full document, as written before, verifies with the same report
     out.write_text(json.dumps(full_document(build_and_verify(
         WitnessCertificate.from_json(doc).plan))))
@@ -170,6 +178,27 @@ def test_th2_first_index_at_k_zero(tmp_path, capsys):
     assert (blocks[0]["from"], blocks[0]["majorant"]) == (0, "44/7")
     assert len(blocks) == 2 and all(b["pass"] for b in blocks)
     assert report["support"] is None
+    # the reference's block sums lie below the rows' majorants, and its
+    # norms above the rows' floors
+    plan = WitnessCertificate.from_json(doc).plan
+    for b, ref in zip(blocks, block_checks(plan), strict=True):
+        assert ref.upper_bound <= Fraction(b["majorant"])
+    for c, (p, head, P) in zip(report["checks"], index_heads(plan), strict=True):
+        assert c["pass"] and dist_interval(arc(head, p.v, P))[0] > Fraction(c["norm_floor"])
+
+
+def test_verify_forms_one_support_verdict(tmp_path, capsys, monkeypatch):
+    # the report's support is the verdict of the claims check's support lemma
+    out = tmp_path / "cert.json"
+    run_cli(capsys, "witness", "th6", "--seq", "dyadic", "--a", "3*2^n",
+            "--ideal", "density", "--count", "4", "--out", str(out))
+    calls = []
+    kernel = witness.membership_by_support
+    monkeypatch.setattr(witness, "membership_by_support",
+                        lambda *args: calls.append(args) or kernel(*args))
+    code, report, _ = run_cli(capsys, "verify", "--json-in", str(out))
+    assert code == EXIT_PASS and report["support"]["outcome"] == "Member"
+    assert len(calls) == 1
 
 
 def test_malformed_certificate_is_usage_error(tmp_path, capsys):

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from enclosure_reference import arc, dist_interval, step_heads
 from thinset.convergence import WeightRule, nset_partial_sums
 from thinset.core import (CircleRational, DigitExpansion, DomainError,
-                          InsufficientDigitsError, SIN_UPPER, _gcd, enclosure_heads,
-                          expand, norm_bounds, reconstruct, reconstruct_exact,
-                          shared_heads, support)
+                          InsufficientDigitsError, SIN_UPPER, _gcd, expand,
+                          reconstruct, reconstruct_exact, support)
 from thinset.ideals import FiniteSet, Geometric
-from thinset.sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerms,
-                               parse_sequence, phase_period)
+from thinset.sequences import ArithmeticSequence, ExplicitTerms, parse_sequence
 
 
 def digit_list(e, depth):
@@ -278,17 +276,18 @@ def test_dense_round_trip_is_fast(seq, depth):
 
 
 def dist_to_int(x: Fraction) -> Fraction:
-    """||x|| by the core's nearest-integer rule, on the arc of width 0 at {x}."""
+    """||x|| by the reference's nearest-integer range, on the arc of width 0
+    at {x}."""
     f = x - math.floor(x)
-    lo, hi = norm_bounds(f.numerator, 0, f.denominator)
-    assert lo == hi and Fraction(lo, 2 * f.denominator) == min(f, 1 - f)
-    return Fraction(lo, 2 * f.denominator)
+    lo, hi = dist_interval(arc(f.numerator, 0, f.denominator))
+    assert lo == hi == min(f, 1 - f)
+    return lo
 
 
 def arcs(seq, digits, stop, top, bottom=None, v=1):
-    """`enclosure_heads` as arcs of Fraction pairs."""
+    """The reference walk `step_heads` as arcs of Fraction pairs."""
     return [(k, arc(head, v, P))
-            for k, head, P in enclosure_heads(seq, digits, stop, top, bottom, v)]
+            for k, head, P in step_heads(seq, digits, stop, top, bottom, v)]
 
 
 class TestNorm:
@@ -349,9 +348,9 @@ class TestFracScaled:
 
     def test_norm_interval(self):
         e = expand(CircleRational.parse("5/8"), ArithmeticSequence.dyadic(), 3)
-        [(_, head, P)] = enclosure_heads(e.seq, e.digits, 3, 0)
-        lo, hi = norm_bounds(head, 1, P)
-        assert Fraction(lo, 2 * P) <= Fraction(3, 8) <= Fraction(hi, 2 * P)
+        [(_, head, P)] = step_heads(e.seq, e.digits, 3, 0)
+        lo, hi = dist_interval(arc(head, 1, P))
+        assert lo <= Fraction(3, 8) <= hi
 
     def test_digits_outside_window_rejected(self):
         seq = ArithmeticSequence.dyadic()
@@ -411,51 +410,6 @@ def test_sparse_enclosure_contains_every_completion(case):
             assert any(lo <= value <= hi or lo <= value + 1 <= hi for lo, hi in enc)
 
 
-STEP_CHAINS = [ArithmeticSequence.dyadic(), ArithmeticSequence.geometric(3),
-               ArithmeticSequence.from_ratios([2, 3, 5]), ArithmeticSequence.from_ratios([2, 7]),
-               ArithmeticSequence.factorial(),
-               ArithmeticSequence.from_ratios([2, 3, 5, 7, 11, 13] * 30, cycle=False),
-               ArithmeticSequence.from_ratios([1] + [2] * 150, cycle=False)]
-
-
-@st.composite
-def step_cases(draw):
-    """A window on a chain, with every ratio up to stop in a finite list."""
-    seq = draw(st.sampled_from(STEP_CHAINS))
-    end = len(seq.ratios) if seq.finite else 400
-    top = draw(st.integers(0, 60))
-    stop = min(end, top + draw(st.one_of(st.integers(0, 4), st.integers(0, 300))))
-    bottom = draw(st.one_of(st.none(), st.integers(-1, top - 1)))
-    v = draw(st.one_of(st.integers(1, 8), st.integers(1, 10 ** 40)))
-    return seq, _digits(draw, seq, top, stop, 4), stop, top, bottom, v
-
-
-@settings(max_examples=400, deadline=None)
-@given(step_cases())
-@example((ArithmeticSequence.dyadic(), {}, 68, 5, None, 1))       # 63 ratios fall short of 2**64
-@example((ArithmeticSequence.dyadic(), {}, 69, 5, None, 1))       # 64 reach it at stop
-@example((ArithmeticSequence.dyadic(), {}, 70, 5, None, 1))       # 65 reach it unformed
-@example((ArithmeticSequence.factorial(), {3: 2}, 60, 0, -1, 1))  # q_1 = 1 from the top
-@example((STEP_CHAINS[-1], {}, 64, 0, None, 1))   # q_1 = 1: 64 ratios fall short of 2**64
-@example((STEP_CHAINS[-1], {}, 65, 0, None, 1))   # 65 reach it
-@example((ArithmeticSequence.dyadic(), {90: 1}, 90, 2, 0, 3))     # the last digit past the cap
-def test_enclosure_heads_equal_step_reference(case):
-    """The one-step cut gives what the walk one ratio at a time gives."""
-    seq, digits, stop, top, bottom, v = case
-    assert (list(enclosure_heads(seq, digits, stop, top, bottom, v))
-            == list(step_heads(seq, digits, stop, top, bottom, v)))
-
-
-def test_enclosure_heads_need_every_ratio_up_to_stop():
-    # the walk would stop at q_64 = 2**64; a finite list must still reach stop
-    seq = ArithmeticSequence.from_ratios([2] * 70, cycle=False)
-    assert list(step_heads(seq, {}, 72, 0)) == [(0, 0, 2 ** 64)]
-    with pytest.raises(ValueError, match="only 70 ratios"):
-        list(enclosure_heads(seq, {}, 72, 0))
-    with pytest.raises(DomainError):
-        list(enclosure_heads(seq, {}, 3, 4))
-
-
 def test_sparse_enclosure_branches():
     seq = ArithmeticSequence.geometric(3)
     # tail weight 5/9 >= 1 fails, head {5*2/3} = 1/3: one arc
@@ -476,47 +430,6 @@ def test_sparse_enclosure_branches():
     assert lo == Fraction(1, 3) and hi - lo <= Fraction(1, 2 ** 64)
 
 
-@st.composite
-def shared_windows(draw):
-    """A chain and windows (digits, stop, top, bottom, v), each repeated
-    whole periods of the ratios up the chain, so that their keys meet."""
-    seq = draw(st.sampled_from(CHAINS + [ArithmeticSequence.from_ratios([1, 3])]))
-    L = phase_period(ArithmeticTerms(seq)) or 1
-    windows = []
-    for _ in range(draw(st.integers(1, 5))):
-        top, gap = draw(st.integers(0, 6)), draw(st.integers(1, 3))
-        stop = top + gap + draw(st.sampled_from([0, 1, 2, 40, 62, 63, 64, 65, 66, 67, 90]))
-        bottom = draw(st.one_of(st.none(), st.integers(-1, top - 1)))
-        v = draw(st.sampled_from([1, 3, 2 ** 20 + 1]))
-        for shift in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)):
-            m = shift * L
-            windows.append(({top + gap + m: 1}, stop + m, top + m,
-                            None if bottom is None else bottom + m, v))
-    return seq, windows
-
-
-def _walked(walk):
-    try:
-        return list(walk)
-    except ValueError as exc:
-        return repr(exc)
-
-
-@settings(max_examples=150, deadline=None)
-@given(shared_windows())
-@example((ArithmeticSequence.from_ratios([1, 3]),     # q_1 = 1 passes, q_3 = 1 raises
-          [({2: 1}, 2, 0, None, 1), ({4: 1}, 4, 2, None, 1)]))
-def test_shared_heads_equal_unshared(case):
-    """Windows walked through one `walks` dict give what the kernel gives
-    for each alone, errors included."""
-    seq, windows = case
-    walks = {}
-    for digits, stop, top, bottom, v in windows:
-        alone = _walked((top - k, head, P, *norm_bounds(head, v, P))
-                        for k, head, P in enclosure_heads(seq, digits, stop, top, bottom, v))
-        assert _walked(shared_heads(seq, digits, stop, top, bottom, v, walks)) == alone
-
-
 @pytest.mark.parametrize("head,v,bounds", [
     (1, 2, (2, 6)),     # [1/8, 3/8] inside [0, 1/2]
     (5, 2, (2, 6)),     # [5/8, 7/8] inside [1/2, 1]
@@ -526,21 +439,11 @@ def test_shared_heads_equal_unshared(case):
     (3, 8, (0, 8)),     # width 1: the whole circle
 ])
 def test_norm_bounds_branches(head, v, bounds):
+    # the reference's nearest-integer range on each kind of arc, as
+    # numerators over 2P
     P = 8
-    assert norm_bounds(head, v, P) == bounds
     lo, hi = bounds
-    reference = dist_interval(arc(head, v, P))
-    assert reference == (Fraction(lo, 2 * P), Fraction(hi, 2 * P))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 2 ** 70).flatmap(
-    lambda P: st.tuples(st.integers(0, P - 1), st.integers(1, 2 * P), st.just(P))))
-def test_norm_bounds_match_fraction_reference(case):
-    head, v, P = case
-    lo, hi = norm_bounds(head, v, P)
-    reference = dist_interval(arc(head, v, P))
-    assert reference == (Fraction(lo, 2 * P), Fraction(hi, 2 * P))
+    assert dist_interval(arc(head, v, P)) == (Fraction(lo, 2 * P), Fraction(hi, 2 * P))
 
 
 def sin_envelope(x: Fraction) -> tuple[Fraction, Fraction]:

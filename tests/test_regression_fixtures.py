@@ -5,13 +5,12 @@ before the enclosure kernel was unified and before block bounds were dyadic:
 full certificate documents, which store the derived digits, checks, support
 and exact block sums besides the claims.  A fresh certificate writes only
 the claims (theorem, plan and `pass`), which must equal the stored ones; the
-derived fields of its enclosure report must equal the stored ones too, except
-the bounds of th1/th2 blocks: each block keeps its index, range, majorant
-and `pass` flag, and its recomputed dyadic bounds contain the stored ones
-to within majorant * 2**-(_BLOCK_BITS - 10).  The one exception is the upper bound of
-th2 blocks on bases other than 2, which a kernel before the unification
-stored wider; it may only exceed the recomputed one.  Every stored
-certificate still verifies: `verify` reads a document as its claims.
+derived fields that the reference walk (`enclosure_reference`) gives must
+equal the stored ones too.  The one exception is the upper bound of th2
+blocks on bases other than 2, which a kernel before the unification stored
+wider; it may only exceed the reference's.  Every stored certificate still
+verifies, as its claims, and the stored checks and blocks lie within the
+lemma rows of its verify report.
 
 Rewrite the fixtures (only on purpose; a rewrite stores dyadic bounds and
 so loses the old-format corpus) with
@@ -31,8 +30,8 @@ from thinset.convergence import classical_convergence, ideal_convergence
 from thinset.core import CircleRational, DigitExpansion, expand
 from thinset.ideals import parse_ideal
 from thinset.sequences import ExplicitTerms, parse_sequence, parse_terms
-from thinset.witness import (_BLOCK_BITS, WitnessCertificate, build_and_verify,
-                             plan_witness, verify_certificate)
+from thinset.witness import (WitnessCertificate, build_and_verify, plan_witness,
+                             verify_certificate)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "regression.json"
 
@@ -107,15 +106,30 @@ def stored():
 
 def _assert_blocks_agree(fresh_blocks, old_blocks, wider_upper: bool):
     assert len(fresh_blocks) == len(old_blocks)
-    fixed = ("index", "from", "to", "majorant", "pass")
+    fixed = ("index", "from", "to", "majorant", "pass", "lower_bound")
     for b_new, b_old in zip(fresh_blocks, old_blocks):
         assert [b_new[f] for f in fixed] == [b_old[f] for f in fixed]
-        slack = Fraction(b_old["majorant"]) / 2 ** (_BLOCK_BITS - 10)
-        lo_new, hi_new = Fraction(b_new["lower_bound"]), Fraction(b_new["upper_bound"])
-        lo_old, hi_old = Fraction(b_old["lower_bound"]), Fraction(b_old["upper_bound"])
-        assert lo_new <= lo_old <= lo_new + slack
-        assert hi_new - slack <= hi_old
-        assert wider_upper or hi_old <= hi_new
+        hi_new, hi_old = Fraction(b_new["upper_bound"]), Fraction(b_old["upper_bound"])
+        assert hi_new <= hi_old if wider_upper else hi_new == hi_old
+
+
+def _assert_within_rows(old, report):
+    """The stored checks and blocks lie within the report's lemma rows."""
+    assert [c["i"] for c in old["checks"]] == [r.i for r in report["checks"]]
+    for check, row in zip(old["checks"], report["checks"]):
+        q, pivot = row.q, row.pivot
+        assert check["pass"] and row.passed
+        if row.th2:
+            floor = Fraction(q * min(pivot, q - pivot) - 1, q * q)
+            assert Fraction(check["norm_interval"][0]) > floor
+        else:
+            lo, hi = map(Fraction, check["interval"])
+            assert Fraction(pivot, q) <= lo and hi <= Fraction(pivot, q) + Fraction(1, 8)
+    assert len(old["blocks"]) == len(report["blocks"])
+    for block, row in zip(old["blocks"], report["blocks"]):
+        assert (block["index"], block["from"], block["to"]) == (row.index, row.j_from, row.j_to)
+        assert block["pass"] and row.passed
+        assert Fraction(block["upper_bound"]) <= Fraction(block["majorant"]) == row.majorant
 
 
 @pytest.mark.parametrize("case", CERT_CASES, ids=lambda c: "-".join(map(str, c)))
@@ -132,6 +146,7 @@ def test_certificate_matches_fixture(case, stored):
     _assert_blocks_agree(derived["blocks"], old["blocks"], case[0] == "th2" and base != 2)
     ok, report = verify_certificate(WitnessCertificate.from_json(old))
     assert ok and report["recomputed_pass"], report
+    _assert_within_rows(old, report)
 
 
 @pytest.mark.parametrize("case", CONVERGENCE_CASES,

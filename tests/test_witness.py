@@ -22,7 +22,6 @@ from full_certificate import full_document
 from json_mutation import DELETE, VALUES, json_paths, mutate
 from thinset import cli, convergence, core, ideals, sequences, witness
 from thinset._exact_text import exact_fraction
-from thinset.core import enclosure_heads, norm_bounds
 from thinset.ideals import IdealDescriptor, Outcome, non_snt_witness
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerms,
                                ScaledGeometric, parse_sequence, parse_terms,
@@ -30,16 +29,29 @@ from thinset.sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerm
 from thinset.witness import (CertificateFormatError, SequenceNotAbsorbingError,
                              UnsupportedIdealError, WitnessCertificate,
                              build_and_verify, decompose, digit_choice,
-                             enclosure_report, plan_witness, verify_certificate)
+                             plan_witness, verify_certificate)
 
 DENSITY = IdealDescriptor.density()
 SUMMABLE = IdealDescriptor.summable()
 
 
-def within_band(check):
-    """The check's arc inside [1/4, 7/8], by the Fraction reference."""
-    return all(Fraction(1, 4) <= lo and hi <= Fraction(7, 8)
-               for lo, hi in enclosure_reference.arc(check.head, check.v, check.P))
+def within_band(parts):
+    """A reference arc's parts inside [1/4, 7/8]."""
+    return all(Fraction(1, 4) <= lo and hi <= Fraction(7, 8) for lo, hi in parts)
+
+
+def report_rows(plan):
+    """(checks, blocks, support) of the verify report of the plan's
+    certificate, once the reference enclosures are seen to lie within them."""
+    ok, report = verify_certificate(build_and_verify(plan))
+    assert ok and enclosure_reference.within_rows(plan, report["checks"], report["blocks"])
+    return report["checks"], report["blocks"], report["support"]
+
+
+def reference_arcs(plan):
+    """(p, arc) per planned index p: the reference walk's arc of {a_n x}."""
+    return [(p, enclosure_reference.arc(head, p.v, P))
+            for p, head, P in enclosure_reference.index_heads(plan)]
 
 
 class TestDecompose:
@@ -191,9 +203,10 @@ class TestBuildAndVerify:
         plan = plan_witness("th6", ArithmeticSequence.dyadic(),
                             ScaledGeometric(1, 2), DENSITY, 4)
         assert build_and_verify(plan).passed
-        checks, _, support = enclosure_report(plan)
-        for c in checks:
-            assert within_band(c)
+        checks, _, support = report_rows(plan)
+        assert len(checks) == 4 and all(c.passed for c in checks)
+        for _, parts in reference_arcs(plan):
+            assert within_band(parts)
         assert support.outcome is Outcome.MEMBER
 
     def test_th6_digit_positions(self):
@@ -207,10 +220,11 @@ class TestBuildAndVerify:
             plan = plan_witness("th2", ArithmeticSequence.geometric(p),
                                 ScaledGeometric(3, p), DENSITY, 5)
             assert build_and_verify(plan).passed
-            checks, blocks, _ = enclosure_report(plan)
+            checks, blocks, _ = report_rows(plan)
             floor = Fraction(p - 1, p * p)
-            for c in checks:
-                assert Fraction(c.lo, 2 * c.P) > floor
+            assert len(checks) == 5 and all(c.passed for c in checks)
+            for _, parts in reference_arcs(plan):
+                assert enclosure_reference.dist_interval(parts)[0] > floor
             assert blocks and all(b.passed for b in blocks)
 
     def test_th1_blocks_under_majorant(self):
@@ -218,15 +232,16 @@ class TestBuildAndVerify:
                             ScaledGeometric(3, 2), SUMMABLE, 5)
         assert build_and_verify(plan).passed
         ks = [p.k for p in plan.indices]
-        for b in enclosure_report(plan)[1]:
+        blocks = report_rows(plan)[1]
+        for b, ref in zip(blocks, enclosure_reference.block_checks(plan), strict=True):
             assert b.majorant == 2 * Fraction(22, 7) * Fraction(1, b.j_from)
-            assert b.j_from in ks
-            assert b.lower_bound <= b.upper_bound <= b.majorant
+            assert b.j_from in ks and b.passed
+            assert ref.lower_bound <= ref.upper_bound <= b.majorant
 
     def test_count_zero_vacuous_pass(self):
         plan = plan_witness("th6", ArithmeticSequence.dyadic(),
                             ScaledGeometric(1, 2), DENSITY, 0)
-        assert build_and_verify(plan).passed and enclosure_report(plan)[0] == []
+        assert build_and_verify(plan).passed and report_rows(plan)[0] == []
 
 
 class TestVerifyCertificate:
@@ -469,8 +484,10 @@ def test_a_certificate_the_planner_would_not_pick_verifies():
     ok, report = verify_certificate(cert)
     assert ok and report["recomputed_pass"] and report["mismatches"] == []
     assert build_and_verify(cert.plan) == cert      # the builder agrees
-    checks, blocks, support = enclosure_report(cert.plan)     # and so do the enclosures
+    checks, blocks, support = report["checks"], report["blocks"], report["support"]
     assert all(c.passed for c in checks + blocks) and support.outcome is Outcome.MEMBER
+    # and so do the reference enclosures
+    assert enclosure_reference.within_rows(cert.plan, checks, blocks)
 
 
 def _forged_pass(cert):
@@ -524,26 +541,28 @@ def unreachable(*args, **kwargs):
     raise AssertionError("reached planner or enclosure code")
 
 
-ENCLOSURE_CODE = [(witness, "shared_heads"), (core, "shared_heads"),
-                  (core, "enclosure_heads"), (core, "norm_bounds")]
+# the enclosure kernel that once explained a pass: no module holds it now,
+# so neither the builder nor verify can walk an enclosure
+ENCLOSURE_CODE = [(witness, "enclosure_report"), (witness, "shared_heads"),
+                  (core, "shared_heads"), (core, "enclosure_heads"), (core, "norm_bounds")]
 
 
 def test_verify_reaches_no_planner_or_enclosure_code(monkeypatch):
     docs = certify_and_fixture_claims()
+    assert not any(hasattr(module, name) for module, name in ENCLOSURE_CODE)
     for module, name in [(witness, "plan_witness"), (witness, "_seek"),
                          (witness, "_chain_index"), (witness, "_valuations"),
-                         (ArithmeticSequence, "reach")] + ENCLOSURE_CODE:
+                         (ArithmeticSequence, "reach")]:
         monkeypatch.setattr(module, name, unreachable)
     for doc in docs:
         ok, report = verify_certificate(WitnessCertificate.from_json(doc))
         assert ok and report["recomputed_pass"], (doc["plan"]["tag"], report["mismatches"])
 
 
-def test_build_reaches_no_enclosure_code(monkeypatch):
+def test_build_reaches_no_enclosure_code():
     # the fixtures' pass flags were written by a builder that walked enclosures
     certs = [WitnessCertificate.from_json(doc) for doc in certify_and_fixture_claims()]
-    for module, name in ENCLOSURE_CODE:
-        monkeypatch.setattr(module, name, unreachable)
+    assert not any(hasattr(module, name) for module, name in ENCLOSURE_CODE)
     for cert in certs:
         assert cert.passed and build_and_verify(cert.plan) == cert
 
@@ -568,15 +587,18 @@ def test_builder_and_verify_agree(name):
 
 def test_enclosures_that_hold_decide_no_pass():
     # {a_n x} of the forged digit 8 lies near 4/5, inside [1/4, 7/8], and
-    # every enclosure holds; the digit lemma does not, and neither does pass
+    # every reference enclosure holds; the digit lemma does not, and neither
+    # does pass: its row's arc [4/5, 37/40] leaves the band
     request, edit = DIGIT_8
     doc = claims(*request)
     edit(doc)
     plan = WitnessCertificate.from_json(doc).plan
-    checks, _, support = enclosure_report(plan)
-    assert all(c.passed for c in checks) and support.outcome is Outcome.MEMBER
-    assert witness._check_claims(plan) == [
-        "plan: digit: index 1: c*v/q_(k+1) mod 1 is outside [1/4, 3/4]"]
+    assert all(within_band(parts) for _, parts in reference_arcs(plan))
+    found = witness._check_claims(plan)
+    assert found.support.outcome is Outcome.MEMBER
+    assert found.fails == ["plan: digit: index 1: c*v/q_(k+1) mod 1 is outside [1/4, 3/4]"]
+    assert found.checks[0].to_json()["interval"] == ["4/5", "37/40"]
+    assert not found.checks[0].passed and all(c.passed for c in found.checks[1:])
     assert not build_and_verify(plan).passed
 
 
@@ -913,14 +935,15 @@ def test_every_planner_request_ends(tag, seq_text, terms_text, count):
             pass
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(tag=st.sampled_from(witness.TAGS), seq_text=st.sampled_from(DEADLINE_CHAINS),
        terms_text=DEADLINE_TERMS, count=st.integers(0, 4))
 @example("th2", "geometric:3", "2*3^n", 4)
 @example("th1", "dyadic", "n!", 4)
 def test_lemmas_imply_the_enclosures(tag, seq_text, terms_text, count):
-    # every planner plan meets the lemmas, and every enclosure of its report
-    # holds: the report, walked apart from them, checks them
+    # every planner plan meets the lemmas, each lemma row of its verify
+    # report passes, and the reference enclosures, walked apart from the
+    # lemmas, lie within the rows
     seq = parse_sequence(seq_text)
     with deadline(2):
         try:
@@ -928,8 +951,8 @@ def test_lemmas_imply_the_enclosures(tag, seq_text, terms_text, count):
                                 SUMMABLE if tag == "th1" else DENSITY, count)
         except (SequenceNotAbsorbingError, ValueError):
             return
-    assert witness._check_claims(plan) == []
-    checks, blocks, support = enclosure_report(plan)
+    assert witness._check_claims(plan).fails == []
+    checks, blocks, support = report_rows(plan)
     assert len(checks) == count and all(c.passed for c in checks + blocks)
     assert len(blocks) == (0 if tag == "th6" else max(count - 1, 0))
     assert (support is None if tag == "th2" else support.outcome is Outcome.MEMBER)
@@ -1093,7 +1116,7 @@ def test_pass_flags_must_be_json_booleans(path, value):
 
 
 # ---------------------------------------------------------------------------
-# Dyadic block bounds against per-j Fraction accumulation
+# Lemma rows against Fraction arithmetic and the reference walk
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -1122,27 +1145,20 @@ def block_requests(draw):
 @example(("th2", "geometric:3", "2*3^n", 16))
 @example(("th2", "geometric:5", "23*5^n", 40))   # j near 10**75, 48-term heads
 def test_block_sums_match_fraction_reference(request):
+    """Each block row has the reference block's index, range, majorant and
+    `pass`, and its majorant bounds the reference's enclosure of the block's
+    sum, whose head terms are exact."""
     tag, seq_text, terms_text, count = request
     seq = parse_sequence(seq_text)
     plan = plan_witness(tag, seq, parse_terms(terms_text, seq),
                         SUMMABLE if tag == "th1" else DENSITY, count)
-    blocks = witness._block_checks(plan)
+    _, blocks, _ = report_rows(plan)
     exact = enclosure_reference.block_checks(plan)
-    assert len(blocks) == len(exact)
-    for dyadic, ref in zip(blocks, exact):
-        assert (dyadic.index, dyadic.j_from, dyadic.j_to, dyadic.majorant,
-                dyadic.passed) == (ref.index, ref.j_from, ref.j_to, ref.majorant,
-                                   ref.passed)
-        # rounded outward: the dyadic pair contains the exact one ...
-        assert dyadic.lower_bound <= ref.lower_bound <= ref.upper_bound <= dyadic.upper_bound
-        # ... and is within majorant * 2**-(_BLOCK_BITS - 10) of it
-        slack = ref.majorant / 2 ** (witness._BLOCK_BITS - 10)
-        assert ref.lower_bound - dyadic.lower_bound <= slack
-        assert dyadic.upper_bound - ref.upper_bound <= slack
-    for check in witness._index_checks(plan):
-        arc = enclosure_reference.arc(check.head, check.v, check.P)
-        assert enclosure_reference.dist_interval(arc) == \
-            (Fraction(check.lo, 2 * check.P), Fraction(check.hi, 2 * check.P))
+    assert len(blocks) == len(exact) == count - 1
+    for row, ref in zip(blocks, exact):
+        assert (row.index, row.j_from, row.j_to, row.majorant, row.passed) == (
+            ref.index, ref.j_from, ref.j_to, ref.majorant, ref.passed)
+        assert ref.lower_bound <= ref.upper_bound <= row.majorant
 
 
 def claimed_plan(tag, seq_text, ks, vs, digits):
@@ -1176,72 +1192,39 @@ def claimed_plans(draw):
 @example(claimed_plan("th6", "geometric:8", [0, 1], [1], [6]))     # [3/4, 7/8]
 @example(claimed_plan("th2", "geometric:3", [0, 2], [1], [2]))     # least norm 2/9, the floor
 def test_index_checks_match_fraction_reference(plan):
-    """Each index check's document, `pass` included, is what Fraction arcs
-    on the step reference's enclosure give."""
-    stops = [p.k for p in plan.indices[1:]] + [plan.closing_k]
-    base = plan.seq.geometric_base if plan.tag == "th2" else None
-    for check, p, stop in zip(witness._index_checks(plan), plan.indices, stops):
-        [(_, head, P)] = enclosure_reference.step_heads(plan.seq, {p.k + 1: p.digit},
-                                                        stop, p.k, v=p.v)
-        assert check.to_json() == enclosure_reference.index_check_document(
-            p.i, p.n, head, p.v, P, base)
+    """Each index row's document, `pass` included, is what Fraction
+    arithmetic gives on its lemmas: the pivot {c*v/q}, q = q_(k+1), and the
+    gap lemma's tail bound 1/8 (th6/th1), or 1/p**2 and the floor
+    min(pivot, 1 - pivot) - 1/p**2 (th2).  A passing row holds the
+    reference's enclosure."""
+    seq, indices = plan.seq, plan.indices
+    ks = [p.k for p in indices] + [plan.closing_k]
+    checks = witness._check_claims(plan).checks
+    assert [row.i for row in checks] == [p.i for p in indices]
+    for row, (p, parts), k in zip(checks, reference_arcs(plan), ks[1:]):
+        q = seq.q(p.k + 1)
+        pivot, rise = Fraction(p.digit * p.v % q, q), Fraction(seq.u(k), seq.u(p.k))
+        doc = {"i": p.i, "n": p.n, "pivot": str(pivot)}
+        if plan.tag == "th2":
+            floor, target = min(pivot, 1 - pivot) - Fraction(1, q * q), Fraction(q - 1, q * q)
+            passed = (k >= p.k + (2 * p.n + 1) * p.v and rise > p.v * q * q
+                      and floor >= target)
+            doc.update(norm_floor=str(floor), target_min=str(target))
+            held = enclosure_reference.dist_interval(parts)[0] > floor
+        else:
+            lo, hi = pivot, pivot + Fraction(1, 8)
+            passed = rise >= 8 * p.v and Fraction(1, 4) <= lo and hi <= Fraction(7, 8)
+            doc.update(interval=[str(lo), str(hi)], target=["1/4", "7/8"])
+            held = all(lo <= a and b <= hi for a, b in parts)
+        assert row.to_json() == dict(doc, **{"pass": passed})
+        assert held or not passed
 
 
-# ---------------------------------------------------------------------------
-# Walks shared within one build against walks made one call at a time
-# ---------------------------------------------------------------------------
-
-SHARED_REQUESTS = [("th6", "dyadic", "3*2^n"), ("th1", "dyadic", "3*2^n"),
-                   ("th1", "dyadic", "u_n"), ("th2", "dyadic", "5*2^n"),
-                   ("th1", "geometric:3", "u_n"), ("th2", "geometric:3", "2*3^n"),
-                   ("th1", "geometric:5", "7*5^n"), ("th2", "geometric:5", "23*5^n"),
-                   ("th6", "[2,3,5]", "u_n"), ("th1", "[2,3,5]", "u_n"),
-                   ("th6", "factorial", "n!"), ("th1", "factorial", "n!")]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(SHARED_REQUESTS), st.integers(0, 7))
-@example(("th1", "dyadic", "u_n"), 4)       # stop - top below the walk horizon
-@example(("th1", "[2,3,5]", "u_n"), 5)
-@example(("th2", "geometric:5", "23*5^n"), 40)
-def test_shared_walks_equal_unshared(request, count):
-    tag, seq_text, terms_text = request
-    seq = parse_sequence(seq_text)
-    plan = plan_witness(tag, seq, parse_terms(terms_text, seq),
-                        SUMMABLE if tag == "th1" else DENSITY, count)
-    checks, blocks, _ = enclosure_report(plan)
-    stops = [p.k for p in plan.indices[1:]] + [plan.closing_k]
-    assert len(checks) == count
-    for check, p, stop in zip(checks, plan.indices, stops):
-        [(_, head, P)] = enclosure_heads(seq, {p.k + 1: p.digit}, stop, p.k, v=p.v)
-        assert (check.head, check.v, check.P) == (head, p.v, P)
-        assert (check.lo, check.hi) == norm_bounds(head, p.v, P)
-    if tag != "th6":
-        # without a shared dict every block walks on its own
-        assert blocks == witness._block_checks(plan)
-        exact = enclosure_reference.block_checks(plan)
-        assert len(exact) == len(blocks) == max(count - 1, 0)
-        for block, ref in zip(blocks, exact):
-            assert block.lower_bound <= ref.lower_bound <= ref.upper_bound <= block.upper_bound
-
-
-def test_shared_walks_are_counted(monkeypatch):
-    walks = []
-    kernel = core.enclosure_heads
-    monkeypatch.setattr(core, "enclosure_heads",
-                        lambda *args, **kw: walks.append(args) or kernel(*args, **kw))
-    seq = ArithmeticSequence.geometric(5)
-    plan = plan_witness("th2", seq, ScaledGeometric(23, 5), DENSITY, 40)
-    witness._index_checks(plan)
-    witness._block_checks(plan)
-    assert len(walks) == 40 + 39
-    walks.clear()
-    checks, blocks, _ = enclosure_report(plan)
-    assert all(c.passed for c in checks + blocks) and len(walks) <= 4
-    # n! has no period, so every index check walks once
-    walks.clear()
-    fact = ArithmeticSequence.factorial()
-    plan = plan_witness("th6", fact, ArithmeticTerms(fact), DENSITY, 8)
-    checks, _, support = enclosure_report(plan)
-    assert all(c.passed for c in checks) and support.outcome is Outcome.MEMBER
-    assert len(walks) == len(plan.indices) == 8
+@pytest.mark.parametrize("tag,seq_text,ratio", [("th1", "dyadic", 2), ("th2", "geometric:3", 3)])
+def test_block_rows_need_every_digit_below_its_ratio(tag, seq_text, ratio):
+    # the block lemma's premise: one digit at its ratio fails every block row
+    for digit, passed in ((1, True), (ratio, False)):
+        plan = claimed_plan(tag, seq_text, [2, 4, 8, 16], [1, 1, 1], [1, digit, 1])
+        blocks = witness._check_claims(plan).blocks
+        assert [(b.index, b.j_from, b.j_to, b.passed) for b in blocks] == [
+            (2, 2, 4, passed), (3, 4, 8, passed)]
