@@ -17,11 +17,10 @@ from .ideals import (FiniteSet, Geometric, Growth, IdealDescriptor, Outcome,
 from .sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerms,
                         ScaledGeometric, TermSequence, parse_sequence,
                         parse_terms, terms_from_json)
-from .witness import (CertificateFormatError, Decomposition, DigitChoice,
-                      PlannedIndex, SequenceNotAbsorbingError,
-                      UnsupportedIdealError, WitnessCertificate, WitnessPlan,
-                      build_and_verify, decompose, digit_choice, plan_witness,
-                      verify_certificate)
+from .witness import (CertificateFormatError, Decomposition, PlannedIndex,
+                      SequenceNotAbsorbingError, UnsupportedIdealError,
+                      WitnessCertificate, WitnessPlan, build_and_verify,
+                      decompose, digit_choice, plan_witness, verify_certificate)
 
 __version__ = "0.1.0"
 

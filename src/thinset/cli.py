@@ -94,7 +94,7 @@ def _set_from_spec(text: str):
     raise UsageError(f"unrecognized set spec {text!r}")
 
 
-def _parse_point(args, seq=None):
+def _parse_point(args):
     """A point: --x as a rational, or --json-in holding a digit expansion."""
     if getattr(args, "json_in", None):
         return DigitExpansion.from_json(_load_json(args.json_in))

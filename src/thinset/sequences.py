@@ -243,6 +243,12 @@ class ExplicitTerms(TermSequence):
             raise ValueError("terms must be strictly increasing")
         self.values = values
 
+    def __repr__(self) -> str:
+        return f"ExplicitTerms({self.values!r})"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ExplicitTerms) and self.values == other.values
+
     def term(self, n: int) -> int:
         if not 1 <= n <= len(self.values):
             raise ValueError(f"term index {n} outside explicit list of {len(self.values)}")

@@ -14,11 +14,14 @@ Three certificate families are produced, identified by wire tags:
 * ``th2`` - prime-power chain u_n = p**n with unit digits, targets
   ||a_{n_i} x|| > (p-1)/p**2, plus harmonic block bounds.
 
-One check decides `pass`, for the builder and for `verify_certificate`
-alike: each claim against the construction's lemmas (`_check_claims`):
-index order; u_k*v = a_n from valuations, with q_{k+1} not dividing v; the
-witness set re-derived from the ideal, with every k in it (and k_i >= 2**i
-for th1); the digit pivot {c*v/q_{k+1}} in [1/4, 3/4]; the gap
+A plan holds only its claims: (i, n, k, v, digit) per index and closing_k.
+What follows from them is derived where it is needed, not stored: the
+digit lemma's l = v mod q_{k+1}, and the witness set W = non_snt_witness
+of the ideal (th6/th1; th2 has none).  One check decides `pass`, for the
+builder and for `verify_certificate` alike: each claim against the
+construction's lemmas (`_check_claims`): index order; u_k*v = a_n from
+valuations, with q_{k+1} not dividing v; every k in W (and k_i >= 2**i for
+th1); the digit pivot {c*v/q_{k+1}} in [1/4, 3/4]; the gap
 u_{k_{i+1}}/u_{k_i} >= 8*v_i, by which the later digits add at most 1/8;
 th2's unit digits and gaps; and the support verdict.  The block majorants
 hold by lemma once the indices increase and every digit is below its ratio.
@@ -45,7 +48,7 @@ from ._exact_text import decoder, exact_int, exact_str
 from .convergence import membership_by_support
 from .core import DigitExpansion, SIN_UPPER
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
-                     Verdict, descriptor_from_json, non_snt_witness)
+                     Verdict, non_snt_witness)
 from .sequences import (ArithmeticSequence, ArithmeticTerms, TermSequence, _coprime_basis,
                         _Divisibility, _divisibility_of, multiplier_chain, terms_from_json)
 
@@ -90,15 +93,7 @@ def decompose(seq: ArithmeticSequence, a: int) -> Decomposition:
     return Decomposition(k, v)
 
 
-@dataclass(frozen=True)
-class DigitChoice:
-    l: int
-    l_prime: int
-    m: int
-    c: int
-
-
-def digit_choice(q: int, v: int) -> DigitChoice:
+def digit_choice(q: int, v: int) -> int:
     """Digit c = floor(q/m) with m = 2*min(l, q-l), l = v mod q.
 
     Guarantees 1 <= c < q and {c*l/q} in [1/4, 3/4]; both are asserted.
@@ -108,13 +103,9 @@ def digit_choice(q: int, v: int) -> DigitChoice:
     l = v % q
     if l == 0:
         raise ValueError(f"{q} divides {v}, no digit choice exists")
-    l_prime = q - l
-    m = 2 * l if 2 * l <= q else 2 * l_prime
-    c = q // m
-    assert 1 <= c < q and 1 < m <= q
-    pivot = Fraction(c * l % q, q)
-    assert Fraction(1, 4) <= pivot <= Fraction(3, 4)
-    return DigitChoice(l, l_prime, m, c)
+    c = q // (2 * min(l, q - l))
+    assert 1 <= c < q and q <= 4 * (c * l % q) <= 3 * q
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -128,25 +119,16 @@ class PlannedIndex:
     k: int                 # chain index with u_k | a_n maximal
     v: int                 # cofactor a_n / u_k
     digit: int             # digit placed at chain index k+1
-    choice: Optional[DigitChoice] = None    # th6/th1 only
 
     def to_json(self) -> dict:
-        doc = {"i": self.i, "n": self.n, "k": self.k, "v": exact_str(self.v),
-               "digit": exact_str(self.digit)}
-        if self.choice is not None:
-            doc.update(l=exact_str(self.choice.l), l_prime=exact_str(self.choice.l_prime),
-                       m=exact_str(self.choice.m))
-        return doc
+        return {"i": self.i, "n": self.n, "k": self.k, "v": exact_str(self.v),
+                "digit": exact_str(self.digit)}
 
     @classmethod
     @decoder("planned index", CertificateFormatError)
     def from_json(cls, doc: dict) -> "PlannedIndex":
-        choice = None
-        if "m" in doc:
-            choice = DigitChoice(exact_int(doc["l"]), exact_int(doc["l_prime"]),
-                                 exact_int(doc["m"]), exact_int(doc["digit"]))
         return cls(exact_int(doc["i"]), exact_int(doc["n"]), exact_int(doc["k"]),
-                   exact_int(doc["v"]), exact_int(doc["digit"]), choice)
+                   exact_int(doc["v"]), exact_int(doc["digit"]))
 
 
 @dataclass(frozen=True)
@@ -158,7 +140,6 @@ class WitnessPlan:
     indices: tuple[PlannedIndex, ...]
     closing_k: int          # chain index where the next digit would go; the
                             # last index's gap lemma reaches up to it
-    witness_set: Optional[SetDescriptor]
     # the selection log, in memory only: {"i", "n", "k", "v"} per selected
     # index, the closing one included; not written, so a decoded plan has none
     growth_log: tuple[dict, ...] = field(compare=False, default=())
@@ -171,8 +152,6 @@ class WitnessPlan:
             "ideal": self.ideal.to_json(),
             "indices": [p.to_json() for p in self.indices],
             "closing_k": self.closing_k,
-            "witness_set": (self.witness_set.to_json()
-                            if self.witness_set is not None else None),
         }
 
     @classmethod
@@ -185,8 +164,6 @@ class WitnessPlan:
             ideal=IdealDescriptor.from_json(doc["ideal"]),
             indices=tuple(PlannedIndex.from_json(p) for p in doc["indices"]),
             closing_k=exact_int(doc["closing_k"]),
-            witness_set=(descriptor_from_json(doc["witness_set"])
-                         if doc.get("witness_set") else None),
         )
 
 
@@ -387,10 +364,10 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
     if count < 0:
         raise ValueError("count must be >= 0")
 
-    witness_set: Optional[SetDescriptor] = None
+    W: Optional[SetDescriptor] = None
     if tag in ("th6", "th1"):
-        witness_set = non_snt_witness(ideal)
-        if witness_set is None:
+        W = non_snt_witness(ideal)
+        if W is None:
             raise UnsupportedIdealError(
                 f"ideal {ideal.kind!r} has no infinite shift-invariant member")
     elif seq.geometric_base is None:
@@ -407,18 +384,12 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
             K = 2 ** i if tag == "th1" else 0
             if selected:
                 K = max(K, seq.reach(pk, 8 * pv))
-        selected.append(_seek(index, pn, K, witness_set))
+        selected.append(_seek(index, pn, K, W))
 
-    closing_k = selected[count][1]
-    planned = []
-    for i, (n, k, v) in enumerate(selected[:count], start=1):
-        if tag in ("th6", "th1"):
-            choice = digit_choice(seq.q(k + 1), v)
-            planned.append(PlannedIndex(i, n, k, v, choice.c, choice))
-        else:
-            planned.append(PlannedIndex(i, n, k, v, 1, None))
+    planned = tuple(PlannedIndex(i, n, k, v, 1 if tag == "th2" else digit_choice(seq.q(k + 1), v))
+                    for i, (n, k, v) in enumerate(selected[:count], start=1))
     log = tuple({"i": i, "n": n, "k": k, "v": v} for i, (n, k, v) in enumerate(selected, 1))
-    return WitnessPlan(tag, seq, terms, ideal, tuple(planned), closing_k, witness_set, log)
+    return WitnessPlan(tag, seq, terms, ideal, planned, selected[count][1], log)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +400,8 @@ def plan_witness(tag: str, seq: ArithmeticSequence, terms: TermSequence,
 class WitnessCertificate:
     """The claims: the plan, and `passed`, whether it meets the lemmas.
     Any document decodes to its claims: `theorem`, `plan` and `pass`; other
-    keys, such as the `digits`, `checks`, `support` and `blocks` that
+    keys, such as the `digits`, `checks`, `support` and `blocks` and the
+    plan's copies of its witness set and of each index's l, l' and m that
     certificates written before stored, are ignored."""
 
     plan: WitnessPlan
@@ -451,9 +423,12 @@ class WitnessCertificate:
 
 
 def _assemble_expansion(plan: WitnessPlan) -> DigitExpansion:
+    """The point of the plan: digit c at chain index k + 1 per index, its
+    support continued on W + 1 for th6/th1, W = non_snt_witness(ideal)."""
+    W = None if plan.tag == "th2" else non_snt_witness(plan.ideal)
     digits = {p.k + 1: p.digit for p in plan.indices}
-    symbolic = Shifted(plan.witness_set, 1) if plan.witness_set is not None else None
-    return DigitExpansion(plan.seq, digits, None, symbolic_support=symbolic)
+    return DigitExpansion(plan.seq, digits, None,
+                          symbolic_support=None if W is None else Shifted(W, 1))
 
 
 def build_and_verify(plan: WitnessPlan) -> WitnessCertificate:
@@ -655,17 +630,17 @@ def _check_claims(plan: WitnessPlan) -> Claims:
       strictly up to closing_k; the lemmas below are tried only past it;
     * term identity: u_k*v = a_n (see `_term_identity`);
     * cofactor: q_{k+1} does not divide v;
-    * witness set: for th6/th1 the stored set is non_snt_witness(ideal),
-      re-derived, and every k_i lies in it, with k_i >= 2**i for th1; th2
-      stores none;
+    * witness set (th6/th1): every k_i lies in W = non_snt_witness(ideal),
+      with k_i >= 2**i for th1;
     * digit (th6/th1): with q = q_{k+1}, 1 <= c < q and q <= 4*(c*v mod q)
-      <= 3q, and the stored l, l_prime and m are the ones (q, v) gives;
+      <= 3q;
     * gap (th6/th1): u_{k_{i+1}}/u_{k_i} >= 8*v_i.  The digits past
       k_{i+1}, each below its ratio, add at most 1/u_{k_{i+1}} to x, so at
       most 1/8 to a_{n_i}*x, and {a_{n_i} x} lies in [1/4, 7/8];
     * th2 digit and th2 gap: each digit is 1, k_{i+1} >= k_i + (2n_i + 1)v_i
       and u_{k_{i+1}}/u_{k_i} > v_i*p**2, so ||a_{n_i} x|| > (p - 1)/p**2;
-    * support (th6/th1): `membership_by_support` of the digits is Member.
+    * support (th6/th1): `membership_by_support` of the digits, continued
+      on W + 1 (`_assemble_expansion`), is Member.
     The block majorants (th1/th2) hold by lemma: for j in (k_{i-1}, k_i],
     ||u_j x|| <= u_j/u_{k_i} <= 2**-(k_i - j), so a block's sum is below
     2*(22/7)/max(k_{i-1}, 1) once the indices increase and each digit is
@@ -701,12 +676,9 @@ def _check_claims(plan: WitnessPlan) -> Claims:
 
     if tag == "th2":
         base = seq.geometric_base
-        with _lemma(fails, "witness set") as fail:
-            if plan.witness_set is not None:
-                fail("th2 stores no witness set")
         with _lemma(fails, "th2 digit") as fail:
             for p in idx:
-                if p.digit != 1 or p.choice is not None:
+                if p.digit != 1:
                     fail(f"index {p.i}: the digit is not 1")
         with _lemma(fails, "th2 gap") as fail:
             for p, k in zip(idx, ks[1:]):
@@ -721,8 +693,6 @@ def _check_claims(plan: WitnessPlan) -> Claims:
     with _lemma(fails, "witness set") as fail:
         if W is None:
             fail(f"ideal {plan.ideal.kind!r} has no infinite shift-invariant member")
-        elif plan.witness_set != W:
-            fail("the stored witness_set is not the ideal's")
         for i, k in enumerate(ks, start=1):
             if W is not None and not W.contains(k):
                 fail(f"k_{i} = {exact_str(k)} is not in it")
@@ -732,10 +702,6 @@ def _check_claims(plan: WitnessPlan) -> Claims:
     with _lemma(fails, "digit") as fail:
         for p in idx:
             q, c = seq.q(p.k + 1), p.digit
-            l = p.v % q
-            if p.choice is None or (p.choice.l, p.choice.l_prime, p.choice.m) != (
-                    l, q - l, 2 * min(l, q - l)):
-                fail(f"index {p.i}: l, l_prime and m are not those of q_(k+1) and v")
             pivot = c * p.v % q
             pivots.append((pivot, q))
             if not (1 <= c < q and q <= 4 * pivot <= 3 * q):

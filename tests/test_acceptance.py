@@ -66,7 +66,7 @@ def test_1_expansion_round_trip():
 def test_2_digit_choice_inequality():
     lo, hi = Fraction(1, 4), Fraction(3, 4)
     ok = all(
-        lo <= Fraction(digit_choice(q, v).c * digit_choice(q, v).l % q, q) <= hi
+        lo <= Fraction(digit_choice(q, v) * v % q, q) <= hi
         for q in range(2, 65) for v in range(1, q))
     report("2 digit-choice-inequality", ok)
 

@@ -146,9 +146,8 @@ def test_rational_fields_refuse_bools_and_floats(th1_claims, path, value, tmp_pa
     assert captured.out == "" and captured.err.startswith("error:")
 
 
-# the keys of the claims that hold integers; th2 has no l, l_prime or m
-INT_KEYS = {"i", "n", "k", "v", "digit", "l", "l_prime", "m", "closing_k",
-            "scale", "base"}
+# the keys of the claims that hold integers
+INT_KEYS = {"i", "n", "k", "v", "digit", "closing_k", "scale", "base"}
 
 
 def integer_paths(doc):
@@ -170,8 +169,7 @@ def certificate_doc(request):
 def test_every_integer_field_refuses_non_integers(certificate_doc, value, tmp_path,
                                                   capsys):
     paths = integer_paths(certificate_doc)
-    th2 = certificate_doc["theorem"] == "th2"
-    assert {p[-1] for p in paths} == INT_KEYS - ({"l", "l_prime", "m"} if th2 else set())
+    assert {p[-1] for p in paths} == INT_KEYS
     file = tmp_path / "c.json"
     for path in paths:
         doc = mutate(certificate_doc, path, value)

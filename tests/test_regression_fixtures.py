@@ -3,8 +3,10 @@
 `tests/fixtures/regression.json` holds the documents these cases produced
 before the enclosure kernel was unified and before block bounds were dyadic:
 full certificate documents, which store the derived digits, checks, support
-and exact block sums besides the claims.  A fresh certificate writes only
-the claims (theorem, plan and `pass`), which must equal the stored ones; the
+and exact block sums besides the claims, and a plan that also stores its
+growth_log, its witness_set and each index's l, l_prime and m.  A fresh
+certificate writes only the claims (theorem, plan and `pass`), which must
+equal the stored ones with those plan keys dropped; the
 derived fields that the reference walk (`enclosure_reference`) gives must
 equal the stored ones too.  The one exception is the upper bound of th2
 blocks on bases other than 2, which a kernel before the unification stored
@@ -136,8 +138,11 @@ def _assert_within_rows(old, report):
 def test_certificate_matches_fixture(case, stored):
     old = next(e["doc"] for e in stored["certificates"] if e["case"] == list(case))
     cert = _cert(case)
-    # certificates no longer write growth_log; the stored ones keep it
-    plan = {k: v for k, v in old["plan"].items() if k != "growth_log"}
+    # certificates no longer write growth_log, witness_set, nor l, l_prime
+    # and m per index; the stored ones keep them
+    plan = {k: v for k, v in old["plan"].items() if k not in ("growth_log", "witness_set")}
+    plan["indices"] = [{k: v for k, v in p.items() if k not in ("l", "l_prime", "m")}
+                       for p in plan["indices"]]
     assert cert.to_json() == {"theorem": old["theorem"], "plan": plan, "pass": old["pass"]}
     derived = full_document(cert)
     for key in ("digits", "checks", "support"):

@@ -9,7 +9,7 @@ import re
 import signal
 import tempfile
 import time
-from dataclasses import astuple, fields
+from dataclasses import fields
 from fractions import Fraction
 from unittest import mock
 
@@ -78,12 +78,9 @@ class TestDecompose:
 
 class TestDigitChoice:
     def test_examples(self):
-        c = digit_choice(8, 3)
-        assert (c.l, c.l_prime, c.m, c.c) == (3, 5, 6, 1)
-        c = digit_choice(2, 7)
-        assert (c.l, c.l_prime, c.m, c.c) == (1, 1, 2, 1)
-        c = digit_choice(8, 5)
-        assert (c.l, c.l_prime, c.m, c.c) == (5, 3, 6, 1)
+        # (q, v, c) with l = v mod q and m = 2*min(l, q - l): c = q // m
+        for q, v, c in [(8, 3, 1), (2, 7, 1), (8, 5, 1), (8, 1, 4), (16, 3, 2), (10, 13, 1)]:
+            assert digit_choice(q, v) == c
 
     def test_divisible_rejected(self):
         with pytest.raises(ValueError):
@@ -93,16 +90,16 @@ class TestDigitChoice:
         for q in (2, 3, 5, 9, 64):
             for v in range(1, q):
                 c = digit_choice(q, v)
-                pivot = Fraction(c.c * c.l % q, q)
+                pivot = Fraction(c * v % q, q)
                 assert Fraction(1, 4) <= pivot <= Fraction(3, 4)
-                assert 1 < c.m <= q
+                assert 1 <= c < q
 
 
 class TestPlanning:
     def test_th6_unit_cofactor(self):
         plan = plan_witness("th6", ArithmeticSequence.dyadic(),
                             ScaledGeometric(1, 2), DENSITY, 4)
-        assert all(p.v == 1 and p.choice.l == 1 for p in plan.indices)
+        assert all(p.v == 1 and p.digit == 1 for p in plan.indices)
         assert [p.k for p in plan.indices] == [2, 8, 16, 32]
         assert plan.closing_k == 64
 
@@ -384,6 +381,58 @@ def test_derived_keys_are_never_read(name):
     assert edited or name == "unedited"
 
 
+@pytest.mark.parametrize("tag", ["th6", "th1", "th2"])
+def test_a_written_plan_holds_only_its_claims(tag):
+    # l, l_prime, m and the witness set follow from the claims, and neither
+    # the plan nor its document holds them
+    doc = json.loads(passing_certificate(tag))
+    assert list(doc["plan"]) == ["tag", "sequence", "terms", "ideal", "indices", "closing_k"]
+    assert all(list(p) == ["i", "n", "k", "v", "digit"] for p in doc["plan"]["indices"])
+    assert [f.name for f in fields(witness.PlannedIndex)] == ["i", "n", "k", "v", "digit"]
+    assert [f.name for f in fields(witness.WitnessPlan)] == [
+        "tag", "seq", "terms", "ideal", "indices", "closing_k", "growth_log"]
+
+
+# edits of the copies that a plan written before stored beside its claims:
+# per key, a forged value, a malformed one, and the key deleted
+STORED_COPIES = {"l": "4", "l_prime": "4", "m": "4",
+                 "witness_set": {"type": "geometric", "base": "4"}}
+
+
+@pytest.mark.parametrize("edit", ["forged", "malformed", "deleted"])
+@pytest.mark.parametrize("key", sorted(STORED_COPIES))
+def test_stored_copies_are_never_read(key, edit):
+    # every fixture document verifies to the bytes and exit code of its claims
+    # projection, whatever its l, l_prime, m or witness_set holds; an index
+    # key is edited at every index, and added where a th2 index lacks it
+    value = {"forged": STORED_COPIES[key], "malformed": ["x"], "deleted": DELETE}[edit]
+    for full in fixture_certificates():
+        claims = {k: full[k] for k in ("theorem", "plan", "pass")}
+        doc = json.loads(json.dumps(full))
+        for part in doc["plan"]["indices"] if key != "witness_set" else [doc["plan"]]:
+            if value is not DELETE:
+                part[key] = value
+            elif key in part:
+                del part[key]
+        assert doc != full or value is DELETE
+        expected = verify_output(json.dumps(claims))
+        assert expected[0] == 0 and verify_output(json.dumps(doc)) == expected
+
+
+@pytest.mark.parametrize("seq_text,terms_text", [
+    ("dyadic", "3*2^n"), ("[2,3,5]", "u_n"), ("dyadic", "n!"),
+    ("dyadic", "[" + ",".join(str(3 << j) for j in range(19)) + "]")],
+    ids=["scaled-geometric", "u_n", "n!", "explicit"])
+def test_certificate_equals_its_round_trip(seq_text, terms_text):
+    # one case per term kind: scaled geometric, u_n, n! and an explicit list
+    seq = parse_sequence(seq_text)
+    cert = build_and_verify(plan_witness("th6", seq, parse_terms(terms_text, seq), DENSITY, 2))
+    back = WitnessCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert back == cert and repr(back.plan.terms) == repr(cert.plan.terms)
+    assert ExplicitTerms([3, 6]) == ExplicitTerms([3, 6]) != ExplicitTerms([3, 7])
+    assert ExplicitTerms([3, 6]) != ScaledGeometric(3, 2)
+
+
 # ---------------------------------------------------------------------------
 # The claims checker: one forgery per lemma, valid certificates the planner
 # would not pick, faulty builders, and no planner or enclosure code reached
@@ -424,15 +473,17 @@ FORGERIES = {
     "n!/v is not u_k": (("th6", "dyadic", "n!", 3), lambda d: _index(d, 0, v="15"),
                         "term identity", "index 1"),
     "v absorbs q_(k+1)": (TH6, lambda d: _index(d, 1, k=7, v="6"), "cofactor", "index 2"),
+    # a stored witness_set is ignored: W is the ideal's, and k_4 = 33 is not in it
     "other witness set": (TH6, lambda d: d["plan"].update(
-        witness_set={"type": "geometric", "base": "4"}), "witness set", "not the ideal's"),
+        witness_set={"type": "progression", "start": "1", "step": "1"}) or _index(
+            d, 3, n=33, k=33), "witness set", "k_4 = 33 is not in it"),
     "fin": (TH6, lambda d: d["plan"].update(ideal={"type": "fin"}), "witness set",
             "'fin' has no infinite"),
     "k outside W": (("th1", "dyadic", "3*2^n", 3, SUMMABLE), lambda d: _index(d, 1, n=3, k=3),
                     "witness set", "k_2 = 3 is below 2^2"),
-    "th2 witness set": (("th2", "geometric:3", "2*3^n", 3), lambda d: d["plan"].update(
-        witness_set={"type": "geometric", "base": "2"}), "witness set", "stores no witness set"),
-    "l": (TH6, lambda d: _index(d, 0, l="3"), "digit", "l, l_prime and m"),
+    # a stored l is ignored: the digit 1 chosen for l = 5 has pivot 3/16, as l = v mod 16 = 3
+    "l": (("th6", "geometric:16", "3*16^n", 3), lambda d: _index(
+        d, 0, l="5", l_prime="11", m="10", digit="1"), "digit", "outside [1/4, 3/4]"),
     "pivot": (("th6", "[2,3,5]", "u_n", 3), lambda d: _index(d, 0, digit="1"), "digit",
               "outside [1/4, 3/4]"),
     "gap": (("th6", "dyadic", "2^n", 4), lambda d: _index(d, 1, n=4, k=4), "gap", "index 1"),
@@ -440,9 +491,10 @@ FORGERIES = {
                   "th2 digit", "index 1"),
     "th2 gap": (("th2", "geometric:3", "2*3^n", 3), lambda d: d["plan"].update(closing_k=186),
                 "th2 gap", "index 3: the next k is below k + (2n + 1)*v"),
-    "support": (TH6, lambda d: d["plan"].update(
-        witness_set={"type": "progression", "start": "1", "step": "1"}), "support",
-                "Inconclusive"),
+    # 3*2^33 = u_33*3, so the last index moves to k = 33 with every other
+    # lemma but the witness set holding, and its digit leaves W + 1
+    "support": (TH6, lambda d: _index(d, 3, n=33, k=33), "support",
+                "digit index 34 outside the declared support"),
 }
 
 
@@ -510,10 +562,8 @@ def test_verify_rejects_the_certificates_of_faulty_builders():
     ok, report = verify_certificate(_forged_pass(cert))
     assert not ok and report["mismatches"][0].startswith("plan: gap: index 1:")
     # digit 1 wherever q_(k+1) = 5, a pivot of 1/5
-    choice = witness.digit_choice
     seq = parse_sequence("[2,3,5]")
-    with mock.patch.object(witness, "digit_choice",
-                           lambda q, v: witness.DigitChoice(*astuple(choice(q, v))[:3], 1)):
+    with mock.patch.object(witness, "digit_choice", lambda q, v: 1):
         cert = build_and_verify(plan_witness("th6", seq, parse_terms("u_n", seq), DENSITY, 3))
     assert not cert.passed and [p.digit for p in cert.plan.indices] == [1, 1, 1]
     ok, report = verify_certificate(_forged_pass(cert))
@@ -1030,11 +1080,11 @@ def meets_reference_conditions(plan) -> bool:
         if (d.k, d.v) != (p.k, p.v):
             return False
     if tag == "th2":
-        return (seq.geometric_base is not None and plan.witness_set is None
+        return (seq.geometric_base is not None
                 and all(p.digit == 1 and k >= p.k + (2 * p.n + 1) * p.v
                         for p, k in zip(rows, ks[1:])))
     witness = non_snt_witness(plan.ideal)
-    if witness is None or plan.witness_set != witness:
+    if witness is None:
         return False
     for i, k in enumerate(ks, start=1):
         if not witness.contains(k) or (tag == "th1" and k < 2 ** i):
@@ -1166,7 +1216,7 @@ def claimed_plan(tag, seq_text, ks, vs, digits):
     indices = tuple(witness.PlannedIndex(i, i, k, v, c) for i, (k, v, c)
                     in enumerate(zip(ks, vs, digits), start=1))
     return witness.WitnessPlan(tag, parse_sequence(seq_text), ScaledGeometric(1, 2),
-                               DENSITY, indices, ks[-1], None)
+                               DENSITY, indices, ks[-1])
 
 
 @st.composite
