@@ -33,8 +33,7 @@ from .core import (CircleRational, DigitExpansion, SIN_UPPER, _TRUNCATION_BITS,
                    _partial_sum, reconstruct_exact, support)
 from .ideals import (IdealDescriptor, Outcome, Progression, Verdict, ideal_member,
                      translation_invariant_in)
-from .sequences import (ArithmeticTerms, TermSequence, _divisibility_of,
-                        multiplier_chain, multipliers, phase_period)
+from .sequences import ArithmeticTerms, TermSequence
 
 DEFAULT_DEPTH = 100_000
 DEFAULT_EPS_GRID = (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 64))
@@ -56,8 +55,8 @@ class _Residues:
     ever when depth is None), on a multiplier chain, a block at a time:
     blocks() yields (n, [t_n, t_{n+1}, ...]) of at most _BLOCK_CAP positions
     and about _BLOCK_BITS bits, formed in a tight t = t*m % den loop over
-    the multipliers of sequences.multipliers (a periodic chain's one
-    period, cycled, else blocks that double in length).  Memory is O(block).
+    the multipliers of the terms' chain (`_Divisibility.multipliers`).
+    Memory is O(block).
 
     start = (n0, t_n0) resumes a chain walk at n0.  With stop=True a chain
     walk ends once the rest is fixed, and sets repeat = (h, t_h, lam): the
@@ -70,8 +69,7 @@ class _Residues:
     first save point _FIRST_BLOCK or more positions on (the start is a
     block of its own; a walk with no save points stops early only where its
     tight loop does), and one `mark in` the positions of the mark's phase
-    checks each part of it between two save points.  The period is asked
-    for after the start: a bad ratio of a cycled list raises there.
+    checks each part of it between two save points.
 
     With quiet > 0 (at most den) a stopping walk may leave out positions
     whose residue is below quiet: a product t_n*m(n) below 2**b <= quiet,
@@ -105,7 +103,7 @@ class _Residues:
         num, den, terms = self.num, self.den, self.terms
         n, t = self.start or (1, None)
         end = math.inf if self.depth is None else self.depth
-        chain = multiplier_chain(terms)
+        chain = terms.chain
         if chain is None:
             for n, k in _spans(n, end):
                 yield n, [terms.term(j) * num % den for j in range(n, n + k)]
@@ -113,23 +111,19 @@ class _Residues:
         if n > end:
             return
         if t is None:
-            t = (chain[0] % den) * num % den
-        period, stop = phase_period(terms), self.stop
+            t = (chain.first % den) * num % den
+        period, stop = chain.period, self.stop
         lo = 1 << max(self.quiet.bit_length() - 1, 0) if stop else 0    # 2**b
         b = lo.bit_length() - 1
         mark, mark_n, save_at = None, 0, n if stop and period else end
         cap = min(_BLOCK_CAP, _BLOCK_BITS // den.bit_length() + 1)
-        block, first, stream, run = [t], n, None, False
+        block, first, stream, run = [t], n, chain.multipliers(n), False
         while True:
             s = save_at     # the block ends on a save point (at n itself for the start)
             while n < s < n + _FIRST_BLOCK:
                 s *= 2
             k = min(cap, end - n, s - n)
             if k:
-                if stream is None:
-                    stream = (itertools.cycle(multipliers(terms, n, min(period, end - n)))
-                              if period else itertools.chain.from_iterable(
-                                  multipliers(terms, j, k) for j, k in _spans(n, end - 1)))
                 for m in itertools.islice(stream, k):
                     if t < lo:
                         t *= m
@@ -158,12 +152,11 @@ class _Residues:
             if block:
                 yield first, block
                 n = first + len(block) - 1
-                if stop and not block[-1]:  # so is every later residue, but ask for
-                    # the multipliers of a full walk that can fail: one period
-                    # of a cycled list, or a finite list to its end
+                if stop and not block[-1]:  # so is every later residue, but a
+                    # finite list still has to reach the depth
                     self.repeat = (n, 0, 1)
-                    if end < math.inf and (period or terms.seq.finite):
-                        multipliers(terms, n, min(end, n + (period or end)) - n)
+                    if end < math.inf and chain.mults is not None and not period:
+                        list(chain.multipliers(n, end - n))
                     return
                 if n == end:
                     return
@@ -262,7 +255,7 @@ def _rational_verdict(x: CircleRational, terms: TermSequence, walked: tuple
 
     if x.num == 0:
         return Verdict(Outcome.MEMBER, "zero"), None
-    kernel = _divisibility_of(terms)
+    kernel = terms.chain
     if kernel is None:
         return undecided("terms are not a multiplicative chain")
     zero_from, rest = kernel.zero_from(x.den, _FACTOR_BOUND)
@@ -403,7 +396,7 @@ def _eps_stats(x: PointLike, terms: TermSequence, depth: int,
         walked = n + len(block) - 1, None, block[-1:]
     if walk is not None and walk.repeat is not None and (walk.repeat[1] or not quiet):
         start, t, lam = walk.repeat      # a zero period is below quiet, so it reaches no eps
-        phases = phase_period(terms)
+        phases = terms.chain.period
         keep = phases is not None and den * phases <= _CYCLE_STATE_CAP
         residues = []
         for h, block in _Residues(num, den, terms, start + lam - 1, start=(start, t)).blocks():
@@ -452,7 +445,7 @@ def classical_convergence(x: PointLike, terms: TermSequence, depth: int = DEFAUL
         stats = _eps_stats(x, terms, depth, eps_grid)[0]
         definite = max((s.exceptional_count for s in stats), default=0)
         verdict = Verdict(Outcome.INCONCLUSIVE, None,
-                          {"note": "truncated expansion, enclosure evidence only",
+                          {"note": "truncated expansion, residue-walk evidence only",
                            "definite_exceptional": definite})
     return ConvergenceReport(depth, tuple(stats), verdict)
 
@@ -534,7 +527,7 @@ def ideal_convergence(x: PointLike, terms: TermSequence, ideal: IdealDescriptor,
     return Verdict(Outcome.INCONCLUSIVE, None,
                    {"eps": eps, "definite_exceptional": stats.exceptional_count,
                     "exceptional_prefix_density": stats.prefix_density,
-                    "note": "truncated expansion, enclosure evidence only"})
+                    "note": "truncated expansion, residue-walk evidence only"})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from ._exact_text import decoder, exact_fraction, exact_int, exact_str
-from .sequences import ArithmeticSequence, ArithmeticTerms, phase_period
+from .sequences import ArithmeticSequence, ArithmeticTerms
 
 if TYPE_CHECKING:
     from .ideals import SetDescriptor
@@ -134,7 +134,7 @@ class DigitExpansion:
         e = cls(seq, digits, None if depth is None else exact_int(depth))
         if "sequence" in doc and "ratios" in doc:
             copy, top = doc["ratios"], e.depth or e.last_index
-            L = phase_period(ArithmeticTerms(seq)) or top
+            L = ArithmeticTerms(seq).chain.period or top
             if not isinstance(copy, list) or len(copy) != top or any(
                     (phase := copy[s::L]).count(exact_str(seq.q(s + 1))) != len(phase)
                     for s in range(min(top, L + 1))):

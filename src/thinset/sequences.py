@@ -2,7 +2,10 @@
 
 Ratios must satisfy q_1 >= 1 and q_n >= 2 for n >= 2, so the u_n form a
 strictly increasing chain from n >= 2 (from n >= 1 when q_1 >= 2) in which
-each value divides the next.  All values are arbitrary-precision integers.
+each value divides the next.  A ratio list is checked once, when its chain
+is built.  Each term sequence on a multiplier chain a_{n+1} = a_n*m(n)
+holds that chain as its `chain`, the divisibility kernel below.  All
+values are arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -17,11 +20,18 @@ from typing import Iterator, Optional, Sequence
 from ._exact_text import decoder, exact_int, exact_str
 
 
+def _past_end(L: int, n: int) -> ValueError:
+    return ValueError(f"only {L} ratios available, wanted q_{n}")
+
+
 class ArithmeticSequence:
     """u_n chain read off its `spec`: `ratios` is one period of ratios (the
     whole list when `finite`), or None on the factorial chain (q_n = n).
-    Every u_n and every ratio product comes from a closed form, and nothing
-    is cached."""
+    The ratios are checked when the chain is built, by the walk q_1 ..
+    q_{L+1} over a cycled list of L (q_{L+1} = q_1), or q_1 .. q_L over a
+    finite one, which raises at its first ratio below the bound.  Every u_n
+    and every ratio product comes from a closed form, and nothing is
+    cached."""
 
     def __init__(self, spec: tuple):
         self.spec = spec
@@ -30,6 +40,10 @@ class ArithmeticSequence:
         self.ratios: Optional[tuple[int, ...]] = (
             None if kind == "factorial" else (2,) if kind == "dyadic"
             else (spec[1],) if kind == "geometric" else spec[1])
+        if self.ratios is not None:
+            for n, qn in enumerate(self.ratios + self.ratios[:not self.finite], 1):
+                if qn < (low := 1 if n == 1 else 2):
+                    raise ValueError(f"q_{n} must be >= {low}, got {qn}")
 
     def __repr__(self) -> str:
         return f"ArithmeticSequence({self.spec!r})"
@@ -48,13 +62,8 @@ class ArithmeticSequence:
         if ratios is None:
             return n
         if self.finite and n > len(ratios):
-            raise ValueError(f"only {len(ratios)} ratios available, wanted q_{n}")
-        qn = ratios[(n - 1) % len(ratios)]
-        if n == 1 and qn < 1:
-            raise ValueError(f"q_1 must be >= 1, got {qn}")
-        if n >= 2 and qn < 2:
-            raise ValueError(f"q_{n} must be >= 2, got {qn}")
-        return qn
+            raise _past_end(len(ratios), n)
+        return ratios[(n - 1) % len(ratios)]
 
     def u(self, n: int) -> int:
         """Partial product u_n = q_1***q_n, with u_0 = 1."""
@@ -66,16 +75,16 @@ class ArithmeticSequence:
         """q_{a+1}***q_b = u_b/u_a for 0 <= a <= b in closed form: b!/a! on the
         factorial chain, else (q_1***q_L)^floor((b-a)/L) times the (b-a) mod L
         ratios from q_{a+1} on, over a list of L ratios (1 for a constant
-        ratio).  It raises the first error of the walk q(a+1), ..., q(b), found
-        among its first L ratios (L+1 from q_1: q_{L+1} is q_1 or past a list)."""
+        ratio).  Past the end of a finite list it raises what `q` raises for
+        the first ratio of the walk q(a+1), ..., q(b) beyond it."""
         if not 0 <= a <= b:
             raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
         ratios = self.ratios
         if ratios is None:
             return math.factorial(b) if a == 0 else math.perm(b, b - a)
         L, s = len(ratios), a % len(ratios)
-        for n in range(a + 1, min(b, max(a, 1) + L) + 1):
-            self.q(n)
+        if self.finite and b > max(a, L):
+            raise _past_end(L, max(a, L) + 1)
         reps, rest = divmod(b - a, L)
         head = math.prod(ratios[s:s + rest] + ratios[:max(0, s + rest - L)])
         P = math.prod(ratios) if reps else 1     # a power of two is shifted, not raised
@@ -127,7 +136,7 @@ class ArithmeticSequence:
     def geometric_base(self) -> Optional[int]:
         """Base b when u_n = b^n, else None."""
         ratios = self.ratios
-        if ratios and not self.finite and len(set(ratios)) == 1 and ratios[0] >= 2:
+        if ratios and not self.finite and len(set(ratios)) == 1:
             return ratios[0]
         return None
 
@@ -172,20 +181,23 @@ def parse_sequence(text: str) -> ArithmeticSequence:
 
 
 class TermSequence:
-    """Generator of the multiplier terms a_1 < a_2 < ... (naturals)."""
+    """Generator of the multiplier terms a_1 < a_2 < ... (naturals).  `chain`
+    is the multiplier chain a_{n+1} = a_n*m(n) of the terms, as the kernel
+    `_Divisibility` over a_1 and the m(n), built once; None off a chain."""
+
+    chain: Optional["_Divisibility"] = None
 
     def term(self, n: int) -> int:
         raise NotImplementedError
 
     def terms_upto(self, depth: int) -> Iterator[int]:
-        """a_1, ..., a_depth; a multiplicative chain is multiplied up term by
+        """a_1, ..., a_depth; a multiplier chain is multiplied up term by
         term, asking for no multiplier past a_depth."""
-        chain = multiplier_chain(self)
+        chain = self.chain
         if chain is None:
             return (self.term(n) for n in range(1, depth + 1))
-        first, mult = chain
         return itertools.islice(itertools.accumulate(
-            map(mult, itertools.count(1)), operator.mul, initial=first), depth)
+            chain.multipliers(1), operator.mul, initial=chain.first), depth)
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -199,6 +211,7 @@ class ScaledGeometric(TermSequence):
             raise ValueError("need scale >= 1 and base >= 2")
         self.scale = scale
         self.base = base
+        self.chain = _Divisibility(scale * base, (base,))
 
     def __repr__(self) -> str:
         return f"ScaledGeometric({self.scale}, {self.base})"
@@ -216,10 +229,15 @@ class ScaledGeometric(TermSequence):
 
 
 class ArithmeticTerms(TermSequence):
-    """a_n = u_n of an underlying divisibility chain."""
+    """a_n = u_n of an underlying divisibility chain, whose multipliers m(n)
+    are q_{n+1}: a period rotated by one, a finite list's tail, or n + 1."""
 
     def __init__(self, seq: ArithmeticSequence):
         self.seq = seq
+        r = seq.ratios
+        self.chain = (_Divisibility(1, None) if r is None else
+                      _Divisibility(r[0], r[1:], False) if seq.finite else
+                      _Divisibility(r[0], r[1:] + r[:1]))
 
     def __repr__(self) -> str:
         return f"ArithmeticTerms({self.seq!r})"
@@ -256,40 +274,6 @@ class ExplicitTerms(TermSequence):
 
     def to_json(self) -> dict:
         return {"kind": "explicit", "values": [exact_str(v) for v in self.values]}
-
-
-def multiplier_chain(terms: TermSequence):
-    """(a_1, mult) with a_{n+1} = a_n * mult(n) when the terms form a
-    multiplicative chain, else None."""
-    if isinstance(terms, ScaledGeometric):
-        return terms.scale * terms.base, lambda n: terms.base
-    if isinstance(terms, ArithmeticTerms):
-        seq = terms.seq
-        return seq.u(1), lambda n: seq.q(n + 1)
-    return None
-
-
-def multipliers(terms: TermSequence, n: int, k: int) -> Sequence[int]:
-    """mult(n), ..., mult(n+k-1) of the chain above: the period rotated to n
-    and cycled, a range for n!, a slice of a finite list.  It raises the
-    first error of mult(n), ..., mult(n+k-1), found within one period."""
-    if isinstance(terms, ScaledGeometric):
-        return [terms.base] * k
-    seq = terms.seq
-    if seq.ratios is None:
-        return range(n + 1, n + k + 1)
-    head = [seq.q(j) for j in range(n + 1, n + 1 + min(k, len(seq.ratios)))]
-    return list(itertools.islice(itertools.cycle(head), k))
-
-
-def phase_period(terms: TermSequence) -> Optional[int]:
-    """Period of the multiplier function above, when finite."""
-    if isinstance(terms, ScaledGeometric):
-        return 1
-    if isinstance(terms, ArithmeticTerms):
-        seq = terms.seq
-        return None if seq.finite or seq.ratios is None else len(seq.ratios)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +363,35 @@ def _legendre_least(p: int, e: int) -> int:
 class _Divisibility(dict):
     """v_b(a_n), and the least n with b**e | a_n, for a_1 = first and the
     multipliers m(1), m(2), ...: one period `mults` when `cyclic`, else a
-    finite list (the terms end at a_{len(mults)+1}), or a_n = n! with b a
-    prime when mults is None.  As a mapping, b -> (v_b(a_1),
+    finite list (the terms end at a_{len(mults)+1}: they are u_n of the
+    ratio list first, *mults), or a_n = n! (m(n) = n + 1) with b a prime
+    when mults is None.  As a mapping, b -> (v_b(a_1),
     [v_b(m(1)***m(i)) for i = 0 .. len(mults)]), filled on use."""
 
     def __init__(self, first: int, mults: Optional[Sequence[int]], cyclic: bool = True):
         super().__init__()
         self.first, self.mults = first, mults
         self.period = len(mults) if cyclic and mults is not None else None
+
+    def multipliers(self, n: int, k: Optional[int] = None) -> Iterator[int]:
+        """m(n), m(n+1), ..., k of them or for ever, lazily: the period
+        rotated to n and cycled, n + 1, n + 2, ... for n!, or a finite list,
+        which raises what `ArithmeticSequence.q` raises past its end once a
+        multiplier past it is asked for."""
+        mults, period = self.mults, self.period
+        if mults is None:
+            stream = itertools.count(n + 1)
+        elif period:
+            s = (n - 1) % period
+            stream = itertools.cycle(mults[s:] + mults[:s])
+        else:
+            stream = self._listed(n)
+        return stream if k is None else itertools.islice(stream, k)
+
+    def _listed(self, n: int) -> Iterator[int]:
+        yield from self.mults[n - 1:]
+        L = len(self.mults) + 1
+        raise _past_end(L, max(n, L) + 1)
 
     def basis(self, nums: Sequence[int]) -> list[int]:
         """A coprime basis of a_1, the multipliers and nums (n!: nums' primes)."""
@@ -444,18 +449,6 @@ class _Divisibility(dict):
         rest *= math.prod(b ** (e - self[b][0]) for b, e in need
                           if not self[b][1][-1] and e > self[b][0])
         return self.least([(b, e) for b, e in need if self[b][1][-1]]), rest
-
-
-def _divisibility_of(terms: TermSequence) -> Optional[_Divisibility]:
-    """The kernel above for the terms, or None off a multiplier chain."""
-    if (chain := multiplier_chain(terms)) is None:
-        return None
-    first, mult = chain
-    if period := phase_period(terms):
-        return _Divisibility(first, [mult(n) for n in range(1, period + 1)])
-    if terms.seq.finite:
-        return _Divisibility(first, terms.seq.ratios[1:], False)
-    return _Divisibility(first, None)
 
 
 _SCALED_RE = re.compile(r"^(?:(\d+)\s*\*\s*)?(\d+)\^n$")

@@ -50,7 +50,7 @@ from .core import DigitExpansion, SIN_UPPER
 from .ideals import (Geometric, IdealDescriptor, Outcome, SetDescriptor, Shifted,
                      Verdict, non_snt_witness)
 from .sequences import (ArithmeticSequence, ArithmeticTerms, TermSequence, _coprime_basis,
-                        _Divisibility, _divisibility_of, multiplier_chain, terms_from_json)
+                        _Divisibility, terms_from_json)
 
 TAGS = ("th6", "th1", "th2")
 _COFACTOR_BITS = 1 << 21   # largest bound on bits(v_n) of a cofactor the planner forms
@@ -167,13 +167,6 @@ class WitnessPlan:
         )
 
 
-def _check_chain(seq: ArithmeticSequence) -> None:
-    """Raise what `seq.q` raises for any ratio of the chain: one period of a
-    cycled list and q_1 again, or a whole finite list (none on n!)."""
-    if seq.ratios is not None:
-        seq.ratio_product(0, len(seq.ratios) + (not seq.finite))
-
-
 # ---------------------------------------------------------------------------
 # Chain index k_n = max{k : u_k | a_n}
 # ---------------------------------------------------------------------------
@@ -191,8 +184,7 @@ def _chain_index(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
     of a finite ratio list) is decomposed term by term up to its end, whose
     ValueError it raises; as k_n need not be monotone, `least` names the
     next n to check.  `u_n` on its own chain has k_n = n and v_n = 1."""
-    if multiplier_chain(terms) is None or (isinstance(terms, ArithmeticTerms)
-                                           and terms.seq.finite):
+    if terms.chain is None or (isinstance(terms, ArithmeticTerms) and terms.seq.finite):
         def index(n):
             d = decompose(seq, terms.term(n))
             return d.k, d
@@ -208,11 +200,11 @@ def _valuations(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
     """k_n and v_n from valuations over a coprime basis, never forming a_n:
     u_k | a_n exactly when v_b(u_k) <= v_b(a_n) for every b of the basis.
     Both sides ask the kernel `sequences._Divisibility`: v_b(a_n) and
-    `least` over the terms (`_divisibility_of`), and v_b(u_k) over the chain.
+    `least` over the terms (their `chain`), and v_b(u_k) over the chain.
     * Cut: a_n's primes divide supply = a_1*m(1)***m(P), so a ratio r = q_j
       not dividing supply**bits(r) bounds every k_n below j, and the ratios
       stop just before the first one (n! terms: supply = 0, which every r
-      divides).  A cycled period or a finite list is checked whole first.
+      divides).
     * Chain: u_k = q_1***q_k is term k + 1 of the kernel's chain 1, q_1,
       q_2, ... over the L ratios kept, cycled when they are an uncut
       period; else k <= L, and k_n = L asks for q_{L+1}, which raises past
@@ -225,9 +217,8 @@ def _valuations(seq: ArithmeticSequence, terms: TermSequence) -> _Index:
     k_b(n + P*m) = k_b(n) + L*m*V/Q once Q/gcd(Q, V) divides m; and k_b(n)
     is within L of L*(v_b(a_1) + j*V)/Q, j = (n-1) // P (with j + 1 above),
     so from n0 on k_n = min_b k_b(n) lies among the least slopes."""
-    kernel, listed = _divisibility_of(terms), seq.ratios
+    kernel, listed = terms.chain, seq.ratios
     end = len(listed) if seq.finite else None     # where a finite list ends
-    _check_chain(seq)
     supply = 0 if kernel.mults is None else kernel.first * math.prod(kernel.mults)
     ratios = list(itertools.takewhile(lambda r: pow(supply, r.bit_length(), r) == 0,
                                       itertools.count(1) if listed is None else listed))
@@ -507,12 +498,10 @@ def _term_identity(seq: ArithmeticSequence, terms: TermSequence, rows) -> list[s
     if isinstance(terms, ArithmeticTerms) and terms.seq == seq:
         return [f"index {i}: u_n on its own chain needs n = k and v = 1"
                 for i, n, k, v in rows if (n, v) != (k, 1)]
-    kernel = _divisibility_of(terms)                # None on an explicit list
+    kernel = terms.chain                            # None on an explicit list
     if kernel is not None and kernel.mults is None:
         return [f"index {i}: {why}" for i, n, k, v in rows
                 if (why := _factorial_identity(seq, n, k, v))]
-    if isinstance(terms, ArithmeticTerms):
-        _check_chain(terms.seq)
     chain = None if seq.ratios is None else _Divisibility(1, seq.ratios, not seq.finite)
     why, sides = {}, []
     for i, n, k, v in rows:
@@ -624,8 +613,8 @@ def _check_claims(plan: WitnessPlan) -> Claims:
     "plan: <lemma>: <what>" in `fails`, [] when they all hold, and the rows
     of the lemmas tried (see `Claims`).  With k_{count+1} = closing_k, the
     lemmas are:
-    * chain: every ratio is one (q_1 >= 1, the rest >= 2), and th2's chain
-      is u_n = p**n;
+    * chain: th2's chain is u_n = p**n (a list that is not a chain is
+      refused when built, so its plan never decodes);
     * index order: i = 1..count, n >= 1, v >= 1, and n and k increase
       strictly up to closing_k; the lemmas below are tried only past it;
     * term identity: u_k*v = a_n (see `_term_identity`);
@@ -654,7 +643,6 @@ def _check_claims(plan: WitnessPlan) -> Claims:
             fail(f"unknown certificate tag {tag!r}")
         elif tag == "th2" and seq.geometric_base is None:
             fail("th2 needs a constant-ratio chain u_n = p**n")
-        _check_chain(seq)
     with _lemma(fails, "index order") as fail:
         if [p.i for p in idx] != list(range(1, len(idx) + 1)):
             fail("the indices are not numbered 1..count")

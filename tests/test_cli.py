@@ -481,3 +481,39 @@ def test_fuzzed_json_inputs_keep_the_exit_contract(tmp_path, capsys, th6_cert, t
         assert out is None and err.startswith("error:")
     if code == EXIT_FAIL:
         assert fail_document(command, out)
+
+
+# each list is refused when its chain is built, whatever the command or depth
+CHAIN_PROBES = [
+    (("expand", "--x", "1/3", "--seq", "[2,1]", "--depth", "1"), "q_2 must be >= 2, got 1"),
+    (("expand", "--x", "1/3", "--seq", "[2,1]", "--depth", "3"), "q_2 must be >= 2, got 1"),
+    (("nset", "--x", "1/3", "--a", "u_n", "--seq", "[2,1]", "--depth", "1"),
+     "q_2 must be >= 2, got 1"),
+    (("nset", "--x", "1/3", "--a", "u_n", "--seq", "[1,3]", "--depth", "2"),
+     "q_3 must be >= 2, got 1"),
+    (("converge", "--x", "1/3", "--a", "u_n", "--seq", "[2,1]", "--depth", "1"),
+     "q_2 must be >= 2, got 1"),
+    (("converge", "--x", "1/3", "--a", "u_n", "--seq", "[1,3]", "--depth", "2"),
+     "q_3 must be >= 2, got 1"),
+    (("witness", "th6", "--seq", "[2,5,1]", "--a", "3*2^n", "--ideal", "density",
+      "--count", "2"), "q_3 must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("argv, text", CHAIN_PROBES,
+                         ids=[" ".join(argv) for argv, _ in CHAIN_PROBES])
+def test_a_list_that_is_not_a_chain_is_a_usage_error(argv, text, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, None) and text in err
+
+
+def test_a_certificate_over_a_list_that_is_not_a_chain_is_malformed(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    code, doc, _ = run_cli(capsys, "witness", "th6", "--seq", "dyadic", "--a", "3*2^n",
+                           "--ideal", "density", "--count", "3", "--out", str(path))
+    assert code == EXIT_PASS
+    cert = json.loads(path.read_text())
+    cert["plan"]["sequence"] = {"kind": "ratios", "ratios": ["2", "1"]}
+    path.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "verify", "--json-in", str(path))
+    assert (code, out) == (EXIT_USAGE, None) and "q_2 must be >= 2, got 1" in err

@@ -140,11 +140,11 @@ def test_round_trip_property(num, k, pick):
 
 
 # The remainder walk and Horner's rule against the Fraction loops they
-# replace; u_n here is the running product of q_1 .. q_n, so an invalid ratio
-# raises where the walk over the ratios would.
+# replace; u_n here is the running product of q_1 .. q_n, so a q_n past a
+# finite list raises where the walk over the ratios would.
 WALK_CHAINS = [ArithmeticSequence.dyadic(), ArithmeticSequence.factorial(),
                ArithmeticSequence.geometric(6), ArithmeticSequence.from_ratios([2, 3, 5, 7]),
-               ArithmeticSequence.from_ratios([1, 3]),                # q_1 = 1, q_3 = 1
+               ArithmeticSequence.from_ratios([1, 3], cycle=False),   # q_1 = 1
                ArithmeticSequence.from_ratios([2, 3, 5], cycle=False)]
 
 

@@ -27,8 +27,7 @@ from thinset.core import CircleRational, DigitExpansion, reconstruct_exact
 from thinset.ideals import IdealDescriptor, Outcome, Progression, descriptor_from_json
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms,
                                ExplicitTerms, ScaledGeometric, _Divisibility,
-                               _divisibility_of, multiplier_chain, multipliers,
-                               parse_sequence, parse_terms, phase_period)
+                               parse_sequence, parse_terms)
 
 IDEALS = (IdealDescriptor.fin(), IdealDescriptor.density(),
           IdealDescriptor.summable())
@@ -191,28 +190,22 @@ kernel_terms = st.one_of(scaled, factorial, st.sampled_from(CHAINS).map(Arithmet
 
 
 def scan_least(terms, D: int):
-    """Least n with D | a_n by a walk of a_n mod D: a periodic chain's states
-    (a_n mod D, phase) repeat within D*period steps, D | n! from n = D on,
-    and a finite list ends with its terms."""
-    first, mult = multiplier_chain(terms)
-    if period := phase_period(terms):
-        horizon = D * period + 1
-    elif terms.seq.spec[0] == "ratios-finite":
-        horizon = len(terms.seq.spec[1])
-    else:
+    """Least n with D | a_n by a scan of a_n = `term(n)` mod D: a periodic
+    chain's states (a_n mod D, phase) repeat within D*period steps, D | n!
+    from n = D on, and a finite list ends with its terms."""
+    seq = getattr(terms, "seq", None)
+    if seq is not None and seq.ratios is None:
         horizon = D
-    t = first % D
-    for n in range(1, horizon + 1):
-        if t == 0:
-            return n
-        if n < horizon:
-            t = t * mult(n) % D
-    return None
+    elif seq is not None and seq.finite:
+        horizon = len(seq.ratios)
+    else:
+        horizon = D * cycle_reference.phases(terms) + 1
+    return next((n for n in range(1, horizon + 1) if terms.term(n) % D == 0), None)
 
 
 def kernel_least(terms, D: int):
     """The kernel's least n with D | a_n, None where it proves there is none."""
-    n, rest = _divisibility_of(terms).zero_from(D, _FACTOR_BOUND)
+    n, rest = terms.chain.zero_from(D, _FACTOR_BOUND)
     return n if rest == 1 else None
 
 
@@ -295,7 +288,7 @@ def landmark_depths(terms, num: int, den: int, top: int) -> list[int]:
     """Depths just before the cycle's start, at its first repeat, next to
     powers of two (where the walk saves its state) and next to block edges,
     up to top."""
-    if phase_period(terms) is not None:
+    if terms.chain is not None and terms.chain.period:
         mu, period, _ = cycle_reference.detect_cycle(num, den, terms)
         marks = [mu - 1, mu + period - 1, mu + period, mu + period + 1]
     else:   # n! and the list: the first zero residue
@@ -367,15 +360,15 @@ def test_zero_stop_ends_the_walk():
     walk = convergence._Residues(1, 720, parse_terms("n!"), 10 ** 9, stop=True)
     assert [n for n, _ in walk] == [1, 2, 3, 4, 5, 6]
     assert walk.repeat == (6, 0, 1)
-    # the multipliers a full walk asks for still raise: a finite list has to
-    # reach the depth, and a cycled list with a ratio below 2 is refused even
-    # at x = 0, whose residues are all zero
+    # a finite list still has to reach the depth; a cycled list with a
+    # ratio below 2 is refused when it is built, before any walk, so even
+    # x = 0, whose residues are all zero, never walks it
     finite = ArithmeticTerms(ArithmeticSequence.from_ratios([2, 3], cycle=False))
     with pytest.raises(ValueError, match="only 2 ratios"):
         classical_convergence(CircleRational(1, 2), finite, 3)
-    cycled = ArithmeticTerms(ArithmeticSequence.from_ratios([2, 1]))
     with pytest.raises(ValueError, match="q_2 must be >= 2"):
-        classical_convergence(CircleRational(0, 1), cycled, 5)
+        classical_convergence(CircleRational(0, 1),
+                              ArithmeticTerms(ArithmeticSequence.from_ratios([2, 1])), 5)
 
 
 def rational_pass(x, terms, depth):
@@ -391,10 +384,11 @@ def test_brent_cycle_matches_state_dict(terms, num, den):
     """The cycle from the ε-walk's repeat and the start from valuations,
     against the state dict: from a walk that repeats within its depth, and
     from one that reaches depth 1 first and walks on."""
-    assume(den * phase_period(terms) <= convergence._CYCLE_STATE_CAP)
+    phases = cycle_reference.phases(terms)
+    assume(den * phases <= convergence._CYCLE_STATE_CAP)
     mu, period, norms = cycle_reference.detect_cycle(num % den, den, terms)
     x = CircleRational.from_fraction(Fraction(num, den))
-    for depth in (1, 3 * den * phase_period(terms)):
+    for depth in (1, 3 * den * phases):
         verdict, cycle = rational_pass(x, terms, depth)
         if cycle is not None:
             assert verdict.certificate == "periodic-recurrence"
@@ -403,7 +397,7 @@ def test_brent_cycle_matches_state_dict(terms, num, den):
         else:   # the states enter (0, phase) at the first zero residue
             assert verdict.certificate in ("zero", "terminating")
             assert verdict.diagnostics.get("zero_from", 1) == mu
-            assert period == phase_period(terms) and not any(norms)
+            assert period == phases and not any(norms)
 
 
 def test_period_beyond_depth_under_the_cap():
@@ -678,21 +672,22 @@ def test_quiet_walk_keeps_the_least_period():
 @pytest.fixture
 def asked(monkeypatch):
     """The positions n of the multipliers m(n) that the residue walks ask
-    for, in order: every one that the block API hands out, used or not."""
+    for, in order: every one that a chain's multiplier stream hands out."""
     seen = []
+    multipliers = _Divisibility.multipliers
 
-    def counted(terms, n, k):
-        block = multipliers(terms, n, k)
-        seen.extend(range(n, n + len(block)))
-        return block
-    monkeypatch.setattr(convergence, "multipliers", counted)
+    def counted(chain, n, k=None):
+        for j, m in enumerate(multipliers(chain, n, k), n):
+            seen.append(j)
+            yield m
+    monkeypatch.setattr(_Divisibility, "multipliers", counted)
     return seen
 
 
 def test_zero_stop_asks_for_few_multipliers(asked):
-    # n! reaches the zero residue of 1/720 at n = 6: its multiplier blocks
-    # double from one, so the walk asks for at most twice the positions it
-    # walked, whatever the depth
+    # n! reaches the zero residue of 1/720 at n = 6: its multipliers are
+    # handed out one by one, so the walk asks for at most twice the
+    # positions it walked, whatever the depth
     walk = convergence._Residues(1, 720, parse_terms("n!"), 10 ** 9, stop=True)
     walked = [n for n, _ in walk]
     assert walked == [1, 2, 3, 4, 5, 6]
@@ -729,21 +724,24 @@ def test_quiet_runs_jump_whole_periods(asked):
 
 @pytest.mark.parametrize("ratios", [[1, 2], [2, 3, 1]])
 def test_quiet_walk_raises_where_a_full_walk_does(ratios):
-    # q_3 = 1 is the second multiplier asked, and a run jumps only after it
-    # has stepped a whole period, so the walk raises where a full walk does,
-    # after yielding only its start
+    # q_3 = 1 is refused when the chain is built, so no walk, quiet or full,
+    # starts on it; the two ratios before it, as a finite list, end at q_3
+    # for a quiet walk as for a full one: the full walk raises in its first
+    # block, and the quiet one after yielding only its start
+    with pytest.raises(ValueError, match=r"^q_3 must be >= 2, got 1$"):
+        ArithmeticSequence.from_ratios(ratios)
     x = reconstruct_exact(DigitExpansion(ArithmeticSequence.dyadic(), {200: 1, 400: 1}))
-    terms = ArithmeticTerms(ArithmeticSequence.from_ratios(ratios))
+    terms = ArithmeticTerms(ArithmeticSequence.from_ratios(ratios[:2], cycle=False))
     prefixes = []
     for quiet in (-(-x.den // 64), 0):
         walk = convergence._Residues(x.num, x.den, terms, 10 ** 4, stop=True, quiet=quiet)
         prefixes.append([])
-        with pytest.raises(ValueError, match=r"^q_3 must be >= 2, got 1$"):
+        with pytest.raises(ValueError, match=r"^only 2 ratios available, wanted q_3$"):
             for step in walk:
                 prefixes[-1].append(step)
     quiet_prefix, full_prefix = prefixes
-    assert quiet_prefix == full_prefix[:1] == [(1, ratios[0] * x.num % x.den)]
-    with pytest.raises(ValueError, match=r"^q_3 must be >= 2, got 1$"):
+    assert full_prefix == [] and quiet_prefix == [(1, ratios[0] * x.num % x.den)]
+    with pytest.raises(ValueError, match=r"^only 2 ratios available, wanted q_3$"):
         classical_convergence(x, terms, 10 ** 4)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,9 +8,8 @@ from hypothesis import strategies as st
 
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms,
                                ExplicitTerms, ScaledGeometric,
-                               _coprime_basis, _strip, multiplier_chain,
-                               parse_sequence, parse_terms, phase_period,
-                               terms_from_json)
+                               _coprime_basis, _strip, parse_sequence,
+                               parse_terms, terms_from_json)
 
 
 def test_dyadic_values():
@@ -45,10 +45,11 @@ def test_finite_ratio_list_bounds():
 
 
 def test_invalid_ratios_rejected():
+    # refused when built, before any u_n is asked for
     with pytest.raises(ValueError):
-        ArithmeticSequence.from_ratios([2, 1]).u(2)
+        ArithmeticSequence.from_ratios([2, 1])
     with pytest.raises(ValueError):
-        ArithmeticSequence.from_ratios([0]).u(1)
+        ArithmeticSequence.from_ratios([0])
 
 
 def test_divisibility_chain_property():
@@ -96,6 +97,29 @@ def _outcome(f, *args):
         return type(exc).__name__, str(exc)
 
 
+def _walk_error(ratios, cycle):
+    """The first error of the reference walk q_1 .. q_{L+1} over a cycled
+    list of L ratios (q_{L+1} = q_1), or q_1 .. q_L over a finite one: q_1
+    below 1, or a later ratio below 2; None for a chain."""
+    for n, r in enumerate(ratios + ratios[:1] if cycle else ratios, 1):
+        if r < (low := 1 if n == 1 else 2):
+            return f"q_{n} must be >= {low}, got {r}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratios=st.lists(st.integers(-2, 4), min_size=1, max_size=6), cycle=st.booleans())
+@example(ratios=[1, 3], cycle=True)
+@example(ratios=[1, 3], cycle=False)
+@example(ratios=[2, 5, 1], cycle=True)
+def test_from_ratios_accepts_exactly_the_chains(ratios, cycle):
+    built = _outcome(ArithmeticSequence.from_ratios, ratios, cycle)
+    if (error := _walk_error(ratios, cycle)) is None:
+        assert isinstance(built, ArithmeticSequence) and built.finite is not cycle
+    else:
+        assert built == ("ValueError", error)
+
+
 def _listed(ratios, cycle, n):
     """q_n read off the list (n on the factorial chain, ratios None), or
     None where q_n is invalid: q_1 < 1, a later q_n < 2, or past a finite
@@ -120,10 +144,14 @@ def test_u_and_ratio_product_match_running_product(ratios, bad, cycle, data):
     else:
         if bad is not None:
             ratios[bad[0] % len(ratios)] = bad[1]
-        seq, top = ArithmeticSequence.from_ratios(ratios, cycle=cycle), 3 * len(ratios) + 2
-    # each q_n raises at its own index and no earlier: q_1 = 1 is allowed, a
-    # later 1 (q_3 = q_1 = 1 on the cycled [1, 3]) or a q_n past a finite list
-    # raises when it is asked for
+        seq, top = _outcome(ArithmeticSequence.from_ratios, ratios, cycle), 3 * len(ratios) + 2
+        if not isinstance(seq, ArithmeticSequence):
+            # a later 1 (q_3 = q_1 = 1 on the cycled [1, 3]) is refused when
+            # the chain is built, with its walk's first error
+            assert seq == ("ValueError", _walk_error(ratios, cycle))
+            return
+    # on a chain q_1 = 1 is allowed, and a q_n past a finite list raises at
+    # its own index and no earlier, when it is asked for
     listed = [_listed(ratios, cycle, n) for n in range(1, top + 1)]
     for n, r in enumerate(listed, 1):
         if r is None:
@@ -140,7 +168,7 @@ def test_u_and_ratio_product_match_running_product(ratios, bad, cycle, data):
     base = listed[0] if ratios and cycle and len(set(listed)) == 1 else None
     assert seq.geometric_base == base
     # the multipliers q_{n+1} of u_n repeat with the period, when there is one
-    period = phase_period(ArithmeticTerms(seq))
+    period = ArithmeticTerms(seq).chain.period
     assert period == (len(ratios) if ratios and cycle else None)
     if period:
         assert listed[period + 1:] == listed[1:-period]
@@ -157,15 +185,17 @@ def test_closed_form_ratio_products(seq):
         seq.ratio_product(5, 3)
 
 
+# each seq builds its chain: a cycled list with a bad ratio is refused there,
+# and a finite list ends at u_n past its end
 @pytest.mark.parametrize("seq, n, message", [
-    (ArithmeticSequence.from_ratios([1, 3]), 3, "q_3 must be >= 2, got 1"),
-    (ArithmeticSequence.from_ratios([2, 3], cycle=False), 3,
+    (partial(ArithmeticSequence.from_ratios, [1, 3]), 3, "q_3 must be >= 2, got 1"),
+    (partial(ArithmeticSequence.from_ratios, [2, 3], cycle=False), 3,
      "only 2 ratios available, wanted q_3"),
-    (ArithmeticSequence.from_ratios([2, 1]), 5, "q_2 must be >= 2, got 1"),
+    (partial(ArithmeticSequence.from_ratios, [2, 1]), 5, "q_2 must be >= 2, got 1"),
 ])
 def test_u_raises_the_walks_first_error(seq, n, message):
     with pytest.raises(ValueError) as info:
-        seq.u(n)
+        seq().u(n)
     assert str(info.value) == message
 
 
@@ -188,22 +218,48 @@ def test_parse_sequence():
 def test_scaled_geometric_terms():
     t = ScaledGeometric(3, 2)
     assert [t.term(n) for n in (1, 2, 3)] == [6, 12, 24]
-    first, mult = multiplier_chain(t)
-    assert first == 6 and mult(1) == 2
-    assert phase_period(t) == 1
+    assert t.chain.first == 6 and list(t.chain.multipliers(1, 1)) == [2]
+    assert t.chain.period == 1
 
 
 def test_arithmetic_terms_chain():
     t = ArithmeticTerms(ArithmeticSequence.factorial())
-    first, mult = multiplier_chain(t)
-    assert first == 1 and mult(3) == 4
-    assert phase_period(t) is None
+    assert t.chain.first == 1 and list(t.chain.multipliers(3, 1)) == [4]
+    assert t.chain.period is None
+
+
+CHAIN_TERMS = {
+    "3*2^n": ScaledGeometric(3, 2),
+    "dyadic": ArithmeticTerms(ArithmeticSequence.dyadic()),
+    "[2,3,5]": ArithmeticTerms(ArithmeticSequence.from_ratios([2, 3, 5])),
+    "n!": ArithmeticTerms(ArithmeticSequence.factorial()),
+    "finite": ArithmeticTerms(ArithmeticSequence.from_ratios([3, 2, 5, 7], cycle=False)),
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_TERMS)
+def test_chain_multiplies_each_term_into_the_next(name):
+    # a_{n+1} = a_n*m(n) against `term`, for n up to three periods (n! to
+    # 12, a finite list to its end), from every start n and from n = 1 on
+    terms = CHAIN_TERMS[name]
+    chain = terms.chain
+    top = 3 * chain.period if chain.period else 12 if chain.mults is None else len(chain.mults)
+    assert chain.first == terms.term(1)
+    for n in range(1, top + 1):
+        assert terms.term(n) * next(chain.multipliers(n)) == terms.term(n + 1)
+        assert list(chain.multipliers(n, top - n + 1)) == list(chain.multipliers(1, top))[n - 1:]
+    assert list(terms.terms_upto(top + 1)) == [terms.term(n) for n in range(1, top + 2)]
+    if chain.period is None and chain.mults is not None:
+        # past its end a finite list raises what u_n raises, once asked
+        for n in range(1, top + 2):
+            stream = chain.multipliers(n)
+            assert _outcome(list, stream) == _outcome(terms.term, top + 2)
 
 
 def test_explicit_terms():
     t = ExplicitTerms([2, 5, 9])
     assert t.term(2) == 5
-    assert multiplier_chain(t) is None
+    assert t.chain is None
     with pytest.raises(ValueError):
         t.term(4)
     with pytest.raises(ValueError):

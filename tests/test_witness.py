@@ -24,8 +24,7 @@ from thinset import cli, convergence, core, ideals, sequences, witness
 from thinset._exact_text import exact_fraction
 from thinset.ideals import IdealDescriptor, Outcome, non_snt_witness
 from thinset.sequences import (ArithmeticSequence, ArithmeticTerms, ExplicitTerms,
-                               ScaledGeometric, parse_sequence, parse_terms,
-                               phase_period)
+                               ScaledGeometric, parse_sequence, parse_terms)
 from thinset.witness import (CertificateFormatError, SequenceNotAbsorbingError,
                              UnsupportedIdealError, WitnessCertificate,
                              build_and_verify, decompose, digit_choice,
@@ -178,9 +177,12 @@ class TestPlanning:
 
     def test_cut_keeps_the_period_check(self):
         # 5 = q_2 bounds k_n below 2 for 3*2^n, yet q_3 = 1 of the period is
-        # refused first, as a walk over the period would refuse it
+        # refused first, when the chain is built; with q_3 = 3 the cut
+        # refuses the request
         with pytest.raises(ValueError, match="q_3 must be >= 2, got 1"):
-            plan_witness("th6", ArithmeticSequence.from_ratios([2, 5, 1]),
+            ArithmeticSequence.from_ratios([2, 5, 1])
+        with pytest.raises(SequenceNotAbsorbingError, match="every chain index k_n is below 2"):
+            plan_witness("th6", ArithmeticSequence.from_ratios([2, 5, 3]),
                          ScaledGeometric(3, 2), DENSITY, 2)
 
     def test_unknown_tag(self):
@@ -262,6 +264,13 @@ class TestVerifyCertificate:
         doc["plan"]["indices"][0]["v"] = "oops"
         with pytest.raises(CertificateFormatError):
             WitnessCertificate.from_json(doc)
+        # a sequence that is not a chain, as geometric base 1
+        for sequence, text in (({"kind": "ratios", "ratios": ["2", "1"]}, "q_2 must be >= 2"),
+                               ({"kind": "geometric", "base": "1"}, "base must be >= 2")):
+            doc = json.loads(json.dumps(self.make_cert().to_json()))
+            doc["plan"]["sequence"] = sequence
+            with pytest.raises(CertificateFormatError, match=text):
+                WitnessCertificate.from_json(doc)
 
 
 # these edit claims, which every document holds
@@ -458,8 +467,6 @@ def _index(doc, position, **fields):
 # 8, 3), (16, 16, 3), (32, 32, 3), closing_k 64
 TH6 = ("th6", "dyadic", "3*2^n", 4)
 FORGERIES = {
-    "chain": (TH6, lambda d: d["plan"].update(
-        sequence={"kind": "ratios", "ratios": ["2", "1"]}), "chain", "q_2 must be >= 2"),
     "th2 over a cycled list": (("th2", "geometric:3", "2*3^n", 3), lambda d: d["plan"].update(
         sequence={"kind": "ratios", "ratios": ["3", "9"]}), "chain", "constant-ratio"),
     "renumbered": (TH6, lambda d: _index(d, 0, i=2), "index order", "numbered"),
@@ -848,7 +855,7 @@ def test_chain_index_matches_reference(seq_text, terms, ns, L):
     # is checked up to one period per bit of u_L, by which v_b(a_n) >= v_b(u_L)
     # for every b that the multipliers carry at all
     least = index.least(L, 0)
-    limit = least or phase_period(terms) * (u.bit_length() + 1) + 1
+    limit = least or terms.chain.period * (u.bit_length() + 1) + 1
     first = next((n for n in range(1, limit + 1) if terms.term(n) % u == 0), None)
     assert first == least
     if least is not None:                   # every n past the least one qualifies
