@@ -467,6 +467,10 @@ def _index(doc, position, **fields):
 # 8, 3), (16, 16, 3), (32, 32, 3), closing_k 64
 TH6 = ("th6", "dyadic", "3*2^n", 4)
 FORGERIES = {
+    # a sequence that is not a chain no longer decodes (test_malformed_rejected),
+    # so a th6 plan fails the chain lemma only by its tag
+    "chain": (TH6, lambda d: d.update(theorem="th9") or d["plan"].update(tag="th9"), "chain",
+              "unknown certificate tag 'th9'"),
     "th2 over a cycled list": (("th2", "geometric:3", "2*3^n", 3), lambda d: d["plan"].update(
         sequence={"kind": "ratios", "ratios": ["3", "9"]}), "chain", "constant-ratio"),
     "renumbered": (TH6, lambda d: _index(d, 0, i=2), "index order", "numbered"),
